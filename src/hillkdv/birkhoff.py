@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .pde import potential_to_pde_state
 from .sequences import FourierSeq
 
 
@@ -83,15 +84,12 @@ def frequencies(I):
 
 def linearized_birkhoff(q):
     """Jacobian of the coordinate map at q = 0: z_n = q_{2n} / sqrt(2 pi max(|n|,1))."""
-    n_max = q.half_range // 2
-    pairs = []
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        v = q.coeff(2 * n)
-        if v != 0:
-            pairs.append((n, v / math.sqrt(2.0 * math.pi * abs(n))))
-    return BirkhoffState.from_pairs(pairs, N=max(n_max, 1))
+    u = potential_to_pde_state(q).u_hat
+    N = (u.size - 1) // 2
+    d = np.sqrt(2.0 * math.pi * np.maximum(np.abs(np.arange(-N, N + 1)), 1))
+    # componentwise division; numpy's complex / real multiplies by 1/d,
+    # which adds a rounding
+    return BirkhoffState(u.real / d + 1j * (u.imag / d))
 
 
 def inverse_linearized_birkhoff(state, s=0.0, weight=None):

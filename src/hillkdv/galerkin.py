@@ -5,7 +5,8 @@ over k, l in {-K..K}.  Dirichlet problem on [0,1]: KxK sine-basis matrix
 D[m,n] = (m pi)^2 delta_{mn} + (q^cos_{m-n} - q^cos_{m+n}) over m, n >= 1,
 obtained by folding the ZZ-indexed expansion with the antisymmetry
 f^sin_{-n} = -f^sin_n.  These solvers are the oracle for the reduction
-module; truncation trust is certified conservatively.
+module; truncation trust is certified conservatively.  The Riesz projector
+onto the pair lambda_n^+- is the spectral (Schur) projector of M.
 """
 
 from dataclasses import dataclass, field
@@ -144,37 +145,41 @@ def gaps_and_midpoints(spec):
     return gam, tau, diff
 
 
-def riesz_projector(q, n, K, quad_points=64, idem_tol=1e-6, max_points=2048):
-    """Contour projector (1/2 pi i) oint_{|lambda - n^2 pi^2| = n} (lambda - M)^{-1}.
+def riesz_projector(q, n, K):
+    """Riesz projector (1/2 pi i) oint (lambda - M)^{-1} d lambda of the periodic
+    matrix M over |lambda - n^2 pi^2| = n, which must separate {lambda_n^+-}.
 
-    Trapezoidal quadrature on the circle, node count doubled until the
-    idempotency defect ||R^2 - R||_2 drops below idem_tol.  The contour must
-    separate {lambda_n^+-} (inside) from the rest of the spectrum.
+    Closed form from one sorted complex Schur form M = Z [[A, C], [0, B]] Z^H
+    with the enclosed pair in A: P = Z_1 (Z_1^H + X Z_2^H), A X - X B = C.
+    Exact also when the pair is a Jordan block.
     """
     M = periodic_matrix(q, K)
     center = n * n * PI2
-    vals = np.linalg.eigvals(M)
-    dist = np.abs(np.abs(vals - center) - n)
+    try:
+        T, Z, inside = scipy.linalg.schur(
+            M, output="complex", sort=lambda lam: abs(lam - center) < n)
+    except np.linalg.LinAlgError as exc:
+        raise SeparationError("Schur reordering around n=%d failed: %s" % (n, exc))
+    dist = np.abs(np.abs(np.diag(T) - center) - n)
     if np.min(dist) < 1e-6 * max(1.0, n):
         raise SeparationError("eigenvalue on the contour |lambda - n^2 pi^2| = n")
-    inside = np.sum(np.abs(vals - center) < n)
     if inside != 2:
         raise SeparationError(
             "contour around n=%d encloses %d eigenvalues, expected 2" % (n, inside))
-    I = np.eye(M.shape[0], dtype=complex)
-    pts = quad_points
-    while True:
-        theta = 2 * np.pi * (np.arange(pts) + 0.5) / pts
-        R = np.zeros_like(M)
-        for th in theta:
-            lam = center + n * np.exp(1j * th)
-            R += np.exp(1j * th) * np.linalg.solve(lam * I - M, I)
-        R *= n / pts
-        defect = np.linalg.norm(R @ R - R, 2)
-        if defect <= idem_tol or pts >= max_points:
-            break
-        pts *= 2
-    return R, {"quad_points": pts, "idempotency_defect": float(defect),
+    # the contour check keeps the spectra of A and B >= 2e-6 n apart, far
+    # above ztrsyl's perturbation threshold eps ||M||, so its info is 0
+    X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:], T[:2, 2:],
+                                             isgn=-1)
+    Z1 = Z[:, :2]
+    # the products with Z use scipy's BLAS, which ran the Schur step: numpy's
+    # matmul runs on a second OpenBLAS, whose threads would compete for the
+    # cores with scipy's, still spinning after the call
+    zgemm = scipy.linalg.blas.zgemm
+    W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
+    R = zgemm(1.0, Z1, W)
+    # R^2 - R = Z_1 (W Z_1 - I) W, and Z_1 has orthonormal columns
+    defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
+    return R, {"quad_points": 0, "idempotency_defect": float(defect),
                "trace": complex(np.trace(R))}
 
 

@@ -4,15 +4,14 @@ Fourier representation.
 Basis e_k(x) = exp(i pi k x) on [0, 2]; -d^2/dx^2 e_k = (k pi)^2 e_k.  The
 normalized inner product <f, g> = (1/2) int_0^2 f conj(g) dx makes {e_k}
 orthonormal, so <f, e_k> is simply the k-th coefficient.  Potentials are
-zero-mean and 1-periodic (odd modes vanish).  For the Dirichlet sine-basis
-matrix we use the cosine pairings q^cos_k = (q_k + q_{-k})/2 for even k; the
-odd-k values vanish for 1-periodic q (the cos(pi x) subtraction that makes
-them well defined pairs only odd modes).  Conversion to the [0,1] product:
+zero-mean and 1-periodic (odd modes vanish).  The Dirichlet sine-basis
+matrix uses the cosine pairings q^cos_k = int_0^1 q(x) cos(k pi x) dx:
+(q_k + q_{-k})/2 for even k, and for odd k a sum over all modes of q that
+vanishes only for even q (q_{-m} = q_m).  Conversion to the [0,1] product:
 int_0^1 f conj(g) dx = <f, g> for 1-periodic f, g.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 import math
 
 import numpy as np
@@ -26,12 +25,6 @@ class StripViolationError(ValueError):
 
 class NearSingularError(ArithmeticError):
     pass
-
-
-class BoundaryCondition(Enum):
-    PER_PLUS = "per_plus"    # even Fourier modes (1-periodic sector)
-    PER_MINUS = "per_minus"  # odd Fourier modes (1-antiperiodic sector)
-    DIRICHLET = "dirichlet"  # sine basis on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -175,12 +168,16 @@ def project(n, f, which):
 
 
 def dirichlet_cos_coeffs(q, K):
-    """Cosine pairings q^cos_k for 0 <= k <= 2K.
-
-    q^cos_k = (q_k + q_{-k})/2 for even k; odd k gives 0 for 1-periodic q.
-    Returned as a real-indexed vector c with c[k] = q^cos_k.
+    """Cosine pairings c[k] = q^cos_k = int_0^1 q(x) cos(k pi x) dx, 0 <= k <= 2K:
+    (q_k + q_{-k})/2 for even k, (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) for odd
+    k, summed as (i/pi) sum_{m>0} (q_m - q_{-m}) (...) so even q gives exact 0.
     """
-    out = np.zeros(2 * K + 1, dtype=complex)
-    for k in range(0, 2 * K + 1, 2):
-        out[k] = 0.5 * (q.coeff(k) + q.coeff(-k))
+    c = q.seq.extended(max(2 * K, q.half_range)).coeffs
+    mid = (c.size - 1) // 2
+    k = np.arange(2 * K + 1)
+    m = np.unique(np.abs(q.seq.nonzero_ks()))  # m > 0: q has zero mean
+    out = 0.5 * (c[mid + k] + c[mid - k])
+    odd = k[1::2, None]
+    out[1::2] = (1j / math.pi) * (
+        (1.0 / (m + odd) + 1.0 / (m - odd)) @ (c[mid + m] - c[mid - m]))
     return out

@@ -77,8 +77,7 @@ def potential_to_pde_state(q):
     n_max = q.half_range // 2
     K = max(n_max, 1)
     u = np.zeros(2 * K + 1, dtype=complex)
-    for k in range(-n_max, n_max + 1):
-        u[k + K] = q.coeff(2 * k)
+    u[K - n_max:K + n_max + 1] = q.seq.truncated(2 * n_max).coeffs[::2]
     u[K] = 0.0
     return PDEState(u)
 
@@ -168,8 +167,8 @@ def conserved(u):
     # cubic term: evaluate on >= 3K+1 points so u^3 has no aliasing
     n_grid = 4 * K + 5
     pad = np.zeros(n_grid, dtype=complex)
-    for k in range(-K, K + 1):
-        pad[k % n_grid] = u[k]
+    pad[:K + 1] = u.u_hat[K:]
+    pad[n_grid - K:] = u.u_hat[:K]
     grid = np.fft.ifft(pad) * n_grid
     cubic = float(np.mean(grid ** 3).real)
     ham = quad + cubic

@@ -119,7 +119,7 @@ def epsilon_s(n, s):
 def estimate_c_s_prime(s, n_max=4096):
     """c_s' = max(c_s, fitted constant of the <T_n f, e_{+-n}> bound), the
     latter being sup_n 2 <2n>^s * hilbert_sum(n, 1-|s|) / epsilon_s(n)."""
-    key = round(float(s), 9)
+    key = (round(float(s), 9), int(n_max))
     if key in _CSP_CACHE:
         return _CSP_CACHE[key]
     c = estimate_c_s(s, n_max)

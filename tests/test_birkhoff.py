@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hillkdv.operator import Potential
+from hillkdv.sequences import FourierSeq
 from hillkdv.birkhoff import (
     BirkhoffState, actions_from_gaps, frequencies, linearized_birkhoff,
     inverse_linearized_birkhoff, flow, torus_membership,
@@ -78,6 +79,14 @@ def test_linearized_map_scaling():
     st = linearized_birkhoff(q)
     assert st[2] == pytest.approx(0.4 / math.sqrt(4 * math.pi))
     assert st[1] == 0.0
+    # odd half range; every mode equals the scalar formula bit for bit
+    q = Potential(FourierSeq.from_pairs(
+        [(-6, 0.1 - 0.2j), (-2, 0.3j), (2, -0.3j), (6, 0.1 + 0.2j)], K=7))
+    st = linearized_birkhoff(q)
+    assert st.half_range == 3
+    for n in range(-3, 4):
+        want = q.coeff(2 * n) / math.sqrt(2.0 * math.pi * abs(n)) if n else 0
+        assert st[n] == want
 
 
 def test_linearized_roundtrip():

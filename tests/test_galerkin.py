@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -14,7 +15,7 @@ from hillkdv.sequences import Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     gaps_and_midpoints, riesz_projector, free_projector, op_norm_2_to_inf,
-    verify_decay, SeparationError,
+    periodic_matrix, verify_decay, SeparationError,
 )
 
 PI2 = math.pi ** 2
@@ -95,23 +96,37 @@ def test_refinement_K128_vs_K256():
 # Dirichlet shooting oracle
 # ---------------------------------------------------------------------------
 
-def shooting_mu_1(c):
-    """First Dirichlet eigenvalue of -y'' + 2c cos(2 pi x) y = mu y on [0, 1]
-    by shooting from y(0) = 0, y'(0) = 1 and root-finding y(1; mu) = 0."""
+def shooting_mu(q, n):
+    """n-th Dirichlet eigenvalue of -y'' + q y = mu y on [0, 1] for a small
+    real q, by shooting from y(0) = 0, y'(0) = 1 and root-finding
+    y(1; mu) = 0 between (n -+ 1/2)^2 pi^2."""
+    ks = q.seq.nonzero_ks()
+    vals = np.array([q.coeff(k) for k in ks])
+
+    def q_at(x):
+        return float(np.sum(vals * np.exp(1j * math.pi * ks * x)).real)
+
     def y_at_1(mu):
         def rhs(x, y):
-            return [y[1], (2 * c * math.cos(2 * math.pi * x) - mu) * y[0]]
+            return [y[1], (q_at(x) - mu) * y[0]]
         sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 1.0], rtol=1e-12, atol=1e-14,
                         dense_output=False)
         return sol.y[0, -1]
-    return brentq(y_at_1, 0.5 * PI2, 2.0 * PI2, xtol=1e-10)
+    return brentq(y_at_1, (n - 0.5) ** 2 * PI2, (n + 0.5) ** 2 * PI2,
+                  xtol=1e-12)
 
 
 def test_dirichlet_matches_shooting():
-    for c in (0.05, 0.2):
-        spec = dirichlet_spectrum(Potential.single_mode(c), 64)
-        mu1 = shooting_mu_1(c)
-        assert spec.mu(1).real == pytest.approx(mu1, abs=1e-6)
+    # the random q has sine components, so its odd-k cosine pairings are
+    # nonzero
+    cases = [(Potential.single_mode(0.05), 64, (1,)),
+             (Potential.single_mode(0.2), 64, (1,)),
+             (Potential.random_real(np.random.default_rng(21), n_max=6,
+                                    sup=0.1), 96, (1, 2, 3))]
+    for q, K, ns in cases:
+        spec = dirichlet_spectrum(q, K)
+        for n in ns:
+            assert spec.mu(n).real == pytest.approx(shooting_mu(q, n), abs=1e-9)
 
 
 def test_dirichlet_between_periodic_pair():
@@ -136,6 +151,73 @@ def test_dirichlet_between_periodic_pair():
 # ---------------------------------------------------------------------------
 # Riesz projectors
 # ---------------------------------------------------------------------------
+
+def quadrature_projector(q, n, K, pts=256):
+    """Oracle: trapezoid rule for (1/2 pi i) oint (lambda - M)^{-1} d lambda
+    on |lambda - n^2 pi^2| = n, at a fixed node count.  For real M the nodes
+    come in conjugate pairs with conjugate terms, so half of them suffice."""
+    M = periodic_matrix(q, K)
+    real = not np.any(M.imag)
+    I = np.eye(M.shape[0], dtype=complex)
+    R = np.zeros_like(M)
+    thetas = 2 * np.pi * (np.arange(pts) + 0.5) / pts
+    for th in thetas[:pts // 2] if real else thetas:
+        lam = n * n * PI2 + n * np.exp(1j * th)
+        R += np.exp(1j * th) * np.linalg.solve(lam * I - M, I)
+    if real:
+        R = 2.0 * R.real
+    return R * (n / pts)
+
+
+@pytest.mark.parametrize("c", [0.3, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_riesz_jordan_pair_matches_quadrature(c, n):
+    # one-sided (Gasymov) potential q_{+2} = c: the spectrum is the free one,
+    # and n^2 pi^2 is a double eigenvalue carrying a Jordan block
+    q = Potential.from_even_pairs([(1, c)], n_max=1)
+    R, rep = riesz_projector(q, n, 48)
+    assert np.max(np.abs(R - quadrature_projector(q, n, 48))) <= 1e-12
+    assert rep["idempotency_defect"] <= 1e-12
+    assert abs(rep["trace"] - 2.0) <= 1e-12
+
+
+def test_riesz_criterion12_potential_matches_quadrature():
+    # the lacunary potential of acceptance criterion 12
+    ns = (8, 12, 16, 24, 32, 48, 64)
+    pairs = [(s * (n - 1), 0.02 * (n - 1) ** 0.75) for n in ns for s in (1, -1)]
+    q = Potential.from_even_pairs(pairs, n_max=64)
+    for n in ns:
+        R, _ = riesz_projector(q, n, 180)
+        assert np.max(np.abs(R - quadrature_projector(q, n, 180))) <= 1e-12
+
+
+@st.composite
+def small_potentials(draw):
+    # |q_{2m}| <= 0.1, real (q_{-2m} = conj q_{2m}) or complex
+    n_max = draw(st.integers(1, 4))
+    part = st.floats(-0.07, 0.07)
+    pos = [complex(draw(part), draw(part)) for _ in range(n_max)]
+    if draw(st.booleans()):
+        neg = [np.conj(v) for v in pos]
+    else:
+        neg = [complex(draw(part), draw(part)) for _ in range(n_max)]
+    pairs = [(m, v) for m, v in enumerate(pos, 1)]
+    pairs += [(-m, v) for m, v in enumerate(neg, 1)]
+    return Potential.from_even_pairs(pairs, n_max=n_max)
+
+
+@settings(deadline=None, max_examples=25)
+@given(q=small_potentials(), n=st.integers(1, 4))
+def test_riesz_property_random_small_potentials(q, n):
+    # n_max <= 4 and |q_{2m}| <= 0.1 keep every eigenvalue within 0.8 of a
+    # free one (Bauer-Fike), so the contour always separates the pair
+    K = 32
+    R, rep = riesz_projector(q, n, K)
+    M = periodic_matrix(q, K)
+    assert np.max(np.abs(R - quadrature_projector(q, n, K))) <= 1e-10
+    assert np.max(np.abs(R @ M - M @ R)) <= 1e-10 * np.max(np.abs(M))
+    assert abs(rep["trace"] - 2.0) <= 1e-10
+
 
 def test_riesz_free_case_equals_mode_projector():
     n, K = 3, 48

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, InvalidSequenceError
 from hillkdv.operator import (
@@ -13,6 +14,19 @@ from hillkdv.operator import (
 )
 
 PI2 = math.pi ** 2
+
+
+def q_at(q, x):
+    ks = q.seq.nonzero_ks()
+    return complex(sum(q.coeff(k) * np.exp(1j * math.pi * k * x) for k in ks))
+
+
+def cos_pairing(q, k):
+    """int_0^1 q(x) cos(k pi x) dx by adaptive quadrature."""
+    def part(f):
+        return quad(lambda x: f(q_at(q, x) * math.cos(k * math.pi * x)),
+                    0.0, 1.0, limit=200, epsabs=1e-13)[0]
+    return part(np.real) + 1j * part(np.imag)
 
 
 def random_seq(rng, K):
@@ -201,11 +215,33 @@ def test_dirichlet_cos_coeffs_single_mode():
 
 
 def test_dirichlet_cos_coeffs_odd_entries_vanish():
-    rng = np.random.default_rng(29)
-    q = Potential.random_real(rng, n_max=5)
+    # even q (q_{-m} = q_m): q(x) cos(k pi x) integrates to 0 over [0, 1]
+    # for odd k
+    q = Potential.power_law(0.1, -1.0, n_max=5)
     qc = dirichlet_cos_coeffs(q, 8)
     for k in range(1, len(qc), 2):
         assert qc[k] == 0.0
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_dirichlet_cos_coeffs_general_potential(real):
+    # q^cos_k = int_0^1 q(x) cos(k pi x) dx; for odd k the closed form is
+    # (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) over all modes m of q
+    rng = np.random.default_rng(29)
+    if real:
+        q = Potential.random_real(rng, n_max=5)
+    else:
+        vals = 0.1 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+        q = Potential.from_even_pairs(zip([1, 2, 3, 4, 5, -1, -2, -3, -4, -5],
+                                          vals), n_max=5)
+    ms = q.seq.nonzero_ks()
+    qc = dirichlet_cos_coeffs(q, 8)
+    for k in range(len(qc)):
+        assert abs(qc[k] - cos_pairing(q, k)) < 1e-11
+        if k % 2:
+            closed = 1j / math.pi * sum(q.coeff(m) * (1 / (m + k) + 1 / (m - k))
+                                        for m in ms)
+            assert abs(qc[k] - closed) < 1e-14
 
 
 def test_dirichlet_cos_coeffs_real_for_real_potential():

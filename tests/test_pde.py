@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hillkdv.operator import Potential
+from hillkdv.sequences import FourierSeq
 from hillkdv.pde import (
     PDEState, potential_to_pde_state, pde_state_to_potential,
     evolve_airy, evolve_kdv, default_dt, conserved, isospectral_check,
@@ -28,12 +29,17 @@ def test_state_cosine_constructor():
 def test_mode_bridge_roundtrip():
     rng = np.random.default_rng(5)
     q = Potential.random_real(rng, n_max=6, sup=0.3)
-    u = potential_to_pde_state(q)
-    for k in range(-6, 7):
-        assert u[k] == q.coeff(2 * k)
-    back = pde_state_to_potential(u)
-    for k in range(-12, 13):
-        assert back.coeff(k) == pytest.approx(q.coeff(k), abs=1e-15)
+    # an odd half range, as a file: potential may store it
+    q_odd = Potential(FourierSeq.from_pairs(
+        [(-6, 0.1 - 0.2j), (-2, 0.3j), (2, -0.3j), (6, 0.1 + 0.2j)], K=7))
+    for q, n_max in ((q, 6), (q_odd, 3)):
+        u = potential_to_pde_state(q)
+        assert u.K == n_max
+        for k in range(-n_max, n_max + 1):
+            assert u[k] == q.coeff(2 * k)
+        back = pde_state_to_potential(u)
+        for k in range(-2 * n_max, 2 * n_max + 1):
+            assert back.coeff(k) == pytest.approx(q.coeff(k), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ def test_c_s_prime_dominates_c_s():
         assert estimate_c_s_prime(s) >= estimate_c_s(s)
 
 
+def test_c_s_prime_independent_of_call_order(monkeypatch):
+    import hillkdv.reduction as red
+    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    cold = estimate_c_s_prime(-0.25)
+    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    small = estimate_c_s_prime(-0.25, n_max=64)
+    assert estimate_c_s_prime(-0.25) == cold
+    assert estimate_c_s_prime(-0.25, n_max=64) == small
+
+
 def test_thresholds_minimality():
     q = Potential.single_mode(0.2)
     n_s, N_ms, M_ms = thresholds(q, 0.0)
