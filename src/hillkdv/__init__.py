@@ -11,7 +11,7 @@ Conventions used throughout:
   * bracket(n) = 1 + |n|.
 """
 
-from .sequences import FourierSeq, Weight, norm, shifted_norm, tail, convolve, \
+from .sequences import FourierSeq, SparseSeq, Weight, norm, shifted_norm, tail, \
     hilbert_sum, weakstar_converged, cap_weight
 from .operator import Potential, multiply, apply_A_inv_Q, project, \
     dirichlet_cos_coeffs

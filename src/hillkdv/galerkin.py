@@ -97,10 +97,11 @@ def periodic_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
     M = periodic_matrix(q, K)
+    # scipy's OpenBLAS, as in riesz_projector: one thread pool for all solves
     if q.is_real():
-        vals = np.linalg.eigvalsh(M).astype(complex)
+        vals = scipy.linalg.eigvalsh(M, driver="evd").astype(complex)
     else:
-        vals = np.linalg.eigvals(M)
+        vals = scipy.linalg.eigvals(M)
     vals = _lex_sort(vals, tie_scale=K * K * PI2)
     return SpectrumResult(periodic=vals, K=K, trust=trust_count(K))
 
@@ -119,9 +120,9 @@ def dirichlet_spectrum(q, K):
         raise ValueError("K must be >= 16")
     D = dirichlet_matrix(q, K)
     if q.is_real():
-        vals = np.linalg.eigvalsh(D.real).astype(complex)
+        vals = scipy.linalg.eigvalsh(D.real, driver="evd").astype(complex)
     else:
-        vals = np.linalg.eigvals(D)
+        vals = scipy.linalg.eigvals(D)
     vals = _lex_sort(vals, tie_scale=K * K * PI2)
     return SpectrumResult(dirichlet=vals, K=K, trust=trust_count(K))
 

@@ -12,11 +12,12 @@ int_0^1 f conj(g) dx = <f, g> for 1-periodic f, g.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
 
-from .sequences import FourierSeq, Weight, bracket, convolve, norm, InvalidSequenceError
+from .sequences import FourierSeq, SparseSeq, Weight, bracket, norm, InvalidSequenceError
 
 
 class StripViolationError(ValueError):
@@ -42,6 +43,12 @@ class Potential:
                          one_periodic=True)
         seq.validate()
         object.__setattr__(self, "seq", seq)
+
+    @cached_property
+    def support(self):
+        """The nonzero coefficients as a SparseSeq, found once per potential."""
+        ks = self.seq.nonzero_ks()
+        return SparseSeq(ks, self.seq.coeffs[ks + self.half_range])
 
     def coeff(self, k):
         return self.seq[k]
@@ -110,14 +117,12 @@ class Potential:
         return Potential.from_even_pairs(pairs, n_max=n_max, s=s, weight=weight)
 
 
-def multiply(q, f, K_out=None):
-    """Multiplication operator V: (q f)_n = sum_m q_{n-m} f_m.
-
-    Output truncated to half range max(K_q, K_f) by default, or K_out."""
-    out = convolve(q.seq, f)
-    if K_out is not None:
-        out = out.truncated(K_out)
-    return out
+def multiply(q, f):
+    """Multiplication operator V: (q f)_n = sum_m q_{n-m} f_m, a SparseSeq on
+    the sumset of the supports of q and f (either container); no truncation."""
+    qs = q.support
+    return SparseSeq.accumulate(np.add.outer(qs.idx, f.ks()).ravel(),
+                                np.multiply.outer(qs.coeffs, f.coeffs).ravel())
 
 
 def in_strip(lam, n):
@@ -128,6 +133,7 @@ def in_strip(lam, n):
 def apply_A_inv_Q(lam, n, f, singular_tol=1e-12):
     """Inverse of A_lambda = d^2/dx^2 + lambda on the complement of
     span{e_n, e_{-n}}: g_{+-n} = 0, g_k = f_k / (lambda - (k pi)^2).
+    Returns the container it is given; a SparseSeq loses the indices +-n.
 
     lambda must lie in the strip S_n; a divisor smaller than singular_tol
     signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
@@ -147,9 +153,10 @@ def apply_A_inv_Q(lam, n, f, singular_tol=1e-12):
         k_bad = ks[small][0]
         raise NearSingularError(
             "divisor |lambda - (k pi)^2| < %g at k=%d" % (singular_tol, k_bad))
+    if isinstance(f, SparseSeq):
+        return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
     safe = np.where(keep, div, 1.0)  # avoid 0/0 at the excluded modes
-    g = np.where(keep, f.coeffs / safe, 0.0)
-    return FourierSeq(g)
+    return FourierSeq(np.where(keep, f.coeffs / safe, 0.0))
 
 
 def project(n, f, which):
@@ -175,7 +182,7 @@ def dirichlet_cos_coeffs(q, K):
     c = q.seq.extended(max(2 * K, q.half_range)).coeffs
     mid = (c.size - 1) // 2
     k = np.arange(2 * K + 1)
-    m = np.unique(np.abs(q.seq.nonzero_ks()))  # m > 0: q has zero mean
+    m = np.unique(np.abs(q.support.idx))  # m > 0: q has zero mean
     out = 0.5 * (c[mid + k] + c[mid - k])
     odd = k[1::2, None]
     out[1::2] = (1j / math.pi) * (

@@ -15,6 +15,11 @@ constant c_s, the thresholds (n_s, N_ms, M_ms), the coefficients, the roots,
 the fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), the adapted coefficient
 map r, and the gap sandwich diagnostic.
 
+The Neumann iterates are SparseSeqs on their exact support: T_n maps a
+support S to the sumset (S minus {+-n}) + supp(q), and nothing is cut to a
+window, so K_n is only approximated where the series stops; neumann_K_n
+reports whether that met neumann_tol.
+
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
 
@@ -24,8 +29,8 @@ import math
 
 import numpy as np
 
-from .sequences import FourierSeq, Weight, bracket, hilbert_sum, norm, \
-    shifted_norm
+from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
+    norm, shifted_norm
 from .operator import Potential, multiply, apply_A_inv_Q, in_strip, \
     StripViolationError
 
@@ -179,7 +184,6 @@ class ReductionContext:
     M_ms: int
     neumann_tol: float = 1e-12
     max_terms: int = 60
-    K: int = 64
     records: dict = field(default_factory=dict)
 
     def q_norm(self):
@@ -194,7 +198,10 @@ class ReductionContext:
         return None if slot is None else slot["max_ratio"]
 
 
-def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12, K=None):
+def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
+    """Context for q: s and w (default: the potential's), the ball radius m
+    (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds.  There
+    is no truncation parameter: iterates live on their exact support."""
     if s is None:
         s = q.s
     if w is None:
@@ -203,31 +210,11 @@ def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12, K=None):
     if m is None:
         m = max(1.0, qn)
     n_s, N_ms, M_ms = thresholds(q, s, w, m)
-    if K is None:
-        K = max(64, 2 * q.half_range)
     return ReductionContext(q=q, s=s, w=w, m=float(m),
                             c_s=estimate_c_s(s),
                             c_s_prime=estimate_c_s_prime(s),
                             n_s=n_s, N_ms=N_ms, M_ms=M_ms,
-                            neumann_tol=neumann_tol, K=K)
-
-
-def working_K(ctx, n):
-    """Half range for per-n operator applications: the support of the
-    iterates starting from V e_{+-n} spreads by at most the potential's
-    low-band width per relevant hop; ~44 hops is below the Neumann
-    tolerance.  Isolated coefficients beyond index 4096 couple +-n to modes
-    with symbol distance O(n^2), so their round trips are negligible and the
-    window only needs to contain |k| <= n plus the low-band spread."""
-    qh = max(1, ctx.q.half_range)
-    if qh <= 4096:
-        return max(ctx.K, n + 44 * qh + 16, qh + 16)
-    slot = ctx.records.setdefault("_qlow", {})
-    if "v" not in slot:
-        ks = np.abs(ctx.q.seq.nonzero_ks())
-        low = ks[ks <= 4096]
-        slot["v"] = int(low.max(initial=16))
-    return max(ctx.K, n + 44 * slot["v"] + 512)
+                            neumann_tol=neumann_tol)
 
 
 def _shift_pair(f, ctx, n):
@@ -236,9 +223,9 @@ def _shift_pair(f, ctx, n):
 
 
 def apply_T_n(ctx, n, lam, f, record=True):
-    """T_n(lambda) f = V A_lambda^{-1} Q_n f on f's own half range."""
+    """T_n(lambda) f = V A_lambda^{-1} Q_n f, on the sumset of supports."""
     g = apply_A_inv_Q(lam, n, f)
-    h = multiply(ctx.q, g, K_out=f.half_range)
+    h = multiply(ctx.q, g)
     if record:
         base = _shift_pair(f, ctx, n)
         if base > 0:
@@ -247,18 +234,20 @@ def apply_T_n(ctx, n, lam, f, record=True):
 
 
 def neumann_K_n(ctx, n, lam, f):
-    """K_n f = sum_{l>=0} T_n^l f, truncated when the latest term's shifted
-    norm drops below neumann_tol * ||f||; a ratio > 0.9 three times in a row
-    raises ContractionFailureError.  Returns (sum, terms_used, max_ratio)."""
+    """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f, stopped when the latest
+    term's shifted norm drops below neumann_tol * ||f||; a ratio > 0.9 three
+    times in a row raises ContractionFailureError.  Returns (sum, terms_used,
+    max_ratio, converged); converged is False when max_terms applications of
+    T_n left the tolerance unmet."""
     if not in_strip(lam, n):
         raise StripViolationError("lambda outside S_n")
-    total = f.coeffs.copy()
+    parts = [f]
     term = f
     base = _shift_pair(f, ctx, n)
     prev = base
     max_ratio = 0.0
     bad_streak = 0
-    terms = 1
+    converged = False
     for _ in range(ctx.max_terms):
         term = apply_T_n(ctx, n, lam, term, record=False)
         tn = _shift_pair(term, ctx, n)
@@ -274,13 +263,14 @@ def neumann_K_n(ctx, n, lam, f):
             else:
                 bad_streak = 0
         if tn == 0.0:
+            converged = True
             break
-        total += term.coeffs
-        terms += 1
+        parts.append(term)
         if tn < ctx.neumann_tol * max(base, 1e-300):
+            converged = True
             break
         prev = tn
-    return FourierSeq(total), terms, max_ratio
+    return SparseSeq.total(parts), len(parts), max_ratio, converged
 
 
 @dataclass
@@ -293,22 +283,21 @@ class CoeffResult:
     b_neg_n: complex
     terms_used: int
     max_ratio: float
+    converged: bool    # both Neumann sums met neumann_tol
 
 
 def coefficients(ctx, n, lam):
     """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>,
     b_{-n} = <K_n V e_n, e_{-n}> at the given lambda."""
-    Kw = working_K(ctx, n)
-    e_p = FourierSeq.unit(n, Kw)
-    e_m = FourierSeq.unit(-n, Kw)
-    ve_p = multiply(ctx.q, e_p, K_out=Kw)
-    ve_m = multiply(ctx.q, e_m, K_out=Kw)
-    h_p, t1, r1 = neumann_K_n(ctx, n, lam, ve_p)
-    h_m, t2, r2 = neumann_K_n(ctx, n, lam, ve_m)
+    ve_p = multiply(ctx.q, SparseSeq.accumulate([n], [1.0]))
+    ve_m = multiply(ctx.q, SparseSeq.accumulate([-n], [1.0]))
+    h_p, t1, r1, ok1 = neumann_K_n(ctx, n, lam, ve_p)
+    h_m, t2, r2, ok2 = neumann_K_n(ctx, n, lam, ve_m)
     return CoeffResult(n=n, lam=complex(lam),
                        a_n=h_p[n], a_n_alt=h_m[-n],
                        b_n=h_m[n], b_neg_n=h_p[-n],
-                       terms_used=max(t1, t2), max_ratio=max(r1, r2))
+                       terms_used=max(t1, t2), max_ratio=max(r1, r2),
+                       converged=ok1 and ok2)
 
 
 def det_B(ctx, n, lam, coeff=None):
@@ -324,30 +313,23 @@ def sample_T_norm(ctx, n, lam, n_probes=20, rng=None, include_neumann=True):
     K_n V e_{+-n} (so coefficient bounds chain through the estimate)."""
     if rng is None:
         rng = np.random.default_rng(1000 + n)
-    Kw = working_K(ctx, n)
     probes = []
     offsets = [0, 1, -1, 2, -2, 3, 5, 8, 13, 21]
     anchors = [0, n, -n, 2 * n, -2 * n]
-    ks = set()
-    for a in anchors:
-        for o in offsets:
-            k = a + o
-            if abs(k) <= Kw and abs(k) != n:
-                ks.add(k)
+    ks = {a + o for a in anchors for o in offsets} - {n, -n}
     for k in sorted(ks)[:64]:
-        probes.append(FourierSeq.unit(k, Kw))
-    span = min(Kw, 2 * n + 8)
+        probes.append(SparseSeq.accumulate([k], [1.0]))
+    span = 2 * n + 8
     for _ in range(16):
-        sup = np.zeros(2 * Kw + 1, dtype=complex)
         idx = rng.integers(-span, span + 1, size=12)
-        sup[idx + Kw] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        probes.append(FourierSeq(sup))
+        vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        last = dict(zip(idx.tolist(), vals))  # repeated index: last value
+        probes.append(SparseSeq.accumulate(list(last), list(last.values())))
     if include_neumann:
         for sign in (+1, -1):
-            ve = multiply(ctx.q, FourierSeq.unit(sign * n, Kw), K_out=Kw)
+            ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
             probes.append(ve)
-            h, _, _ = neumann_K_n(ctx, n, lam, ve)
-            probes.append(h)
+            probes.append(neumann_K_n(ctx, n, lam, ve)[0])
     best = 0.0
     for f in probes[: max(n_probes, len(probes))]:
         base = _shift_pair(f, ctx, n)
@@ -400,6 +382,7 @@ class ReductionResult:
     contraction_bound: float
     det_residuals: tuple
     method: str
+    converged: bool    # Neumann sums at alpha_n, xi_1 and xi_2 met neumann_tol
     xi_bound: dict | None = None
 
 
@@ -453,7 +436,7 @@ def _winding_roots(ctx, n, points=256):
     lams = center + rad * np.exp(1j * theta)
     dets = np.array([det_B(ctx, n, complex(l)) for l in lams])
     if np.any(dets == 0):
-        dets = dets + 1e-300
+        raise LocalizationError("root on the contour of D_%d" % n)
     # winding number from the total phase increment around the closed loop
     dphi = np.angle(np.roll(dets, -1) / dets)
     total_phase = float(np.sum(dphi))
@@ -515,7 +498,8 @@ def find_roots(ctx, n, xi_bound_grid=16):
 
     Newton on the factor functions g_+- seeded at alpha_n +- sqrt(b b-);
     argument-principle fallback on failure.  Returns a ReductionResult with
-    residuals |det B_n(xi)| and the sampled contraction bound.
+    residuals |det B_n(xi)|, the sampled contraction bound and whether the
+    Neumann sums at alpha_n and at both roots met neumann_tol.
     """
     if n < ctx.n_s:
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
@@ -538,8 +522,10 @@ def find_roots(ctx, n, xi_bound_grid=16):
         xi1, xi2 = _winding_roots(ctx, n)
     if xi2.real < xi1.real:  # report in nondecreasing real-part order
         xi1, xi2 = xi2, xi1
-    res1 = abs(det_B(ctx, n, xi1))
-    res2 = abs(det_B(ctx, n, xi2))
+    c1 = coefficients(ctx, n, xi1)
+    c2 = coefficients(ctx, n, xi2)
+    res1 = abs(det_B(ctx, n, xi1, coeff=c1))
+    res2 = abs(det_B(ctx, n, xi2, coeff=c2))
     gap = abs(xi1 - xi2)
     if gap < 1e-9 * max(1.0, math.sqrt(n)):
         gap = 0.0
@@ -556,6 +542,7 @@ def find_roots(ctx, n, xi_bound_grid=16):
                            neumann_terms_used=c0.terms_used,
                            contraction_bound=bound if bound is not None else 0.0,
                            det_residuals=(res1, res2), method=method,
+                           converged=c0.converged and c1.converged and c2.converged,
                            xi_bound=xb)
 
 
@@ -567,19 +554,17 @@ def adapted_coefficients(ctx, n_max=None):
         n_max = M + 6
     if n_max < M:
         raise ThresholdError("n_max must be >= M_ms")
-    pairs = []
-    for k in range(1, min(M, n_max + 1)):
-        for sk in (k, -k):
-            v = ctx.q.coeff(2 * sk)
-            if v != 0:
-                pairs.append((2 * sk, v))
+    K = 2 * n_max
+    r = np.zeros(2 * K + 1, dtype=complex)
+    qs = ctx.q.support
+    low = np.abs(qs.idx) < 2 * M
+    r[qs.idx[low] + K] = qs.coeffs[low]
     for k in range(M, n_max + 1):
         alpha = alpha_fixed_point(ctx, k)
         c = coefficients(ctx, k, alpha)
-        pairs.append((2 * k, c.b_n))
-        pairs.append((-2 * k, c.b_neg_n))
-    return FourierSeq.from_pairs(pairs, K=2 * n_max, zero_mean=True,
-                                 one_periodic=True)
+        r[K + 2 * k] = c.b_n
+        r[K - 2 * k] = c.b_neg_n
+    return FourierSeq(r, zero_mean=True, one_periodic=True)
 
 
 def gap_sandwich(ctx, n, r, gamma_n):
@@ -639,21 +624,16 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs, kernel_tol=1e-6):
     if unorm == 0 or np.linalg.norm(bu) > kernel_tol * unorm * max(1.0, abs(d)):
         raise KernelPreconditionError(
             "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
-    Kw = working_K(ctx, n)
-    u_seq = FourierSeq.from_pairs([(n, u_plus), (-n, u_minus)], K=Kw)
-    vu = multiply(ctx.q, u_seq, K_out=Kw)
-    k, _, _ = neumann_K_n(ctx, n, xi, vu)
-    v = apply_A_inv_Q(xi, n, k)
-    f = FourierSeq(u_seq.coeffs + v.coeffs)
-    ks = f.ks()
-    res = ((ks * math.pi) ** 2 - xi) * f.coeffs \
-        + multiply(ctx.q, f, K_out=Kw).coeffs
-    res_seq = FourierSeq(res)
-    res_norm = norm(res_seq, ctx.w, ctx.s - 2.0, math.inf)
+    u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])
+    k = neumann_K_n(ctx, n, xi, multiply(ctx.q, u))[0]
+    f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
+    res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
+        f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])
+    res_norm = norm(res, ctx.w, ctx.s - 2.0, math.inf)
     f_norm = norm(f, ctx.w, ctx.s, math.inf)
     reg_sup = norm(f, ctx.w, ctx.s + 2.0, math.inf)
     report = {"residual_s_minus_2": float(res_norm),
               "f_norm": float(f_norm),
               "relative_residual": float(res_norm / max(f_norm, 1e-300)),
               "reg_sup_s_plus_2": float(reg_sup)}
-    return f, report
+    return f.to_dense(), report

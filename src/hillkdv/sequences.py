@@ -1,8 +1,9 @@
 """Weighted sequence spaces on the Fourier side.
 
 A FourierSeq is a doubly indexed coefficient vector f = (f_k), |k| <= K,
-representing f(x) = sum_k f_k e_k(x) with e_k(x) = exp(i pi k x) on [0, 2].
-Norms are the weighted Fourier Lebesgue norms
+representing f(x) = sum_k f_k e_k(x) with e_k(x) = exp(i pi k x) on [0, 2];
+a SparseSeq holds the same f as (index, value) pairs on a finite support of
+arbitrary width.  Norms are the weighted Fourier Lebesgue norms
 
     ||f||_{w,s,p} = ( sum_k  w_k^p <k>^{sp} |f_k|^p )^{1/p},   <k> = 1 + |k|,
 
@@ -17,7 +18,6 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 
 class InvalidSequenceError(ValueError):
@@ -179,15 +179,6 @@ class FourierSeq:
         return FourierSeq(np.zeros(2 * K + 1, dtype=complex), **flags)
 
     @staticmethod
-    def unit(k, K, amplitude=1.0):
-        """Unit mass at index k within half range K."""
-        if abs(k) > K:
-            raise InvalidSequenceError("unit index outside half range")
-        c = np.zeros(2 * K + 1, dtype=complex)
-        c[k + K] = amplitude
-        return FourierSeq(c)
-
-    @staticmethod
     def from_pairs(pairs, K=None, **flags):
         """Build from (k, value) pairs."""
         pairs = list(pairs)
@@ -245,6 +236,56 @@ class FourierSeq:
         return FourierSeq.from_json_obj(json.loads(text))
 
 
+@dataclass(frozen=True)
+class SparseSeq:
+    """Coefficients f_k on a finite support: sorted unique int64 indices idx
+    and the values coeffs there (exact zeros allowed); f_k = 0 elsewhere.
+    ks() and coeffs line up as for FourierSeq, so weight_profile,
+    shifted_norm and apply_A_inv_Q take either container."""
+    idx: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        idx = np.asarray(self.idx, dtype=np.int64)
+        c = np.asarray(self.coeffs, dtype=complex)
+        if idx.ndim != 1 or idx.shape != c.shape or np.any(idx[1:] <= idx[:-1]):
+            raise InvalidSequenceError("idx must be sorted, unique and match coeffs")
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "coeffs", c)
+
+    def ks(self):
+        return self.idx
+
+    def __getitem__(self, k):
+        i = int(np.searchsorted(self.idx, k))
+        if i < self.idx.size and self.idx[i] == k:
+            return complex(self.coeffs[i])
+        return 0j
+
+    def to_dense(self):
+        """The FourierSeq on half range max |k| over the support."""
+        K = int(np.abs(self.idx).max(initial=0))
+        c = np.zeros(2 * K + 1, dtype=complex)
+        c[self.idx + K] = self.coeffs
+        return FourierSeq(c)
+
+    @staticmethod
+    def accumulate(idx, vals):
+        """sum_j vals_j e_{idx_j}, equal indices summed in the order given."""
+        support, inv = np.unique(np.asarray(idx, dtype=np.int64),
+                                 return_inverse=True)
+        vals = np.asarray(vals, dtype=complex)
+        re = np.bincount(inv, weights=vals.real, minlength=support.size)
+        im = np.bincount(inv, weights=vals.imag, minlength=support.size)
+        return SparseSeq(support, re + 1j * im)
+
+    @staticmethod
+    def total(seqs):
+        """Sum of sequences (either container), added in the order given."""
+        return SparseSeq.accumulate(np.concatenate([g.ks() for g in seqs]),
+                                    np.concatenate([g.coeffs for g in seqs]))
+
+
 def _ordered_indices(K):
     # index order 0, +1, -1, +2, -2, ... as positions into the coeff array
     ks = np.empty(2 * K + 1, dtype=int)
@@ -290,41 +331,6 @@ def tail(f, N):
     c[np.abs(ks) < N] = 0
     return FourierSeq(c, real=f.real, zero_mean=True,
                       one_periodic=f.one_periodic)
-
-
-_SPARSE_CONV_NNZ = 64
-
-
-def _convolve_arrays(a, b):
-    """Full linear convolution; ascending-index shift-and-add when one side
-    has small support, FFT otherwise."""
-    nza = np.flatnonzero(a)
-    nzb = np.flatnonzero(b)
-    out = np.zeros(a.size + b.size - 1, dtype=complex)
-    if nza.size == 0 or nzb.size == 0:
-        return out
-    if min(nza.size, nzb.size) > _SPARSE_CONV_NNZ:
-        return fftconvolve(a, b)
-    # loop over the sparser operand, ascending index
-    if nzb.size <= nza.size:
-        for j in nzb:
-            out[j:j + a.size] += a * b[j]
-    else:
-        for j in nza:
-            out[j:j + b.size] += b * a[j]
-    return out
-
-
-def convolve(a, b):
-    """(a*b)_n = sum_m a_{n-m} b_m, truncated to half range max(K_a, K_b)."""
-    Ka, Kb = a.half_range, b.half_range
-    K = max(Ka, Kb)
-    full = _convolve_arrays(a.coeffs, b.coeffs)  # indices -(Ka+Kb) .. Ka+Kb
-    mid = Ka + Kb
-    out = full[mid - K:mid + K + 1]
-    return FourierSeq(out.copy(),
-                      real=a.real and b.real,
-                      one_periodic=a.one_periodic and b.one_periodic)
 
 
 def hilbert_sum(n, sigma, cutoff=1_000_000):

@@ -1,0 +1,91 @@
+"""Dense references for the sparse reduction kernel.
+
+The package applies V and sums the Neumann series on the exact support of
+each iterate.  This module redoes the same sums on FourierSeq arrays: a
+dense convolution (shift-and-add when one side has small support, FFT
+otherwise) and a Neumann series whose every term is cut to the window
+|k| <= K.  With a window wide enough to hold the iterates' mass, the two
+must agree to rounding.
+"""
+
+import numpy as np
+from scipy.signal import fftconvolve
+
+from hillkdv.sequences import FourierSeq, shifted_norm
+from hillkdv.operator import apply_A_inv_Q
+
+_SPARSE_CONV_NNZ = 64
+
+
+def _convolve_arrays(a, b):
+    """Full linear convolution; ascending-index shift-and-add when one side
+    has small support, FFT otherwise."""
+    nza = np.flatnonzero(a)
+    nzb = np.flatnonzero(b)
+    out = np.zeros(a.size + b.size - 1, dtype=complex)
+    if nza.size == 0 or nzb.size == 0:
+        return out
+    if min(nza.size, nzb.size) > _SPARSE_CONV_NNZ:
+        return fftconvolve(a, b)
+    # loop over the sparser operand, ascending index
+    if nzb.size <= nza.size:
+        for j in nzb:
+            out[j:j + a.size] += a * b[j]
+    else:
+        for j in nza:
+            out[j:j + b.size] += b * a[j]
+    return out
+
+
+def convolve(a, b):
+    """(a*b)_n = sum_m a_{n-m} b_m, truncated to half range max(K_a, K_b)."""
+    Ka, Kb = a.half_range, b.half_range
+    K = max(Ka, Kb)
+    full = _convolve_arrays(a.coeffs, b.coeffs)  # indices -(Ka+Kb) .. Ka+Kb
+    mid = Ka + Kb
+    out = full[mid - K:mid + K + 1]
+    return FourierSeq(out.copy(),
+                      real=a.real and b.real,
+                      one_periodic=a.one_periodic and b.one_periodic)
+
+
+def window(ctx, n):
+    """A window that holds the iterates started at +-n: the support spreads
+    by at most the potential's half range per hop, and 44 hops lie below
+    the Neumann tolerance for the band-limited potentials used here."""
+    return max(64, n + 44 * ctx.q.half_range + 16)
+
+
+def dense_neumann(ctx, n, lam, f, K):
+    """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
+    rule as reduction.neumann_K_n.  Returns (sum, terms)."""
+    def size(g):
+        return max(shifted_norm(g, ctx.w, ctx.s, n),
+                   shifted_norm(g, ctx.w, ctx.s, -n))
+
+    total = f.coeffs.copy()
+    term = f
+    base = size(f)
+    terms = 1
+    for _ in range(ctx.max_terms):
+        term = convolve(ctx.q.seq, apply_A_inv_Q(lam, n, term)).truncated(K)
+        tn = size(term)
+        if tn == 0.0:
+            break
+        total += term.coeffs
+        terms += 1
+        if tn < ctx.neumann_tol * max(base, 1e-300):
+            break
+    return FourierSeq(total), terms
+
+
+def dense_coefficients(ctx, n, lam, K=None):
+    """(a_n, b_n, b_{-n}, terms) from the dense Neumann sums on |k| <= K."""
+    if K is None:
+        K = window(ctx, n)
+    ve_p = convolve(ctx.q.seq, FourierSeq.from_pairs([(n, 1.0)], K=K)).truncated(K)
+    ve_m = convolve(ctx.q.seq, FourierSeq.from_pairs([(-n, 1.0)], K=K)).truncated(K)
+    h_p, t1 = dense_neumann(ctx, n, lam, ve_p, K)
+    h_m, t2 = dense_neumann(ctx, n, lam, ve_m, K)
+    return h_p[n], h_m[n], h_p[-n], max(t1, t2)
+

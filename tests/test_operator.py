@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hillkdv.sequences import FourierSeq, InvalidSequenceError
+from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
 from hillkdv.operator import (
     Potential, multiply, in_strip, apply_A_inv_Q, project,
     dirichlet_cos_coeffs, StripViolationError, NearSingularError,
@@ -91,28 +91,34 @@ def test_multiply_matches_convolution_oracle():
                                    (3, 0.2j), (-3, -0.2j)])
     f = random_seq(rng, 8)
     g = multiply(q, f)
-    for n in range(-g.half_range, g.half_range + 1):
+    # the support is the whole sumset {-6..6} + {-8..8}, nothing truncated
+    np.testing.assert_array_equal(g.idx, np.arange(-14, 15))
+    for n in range(-14, 15):
         want = sum(q.coeff(n - m) * f[m] for m in range(-8, 9))
         assert g[n] == pytest.approx(want, abs=1e-12)
+    # a SparseSeq argument gives the same coefficients
+    h = multiply(q, SparseSeq(f.ks(), f.coeffs))
+    np.testing.assert_array_equal(h.coeffs, g.coeffs)
 
 
 def test_multiply_single_mode_shifts():
     # q = c e_2 + c e_{-2} shifts a unit mass by +-2
     q = Potential.single_mode(0.4)
-    f = FourierSeq.unit(3, 6)
+    f = FourierSeq.from_pairs([(3, 1.0)], K=6)
     g = multiply(q, f)
     assert g[5] == pytest.approx(0.4)
     assert g[1] == pytest.approx(0.4)
     assert sum(abs(g[k]) for k in range(-6, 7) if k not in (1, 5)) == 0
 
 
-def test_multiply_K_out_truncation():
-    q = Potential.single_mode(1.0)
-    f = FourierSeq.unit(3, 3)
-    g = multiply(q, f, K_out=4)
-    assert g.half_range == 4
-    assert g[5] == 0.0  # truncated away
-    assert g[1] == 1.0
+def test_multiply_keeps_full_sumset():
+    # q e_3 = e_5 + e_1 even where a window |k| <= 4 used to cut e_5 off;
+    # the support of q (modes +-2) is read from the Potential
+    q = Potential.single_mode(1.0, n_max=3)
+    np.testing.assert_array_equal(q.support.idx, [-2, 2])
+    g = multiply(q, SparseSeq.accumulate([3], [1.0]))
+    np.testing.assert_array_equal(g.idx, [1, 5])
+    assert g[5] == 1.0 and g[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +151,27 @@ def test_A_inv_Q_is_left_inverse_on_complement():
 def test_A_inv_Q_zeroes_pn_modes():
     n = 2
     lam = n * n * PI2 + 1.0
-    f = FourierSeq.from_pairs([(2, 5.0), (-2, 7.0), (1, 1.0)], K=4)
-    g = apply_A_inv_Q(lam, n, f)
+    pairs = [(2, 5.0), (-2, 7.0), (1, 1.0)]
+    g = apply_A_inv_Q(lam, n, FourierSeq.from_pairs(pairs, K=4))
+    assert isinstance(g, FourierSeq)
     assert g[2] == 0.0 and g[-2] == 0.0
     assert g[1] == pytest.approx(1.0 / (lam - PI2))
+    # a SparseSeq stays sparse and loses the indices +-n
+    h = apply_A_inv_Q(lam, n, SparseSeq.accumulate(*zip(*pairs)))
+    assert isinstance(h, SparseSeq)
+    np.testing.assert_array_equal(h.idx, [1])
+    assert h[1] == g[1]
 
 
 def test_A_inv_Q_strip_violation():
     with pytest.raises(StripViolationError):
-        apply_A_inv_Q(1000.0, 1, FourierSeq.unit(0, 2))
+        apply_A_inv_Q(1000.0, 1, FourierSeq.from_pairs([(0, 1.0)], K=2))
 
 
 def test_A_inv_Q_near_singular():
     # n = 1, lambda = 0 lies in S_1 and makes the k = 0 divisor vanish
     with pytest.raises(NearSingularError):
-        apply_A_inv_Q(0.0, 1, FourierSeq.unit(0, 2))
+        apply_A_inv_Q(0.0, 1, FourierSeq.from_pairs([(0, 1.0)], K=2))
 
 
 def test_A_inv_Q_decay_with_symbol_distance():
@@ -196,7 +208,7 @@ def test_project_idempotent():
 
 def test_project_invalid_which():
     with pytest.raises(ValueError):
-        project(1, FourierSeq.unit(0, 1), "R")
+        project(1, FourierSeq.from_pairs([(0, 1.0)], K=1), "R")
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,26 @@ eigenfunction reconstruction.  The dense Galerkin solver is the oracle for
 spectral quantities."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hillkdv.sequences import FourierSeq, norm, shifted_norm
+from hillkdv.sequences import FourierSeq, SparseSeq, norm, shifted_norm
 from hillkdv.operator import Potential, multiply, project
 from hillkdv.galerkin import full_spectrum, periodic_matrix
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
-    make_context, ReductionContext, working_K, apply_T_n, neumann_K_n,
+    make_context, ReductionContext, apply_T_n, neumann_K_n,
     coefficients, det_B, sample_T_norm, alpha_fixed_point, find_roots,
     adapted_coefficients, gap_sandwich, kernel_vector,
     eigenfunction_reconstruct,
-    ThresholdError, KernelPreconditionError,
+    ThresholdError, KernelPreconditionError, LocalizationError,
 )
+
+from dense_oracle import dense_coefficients
 
 PI2 = math.pi ** 2
 
@@ -115,7 +119,8 @@ def test_make_context_defaults():
     assert ctx.s == 0.0
     assert ctx.m == 1.0
     assert ctx.n_s >= 1
-    assert ctx.K >= 2 * q.half_range
+    assert ctx.neumann_tol == 1e-12 and ctx.max_terms == 60
+    np.testing.assert_array_equal(ctx.q.support.idx, q.seq.nonzero_ks())
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +134,8 @@ def test_T_n_kills_pn_modes():
     n = 2
     lam = n * n * PI2 + 1.0
     for k in (n, -n):
-        out = apply_T_n(ctx, n, lam, FourierSeq.unit(k, 8))
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        out = apply_T_n(ctx, n, lam, SparseSeq.accumulate([k], [1.0]))
+        assert out.idx.size == 0
 
 
 def test_T_n_hand_computation_single_mode():
@@ -141,16 +146,22 @@ def test_T_n_hand_computation_single_mode():
     q = Potential.single_mode(c)
     ctx = make_context(q)
     lam = PI2 + 0.7
-    Kw = 8
-    ve = multiply(q, FourierSeq.unit(-1, Kw), K_out=Kw)
+    ve = multiply(q, SparseSeq.accumulate([-1], [1.0]))
+    np.testing.assert_array_equal(ve.idx, [-3, 1])
     assert ve[1] == pytest.approx(c) and ve[-3] == pytest.approx(c)
     out = apply_T_n(ctx, 1, lam, ve)
     fac = c * c / (lam - 9 * PI2)
+    np.testing.assert_array_equal(out.idx, [-5, -1])
     assert out[-1] == pytest.approx(fac, rel=1e-12)
     assert out[-5] == pytest.approx(fac, rel=1e-12)
-    for k in range(-Kw, Kw + 1):
-        if k not in (-1, -5):
-            assert out[k] == 0.0
+
+
+def one_minus_T_residual(ctx, n, lam, h, f):
+    """(I - T_n) h - f on the union of the supports, so also where T_n h
+    reaches beyond the support of h."""
+    th = apply_T_n(ctx, n, lam, h, record=False)
+    return SparseSeq.total([h, SparseSeq(th.idx, -th.coeffs),
+                            SparseSeq(f.idx, -f.coeffs)])
 
 
 def test_neumann_inverts_one_minus_T():
@@ -159,14 +170,28 @@ def test_neumann_inverts_one_minus_T():
     ctx = make_context(q)
     n = 6
     lam = n * n * PI2 + 0.3
-    Kw = working_K(ctx, n)
-    f = multiply(q, FourierSeq.unit(n, Kw), K_out=Kw)
-    h, terms, max_ratio = neumann_K_n(ctx, n, lam, f)
-    th = apply_T_n(ctx, n, lam, h, record=False)
-    resid = FourierSeq(h.coeffs - th.coeffs - f.coeffs)
+    f = multiply(q, SparseSeq.accumulate([n], [1.0]))
+    h, terms, max_ratio, converged = neumann_K_n(ctx, n, lam, f)
+    resid = one_minus_T_residual(ctx, n, lam, h, f)
     assert norm(resid, None, 0.0, math.inf) < 1e-10
     assert terms >= 2
     assert max_ratio <= 0.5
+    assert converged
+
+
+def test_neumann_reports_nonconvergence():
+    # one application of T_n cannot reach the 1e-12 tolerance; the default
+    # context can, and says so at every level
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    n = 6
+    lam = n * n * PI2 + 0.3
+    short = dataclasses.replace(ctx, max_terms=1)
+    f = multiply(q, SparseSeq.accumulate([n], [1.0]))
+    assert neumann_K_n(short, n, lam, f)[3] is False
+    assert coefficients(short, n, lam).converged is False
+    assert coefficients(ctx, n, lam).converged is True
+    assert find_roots(ctx, n, xi_bound_grid=0).converged is True
 
 
 def test_neumann_contraction_ratio_small_above_threshold():
@@ -233,6 +258,57 @@ def test_det_B_consistency():
         d * d - c.b_n * c.b_neg_n, rel=1e-12)
 
 
+def test_sparse_kernel_matches_dense_oracle():
+    # criterion-2 potential at n_s .. n_s+20, criterion-5 potential at M_ms
+    # (where the dense window holds 1.7e6 coefficients)
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    rng = np.random.default_rng(100)
+    q5 = Potential.random_real(rng, 8, sup=0.05, s=0.0)
+    ctx5 = make_context(q5)
+    cases = [(ctx, n, n * n * PI2 + 0.3 + 0.1j)
+             for n in range(ctx.n_s, ctx.n_s + 21)]
+    cases.append((ctx5, ctx5.M_ms, ctx5.M_ms ** 2 * PI2))
+    for c, n, lam in cases:
+        got = coefficients(c, n, lam)
+        a_n, b_n, b_neg_n, terms = dense_coefficients(c, n, lam)
+        assert got.terms_used == terms
+        for x, y in ((got.a_n, a_n), (got.b_n, b_n),
+                     (got.b_neg_n, b_neg_n)):
+            assert abs(x - y) <= 1e-10 * abs(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_max=st.integers(1, 4),
+       sup=st.floats(1e-3, 0.1), real=st.booleans(), n=st.integers(1, 6),
+       re_frac=st.floats(-1.0, 1.0), im_frac=st.floats(-1.0, 1.0))
+def test_sparse_kernel_property_random_small_potentials(
+        seed, n_max, sup, real, n, re_frac, im_frac):
+    rng = np.random.default_rng(seed)
+    if real:
+        q = Potential.random_real(rng, n_max, sup=sup)
+    else:
+        ks = [k for k in range(-n_max, n_max + 1) if k != 0]
+        vals = sup * rng.uniform(0.3, 1.0, len(ks)) \
+            * np.exp(2j * np.pi * rng.uniform(size=len(ks)))
+        q = Potential.from_even_pairs(zip(ks, vals), n_max=n_max, real=False)
+    ctx = make_context(q)
+    lam = n * n * PI2 + 12.0 * n * re_frac + 1j * n * im_frac
+    # against the dense FourierSeq path on a wide window
+    got = coefficients(ctx, n, lam)
+    a_n, b_n, b_neg_n, terms = dense_coefficients(ctx, n, lam)
+    assert got.converged
+    for x, y in ((got.a_n, a_n), (got.b_n, b_n), (got.b_neg_n, b_neg_n)):
+        assert abs(x - y) <= 1e-12 * abs(y)
+    # (I - T_n) K_n f = f to the Neumann tolerance, in the shifted norm
+    f = multiply(q, SparseSeq.accumulate([n], [1.0]))
+    resid = one_minus_T_residual(ctx, n, lam, neumann_K_n(ctx, n, lam, f)[0], f)
+
+    def size(g):
+        return max(shifted_norm(g, None, 0.0, n), shifted_norm(g, None, 0.0, -n))
+    assert size(resid) <= ctx.neumann_tol * size(f)
+
+
 # ---------------------------------------------------------------------------
 # root localization against the Galerkin oracle
 # ---------------------------------------------------------------------------
@@ -291,6 +367,23 @@ def test_find_roots_complex_potential():
                   key=lambda z: (z.real, z.imag))
     assert abs(got[0] - want[0]) < 1e-6 * n * n * PI2
     assert abs(got[1] - want[1]) < 1e-6 * n * n * PI2
+
+
+def test_winding_root_on_contour_raises(monkeypatch):
+    # an exact zero of det B_n at a contour node is a root on the contour
+    import hillkdv.reduction as red
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    real_det_B = red.det_B
+    calls = []
+
+    def det_B_zero_at_node_5(ctx, n, lam, coeff=None):
+        calls.append(lam)
+        return 0j if len(calls) == 5 else real_det_B(ctx, n, lam, coeff)
+
+    monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
+    with pytest.raises(LocalizationError, match="root on the contour"):
+        red._winding_roots(ctx, 6, points=16)
 
 
 def test_degenerate_gap_reported_zero():

@@ -13,10 +13,12 @@ import pytest
 
 from hillkdv.sequences import (
     Weight, WeightError, check_weight, cap_weight,
-    FourierSeq, InvalidSequenceError, bracket,
-    norm, shifted_norm, weight_profile, tail, convolve, hilbert_sum,
+    FourierSeq, SparseSeq, InvalidSequenceError, bracket,
+    norm, shifted_norm, weight_profile, tail, hilbert_sum,
     weakstar_converged,
 )
+
+from dense_oracle import convolve
 
 
 def random_seq(rng, K, real=False):
@@ -143,6 +145,35 @@ def test_seq_json_roundtrip_stores_nonzeros_only():
     assert g.real and g.zero_mean
 
 
+def test_sparse_seq_matches_dense():
+    # repeated indices are summed; indexing, shifted norms and to_dense agree
+    # with the FourierSeq holding the same coefficients
+    f = SparseSeq.accumulate([7, -3, 7, 0, 1000], [1.0, 2j, 0.5, 0.0, -4.0])
+    np.testing.assert_array_equal(f.idx, [-3, 0, 7, 1000])
+    np.testing.assert_array_equal(f.ks(), f.idx)
+    assert f[7] == 1.5 and f[-3] == 2j and f[1000] == -4.0
+    assert f[0] == 0.0 and f[5] == 0.0 and f[-2000] == 0.0
+    d = f.to_dense()
+    assert d.half_range == 1000
+    assert SparseSeq.accumulate([7, -3], [1.5, 2j]).to_dense()[-3] == 2j
+    w = Weight.polynomial(0.5)
+    for l in (0, 3, -999):
+        assert shifted_norm(f, w, -0.25, l) == shifted_norm(d, w, -0.25, l)
+    assert norm(f, w, -0.25, math.inf) == norm(d, w, -0.25, math.inf)
+
+
+def test_sparse_seq_rejects_unsorted_support():
+    with pytest.raises(InvalidSequenceError):
+        SparseSeq(np.array([2, 1]), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidSequenceError):
+        SparseSeq(np.array([1, 1]), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidSequenceError):
+        SparseSeq(np.array([1, 2]), np.array([1.0]))
+    empty = SparseSeq.accumulate([], [])
+    assert empty.idx.size == 0 and empty[0] == 0.0
+    assert shifted_norm(empty, None, 0.0, 5) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -171,7 +202,7 @@ def test_norm_matches_oracle_random():
 
 
 def test_norm_rejects_p_below_one():
-    f = FourierSeq.unit(0, 1)
+    f = FourierSeq.from_pairs([(0, 1.0)], K=1)
     with pytest.raises(ValueError):
         norm(f, None, 0.0, 0.5)
 
@@ -282,7 +313,7 @@ def test_convolve_sparse_wide_support():
 def test_convolve_identity():
     rng = np.random.default_rng(47)
     f = random_seq(rng, 9)
-    delta = FourierSeq.unit(0, 1)
+    delta = FourierSeq.from_pairs([(0, 1.0)], K=1)
     c = convolve(f, delta)
     np.testing.assert_allclose(c.coeffs, f.coeffs, atol=1e-14)
 
