@@ -116,11 +116,8 @@ def load_config(args):
                 cfg[k] = v
         for k, v in parser.defaults().items():
             cfg.setdefault(k, v)
-    for key in ("potential", "weight", "suite", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key in ("k", "s", "t", "dt", "seed"):
+    for key in ("potential", "weight", "suite", "out", "k", "s", "t", "dt",
+                "seed"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
@@ -139,26 +136,23 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def get_float(cfg, key, default=None):
+def _get(cfg, key, default, conv, kind):
     if key not in cfg:
         if default is None:
             raise ConfigError("missing config field %r" % key)
         return default
     try:
-        return float(cfg[key])
+        return conv(cfg[key])
     except ValueError:
-        raise ConfigError("config field %r is not a number: %r" % (key, cfg[key]))
+        raise ConfigError("config field %r is not %s: %r" % (key, kind, cfg[key]))
+
+
+def get_float(cfg, key, default=None):
+    return _get(cfg, key, default, float, "a number")
 
 
 def get_int(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError("missing config field %r" % key)
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError("config field %r is not an integer: %r" % (key, cfg[key]))
+    return _get(cfg, key, default, int, "an integer")
 
 
 def _meta(cfg):
@@ -241,7 +235,7 @@ def cmd_reduce(cfg):
     failed = False
     for n in range(n_lo, n_hi + 1):
         if n < ctx.n_s:
-            rows.append([n, "below-threshold", "", "", "", "", ""])
+            rows.append([n, "below-threshold", "", "", "", "", "", "", "", ""])
             entries.append({"n": n, "status": "below-threshold"})
             continue
         res = find_roots(ctx, n, xi_bound_grid=0)
@@ -254,6 +248,9 @@ def cmd_reduce(cfg):
             "xi_1": [res.xi_1.real, res.xi_1.imag],
             "xi_2": [res.xi_2.real, res.xi_2.imag],
             "gap": res.gap_estimate,
+            "method": res.method,
+            "terms": res.neumann_terms_used,
+            "converged": res.converged,
         }
         status = "ok"
         mismatch = ""
@@ -273,6 +270,7 @@ def cmd_reduce(cfg):
         entries.append(entry)
         rows.append([n, status, _fnum(res.xi_1.real), _fnum(res.xi_2.real),
                      _fnum(res.gap_estimate), _fnum(res.contraction_bound),
+                     res.method, res.neumann_terms_used, res.converged,
                      mismatch])
     obj = {"n_s": ctx.n_s, "N_ms": ctx.N_ms, "M_ms": ctx.M_ms,
            "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime,
@@ -280,7 +278,8 @@ def cmd_reduce(cfg):
     write_json(os.path.join(cfg["out"], "reduce.json"), obj, cfg)
     write_csv(os.path.join(cfg["out"], "reduce.csv"),
               ["n", "status", "xi_1_re", "xi_2_re", "gap",
-               "contraction_bound", "oracle_mismatch"], rows, cfg)
+               "contraction_bound", "method", "terms", "converged",
+               "oracle_mismatch"], rows, cfg)
     return 1 if failed else 0
 
 
@@ -375,17 +374,14 @@ def _suite_sandwich(cfg, rng):
         pairs.append((-k, 0.01))
     q = Potential.from_even_pairs(pairs, n_max=M + 1, s=s)
     ctx = make_context(q, s=s)
-    ok = True
-    checked = []
-    for n in (ctx.M_ms,):
-        res = find_roots(ctx, n, xi_bound_grid=0)
-        r = adapted_coefficients(ctx, n_max=n)
-        rep = gap_sandwich(ctx, n, r, res.gap_estimate)
-        checked.append({"n": n, "condition_met": rep.get("condition_met"),
-                        "holds": rep.get("holds")})
-        if rep.get("condition_met") and not rep.get("holds"):
-            ok = False
-    return ok, {"suite": "sandwich", "pass": bool(ok), "checked": checked}
+    n = ctx.M_ms
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    r = adapted_coefficients(ctx, n_max=n)
+    rep = gap_sandwich(ctx, n, r, res.gap_estimate)
+    ok = not rep.get("condition_met") or bool(rep.get("holds"))
+    checked = [{"n": n, "condition_met": rep.get("condition_met"),
+                "holds": rep.get("holds")}]
+    return ok, {"suite": "sandwich", "pass": ok, "checked": checked}
 
 
 def cmd_verify(cfg):
@@ -402,12 +398,9 @@ def cmd_verify(cfg):
         raise ConfigError("unknown suite %r (choices: %s, all)"
                           % (chosen, ", ".join(sorted(suites))))
     names = list(suites) if chosen == "all" else [chosen]
-    results = []
-    n_pass = 0
-    for name in names:
-        ok, rep = suites[name](cfg, rng)
-        results.append(rep)
-        n_pass += int(ok)
+    outcomes = [suites[name](cfg, rng) for name in names]
+    results = [rep for _, rep in outcomes]
+    n_pass = sum(int(ok) for ok, _ in outcomes)
     summary = {"suites_run": len(names), "suites_passed": n_pass,
                "results": results}
     write_json(os.path.join(cfg["out"], "verify.json"), summary, cfg)

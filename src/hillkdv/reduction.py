@@ -28,6 +28,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
     norm, shifted_norm
@@ -57,22 +58,30 @@ _CS_CACHE = {}
 _CSP_CACHE = {}
 
 
-def _contraction_sum(n, alpha, J=None):
-    """S(n) = sum over |k| != n of |n+k|^{-alpha} |n-k|^{-1}, via j = n - k:
-    sum over j != 0, 2n of |2n-j|^{-alpha} |j|^{-1}, plus integral tails."""
-    if J is None:
+def _contraction_sums(grid, alpha):
+    """S(n) = sum over |k| != n of |n+k|^{-alpha} |n-k|^{-1} for each n in
+    grid, via j = n - k: sum over j != 0, 2n of |j-2n|^{-alpha} |j|^{-1} for
+    |j| <= J = max(32n, 65536), plus integral tails.  The tables |j|^{-1}
+    and |x|^{-alpha}, zero at 0 (the excluded terms), serve every n: the
+    body is a slice of the first dotted with a slice of the second at
+    x = j - 2n."""
+    top = max(grid)
+    off = max(32 * top, 65536) + 2 * top  # table index of 0
+    j = np.abs(np.arange(-off, off - 2 * top + 1, dtype=float))
+    j[off] = np.inf  # inf ** negative = 0
+    g, p = j ** (-1.0), j ** (-alpha)
+    sums = np.empty(len(grid))
+    for i, n in enumerate(grid):
         J = max(32 * n, 65536)
-    j = np.arange(-J, J + 1, dtype=float)
-    mask = (j != 0) & (j != 2 * n)
-    jj = j[mask]
-    body = np.sum(np.abs(2 * n - jj) ** (-alpha) * np.abs(jj) ** (-1.0))
-    # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives 1/((i+2n)^alpha i);
-    # substitute x = 1/u to integrate over a finite interval
-    from scipy.integrate import quad
-    b = 1.0 / (J + 0.5)
-    t1, _ = quad(lambda u: (1.0 / u - 2 * n) ** (-alpha) / u, 0.0, b)
-    t2, _ = quad(lambda u: (1.0 / u + 2 * n) ** (-alpha) / u, 0.0, b)
-    return float(body + t1 + t2)
+        lo = off - J  # index of j = -J, and of x = -J - 2n at lo - 2n
+        body = np.dot(g[lo:lo + 2 * J + 1], p[lo - 2 * n:lo - 2 * n + 2 * J + 1])
+        # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives
+        # 1/((i+2n)^alpha i); substitute x = 1/u for a finite interval
+        b = 1.0 / (J + 0.5)
+        t1, _ = quad(lambda u: (1.0 / u - 2 * n) ** (-alpha) / u, 0.0, b)
+        t2, _ = quad(lambda u: (1.0 / u + 2 * n) ** (-alpha) / u, 0.0, b)
+        sums[i] = body + t1 + t2
+    return sums
 
 
 def _n_grid(n_max):
@@ -100,11 +109,9 @@ def estimate_c_s(s, n_max=4096, full=False):
     a = abs(s)
     alpha = 1.0 - 2.0 * a
     power = 0.5 - a
-    vals = []
     grid = _n_grid(n_max)
-    for n in grid:
-        vals.append(n ** power * 2.0 * _contraction_sum(n, alpha))
-    vals = np.array(vals)
+    vals = np.array(grid, dtype=float) ** power * 2.0 * \
+        _contraction_sums(grid, alpha)
     i = int(np.argmax(vals))
     c = float(max(vals[i], 1.0))
     report = {"n_star": grid[i], "sup": float(vals[i]), "grid_size": len(grid),
@@ -132,10 +139,8 @@ def estimate_c_s_prime(s, n_max=4096):
     grid = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768, 1024,
                                  2048, 4096]
     grid = [n for n in grid if n <= n_max] or [1]
-    best = 0.0
-    for n in grid:
-        val = 2.0 * bracket(2 * n) ** s * hilbert_sum(n, sigma) / epsilon_s(n, s)
-        best = max(best, val)
+    best = max(2.0 * bracket(2 * n) ** s * h / epsilon_s(n, s)
+               for n, h in zip(grid, hilbert_sum(grid, sigma)))
     out = max(c, float(best))
     _CSP_CACHE[key] = out
     return out
@@ -185,9 +190,6 @@ class ReductionContext:
     neumann_tol: float = 1e-12
     max_terms: int = 60
     records: dict = field(default_factory=dict)
-
-    def q_norm(self):
-        return norm(self.q.seq, self.w, self.s, math.inf)
 
     def record_ratio(self, n, ratio):
         slot = self.records.setdefault(int(n), {"max_ratio": 0.0})
@@ -307,7 +309,7 @@ def det_B(ctx, n, lam, coeff=None):
     return d * d - coeff.b_n * coeff.b_neg_n
 
 
-def sample_T_norm(ctx, n, lam, n_probes=20, rng=None, include_neumann=True):
+def sample_T_norm(ctx, n, lam, rng=None):
     """Sample estimate of ||T_n||_{w,s,inf;+-n}: max shifted-norm ratio over
     unit masses, random probes, and the Neumann iterates V e_{+-n} /
     K_n V e_{+-n} (so coefficient bounds chain through the estimate)."""
@@ -325,13 +327,12 @@ def sample_T_norm(ctx, n, lam, n_probes=20, rng=None, include_neumann=True):
         vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         last = dict(zip(idx.tolist(), vals))  # repeated index: last value
         probes.append(SparseSeq.accumulate(list(last), list(last.values())))
-    if include_neumann:
-        for sign in (+1, -1):
-            ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
-            probes.append(ve)
-            probes.append(neumann_K_n(ctx, n, lam, ve)[0])
+    for sign in (+1, -1):
+        ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
+        probes.append(ve)
+        probes.append(neumann_K_n(ctx, n, lam, ve)[0])
     best = 0.0
-    for f in probes[: max(n_probes, len(probes))]:
+    for f in probes:
         base = _shift_pair(f, ctx, n)
         if base == 0:
             continue
@@ -481,16 +482,11 @@ def _xi_bound_check(ctx, n, grid_points=16):
     bounds the root separation)."""
     center = n * n * PI2
     rad = 4.0 * math.sqrt(n)
-    sup = 0.0
-    pts = []
-    for j in range(max(grid_points - 1, 1)):
-        th = 2 * np.pi * j / max(grid_points - 1, 1)
-        pts.append(center + rad * 0.7 * cmath.exp(1j * th))
-    pts.append(complex(center))
-    for lam in pts[:grid_points]:
-        c = coefficients(ctx, n, lam)
-        sup = max(sup, abs(c.b_n * c.b_neg_n) ** 0.5)
-    return sup
+    m = max(grid_points - 1, 1)
+    pts = [center + rad * 0.7 * cmath.exp(1j * (2 * np.pi * j / m))
+           for j in range(m)] + [complex(center)]
+    coeffs = (coefficients(ctx, n, lam) for lam in pts[:grid_points])
+    return max((abs(c.b_n * c.b_neg_n) ** 0.5 for c in coeffs), default=0.0)
 
 
 def find_roots(ctx, n, xi_bound_grid=16):

@@ -334,28 +334,36 @@ def tail(f, N):
 
 
 def hilbert_sum(n, sigma, cutoff=1_000_000):
-    """S(n, sigma) = sum over |m| != n of 1/|m^2 - n^2|^sigma.
+    """S(n, sigma) = sum over |m| != n of 1/|m^2 - n^2|^sigma; for a list
+    of n, the array of S over it.
 
-    Direct summation up to the cutoff plus a midpoint integral estimate of
-    both tails; relative accuracy ~1e-8 for sigma in the convergent range.
-    Raises ValueError for sigma <= 1/2 (divergent).
+    Direct summation up to M = max(cutoff, 4n) plus a midpoint integral
+    estimate of both tails; relative accuracy ~1e-8 for sigma in the
+    convergent range.  The summands factor as |m-n|^{-sigma} (m+n)^{-sigma},
+    so one table t[x] = x^{-sigma} serves every n: n < m <= M gives
+    t[1:M-n+1] t[2n+1:M+n+1], 0 < m < n gives t[n-1:0:-1] t[n+1:2n] and
+    m = 0 gives n^{-2 sigma}.  Raises ValueError for n < 1 or sigma <= 1/2.
     """
-    if n < 1:
+    ns = np.atleast_1d(n)
+    if ns.min() < 1:
         raise ValueError("n must be >= 1")
     if sigma <= 0.5:
         raise ValueError("sum diverges for sigma <= 1/2")
-    M = max(int(cutoff), 4 * n)
-    m = np.arange(1, M + 1, dtype=float)
-    terms = np.abs(m * m - float(n) * n)
-    terms[n - 1] = np.inf  # excluded index m = n
-    body = 2.0 * np.sum(np.sort(terms ** (-sigma))) + float(n) ** (-2.0 * sigma)
-
-    # tail integral of (x^2 - n^2)^{-sigma}, substituted x = 1/u so the
-    # domain is finite and quad converges cleanly for all sigma > 1/2
-    b = 1.0 / (M + 0.5)
-    tail_val, _ = quad(lambda u: (1.0 / (u * u) - float(n) * n) ** (-sigma)
-                       / (u * u), 0.0, b)
-    return float(body + 2.0 * tail_val)
+    Ms = np.maximum(int(cutoff), 4 * ns)
+    x = np.arange((Ms + ns).max() + 1, dtype=float)
+    x[0] = np.inf  # inf ** negative = 0
+    t = x ** (-sigma)
+    out = []
+    for k, M in zip(ns.tolist(), Ms.tolist()):
+        body = (np.dot(t[1:M - k + 1], t[2 * k + 1:M + k + 1])
+                + np.dot(t[k - 1:0:-1], t[k + 1:2 * k]))
+        # tail integral of (x^2 - n^2)^{-sigma}, substituted x = 1/u so the
+        # domain is finite and quad converges cleanly for all sigma > 1/2
+        b = 1.0 / (M + 0.5)
+        tail_val, _ = quad(lambda u: (1.0 / (u * u) - float(k) * k) ** (-sigma)
+                           / (u * u), 0.0, b)
+        out.append(float(2.0 * body + float(k) ** (-2.0 * sigma) + 2.0 * tail_val))
+    return out[0] if np.ndim(n) == 0 else np.array(out)
 
 
 def weakstar_converged(seqs, limit, s, component_tol):

@@ -1,11 +1,14 @@
-"""Dense references for the sparse reduction kernel.
+"""Dense references for the sparse reduction kernel and the contraction
+constants.
 
 The package applies V and sums the Neumann series on the exact support of
 each iterate.  This module redoes the same sums on FourierSeq arrays: a
 dense convolution (shift-and-add when one side has small support, FFT
 otherwise) and a Neumann series whose every term is cut to the window
 |k| <= K.  With a window wide enough to hold the iterates' mass, the two
-must agree to rounding.
+must agree to rounding.  contraction_sum evaluates the divisor sum behind
+c_s at one n from its own index array, where the package slices shared
+power tables for a whole grid of n.
 """
 
 import numpy as np
@@ -89,3 +92,20 @@ def dense_coefficients(ctx, n, lam, K=None):
     h_m, t2 = dense_neumann(ctx, n, lam, ve_m, K)
     return h_p[n], h_m[n], h_p[-n], max(t1, t2)
 
+
+def contraction_sum(n, alpha, J=None):
+    """S(n) = sum over |k| != n of |n+k|^{-alpha} |n-k|^{-1}, via j = n - k:
+    sum over j != 0, 2n of |2n-j|^{-alpha} |j|^{-1}, plus integral tails."""
+    if J is None:
+        J = max(32 * n, 65536)
+    j = np.arange(-J, J + 1, dtype=float)
+    mask = (j != 0) & (j != 2 * n)
+    jj = j[mask]
+    body = np.sum(np.abs(2 * n - jj) ** (-alpha) * np.abs(jj) ** (-1.0))
+    # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives 1/((i+2n)^alpha i);
+    # substitute x = 1/u to integrate over a finite interval
+    from scipy.integrate import quad
+    b = 1.0 / (J + 0.5)
+    t1, _ = quad(lambda u: (1.0 / u - 2 * n) ** (-alpha) / u, 0.0, b)
+    t2, _ = quad(lambda u: (1.0 / u + 2 * n) ** (-alpha) / u, 0.0, b)
+    return float(body + t1 + t2)

@@ -101,7 +101,7 @@ def test_criterion_03_contraction_certificate():
     violations = 0
     for n in ns:
         for lam in lams[n]:
-            est = sample_T_norm(ctx, n, lam, n_probes=20)
+            est = sample_T_norm(ctx, n, lam)
             if est > 0.5:
                 violations += 1
     assert violations == 0
@@ -116,7 +116,7 @@ def test_criterion_04_coefficient_asymptotics():
     checked = 0
     for n in ns:
         for lam in lams[n]:
-            est = sample_T_norm(ctx, n, lam, n_probes=20)
+            est = sample_T_norm(ctx, n, lam)
             c = coefficients(ctx, n, lam)
             bound = 2.0 * est * qn
             wfac = (1.0 + 2 * n) ** ctx.s  # trivial weight, s = 0

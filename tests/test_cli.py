@@ -97,6 +97,16 @@ def test_reduce_matches_oracle(tmp_path):
     obj = read_json(os.path.join(out, "reduce.json"))
     assert obj["worst_relative_mismatch"] < 1e-6
     assert all(r["status"] == "ok" for r in obj["rows"])
+    for r in obj["rows"]:
+        assert r["converged"] is True
+        assert r["method"] == "newton"
+        assert r["terms"] >= 1
+    rows = read_csv(os.path.join(out, "reduce.csv"))
+    assert rows[1] == ["n", "status", "xi_1_re", "xi_2_re", "gap",
+                       "contraction_bound", "method", "terms", "converged",
+                       "oracle_mismatch"]
+    assert all(row[6:9] == ["newton", str(r["terms"]), "True"]
+               for row, r in zip(rows[2:], obj["rows"]))
 
 
 def test_reduce_below_threshold_rows(tmp_path):

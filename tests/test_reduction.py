@@ -21,9 +21,10 @@ from hillkdv.reduction import (
     adapted_coefficients, gap_sandwich, kernel_vector,
     eigenfunction_reconstruct,
     ThresholdError, KernelPreconditionError, LocalizationError,
+    _contraction_sums, _n_grid,
 )
 
-from dense_oracle import dense_coefficients
+from dense_oracle import contraction_sum, dense_coefficients
 
 PI2 = math.pi ** 2
 
@@ -54,6 +55,47 @@ def test_c_s_reference_value():
             (np.abs(ks + n) ** -1.0 * np.abs(ks - n) ** -1.0)))
         assert c0 >= math.sqrt(n) * total * (1 - 1e-3)
     assert c0 == pytest.approx(5.539, abs=5e-3)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.25, -0.45])
+def test_contraction_sums_match_per_n_oracle(s):
+    # the shared-table sweep against one fresh index array per n
+    alpha = 1.0 - 2.0 * abs(s)
+    grid = _n_grid(4096)
+    got = _contraction_sums(grid, alpha)
+    want = np.array([contraction_sum(n, alpha) for n in grid])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("s, c_s, c_s_prime", [
+    (0.0, 5.539003119294624, 7.130207275243559),
+    (-0.25, 10.193612941496836, 18.822725736106342),
+])
+def test_c_s_cold_recorded_values(monkeypatch, s, c_s, c_s_prime):
+    # reference values from per-n summation: contraction_sum in
+    # dense_oracle.py for c_s, and a sorted sum of |m^2 - n^2|^{-sigma} for c_s'
+    import hillkdv.reduction as red
+    monkeypatch.setattr(red, "_CS_CACHE", {})
+    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    assert estimate_c_s(s) == pytest.approx(c_s, rel=1e-13, abs=0)
+    assert estimate_c_s_prime(s) == pytest.approx(c_s_prime, rel=1e-13, abs=0)
+
+
+def test_thresholds_stable():
+    # (n_s, N_ms, M_ms) as computed by the per-n sweeps
+    crit5 = []
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        crit5.append(Potential.random_real(rng, 8, sup=0.05, s=0.0))
+    cases = [(smooth_real_potential(), 0.0, (1, 52061, 832961)),
+             (Potential.single_mode(0.2), 0.0, (5, 52061, 832961)),
+             (Potential.single_mode(0.2), -0.25,
+              (93, 131622449926, 33695347180871)),
+             (Potential.power_law(0.1, -0.25, n_max=128, s=-0.25), -0.25,
+              (3, 131622449926, 33695347180871))]
+    cases += [(q, 0.0, (1, 52061, 832961)) for q in crit5]
+    for q, s, want in cases:
+        assert thresholds(q, s) == want
 
 
 def test_c_s_grows_with_roughness():
@@ -199,7 +241,7 @@ def test_neumann_contraction_ratio_small_above_threshold():
     ctx = make_context(q)
     for n in (ctx.n_s, ctx.n_s + 2, 10):
         lam = n * n * PI2
-        est = sample_T_norm(ctx, n, lam, n_probes=20)
+        est = sample_T_norm(ctx, n, lam)
         assert est <= 0.5
         assert ctx.sampled_T_norm(n) <= 0.5
 

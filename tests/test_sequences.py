@@ -370,11 +370,23 @@ def test_hilbert_sum_sigma_one_closed_form():
         assert hilbert_sum(n, 1.0) == pytest.approx(want, rel=1e-8)
 
 
+def test_hilbert_sum_list_matches_scalar_calls():
+    ns = [1, 2, 3, 7, 64, 1000, 4096]
+    for sigma in (0.55, 0.75, 1.0, 2.0):
+        got = hilbert_sum(ns, sigma)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ns),)
+        want = [hilbert_sum(n, sigma) for n in ns]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tolist() == want  # same table entries, same slices
+
+
 def test_hilbert_sum_divergent_sigma_rejected():
     with pytest.raises(ValueError):
         hilbert_sum(4, 0.5)
     with pytest.raises(ValueError):
         hilbert_sum(0, 1.0)
+    with pytest.raises(ValueError):
+        hilbert_sum([3, 0], 1.0)
 
 
 def test_hilbert_sum_decay_in_n():
