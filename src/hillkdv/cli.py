@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .sequences import FourierSeq, Weight, norm, bracket
 from .operator import Potential
-from .galerkin import full_spectrum, gaps_and_midpoints, verify_decay
+from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
+    verify_decay
 from .reduction import make_context, find_roots, gap_sandwich, \
     adapted_coefficients, ThresholdError
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
@@ -66,28 +67,35 @@ def parse_weight(spec):
     raise ConfigError("unknown weight spec %r" % spec)
 
 
+def _nmax(kv, default):
+    n_max = int(kv.get("nmax", default))
+    if n_max < 1:
+        raise ConfigError("potential nmax must be >= 1, got %d" % n_max)
+    return n_max
+
+
 def parse_potential(spec, s, weight, rng):
     if spec in (None, ""):
         raise ConfigError("missing potential spec")
     name, _, body = spec.partition(":")
     if name == "zero":
         kv = parse_kv(body, {"nmax"}, "potential")
-        return Potential.zero(int(kv.get("nmax", 8)), s=s, weight=weight)
+        return Potential.zero(_nmax(kv, 8), s=s, weight=weight)
     if name == "single-mode":
         kv = parse_kv(body, {"c", "nmax"}, "potential")
         return Potential.single_mode(float(kv.get("c", 0.05)),
-                                     n_max=int(kv.get("nmax", 1)),
+                                     n_max=_nmax(kv, 1),
                                      s=s, weight=weight)
     if name == "power-law":
         kv = parse_kv(body, {"a", "e", "nmax", "phases"}, "potential")
         use_rng = rng if kv.get("phases", "0") in ("1", "true") else None
         return Potential.power_law(float(kv.get("a", 0.1)),
                                    float(kv.get("e", -0.25)),
-                                   int(kv.get("nmax", 32)),
+                                   _nmax(kv, 32),
                                    s=s, weight=weight, rng=use_rng)
     if name == "random":
         kv = parse_kv(body, {"sup", "nmax", "decay"}, "potential")
-        return Potential.random_real(rng, int(kv.get("nmax", 16)),
+        return Potential.random_real(rng, _nmax(kv, 16),
                                      sup=float(kv.get("sup", 0.1)),
                                      decay=float(kv.get("decay", 0.0)),
                                      s=s, weight=weight)
@@ -95,7 +103,7 @@ def parse_potential(spec, s, weight, rng):
         try:
             with open(body, "r", encoding="utf-8") as fh:
                 seq = FourierSeq.from_json(fh.read())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError("cannot read potential file %r: %s" % (body, exc))
         return Potential(seq, s=s, weight=weight)
     raise ConfigError("unknown potential spec %r" % spec)
@@ -185,6 +193,8 @@ def write_csv(path, header, rows, cfg):
 
 
 def _setup(cfg):
+    if get_int(cfg, "k", 64) < 16:
+        raise ConfigError("K must be >= 16")
     s = get_float(cfg, "s", 0.0)
     rng = np.random.default_rng(get_int(cfg, "seed", 0))
     weight = parse_weight(cfg.get("weight"))
@@ -226,7 +236,7 @@ def cmd_reduce(cfg):
     q, s, weight, rng = _setup(cfg)
     K = get_int(cfg, "k", 64)
     ctx = make_context(q, s=s, w=weight)
-    spec = full_spectrum(q, K)
+    spec = periodic_spectrum(q, K)
     n_lo = get_int(cfg, "n_lo", ctx.n_s)
     n_hi = get_int(cfg, "n_hi", min(ctx.n_s + 7, spec.trust))
     rows = []

@@ -11,9 +11,15 @@ series), the reduced determinant
 has exactly two roots in the strip around n^2 pi^2, which are precisely the
 periodic eigenvalues there.  a_n = <K_n V e_n, e_n> and
 b_{+-n} = <K_n V e_{-+n}, e_{+-n}>.  This module computes the contraction
-constant c_s, the thresholds (n_s, N_ms, M_ms), the coefficients, the roots,
-the fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), the adapted coefficient
+constant c_s, the thresholds (n_s, N_ms, M_ms), the coefficients, the fixed
+point alpha_n = n^2 pi^2 + a_n(alpha_n), the roots, the adapted coefficient
 map r, and the gap sandwich diagnostic.
+
+The map lambda -> (a_n, b_{+-n})(lambda) contracts on the strip, so alpha_n
+and the two roots, the fixed points of lambda <- n^2 pi^2 + a_n(lambda) and
+lambda <- n^2 pi^2 + a_n(lambda) +- sqrt(b_n b_{-n})(lambda), are found by
+plain iteration; the argument principle on the disc's boundary reseeds the
+roots when that iteration does not contract.
 
 The Neumann iterates are SparseSeqs on their exact support: T_n maps a
 support S to the sumset (S minus {+-n}) + supp(q), and nothing is cut to a
@@ -23,12 +29,11 @@ reports whether that met neumann_tol.
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
     norm, shifted_norm
@@ -70,18 +75,22 @@ def _contraction_sums(grid, alpha):
     j = np.abs(np.arange(-off, off - 2 * top + 1, dtype=float))
     j[off] = np.inf  # inf ** negative = 0
     g, p = j ** (-1.0), j ** (-alpha)
-    sums = np.empty(len(grid))
+    body = np.empty(len(grid))
     for i, n in enumerate(grid):
         J = max(32 * n, 65536)
         lo = off - J  # index of j = -J, and of x = -J - 2n at lo - 2n
-        body = np.dot(g[lo:lo + 2 * J + 1], p[lo - 2 * n:lo - 2 * n + 2 * J + 1])
-        # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives
-        # 1/((i+2n)^alpha i); substitute x = 1/u for a finite interval
-        b = 1.0 / (J + 0.5)
-        t1, _ = quad(lambda u: (1.0 / u - 2 * n) ** (-alpha) / u, 0.0, b)
-        t2, _ = quad(lambda u: (1.0 / u + 2 * n) ** (-alpha) / u, 0.0, b)
-        sums[i] = body + t1 + t2
-    return sums
+        body[i] = np.dot(g[lo:lo + 2 * J + 1], p[lo - 2 * n:lo - 2 * n + 2 * J + 1])
+    # tails: j -> +-inf give the integrals over 0 < u < b = 1/(J + 1/2) of
+    # u^{alpha-1} (1 -+ 2n u)^{-alpha}; the binomial series of their sum,
+    # 2 sum over even k of (alpha)_k / k! (2n u)^k with (alpha)_k the rising
+    # factorial, integrates term by term, and 2n b <= 1/16 makes the terms
+    # past k = 16 negligible
+    ns = np.asarray(grid, dtype=float)
+    b = 1.0 / (np.maximum(32 * ns, 65536) + 0.5)
+    k = np.arange(0, 18, 2)
+    c = np.cumprod(np.r_[1.0, (alpha + np.arange(17)) / np.arange(1, 18)])[::2]
+    return body + 2 * b ** alpha * ((2 * ns * b)[:, None] ** k
+                                    * (c / (k + alpha))).sum(axis=1)
 
 
 def _n_grid(n_max):
@@ -176,8 +185,9 @@ def thresholds(q, s, w=None, m=None):
 
 @dataclass
 class ReductionContext:
-    """Immutable-by-convention bundle of potential, space parameters and
-    thresholds; per-n sample records go to disjoint slots in `records`."""
+    """Bundle of potential, space parameters, Neumann settings and
+    thresholds; nothing here changes after make_context, so results do not
+    depend on the order of calls."""
     q: Potential
     s: float
     w: Weight | None
@@ -189,15 +199,6 @@ class ReductionContext:
     M_ms: int
     neumann_tol: float = 1e-12
     max_terms: int = 60
-    records: dict = field(default_factory=dict)
-
-    def record_ratio(self, n, ratio):
-        slot = self.records.setdefault(int(n), {"max_ratio": 0.0})
-        slot["max_ratio"] = max(slot["max_ratio"], float(ratio))
-
-    def sampled_T_norm(self, n):
-        slot = self.records.get(int(n))
-        return None if slot is None else slot["max_ratio"]
 
 
 def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
@@ -224,15 +225,9 @@ def _shift_pair(f, ctx, n):
                shifted_norm(f, ctx.w, ctx.s, -n))
 
 
-def apply_T_n(ctx, n, lam, f, record=True):
+def apply_T_n(ctx, n, lam, f):
     """T_n(lambda) f = V A_lambda^{-1} Q_n f, on the sumset of supports."""
-    g = apply_A_inv_Q(lam, n, f)
-    h = multiply(ctx.q, g)
-    if record:
-        base = _shift_pair(f, ctx, n)
-        if base > 0:
-            ctx.record_ratio(n, _shift_pair(h, ctx, n) / base)
-    return h
+    return multiply(ctx.q, apply_A_inv_Q(lam, n, f))
 
 
 def neumann_K_n(ctx, n, lam, f):
@@ -251,12 +246,11 @@ def neumann_K_n(ctx, n, lam, f):
     bad_streak = 0
     converged = False
     for _ in range(ctx.max_terms):
-        term = apply_T_n(ctx, n, lam, term, record=False)
+        term = apply_T_n(ctx, n, lam, term)
         tn = _shift_pair(term, ctx, n)
         if prev > 0:
             ratio = tn / prev
             max_ratio = max(max_ratio, ratio)
-            ctx.record_ratio(n, ratio)
             if ratio > 0.9:
                 bad_streak += 1
                 if bad_streak >= 3:
@@ -336,37 +330,9 @@ def sample_T_norm(ctx, n, lam, rng=None):
         base = _shift_pair(f, ctx, n)
         if base == 0:
             continue
-        h = apply_T_n(ctx, n, lam, f, record=True)
+        h = apply_T_n(ctx, n, lam, f)
         best = max(best, _shift_pair(h, ctx, n) / base)
     return best
-
-
-def _alpha_iterate(ctx, n, tol_scale=1e-10, max_iter=80, require_contraction=True):
-    center = n * n * PI2
-    alpha = complex(center)
-    prev_step = None
-    for _ in range(max_iter):
-        c = coefficients(ctx, n, alpha)
-        new = center + c.a_n
-        step = abs(new - alpha)
-        if prev_step is not None and prev_step > 0 and require_contraction:
-            if step > 0.8 * prev_step and step > tol_scale * center:
-                raise ThresholdError(
-                    "fixed-point iteration not contracting at n=%d" % n)
-        alpha = new
-        if step < tol_scale * center:
-            return alpha, c
-        prev_step = step
-    raise ThresholdError("fixed-point iteration did not converge at n=%d" % n)
-
-
-def alpha_fixed_point(ctx, n):
-    """Fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), iterated from n^2 pi^2
-    until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
-    if n < ctx.N_ms:
-        raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
-    alpha, _ = _alpha_iterate(ctx, n)
-    return alpha
 
 
 @dataclass
@@ -394,48 +360,54 @@ def _sqrt_continuous(value, prev):
     return sq
 
 
-def _newton_root(ctx, n, sign, seed, sqrt_seed, cache, max_steps=50):
-    """Newton iteration on g(lambda) = lambda - n^2 pi^2 - a_n -+ sqrt(b b-),
-    derivative by central differences, branch continuity via sqrt tracking."""
+def _fixed_point(ctx, n, sign, evals, lam=None, sq=None, tol=1e-14):
+    """Iterate lambda <- n^2 pi^2 + a_n(lambda) + sign sqrt(b_n b_{-n})(lambda)
+    from lam (default n^2 pi^2) until a step is below tol n^2 pi^2, and
+    return the CoeffResult of the last iterate, the lambda that passed the
+    test.  Sign 0 is alpha_n's map, +-1 the maps whose fixed points are the
+    roots of det B_n; the square root stays on the branch nearest sq, its
+    last value.  Every CoeffResult is appended to evals.  RootError when a
+    step exceeds 0.8 times the one before (the map does not contract there)
+    or after 80 steps."""
     center = n * n * PI2
-    h = 1e-4 * n
+    lam = complex(center) if lam is None else lam
+    prev_step = math.inf
+    for _ in range(80):
+        c = coefficients(ctx, n, lam)
+        evals.append(c)
+        new = center + c.a_n
+        if sign:
+            sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
+            new += sign * sq
+        step = abs(new - lam)
+        if step < tol * center:
+            return c
+        if step > 0.8 * prev_step:
+            raise RootError("fixed point not contracting at n=%d" % n)
+        prev_step = step
+        lam = new
+    raise RootError("fixed point did not converge at n=%d" % n)
 
-    def coeff_at(lam):
-        key = complex(lam)
-        if key not in cache:
-            cache[key] = coefficients(ctx, n, key)
-        return cache[key]
 
-    def g_at(lam, prev_sqrt):
-        c = coeff_at(lam)
-        sq = _sqrt_continuous(c.b_n * c.b_neg_n, prev_sqrt)
-        return lam - center - c.a_n - sign * sq, sq
-
-    lam = complex(seed)
-    sq = sqrt_seed
-    for _ in range(max_steps):
-        g0, sq = g_at(lam, sq)
-        gp, _ = g_at(lam + h, sq)
-        gm, _ = g_at(lam - h, sq)
-        dg = (gp - gm) / (2 * h)
-        if dg == 0:
-            raise RootError("vanishing derivative in Newton at n=%d" % n)
-        step = g0 / dg
-        lam = lam - step
-        if abs(step) < 1e-12 * max(center, 1.0):
-            return lam
-    raise RootError("Newton did not converge at n=%d" % n)
+def alpha_fixed_point(ctx, n):
+    """Fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), iterated from n^2 pi^2
+    until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
+    if n < ctx.N_ms:
+        raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
+    return n * n * PI2 + _fixed_point(ctx, n, 0, [], tol=1e-10).a_n
 
 
 def _winding_roots(ctx, n, points=256):
-    """Argument-principle fallback on the circle |lambda - n^2 pi^2| = 4 sqrt(n):
+    """Argument-principle estimate on the circle |lambda - n^2 pi^2| = 4 sqrt(n):
     winding number must be 2; the two roots are recovered from the first two
-    power sums of the logarithmic derivative, then polished by Newton on det."""
+    power sums of the logarithmic derivative.  Returns the two estimates and
+    the CoeffResults on the contour."""
     center = n * n * PI2
     rad = 4.0 * math.sqrt(n)
     theta = 2 * np.pi * (np.arange(points) + 0.5) / points
     lams = center + rad * np.exp(1j * theta)
-    dets = np.array([det_B(ctx, n, complex(l)) for l in lams])
+    coeffs = [coefficients(ctx, n, complex(l)) for l in lams]
+    dets = np.array([det_B(ctx, n, c.lam, coeff=c) for c in coeffs])
     if np.any(dets == 0):
         raise LocalizationError("root on the contour of D_%d" % n)
     # winding number from the total phase increment around the closed loop
@@ -457,87 +429,85 @@ def _winding_roots(ctx, n, points=256):
     e1, p2 = complex(s1), complex(s2)
     e2 = (e1 * e1 - p2) / 2.0
     disc = cmath.sqrt(e1 * e1 - 4.0 * e2)
-    roots = [(e1 + disc) / 2.0, (e1 - disc) / 2.0]
-    polished = []
-    hstep = 1e-4 * n
-    for r in roots:
-        lam = r
-        for _ in range(30):
-            d0 = det_B(ctx, n, lam)
-            dp = det_B(ctx, n, lam + hstep)
-            dm = det_B(ctx, n, lam - hstep)
-            dd = (dp - dm) / (2 * hstep)
-            if dd == 0:
-                break
-            step = d0 / dd
-            lam = lam - step
-            if abs(step) < 1e-12 * max(center, 1.0):
-                break
-        polished.append(lam)
-    return polished[0], polished[1]
+    return ((e1 + disc) / 2.0, (e1 - disc) / 2.0), coeffs
 
 
 def _xi_bound_check(ctx, n, grid_points=16):
     """sup over a grid of the disc D_n of |b_n b_{-n}|^{1/2} (times sqrt(6)
-    bounds the root separation)."""
+    bounds the root separation), and the CoeffResults on the grid."""
     center = n * n * PI2
     rad = 4.0 * math.sqrt(n)
     m = max(grid_points - 1, 1)
     pts = [center + rad * 0.7 * cmath.exp(1j * (2 * np.pi * j / m))
            for j in range(m)] + [complex(center)]
-    coeffs = (coefficients(ctx, n, lam) for lam in pts[:grid_points])
-    return max((abs(c.b_n * c.b_neg_n) ** 0.5 for c in coeffs), default=0.0)
+    coeffs = [coefficients(ctx, n, lam) for lam in pts[:grid_points]]
+    return max(abs(c.b_n * c.b_neg_n) ** 0.5 for c in coeffs), coeffs
 
 
 def find_roots(ctx, n, xi_bound_grid=16):
     """Both roots of det B_n in the disc |lambda - n^2 pi^2| <= 4 sqrt(n).
 
-    Newton on the factor functions g_+- seeded at alpha_n +- sqrt(b b-);
-    argument-principle fallback on failure.  Returns a ReductionResult with
-    residuals |det B_n(xi)|, the sampled contraction bound and whether the
+    alpha_n and the two roots are fixed points of the reduced maps
+    lambda <- n^2 pi^2 + a_n(lambda) (+-sqrt(b_n b_{-n})(lambda)), which
+    contract on the strip for n >= n_s (see _fixed_point); the roots start
+    at alpha_n +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root
+    iteration does not contract or leaves the disc, the argument principle
+    on the disc's boundary seeds it again (method "winding"); RootError if
+    that fails too.  Returns a ReductionResult with residuals |det B_n(xi)|
+    at the roots' own coefficients, the contraction bound (the worst Neumann
+    ratio over every coefficient evaluation made here) and whether the
     Neumann sums at alpha_n and at both roots met neumann_tol.
     """
     if n < ctx.n_s:
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
     center = n * n * PI2
+    evals = []
     try:
-        alpha, c0 = _alpha_iterate(ctx, n, require_contraction=False)
-    except ThresholdError:
-        alpha = complex(center)
-        c0 = coefficients(ctx, n, alpha)
+        c0 = _fixed_point(ctx, n, 0, evals, tol=1e-10)
+        alpha = center + c0.a_n
+    except RootError:
+        c0, alpha = evals[0], complex(center)
+    rad = 4.0 * math.sqrt(n) + 1e-6 * center
+
+    def roots(seeds):
+        found = [_fixed_point(ctx, n, sign, evals, lam, sq)
+                 for sign, lam, sq in seeds]
+        if any(abs(c.lam - center) > rad for c in found):
+            raise RootError("root left D_%d" % n)
+        return found
+
     sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
-    method = "newton"
+    method = "fixed-point"
     try:
-        xi1 = _newton_root(ctx, n, +1, alpha + sq0, sq0, cache={})
-        xi2 = _newton_root(ctx, n, -1, alpha - sq0, sq0, cache={})
-        rad = 4.0 * math.sqrt(n) + 1e-6 * center
-        if abs(xi1 - center) > rad or abs(xi2 - center) > rad:
-            raise RootError("Newton root left D_n")
+        c1, c2 = roots([(+1, alpha + sq0, sq0), (-1, alpha - sq0, sq0)])
     except (RootError, ContractionFailureError):
         method = "winding"
-        xi1, xi2 = _winding_roots(ctx, n)
-    if xi2.real < xi1.real:  # report in nondecreasing real-part order
-        xi1, xi2 = xi2, xi1
-    c1 = coefficients(ctx, n, xi1)
-    c2 = coefficients(ctx, n, xi2)
-    res1 = abs(det_B(ctx, n, xi1, coeff=c1))
-    res2 = abs(det_B(ctx, n, xi2, coeff=c2))
+        estimates, contour = _winding_roots(ctx, n)
+        evals += contour
+        # the + map on the branch of sqrt(b_n b_{-n}) nearest xi - alpha_n
+        # is the one that fixes the root near the estimate xi
+        c1, c2 = roots([(+1, xi, xi - alpha) for xi in estimates])
+    if c2.lam.real < c1.lam.real:  # report in nondecreasing real-part order
+        c1, c2 = c2, c1
+    xi1, xi2 = c1.lam, c2.lam
     gap = abs(xi1 - xi2)
     if gap < 1e-9 * max(1.0, math.sqrt(n)):
         gap = 0.0
     xb = None
     if xi_bound_grid:
-        sup = _xi_bound_check(ctx, n, xi_bound_grid)
+        sup, grid = _xi_bound_check(ctx, n, xi_bound_grid)
+        evals += grid
         xb = {"sup_sqrt_bb": sup, "bound": math.sqrt(6.0) * sup,
               "separation": abs(xi1 - xi2),
               "holds": bool(abs(xi1 - xi2) <= math.sqrt(6.0) * sup + 1e-9)}
-    bound = ctx.sampled_T_norm(n)
     return ReductionResult(n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
                            alpha_n=alpha, xi_1=xi1, xi_2=xi2,
                            gap_estimate=gap,
                            neumann_terms_used=c0.terms_used,
-                           contraction_bound=bound if bound is not None else 0.0,
-                           det_residuals=(res1, res2), method=method,
+                           contraction_bound=max(c.max_ratio for c in evals),
+                           det_residuals=(abs(det_B(ctx, n, xi1, coeff=c1)),
+                                          abs(det_B(ctx, n, xi2, coeff=c2))),
+                           method=method,
                            converged=c0.converged and c1.converged and c2.converged,
                            xi_bound=xb)
 

@@ -223,10 +223,18 @@ class FourierSeq:
 
     @staticmethod
     def from_json_obj(obj):
-        K = int(obj["half_range"])
+        try:
+            K = int(obj["half_range"])
+            pairs = [(int(k), re + 1j * im) for k, re, im in obj["coeffs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidSequenceError("malformed sequence JSON: %s: %s"
+                                       % (type(exc).__name__, exc))
+        if K < 0 or any(abs(k) > K for k, _ in pairs):
+            raise InvalidSequenceError("coefficient index outside the half "
+                                       "range %d" % K)
         c = np.zeros(2 * K + 1, dtype=complex)
-        for k, re, im in obj["coeffs"]:
-            c[int(k) + K] = re + 1j * im
+        for k, v in pairs:
+            c[k + K] = v
         return FourierSeq(c, real=bool(obj.get("real", False)),
                           zero_mean=bool(obj.get("zero_mean", False)),
                           one_periodic=bool(obj.get("one_periodic", False)))

@@ -103,9 +103,14 @@ def contraction_sum(n, alpha, J=None):
     jj = j[mask]
     body = np.sum(np.abs(2 * n - jj) ** (-alpha) * np.abs(jj) ** (-1.0))
     # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives 1/((i+2n)^alpha i);
-    # substitute x = 1/u to integrate over a finite interval
+    # x = 1/u and then u = v^{1/alpha} turn them into integrals of the smooth
+    # (1 -+ 2n u)^{-alpha} / alpha over a finite interval (in u alone the
+    # integrand is singular like u^{alpha-1}, and quad misses the tails by up
+    # to 4e-10 at alpha = 0.1)
     from scipy.integrate import quad
-    b = 1.0 / (J + 0.5)
-    t1, _ = quad(lambda u: (1.0 / u - 2 * n) ** (-alpha) / u, 0.0, b)
-    t2, _ = quad(lambda u: (1.0 / u + 2 * n) ** (-alpha) / u, 0.0, b)
+    top = (J + 0.5) ** (-alpha)
+    t1, _ = quad(lambda v: (1.0 - 2 * n * v ** (1 / alpha)) ** (-alpha) / alpha,
+                 0.0, top)
+    t2, _ = quad(lambda v: (1.0 + 2 * n * v ** (1 / alpha)) ** (-alpha) / alpha,
+                 0.0, top)
     return float(body + t1 + t2)

@@ -99,13 +99,13 @@ def test_reduce_matches_oracle(tmp_path):
     assert all(r["status"] == "ok" for r in obj["rows"])
     for r in obj["rows"]:
         assert r["converged"] is True
-        assert r["method"] == "newton"
+        assert r["method"] == "fixed-point"
         assert r["terms"] >= 1
     rows = read_csv(os.path.join(out, "reduce.csv"))
     assert rows[1] == ["n", "status", "xi_1_re", "xi_2_re", "gap",
                        "contraction_bound", "method", "terms", "converged",
                        "oracle_mismatch"]
-    assert all(row[6:9] == ["newton", str(r["terms"]), "True"]
+    assert all(row[6:9] == ["fixed-point", str(r["terms"]), "True"]
                for row, r in zip(rows[2:], obj["rows"]))
 
 
@@ -200,6 +200,22 @@ def test_non_numeric_config_value(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--potential", "file:EMPTY"],
+    ["--potential", "zero", "--K", "8"],
+    ["--potential", "power-law:nmax=-1"],
+    ["--potential", "random:nmax=0"],
+])
+def test_bad_config_exit_2(tmp_path, capsys, flags):
+    # a potential file holding {}, K below 16, a negative and a zero nmax
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    flags = [f.replace("EMPTY", str(empty)) for f in flags]
+    rc = main(["spectrum"] + flags + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_missing_config_file(tmp_path):

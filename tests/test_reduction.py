@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from hillkdv.sequences import FourierSeq, SparseSeq, norm, shifted_norm
 from hillkdv.operator import Potential, multiply, project
-from hillkdv.galerkin import full_spectrum, periodic_matrix
+from hillkdv.galerkin import full_spectrum, periodic_matrix, \
+    periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
     make_context, ReductionContext, apply_T_n, neumann_K_n,
@@ -201,7 +202,7 @@ def test_T_n_hand_computation_single_mode():
 def one_minus_T_residual(ctx, n, lam, h, f):
     """(I - T_n) h - f on the union of the supports, so also where T_n h
     reaches beyond the support of h."""
-    th = apply_T_n(ctx, n, lam, h, record=False)
+    th = apply_T_n(ctx, n, lam, h)
     return SparseSeq.total([h, SparseSeq(th.idx, -th.coeffs),
                             SparseSeq(f.idx, -f.coeffs)])
 
@@ -243,7 +244,19 @@ def test_neumann_contraction_ratio_small_above_threshold():
         lam = n * n * PI2
         est = sample_T_norm(ctx, n, lam)
         assert est <= 0.5
-        assert ctx.sampled_T_norm(n) <= 0.5
+        assert find_roots(ctx, n).contraction_bound <= 0.5
+
+
+def test_contraction_bound_independent_of_call_order():
+    # the bound comes from find_roots' own evaluations, so probing T_n at
+    # the same n beforehand leaves it unchanged
+    q = smooth_real_potential()
+    n = 6
+    fresh = find_roots(make_context(q), n).contraction_bound
+    ctx = make_context(q)
+    sample_T_norm(ctx, n, n * n * PI2 + 9.0 * n)
+    assert find_roots(ctx, n).contraction_bound == fresh
+    assert 0.0 < fresh <= 0.5
 
 
 def test_contraction_improves_with_n():
@@ -426,6 +439,69 @@ def test_winding_root_on_contour_raises(monkeypatch):
     monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
     with pytest.raises(LocalizationError, match="root on the contour"):
         red._winding_roots(ctx, 6, points=16)
+
+
+def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
+    # the first root iteration fails: the argument principle reseeds both
+    # roots, which then match the dense spectrum and the direct iteration
+    import hillkdv.reduction as red
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    spec = full_spectrum(q, 128)
+    n = 6
+    direct = find_roots(ctx, n, xi_bound_grid=0)
+    real_fixed_point = red._fixed_point
+    failed = []
+
+    def fail_first_root(ctx, n, sign, *args, **kwargs):
+        if sign and not failed:
+            failed.append(sign)
+            raise red.RootError("forced")
+        return real_fixed_point(ctx, n, sign, *args, **kwargs)
+
+    monkeypatch.setattr(red, "_fixed_point", fail_first_root)
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    assert failed and res.method == "winding" and res.converged
+    tol = 1e-6 * n * n * PI2
+    assert abs(res.xi_1 - spec.lam_minus(n)) <= tol
+    assert abs(res.xi_2 - spec.lam_plus(n)) <= tol
+    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
+    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
+    assert res.alpha_n == direct.alpha_n
+
+
+def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
+    # no root iteration converges: an error, never unpolished estimates
+    import hillkdv.reduction as red
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    real_fixed_point = red._fixed_point
+
+    def roots_fail(ctx, n, sign, *args, **kwargs):
+        if sign:
+            raise red.RootError("forced")
+        return real_fixed_point(ctx, n, sign, *args, **kwargs)
+
+    monkeypatch.setattr(red, "_fixed_point", roots_fail)
+    with pytest.raises(red.RootError):
+        find_roots(ctx, 6, xi_bound_grid=0)
+
+
+@pytest.mark.parametrize("c, n", [(1e-3, 2), (1e-3, 3), (1e-3, 4),
+                                  (1e-3, 5), (0.05, 3)])
+def test_find_roots_small_gap_keeps_branches(c, n):
+    # gamma_n ~ c^n is tiny next to n^2 pi^2 but not 0: the two iterations
+    # stay on opposite branches of sqrt(b_n b_{-n}), so the separation of
+    # the roots is the dense gap (noise about 1e-12 at K = 32), not 0
+    q = Potential.single_mode(c)
+    ctx = make_context(q)
+    spec = periodic_spectrum(q, 32)
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    lm, lp = spec.lam_minus(n), spec.lam_plus(n)
+    assert res.method == "fixed-point"
+    assert abs(res.xi_1 - lm) <= 1e-6 * n * n * PI2
+    assert abs(res.xi_2 - lp) <= 1e-6 * n * n * PI2
+    assert abs(abs(res.xi_2 - res.xi_1) - abs(lp - lm)) <= 1e-10
 
 
 def test_degenerate_gap_reported_zero():
