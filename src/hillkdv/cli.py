@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .sequences import FourierSeq, Weight, norm, bracket
+from .sequences import FourierSeq, Weight, norm, bracket, InvalidSequenceError
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
     verify_decay
@@ -59,16 +59,16 @@ def parse_weight(spec):
     name, _, body = spec.partition(":")
     if name == "poly":
         kv = parse_kv(body, {"a", "cap"}, "weight")
-        w = Weight.polynomial(float(kv.get("a", 1.0)))
+        w = Weight.polynomial(get_float(kv, "a", 1.0))
         if "cap" in kv:
             from .sequences import cap_weight
-            w = cap_weight(w, float(kv["cap"]))
+            w = cap_weight(w, get_float(kv, "cap"))
         return w
     raise ConfigError("unknown weight spec %r" % spec)
 
 
 def _nmax(kv, default):
-    n_max = int(kv.get("nmax", default))
+    n_max = get_int(kv, "nmax", default)
     if n_max < 1:
         raise ConfigError("potential nmax must be >= 1, got %d" % n_max)
     return n_max
@@ -83,21 +83,21 @@ def parse_potential(spec, s, weight, rng):
         return Potential.zero(_nmax(kv, 8), s=s, weight=weight)
     if name == "single-mode":
         kv = parse_kv(body, {"c", "nmax"}, "potential")
-        return Potential.single_mode(float(kv.get("c", 0.05)),
+        return Potential.single_mode(get_float(kv, "c", 0.05),
                                      n_max=_nmax(kv, 1),
                                      s=s, weight=weight)
     if name == "power-law":
         kv = parse_kv(body, {"a", "e", "nmax", "phases"}, "potential")
         use_rng = rng if kv.get("phases", "0") in ("1", "true") else None
-        return Potential.power_law(float(kv.get("a", 0.1)),
-                                   float(kv.get("e", -0.25)),
+        return Potential.power_law(get_float(kv, "a", 0.1),
+                                   get_float(kv, "e", -0.25),
                                    _nmax(kv, 32),
                                    s=s, weight=weight, rng=use_rng)
     if name == "random":
         kv = parse_kv(body, {"sup", "nmax", "decay"}, "potential")
         return Potential.random_real(rng, _nmax(kv, 16),
-                                     sup=float(kv.get("sup", 0.1)),
-                                     decay=float(kv.get("decay", 0.0)),
+                                     sup=get_float(kv, "sup", 0.1),
+                                     decay=get_float(kv, "decay", 0.0),
                                      s=s, weight=weight)
     if name == "file":
         try:
@@ -198,7 +198,10 @@ def _setup(cfg):
     s = get_float(cfg, "s", 0.0)
     rng = np.random.default_rng(get_int(cfg, "seed", 0))
     weight = parse_weight(cfg.get("weight"))
-    q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
+    try:
+        q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
+    except InvalidSequenceError as exc:  # s outside (-1/2, 0], odd modes
+        raise ConfigError(str(exc))
     os.makedirs(cfg["out"], exist_ok=True)
     return q, s, weight, rng
 

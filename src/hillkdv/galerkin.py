@@ -1,12 +1,18 @@
 """Dense Galerkin reference spectra for the Hill operator.
 
 Periodic problem: (2K+1)x(2K+1) matrix M[k,l] = (k pi)^2 delta_{kl} + q_{k-l}
-over k, l in {-K..K}.  Dirichlet problem on [0,1]: KxK sine-basis matrix
+over k, l in {-K..K}.  A 1-periodic q has no odd modes, so M couples k and l
+only when k - l is even and splits into two parity blocks: the even-k block
+is the periodic problem on [0,1], the odd-k block the antiperiodic one.  Both
+are the Toeplitz matrix q_{2(i-j)} of the even coefficients plus their own
+diagonal (k pi)^2, and the solvers work on the blocks, never on M.
+Dirichlet problem on [0,1]: KxK sine-basis matrix
 D[m,n] = (m pi)^2 delta_{mn} + (q^cos_{m-n} - q^cos_{m+n}) over m, n >= 1,
 obtained by folding the ZZ-indexed expansion with the antisymmetry
-f^sin_{-n} = -f^sin_n.  These solvers are the oracle for the reduction
-module; truncation trust is certified conservatively.  The Riesz projector
-onto the pair lambda_n^+- is the spectral (Schur) projector of M.
+f^sin_{-n} = -f^sin_n; the odd cosine pairings do not vanish, so D does not
+split.  These solvers are the oracle for the reduction module; truncation
+trust is certified conservatively.  The Riesz projector onto the pair
+lambda_n^+- is the spectral (Schur) projector of the block of n's parity.
 """
 
 from dataclasses import dataclass, field
@@ -93,16 +99,31 @@ def periodic_matrix(q, K):
     return M
 
 
+def _parity_block(q, K, parity):
+    """(ks, B): the block of M on the k in [-K, K] of the given parity, the
+    Toeplitz matrix q_{2(i-j)} plus the diagonal (k pi)^2."""
+    ks = np.arange(-K + (K + parity) % 2, K + 1, 2)
+    m, H = ks.size, q.half_range
+    d = min(m - 1, H // 2)
+    c = np.zeros(2 * m - 1, dtype=complex)  # q_{2j} at j + m - 1, |j| < m
+    c[m - 1 - d:m + d] = q.seq.coeffs[H - 2 * d:H + 2 * d + 1:2]
+    B = scipy.linalg.toeplitz(c[m - 1:], c[m - 1::-1])
+    B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
+    return ks, B
+
+
 def periodic_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
-    M = periodic_matrix(q, K)
-    # scipy's OpenBLAS, as in riesz_projector: one thread pool for all solves
-    if q.is_real():
-        vals = scipy.linalg.eigvalsh(M, driver="evd").astype(complex)
-    else:
-        vals = scipy.linalg.eigvals(M)
-    vals = _lex_sort(vals, tie_scale=K * K * PI2)
+    vals = []
+    for parity in (0, 1):
+        B = _parity_block(q, K, parity)[1]
+        # scipy's OpenBLAS, as in riesz_projector: one thread pool for all solves
+        if q.is_real():
+            vals.append(scipy.linalg.eigvalsh(B, driver="evd", overwrite_a=True))
+        else:
+            vals.append(scipy.linalg.eigvals(B, overwrite_a=True))
+    vals = _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
     return SpectrumResult(periodic=vals, K=K, trust=trust_count(K))
 
 
@@ -150,15 +171,21 @@ def riesz_projector(q, n, K):
     """Riesz projector (1/2 pi i) oint (lambda - M)^{-1} d lambda of the periodic
     matrix M over |lambda - n^2 pi^2| = n, which must separate {lambda_n^+-}.
 
-    Closed form from one sorted complex Schur form M = Z [[A, C], [0, B]] Z^H
-    with the enclosed pair in A: P = Z_1 (Z_1^H + X Z_2^H), A X - X B = C.
+    The pair lies in the parity block B of n's parity: R is the projector of
+    B, with exact zeros outside that block.  The contour is checked on B
+    alone; by Gershgorin the other block's eigenvalues stay outside it when
+    ||q||_l1 < (2n-1) pi^2 - n.
+
+    Closed form from one sorted complex Schur form B = Z [[A, C], [0, D]] Z^H
+    with the enclosed pair in A: P = Z_1 (Z_1^H + X Z_2^H), A X - X D = C.
     Exact also when the pair is a Jordan block.
     """
-    M = periodic_matrix(q, K)
+    ks, B = _parity_block(q, K, n % 2)
     center = n * n * PI2
     try:
         T, Z, inside = scipy.linalg.schur(
-            M, output="complex", sort=lambda lam: abs(lam - center) < n)
+            B, output="complex", sort=lambda lam: abs(lam - center) < n,
+            overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SeparationError("Schur reordering around n=%d failed: %s" % (n, exc))
     dist = np.abs(np.abs(np.diag(T) - center) - n)
@@ -167,8 +194,8 @@ def riesz_projector(q, n, K):
     if inside != 2:
         raise SeparationError(
             "contour around n=%d encloses %d eigenvalues, expected 2" % (n, inside))
-    # the contour check keeps the spectra of A and B >= 2e-6 n apart, far
-    # above ztrsyl's perturbation threshold eps ||M||, so its info is 0
+    # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
+    # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
     X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:], T[:2, 2:],
                                              isgn=-1)
     Z1 = Z[:, :2]
@@ -177,7 +204,8 @@ def riesz_projector(q, n, K):
     # cores with scipy's, still spinning after the call
     zgemm = scipy.linalg.blas.zgemm
     W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
-    R = zgemm(1.0, Z1, W)
+    R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    R[ks[0] + K::2, ks[0] + K::2] = zgemm(1.0, Z1, W)
     # R^2 - R = Z_1 (W Z_1 - I) W, and Z_1 has orthonormal columns
     defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
     return R, {"quad_points": 0, "idempotency_defect": float(defect),

@@ -207,12 +207,22 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "zero", "--K", "8"],
     ["--potential", "power-law:nmax=-1"],
     ["--potential", "random:nmax=0"],
+    ["--potential", "random:nmax=abc"],
+    ["--potential", "single-mode:c=x"],
+    ["--potential", "zero", "--s", "0.3"],
+    ["--potential", "zero", "--weight", "poly:a=x"],
+    ["--potential", "file:ODD"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, flags):
-    # a potential file holding {}, K below 16, a negative and a zero nmax
+    # a potential file holding {}, K below 16, a negative and a zero nmax,
+    # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
+    # with odd modes
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    flags = [f.replace("EMPTY", str(empty)) for f in flags]
+    odd = tmp_path / "odd.json"
+    odd.write_text('{"half_range": 2, "coeffs": [[1, 0.1, 0], [-1, 0.1, 0]]}')
+    flags = [f.replace("EMPTY", str(empty)).replace("ODD", str(odd))
+             for f in flags]
     rc = main(["spectrum"] + flags + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")

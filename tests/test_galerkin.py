@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -15,7 +16,7 @@ from hillkdv.sequences import Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     gaps_and_midpoints, riesz_projector, free_projector, op_norm_2_to_inf,
-    periodic_matrix, verify_decay, SeparationError,
+    periodic_matrix, verify_decay, SeparationError, _lex_sort,
 )
 
 PI2 = math.pi ** 2
@@ -181,14 +182,22 @@ def test_riesz_jordan_pair_matches_quadrature(c, n):
     assert abs(rep["trace"] - 2.0) <= 1e-12
 
 
+def off_block(n, K):
+    """Entries of a (2K+1)x(2K+1) matrix outside the block of n's parity."""
+    other = (np.arange(-K, K + 1) - n) % 2 == 1
+    return other[:, None] | other[None, :]
+
+
 def test_riesz_criterion12_potential_matches_quadrature():
-    # the lacunary potential of acceptance criterion 12
+    # the lacunary potential of acceptance criterion 12; its pairs are well
+    # separated, so 64 trapezoid nodes already meet the tolerance
     ns = (8, 12, 16, 24, 32, 48, 64)
     pairs = [(s * (n - 1), 0.02 * (n - 1) ** 0.75) for n in ns for s in (1, -1)]
     q = Potential.from_even_pairs(pairs, n_max=64)
     for n in ns:
         R, _ = riesz_projector(q, n, 180)
-        assert np.max(np.abs(R - quadrature_projector(q, n, 180))) <= 1e-12
+        assert np.all(R[off_block(n, 180)] == 0)
+        assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12
 
 
 @st.composite
@@ -214,9 +223,28 @@ def test_riesz_property_random_small_potentials(q, n):
     K = 32
     R, rep = riesz_projector(q, n, K)
     M = periodic_matrix(q, K)
+    assert np.all(R[off_block(n, K)] == 0)
     assert np.max(np.abs(R - quadrature_projector(q, n, K))) <= 1e-10
     assert np.max(np.abs(R @ M - M @ R)) <= 1e-10 * np.max(np.abs(M))
     assert abs(rep["trace"] - 2.0) <= 1e-10
+
+
+@settings(deadline=None, max_examples=25)
+@given(q=small_potentials())
+def test_periodic_spectrum_matches_full_matrix(q):
+    # the parity blocks against one eigensolve of the full matrix; eigenvalue
+    # errors scale with the condition number kappa, which is 1 for real q
+    K = 32
+    M = periodic_matrix(q, K)
+    if q.is_real():
+        full, kappa = scipy.linalg.eigvalsh(M), 1.0
+    else:
+        full, left, right = scipy.linalg.eig(M, left=True, right=True)
+        kappa = np.max(1.0 / np.abs(np.sum(left.conj() * right, axis=0)))
+    full = _lex_sort(full.astype(complex), tie_scale=K * K * PI2)
+    vals = periodic_spectrum(q, K).periodic
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(vals - full)) <= 200 * eps * np.linalg.norm(M, 2) * kappa
 
 
 def test_riesz_free_case_equals_mode_projector():
