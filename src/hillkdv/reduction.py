@@ -21,10 +21,12 @@ lambda <- n^2 pi^2 + a_n(lambda) +- sqrt(b_n b_{-n})(lambda), are found by
 plain iteration; the argument principle on the disc's boundary reseeds the
 roots when that iteration does not contract.
 
-The Neumann iterates are SparseSeqs on their exact support: T_n maps a
-support S to the sumset (S minus {+-n}) + supp(q), and nothing is cut to a
-window, so K_n is only approximated where the series stops; neumann_K_n
-reports whether that met neumann_tol.
+The Neumann iterates live on their exact support: T_n maps a support S to
+the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
+is only approximated where the series stops; neumann_K_n reports whether that
+met neumann_tol.  They depend on n and supp(q) but not on lambda, so a
+support plan finds them once per n and start vector, and every lambda there
+reuses it: applying T_n is then a divide, an outer product and two bincounts.
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -36,9 +38,9 @@ import math
 import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
-    norm, shifted_norm
+    norm, shifted_norm, weight_factors
 from .operator import Potential, multiply, apply_A_inv_Q, in_strip, \
-    StripViolationError
+    StripViolationError, NearSingularError
 
 
 class ContractionFailureError(ArithmeticError):
@@ -230,24 +232,81 @@ def apply_T_n(ctx, n, lam, f):
     return multiply(ctx.q, apply_A_inv_Q(lam, n, f))
 
 
-def neumann_K_n(ctx, n, lam, f):
+class _SupportPlan:
+    """The lambda-free part of K_n f for one n and start f, each piece found
+    when first needed.  Per term l: the support S_l of T_n^l f, its mask keep
+    without +-n, (k pi)^2 on S_l[keep], the shifted-norm factors w(k+-n)
+    <k+-n>^s on S_l and the inverse index of supp(q) + S_l[keep] onto
+    S_{l+1}; per number of terms, the inverse index onto their union."""
+
+    def __init__(self, ctx, n, f):
+        self.n, self.f, self.q, self.ctx = n, f, ctx.q.support, ctx
+        self.levels, self.inv, self.unions = [self._level(f.ks())], [], {}
+
+    def _level(self, S):
+        keep = np.abs(S) != self.n
+        return (S, keep, (S[keep] * math.pi) ** 2, [weight_factors(
+            S + l, self.ctx.w, self.ctx.s) for l in (self.n, -self.n)])
+
+    def size(self, l, c):
+        """_shift_pair of the term with coefficients c on S_l."""
+        a = np.abs(c)
+        return max(float((g * a).max(initial=0.0)) for g in self.levels[l][3])
+
+    def apply(self, l, lam, c):
+        """The coefficients on S_{l+1} of T_n(lam) applied to those, c, on
+        S_l, as multiply(q, apply_A_inv_Q(lam, n, .)) gives them."""
+        S, keep, ksq, _ = self.levels[l]
+        if l == len(self.inv):
+            S_next, inv = np.unique(np.add.outer(self.q.idx, S[keep]).ravel(),
+                                    return_inverse=True)
+            self.inv.append(inv)
+            self.levels.append(self._level(S_next))
+        div = complex(lam) - ksq
+        if np.any(np.abs(div) < 1e-12):
+            raise NearSingularError("divisor |lambda - (k pi)^2| < 1e-12 "
+                                    "in T_%d" % self.n)
+        vals = np.multiply.outer(self.q.coeffs, c[keep] / div).ravel()
+        return SparseSeq.sums(self.inv[l], vals, self.levels[l + 1][0].size)
+
+    def total(self, parts):
+        """SparseSeq.total of the terms with coefficients parts on S_0, ..."""
+        L = len(parts)
+        if L not in self.unions:
+            self.unions[L] = np.unique(np.concatenate(
+                [lv[0] for lv in self.levels[:L]]), return_inverse=True)
+        union, inv = self.unions[L]
+        return SparseSeq(union, SparseSeq.sums(inv, np.concatenate(parts),
+                                               union.size))
+
+
+def _plans(ctx, n):
+    """Support plans of the series started at V e_n and at V e_{-n}."""
+    return tuple(_SupportPlan(ctx, n, multiply(
+        ctx.q, SparseSeq.accumulate([k], [1.0]))) for k in (n, -n))
+
+
+def neumann_K_n(ctx, n, lam, f, plan=None):
     """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f, stopped when the latest
     term's shifted norm drops below neumann_tol * ||f||; a ratio > 0.9 three
     times in a row raises ContractionFailureError.  Returns (sum, terms_used,
     max_ratio, converged); converged is False when max_terms applications of
-    T_n left the tolerance unmet."""
+    T_n left the tolerance unmet.  plan is the support plan of (n, f), built
+    here if not given; callers that sum at many lambda reuse one.  Values
+    are those of multiply and apply_A_inv_Q, bit for bit."""
     if not in_strip(lam, n):
         raise StripViolationError("lambda outside S_n")
-    parts = [f]
-    term = f
-    base = _shift_pair(f, ctx, n)
-    prev = base
+    if plan is None:
+        plan = _SupportPlan(ctx, n, f)
+    parts = [f.coeffs]
+    term = f.coeffs
+    base = prev = plan.size(0, term)
     max_ratio = 0.0
     bad_streak = 0
     converged = False
-    for _ in range(ctx.max_terms):
-        term = apply_T_n(ctx, n, lam, term)
-        tn = _shift_pair(term, ctx, n)
+    for l in range(ctx.max_terms):
+        term = plan.apply(l, lam, term)
+        tn = plan.size(l + 1, term)
         if prev > 0:
             ratio = tn / prev
             max_ratio = max(max_ratio, ratio)
@@ -266,7 +325,7 @@ def neumann_K_n(ctx, n, lam, f):
             converged = True
             break
         prev = tn
-    return SparseSeq.total(parts), len(parts), max_ratio, converged
+    return plan.total(parts), len(parts), max_ratio, converged
 
 
 @dataclass
@@ -282,13 +341,13 @@ class CoeffResult:
     converged: bool    # both Neumann sums met neumann_tol
 
 
-def coefficients(ctx, n, lam):
+def coefficients(ctx, n, lam, plans=None):
     """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>,
-    b_{-n} = <K_n V e_n, e_{-n}> at the given lambda."""
-    ve_p = multiply(ctx.q, SparseSeq.accumulate([n], [1.0]))
-    ve_m = multiply(ctx.q, SparseSeq.accumulate([-n], [1.0]))
-    h_p, t1, r1, ok1 = neumann_K_n(ctx, n, lam, ve_p)
-    h_m, t2, r2, ok2 = neumann_K_n(ctx, n, lam, ve_m)
+    b_{-n} = <K_n V e_n, e_{-n}> at lambda, with the support plans of V e_n
+    and V e_{-n} (_plans) that callers share over lambda, or new ones."""
+    p, m = plans or _plans(ctx, n)
+    h_p, t1, r1, ok1 = neumann_K_n(ctx, n, lam, p.f, p)
+    h_m, t2, r2, ok2 = neumann_K_n(ctx, n, lam, m.f, m)
     return CoeffResult(n=n, lam=complex(lam),
                        a_n=h_p[n], a_n_alt=h_m[-n],
                        b_n=h_m[n], b_neg_n=h_p[-n],
@@ -360,7 +419,7 @@ def _sqrt_continuous(value, prev):
     return sq
 
 
-def _fixed_point(ctx, n, sign, evals, lam=None, sq=None, tol=1e-14):
+def _fixed_point(ctx, n, sign, plans, evals, lam=None, sq=None, tol=1e-14):
     """Iterate lambda <- n^2 pi^2 + a_n(lambda) + sign sqrt(b_n b_{-n})(lambda)
     from lam (default n^2 pi^2) until a step is below tol n^2 pi^2, and
     return the CoeffResult of the last iterate, the lambda that passed the
@@ -373,7 +432,7 @@ def _fixed_point(ctx, n, sign, evals, lam=None, sq=None, tol=1e-14):
     lam = complex(center) if lam is None else lam
     prev_step = math.inf
     for _ in range(80):
-        c = coefficients(ctx, n, lam)
+        c = coefficients(ctx, n, lam, plans)
         evals.append(c)
         new = center + c.a_n
         if sign:
@@ -389,15 +448,16 @@ def _fixed_point(ctx, n, sign, evals, lam=None, sq=None, tol=1e-14):
     raise RootError("fixed point did not converge at n=%d" % n)
 
 
-def alpha_fixed_point(ctx, n):
+def alpha_fixed_point(ctx, n, plans=None):
     """Fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), iterated from n^2 pi^2
     until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
-    return n * n * PI2 + _fixed_point(ctx, n, 0, [], tol=1e-10).a_n
+    plans = plans or _plans(ctx, n)
+    return n * n * PI2 + _fixed_point(ctx, n, 0, plans, [], tol=1e-10).a_n
 
 
-def _winding_roots(ctx, n, points=256):
+def _winding_roots(ctx, n, points=256, plans=None):
     """Argument-principle estimate on the circle |lambda - n^2 pi^2| = 4 sqrt(n):
     winding number must be 2; the two roots are recovered from the first two
     power sums of the logarithmic derivative.  Returns the two estimates and
@@ -406,7 +466,7 @@ def _winding_roots(ctx, n, points=256):
     rad = 4.0 * math.sqrt(n)
     theta = 2 * np.pi * (np.arange(points) + 0.5) / points
     lams = center + rad * np.exp(1j * theta)
-    coeffs = [coefficients(ctx, n, complex(l)) for l in lams]
+    coeffs = [coefficients(ctx, n, complex(l), plans) for l in lams]
     dets = np.array([det_B(ctx, n, c.lam, coeff=c) for c in coeffs])
     if np.any(dets == 0):
         raise LocalizationError("root on the contour of D_%d" % n)
@@ -432,7 +492,7 @@ def _winding_roots(ctx, n, points=256):
     return ((e1 + disc) / 2.0, (e1 - disc) / 2.0), coeffs
 
 
-def _xi_bound_check(ctx, n, grid_points=16):
+def _xi_bound_check(ctx, n, grid_points=16, plans=None):
     """sup over a grid of the disc D_n of |b_n b_{-n}|^{1/2} (times sqrt(6)
     bounds the root separation), and the CoeffResults on the grid."""
     center = n * n * PI2
@@ -440,7 +500,7 @@ def _xi_bound_check(ctx, n, grid_points=16):
     m = max(grid_points - 1, 1)
     pts = [center + rad * 0.7 * cmath.exp(1j * (2 * np.pi * j / m))
            for j in range(m)] + [complex(center)]
-    coeffs = [coefficients(ctx, n, lam) for lam in pts[:grid_points]]
+    coeffs = [coefficients(ctx, n, lam, plans) for lam in pts[:grid_points]]
     return max(abs(c.b_n * c.b_neg_n) ** 0.5 for c in coeffs), coeffs
 
 
@@ -462,15 +522,16 @@ def find_roots(ctx, n, xi_bound_grid=16):
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
     center = n * n * PI2
     evals = []
+    plans = _plans(ctx, n)
     try:
-        c0 = _fixed_point(ctx, n, 0, evals, tol=1e-10)
+        c0 = _fixed_point(ctx, n, 0, plans, evals, tol=1e-10)
         alpha = center + c0.a_n
     except RootError:
         c0, alpha = evals[0], complex(center)
     rad = 4.0 * math.sqrt(n) + 1e-6 * center
 
     def roots(seeds):
-        found = [_fixed_point(ctx, n, sign, evals, lam, sq)
+        found = [_fixed_point(ctx, n, sign, plans, evals, lam, sq)
                  for sign, lam, sq in seeds]
         if any(abs(c.lam - center) > rad for c in found):
             raise RootError("root left D_%d" % n)
@@ -482,7 +543,7 @@ def find_roots(ctx, n, xi_bound_grid=16):
         c1, c2 = roots([(+1, alpha + sq0, sq0), (-1, alpha - sq0, sq0)])
     except (RootError, ContractionFailureError):
         method = "winding"
-        estimates, contour = _winding_roots(ctx, n)
+        estimates, contour = _winding_roots(ctx, n, plans=plans)
         evals += contour
         # the + map on the branch of sqrt(b_n b_{-n}) nearest xi - alpha_n
         # is the one that fixes the root near the estimate xi
@@ -495,7 +556,7 @@ def find_roots(ctx, n, xi_bound_grid=16):
         gap = 0.0
     xb = None
     if xi_bound_grid:
-        sup, grid = _xi_bound_check(ctx, n, xi_bound_grid)
+        sup, grid = _xi_bound_check(ctx, n, xi_bound_grid, plans)
         evals += grid
         xb = {"sup_sqrt_bb": sup, "bound": math.sqrt(6.0) * sup,
               "separation": abs(xi1 - xi2),
@@ -526,8 +587,9 @@ def adapted_coefficients(ctx, n_max=None):
     low = np.abs(qs.idx) < 2 * M
     r[qs.idx[low] + K] = qs.coeffs[low]
     for k in range(M, n_max + 1):
-        alpha = alpha_fixed_point(ctx, k)
-        c = coefficients(ctx, k, alpha)
+        plans = _plans(ctx, k)
+        alpha = alpha_fixed_point(ctx, k, plans)
+        c = coefficients(ctx, k, alpha, plans)
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
     return FourierSeq(r, zero_mean=True, one_periodic=True)

@@ -282,10 +282,14 @@ class SparseSeq:
         """sum_j vals_j e_{idx_j}, equal indices summed in the order given."""
         support, inv = np.unique(np.asarray(idx, dtype=np.int64),
                                  return_inverse=True)
+        return SparseSeq(support, SparseSeq.sums(inv, vals, support.size))
+
+    @staticmethod
+    def sums(inv, vals, m):
+        """m sums of vals_j over equal positions inv_j, in the order given."""
         vals = np.asarray(vals, dtype=complex)
-        re = np.bincount(inv, weights=vals.real, minlength=support.size)
-        im = np.bincount(inv, weights=vals.imag, minlength=support.size)
-        return SparseSeq(support, re + 1j * im)
+        return (np.bincount(inv, weights=vals.real, minlength=m)
+                + 1j * np.bincount(inv, weights=vals.imag, minlength=m))
 
     @staticmethod
     def total(seqs):
@@ -303,11 +307,14 @@ def _ordered_indices(K):
     return ks + K
 
 
+def weight_factors(ks, w, s):
+    """Array w(k) <k>^s at the indices ks."""
+    return (np.ones(ks.size) if w is None else w(ks)) * bracket(ks) ** s
+
+
 def weight_profile(f, w, s, shift=0):
     """Array w(k+shift) <k+shift>^s |f_k| in ascending-k order."""
-    ks = f.ks() + shift
-    wv = np.ones(ks.size) if w is None else w(ks)
-    return wv * bracket(ks) ** s * np.abs(f.coeffs)
+    return weight_factors(f.ks() + shift, w, s) * np.abs(f.coeffs)
 
 
 def norm(f, w, s, p):

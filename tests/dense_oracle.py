@@ -1,21 +1,24 @@
-"""Dense references for the sparse reduction kernel and the contraction
-constants.
+"""Dense and term-by-term references for the sparse reduction kernel and
+the contraction constants.
 
 The package applies V and sums the Neumann series on the exact support of
 each iterate.  This module redoes the same sums on FourierSeq arrays: a
 dense convolution (shift-and-add when one side has small support, FFT
 otherwise) and a Neumann series whose every term is cut to the window
 |k| <= K.  With a window wide enough to hold the iterates' mass, the two
-must agree to rounding.  contraction_sum evaluates the divisor sum behind
-c_s at one n from its own index array, where the package slices shared
-power tables for a whole grid of n.
+must agree to rounding.  sparse_neumann sums the series on SparseSeqs term
+by term, each support found afresh by multiply, where the package reuses
+one support plan for every lambda at n; the two must agree bit for bit.
+contraction_sum evaluates the divisor sum behind c_s at one n from its own
+index array, where the package slices shared power tables for a whole grid
+of n.
 """
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from hillkdv.sequences import FourierSeq, shifted_norm
-from hillkdv.operator import apply_A_inv_Q
+from hillkdv.sequences import FourierSeq, SparseSeq, shifted_norm
+from hillkdv.operator import apply_A_inv_Q, multiply
 
 _SPARSE_CONV_NNZ = 64
 
@@ -91,6 +94,47 @@ def dense_coefficients(ctx, n, lam, K=None):
     h_p, t1 = dense_neumann(ctx, n, lam, ve_p, K)
     h_m, t2 = dense_neumann(ctx, n, lam, ve_m, K)
     return h_p[n], h_m[n], h_p[-n], max(t1, t2)
+
+
+def sparse_neumann(ctx, n, lam, f):
+    """sum_l T_n^l f for a SparseSeq f, one multiply(q, apply_A_inv_Q(.))
+    per term, stopped by the rule of reduction.neumann_K_n (whose ratio
+    streak only raises, so it is left out).  Returns (sum, terms_used,
+    max_ratio, converged)."""
+    def size(g):
+        return max(shifted_norm(g, ctx.w, ctx.s, n),
+                   shifted_norm(g, ctx.w, ctx.s, -n))
+
+    parts = [f]
+    term = f
+    base = prev = size(f)
+    max_ratio = 0.0
+    converged = False
+    for _ in range(ctx.max_terms):
+        term = multiply(ctx.q, apply_A_inv_Q(lam, n, term))
+        tn = size(term)
+        if prev > 0:
+            max_ratio = max(max_ratio, tn / prev)
+        if tn == 0.0:
+            converged = True
+            break
+        parts.append(term)
+        if tn < ctx.neumann_tol * max(base, 1e-300):
+            converged = True
+            break
+        prev = tn
+    return SparseSeq.total(parts), len(parts), max_ratio, converged
+
+
+def sparse_coefficients(ctx, n, lam):
+    """The fields of reduction.coefficients from sparse_neumann."""
+    ve_p = multiply(ctx.q, SparseSeq.accumulate([n], [1.0]))
+    ve_m = multiply(ctx.q, SparseSeq.accumulate([-n], [1.0]))
+    h_p, t1, r1, ok1 = sparse_neumann(ctx, n, lam, ve_p)
+    h_m, t2, r2, ok2 = sparse_neumann(ctx, n, lam, ve_m)
+    return {"a_n": h_p[n], "a_n_alt": h_m[-n], "b_n": h_m[n],
+            "b_neg_n": h_p[-n], "terms_used": max(t1, t2),
+            "max_ratio": max(r1, r2), "converged": ok1 and ok2}
 
 
 def contraction_sum(n, alpha, J=None):

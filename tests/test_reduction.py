@@ -17,7 +17,7 @@ from hillkdv.galerkin import full_spectrum, periodic_matrix, \
     periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
-    make_context, ReductionContext, apply_T_n, neumann_K_n,
+    make_context, ReductionContext, apply_T_n, neumann_K_n, _plans,
     coefficients, det_B, sample_T_norm, alpha_fixed_point, find_roots,
     adapted_coefficients, gap_sandwich, kernel_vector,
     eigenfunction_reconstruct,
@@ -25,7 +25,8 @@ from hillkdv.reduction import (
     _contraction_sums, _n_grid,
 )
 
-from dense_oracle import contraction_sum, dense_coefficients
+from dense_oracle import contraction_sum, dense_coefficients, \
+    sparse_coefficients
 
 PI2 = math.pi ** 2
 
@@ -362,6 +363,114 @@ def test_sparse_kernel_property_random_small_potentials(
     def size(g):
         return max(shifted_norm(g, None, 0.0, n), shifted_norm(g, None, 0.0, -n))
     assert size(resid) <= ctx.neumann_tol * size(f)
+
+
+@st.composite
+def small_potentials(draw):
+    """Random real or complex potentials with 1 <= n_max <= 4 and
+    |q_2k| <= 0.1, as in the sparse-kernel property test."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_max = draw(st.integers(1, 4))
+    sup = draw(st.floats(1e-3, 0.1))
+    if draw(st.booleans()):
+        return Potential.random_real(rng, n_max, sup=sup)
+    ks = [k for k in range(-n_max, n_max + 1) if k != 0]
+    vals = sup * rng.uniform(0.3, 1.0, len(ks)) \
+        * np.exp(2j * np.pi * rng.uniform(size=len(ks)))
+    return Potential.from_even_pairs(zip(ks, vals), n_max=n_max, real=False)
+
+
+def assert_same_bits(got, want):
+    """Every field of the term-by-term oracle equals the CoeffResult's, to
+    the bit: repr round-trips floats exactly and shows the sign of zero."""
+    for field, value in want.items():
+        assert getattr(got, field) == value, field
+        assert repr(getattr(got, field)) == repr(value), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=small_potentials(), n=st.integers(1, 6),
+       re_frac=st.floats(-1.0, 1.0), im_frac=st.floats(-1.0, 1.0))
+def test_plan_kernel_bit_equal_to_term_by_term_loop(q, n, re_frac, im_frac):
+    # the support plan changes where the supports come from, not one value
+    ctx = make_context(q)
+    lam = n * n * PI2 + 12.0 * n * re_frac + 1j * n * im_frac
+    assert_same_bits(coefficients(ctx, n, lam),
+                     sparse_coefficients(ctx, n, lam))
+
+
+def test_plan_kernel_bit_equal_on_criterion_2_modes():
+    # the criterion-2 potential at n_s .. n_s+20, with plans shared over
+    # the lambda of each n as find_roots shares them
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    for n in range(ctx.n_s, ctx.n_s + 21):
+        plans = _plans(ctx, n)
+        for d in (0.3 + 0.1j, -11.0 * n, 9.0 * n - 2.0j, 0.0):
+            lam = n * n * PI2 + d
+            assert_same_bits(coefficients(ctx, n, lam, plans),
+                             sparse_coefficients(ctx, n, lam))
+
+
+def test_plan_reuse_is_call_order_independent():
+    # lambda_2 needs a term more than lambda_1, so the shared plans grow
+    # between the two evaluations at lambda_1; each result is still the
+    # one a fresh call gives
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    n = 2
+    lam1 = n * n * PI2 + 0.3 + 0.1j
+    lam2 = n * n * PI2 - 11.9 * n + 0.1j
+    plans = _plans(ctx, n)
+    got = [coefficients(ctx, n, lam, plans) for lam in (lam1, lam2, lam1)]
+    fresh = [coefficients(ctx, n, lam) for lam in (lam1, lam2, lam1)]
+    assert got[1].terms_used > got[0].terms_used
+    for g, f in zip(got, fresh):
+        assert g == f
+        assert repr(g) == repr(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=small_potentials(), offset=st.integers(0, 4))
+def test_find_roots_property_random_small_potentials(q, offset):
+    # both reduced roots, with the xi-bound grid on the shared plans, match
+    # the dense periodic spectrum at criterion 2's tolerance
+    ctx = make_context(q)
+    n = ctx.n_s + offset
+    spec = periodic_spectrum(q, 48)
+    res = find_roots(ctx, n)
+    assert res.converged
+    order = (lambda z: (z.real, z.imag))
+    got = sorted([res.xi_1, res.xi_2], key=order)
+    want = sorted([spec.lam_minus(n), spec.lam_plus(n)], key=order)
+    tol = 1e-6 * n * n * PI2
+    assert abs(got[0] - want[0]) <= tol
+    assert abs(got[1] - want[1]) <= tol
+
+
+def test_fixed_point_stop_at_high_mode():
+    # at n = M_ms + 1 = 832962 the stop test |step| < 1e-14 n^2 pi^2 (0.068)
+    # is wider than the gap (0.02); one more step of each root's map still
+    # moves it by at most 4 ulp(n^2 pi^2), a fifth of the gap: the roots are
+    # fixed points to the last place (the verify sandwich construction)
+    base = Potential.random_real(np.random.default_rng(0), 8, sup=0.05)
+    M = make_context(base).M_ms
+    n = M + 1
+    pairs = [(k, base.coeff(2 * k)) for k in range(-8, 9) if k != 0]
+    pairs += [(n, 0.01), (-n, 0.01)]
+    ctx = make_context(Potential.from_even_pairs(pairs, n_max=n))
+    assert ctx.M_ms == M
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    center = n * n * PI2
+    ulp4 = 4 * math.ulp(center)
+    gap = abs(res.xi_2 - res.xi_1)
+    assert res.method == "fixed-point"
+    assert 1e-14 * center > gap > 4 * ulp4
+    for xi in (res.xi_1, res.xi_2):
+        c = coefficients(ctx, n, xi)
+        sq = cmath.sqrt(c.b_n * c.b_neg_n)
+        step = min(abs(center + c.a_n + sign * sq - xi) for sign in (1, -1))
+        assert step <= ulp4
 
 
 # ---------------------------------------------------------------------------
