@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .sequences import FourierSeq, Weight, norm, bracket, InvalidSequenceError
+from .sequences import FourierSeq, Weight, WeightError, cap_weight, bracket, \
+    InvalidSequenceError
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
     verify_decay
@@ -29,8 +30,7 @@ from .reduction import make_context, find_roots, gap_sandwich, \
     adapted_coefficients, ThresholdError
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
     flow as birkhoff_flow, torus_membership
-from .pde import PDEState, evolve_kdv, evolve_airy, conserved, \
-    isospectral_check, potential_to_pde_state
+from .pde import evolve_airy, isospectral_check, potential_to_pde_state
 
 
 class ConfigError(ValueError):
@@ -57,14 +57,16 @@ def parse_weight(spec):
     if spec in (None, "", "trivial"):
         return None
     name, _, body = spec.partition(":")
-    if name == "poly":
-        kv = parse_kv(body, {"a", "cap"}, "weight")
+    if name != "poly":
+        raise ConfigError("unknown weight spec %r" % spec)
+    kv = parse_kv(body, {"a", "cap"}, "weight")
+    try:
         w = Weight.polynomial(get_float(kv, "a", 1.0))
         if "cap" in kv:
-            from .sequences import cap_weight
             w = cap_weight(w, get_float(kv, "cap"))
-        return w
-    raise ConfigError("unknown weight spec %r" % spec)
+    except WeightError as exc:  # a < 0, cap <= 0, not submultiplicative
+        raise ConfigError(str(exc))
+    return w
 
 
 def _nmax(kv, default):
@@ -133,6 +135,9 @@ def load_config(args):
     cfg.setdefault("seed", "0")
     cfg.setdefault("s", "0.0")
     cfg.setdefault("k", "64")
+    for key in ("s", "t", "dt"):  # whether or not the subcommand reads them
+        if key in cfg:
+            get_float(cfg, key)
     return cfg
 
 
@@ -155,8 +160,15 @@ def _get(cfg, key, default, conv, kind):
         raise ConfigError("config field %r is not %s: %r" % (key, kind, cfg[key]))
 
 
+def _finite_float(text):
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(text)
+    return val
+
+
 def get_float(cfg, key, default=None):
-    return _get(cfg, key, default, float, "a number")
+    return _get(cfg, key, default, _finite_float, "a finite number")
 
 
 def get_int(cfg, key, default=None):
@@ -362,7 +374,8 @@ def _suite_airy(cfg, rng, out_dir=None):
     wfac = bracket(ns) ** s
     for t in ts:
         u1 = evolve_airy(u0, t)
-        d = np.array([abs(u1[n] - u0[n]) for n in ns])
+        diff = u1.coeffs[u0.index(ns)] - u0.coeffs[u0.index(ns)]
+        d = np.hypot(diff.real, diff.imag)  # abs(complex), bit for bit
         sup_curve.append(float(np.max(wfac * d)))
         comp_curve.append(float(d[0]))
     ok = all(v >= 0.1 for v in sup_curve) and comp_curve[0] < comp_curve[-1]

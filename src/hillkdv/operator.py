@@ -11,7 +11,7 @@ vanishes only for even q (q_{-m} = q_m).  Conversion to the [0,1] product:
 int_0^1 f conj(g) dx = <f, g> for 1-periodic f, g.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 import math
 
@@ -71,18 +71,17 @@ class Potential:
 
     @staticmethod
     def from_even_pairs(pairs, n_max=None, s=0.0, weight=None, real=None):
-        """pairs: iterable of (n, q_{2n}) with n != 0."""
-        pairs = [(int(n), complex(v)) for n, v in pairs]
+        """pairs: iterable of (n, q_{2n}) with n != 0; real defaults to
+        conjugate symmetry to 1e-14."""
+        pairs = [(int(n), v) for n, v in pairs]
         if any(n == 0 for n, _ in pairs):
             raise InvalidSequenceError("zero-mean potential: n = 0 not allowed")
         if n_max is None:
             n_max = max((abs(n) for n, _ in pairs), default=1)
-        c = {2 * n: v for n, v in pairs}
+        seq = FourierSeq.from_pairs([(2 * n, v) for n, v in pairs], K=2 * n_max)
         if real is None:
-            real = all(abs(np.conj(c.get(-k, 0)) - v) < 1e-14 for k, v in c.items())
-        seq = FourierSeq.from_pairs(c.items(), K=2 * n_max, real=real,
-                                    zero_mean=True, one_periodic=True)
-        return Potential(seq, s, weight)
+            real = seq.is_conj_symmetric(1e-14)
+        return Potential(replace(seq, real=real), s, weight)
 
     @staticmethod
     def single_mode(c, n_max=1, s=0.0, weight=None):

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .operator import Potential
+from .sequences import FourierSeq
 
 
 class InstabilityError(ArithmeticError):
@@ -26,79 +27,46 @@ class InstabilityError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class PDEState:
-    """Fourier coefficients u_hat[k], |k| <= K, stored with u_hat[i] holding
-    k = i - K; time t; real fields satisfy u_hat(-k) = conj(u_hat(k)) and
-    KdV preserves the zero mean exactly."""
-    u_hat: np.ndarray
+class PDEState(FourierSeq):
+    """KdV state at time t: coeffs[k + K] holds the coefficient of the mode
+    e^{2 pi i k x}, |k| <= K; real fields are conjugate symmetric and KdV
+    preserves the mean exactly."""
     t: float = 0.0
 
-    def __post_init__(self):
-        u = np.asarray(self.u_hat, dtype=complex)
-        if u.ndim != 1 or u.size % 2 == 0:
-            raise ValueError("u_hat must be 1-D with odd length")
-        object.__setattr__(self, "u_hat", u)
-
-    @property
-    def K(self):
-        return (self.u_hat.size - 1) // 2
-
-    def __getitem__(self, k):
-        K = self.K
-        if -K <= k <= K:
-            return complex(self.u_hat[k + K])
-        return 0j
-
-    def ks(self):
-        K = self.K
-        return np.arange(-K, K + 1)
-
-    def is_real_field(self, tol=1e-10):
-        return bool(np.max(np.abs(self.u_hat - np.conj(self.u_hat[::-1]))) <= tol)
-
-    @staticmethod
-    def from_modes(pairs, K=None, t=0.0):
-        pairs = [(int(k), complex(v)) for k, v in pairs]
-        if K is None:
-            K = max((abs(k) for k, _ in pairs), default=1)
-        u = np.zeros(2 * K + 1, dtype=complex)
-        for k, v in pairs:
-            u[k + K] = v
-        return PDEState(u, t=t)
-
-    @staticmethod
-    def cosine(a, k=1, K=32, t=0.0):
+    @classmethod
+    def cosine(cls, a, k=1, K=32, t=0.0):
         """u(x) = a cos(2 pi k x)."""
-        return PDEState.from_modes([(k, a / 2.0), (-k, a / 2.0)], K=K, t=t)
+        return cls.from_pairs([(k, a / 2.0), (-k, a / 2.0)], K=K, t=t)
 
 
 def potential_to_pde_state(q):
     """Spectral even mode 2k -> PDE mode k, identical coefficient."""
-    n_max = q.half_range // 2
-    K = max(n_max, 1)
-    u = np.zeros(2 * K + 1, dtype=complex)
-    u[K - n_max:K + n_max + 1] = q.seq.truncated(2 * n_max).coeffs[::2]
-    u[K] = 0.0
-    return PDEState(u)
+    K = max(q.half_range // 2, 1)
+    return PDEState(q.seq.truncated(2 * K).coeffs[::2])
 
 
 def pde_state_to_potential(u, s=0.0, weight=None):
-    """PDE mode k -> spectral even mode 2k."""
-    K = u.K
-    pairs = [(k, u[k]) for k in range(-K, K + 1) if k != 0 and u[k] != 0]
-    return Potential.from_even_pairs(pairs, n_max=K, s=s, weight=weight)
+    """PDE mode k -> spectral even mode 2k, on at least one mode pair; the
+    mean u_0 is dropped, and the potential is real if it is conjugate
+    symmetric to 1e-14."""
+    K = max(u.half_range, 1)
+    c = np.zeros(4 * K + 1, dtype=complex)
+    c[::2] = u.extended(K).coeffs
+    c[2 * K] = 0.0
+    seq = FourierSeq(c)
+    return Potential(replace(seq, real=seq.is_conj_symmetric(1e-14)), s=s,
+                     weight=weight)
 
 
 def _airy_symbol(ks):
-    # u_t = -u_xxx  =>  d/dt u_hat(k) = i (2 pi k)^3 u_hat(k)
+    # u_t = -u_xxx  =>  d/dt u_k = i (2 pi k)^3 u_k
     return 1j * (2.0 * math.pi * ks) ** 3
 
 
 def evolve_airy(u0, t):
-    """Exact per-mode phases u_hat(k) -> e^{i (2 pi k)^3 t} u_hat(k)."""
-    ks = u0.ks()
-    u = u0.u_hat * np.exp(_airy_symbol(ks) * t)
-    return PDEState(u, t=u0.t + t)
+    """Exact per-mode phases u_k -> e^{i (2 pi k)^3 t} u_k."""
+    u = u0.coeffs * np.exp(_airy_symbol(u0.ks()) * t)
+    return replace(u0, coeffs=u, t=u0.t + t)
 
 
 def default_dt(K, umax):
@@ -108,9 +76,10 @@ def default_dt(K, umax):
     return min(1e-3, 0.2 / speed)
 
 
-def _nonlinear(u_hat, ks, mask):
-    """N(u_hat) for 6 u u_x = 3 (u^2)_x, de-aliased by the 2/3 rule."""
-    v = np.where(mask, u_hat, 0.0)
+def _nonlinear(u, ks, mask):
+    """N(u) for 6 u u_x = 3 (u^2)_x on the coefficients u, de-aliased by the
+    2/3 rule."""
+    v = np.where(mask, u, 0.0)
     n = v.size
     grid = np.fft.ifft(np.fft.ifftshift(v)) * n
     w_hat = np.fft.fftshift(np.fft.fft(grid * grid)) / n
@@ -128,11 +97,11 @@ def evolve_kdv(u0, t_end, dt=None, blowup_factor=1e6):
     """
     if t_end == 0.0:
         return u0
-    K = u0.K
+    K = u0.half_range
     ks = u0.ks()
     if dt is None:
         n_grid = 2 * K + 1
-        umax = float(np.max(np.abs(np.fft.ifft(np.fft.ifftshift(u0.u_hat))
+        umax = float(np.max(np.abs(np.fft.ifft(np.fft.ifftshift(u0.coeffs))
                                    * n_grid)))
         dt = default_dt(K, umax)
     n_steps = max(1, int(math.ceil(abs(t_end) / dt - 1e-12)))
@@ -142,7 +111,7 @@ def evolve_kdv(u0, t_end, dt=None, blowup_factor=1e6):
     E2 = E * E
     cutoff = (2.0 * K) / 3.0
     mask = np.abs(ks) <= cutoff
-    u = u0.u_hat.copy()
+    u = u0.coeffs.copy()
     sup0 = max(float(np.max(np.abs(u))), 1e-300)
     for _ in range(n_steps):
         k1 = _nonlinear(u, ks, mask)
@@ -152,23 +121,23 @@ def evolve_kdv(u0, t_end, dt=None, blowup_factor=1e6):
         u = E2 * u + (h / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         if np.max(np.abs(u)) > blowup_factor * sup0:
             raise InstabilityError("coefficient growth exceeded blow-up factor")
-    return PDEState(u, t=u0.t + t_end)
+    return replace(u0, coeffs=u, t=u0.t + t_end)
 
 
 def conserved(u):
-    """(mean, L2, hamiltonian): mean = u_hat(0), L2 = sum |u_hat|^2 (equals
+    """(mean, L2, hamiltonian): mean = u_0, L2 = sum |u_k|^2 (equals
     the squared L^2([0,1]) norm by Parseval), H = int (1/2 u_x^2 + u^3) dx
     with the cubic term on an alias-free padded grid."""
-    K = u.K
+    K = u.half_range
     ks = u.ks()
     mean = u[0]
-    l2 = float(np.sum(np.abs(u.u_hat) ** 2))
-    quad = 0.5 * float(np.sum((2.0 * math.pi * ks) ** 2 * np.abs(u.u_hat) ** 2))
+    l2 = float(np.sum(np.abs(u.coeffs) ** 2))
+    quad = 0.5 * float(np.sum((2.0 * math.pi * ks) ** 2 * np.abs(u.coeffs) ** 2))
     # cubic term: evaluate on >= 3K+1 points so u^3 has no aliasing
     n_grid = 4 * K + 5
     pad = np.zeros(n_grid, dtype=complex)
-    pad[:K + 1] = u.u_hat[K:]
-    pad[n_grid - K:] = u.u_hat[:K]
+    pad[:K + 1] = u.coeffs[K:]
+    pad[n_grid - K:] = u.coeffs[:K]
     grid = np.fft.ifft(pad) * n_grid
     cubic = float(np.mean(grid ** 3).real)
     ham = quad + cubic
@@ -183,9 +152,8 @@ def isospectral_check(q0, t, K_spec, dt=None, K_pde=None):
     """
     from .galerkin import full_spectrum, gaps_and_midpoints
     state0 = potential_to_pde_state(q0)
-    if K_pde is not None and K_pde > state0.K:
-        pad = K_pde - state0.K
-        state0 = PDEState(np.pad(state0.u_hat, (pad, pad)), t=state0.t)
+    if K_pde is not None and K_pde > state0.half_range:
+        state0 = state0.extended(K_pde)
     state1 = evolve_kdv(state0, t, dt=dt)
     q1 = pde_state_to_potential(state1, s=q0.s, weight=q0.weight)
     spec0 = full_spectrum(q0, K_spec)

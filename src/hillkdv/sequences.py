@@ -127,7 +127,9 @@ class FourierSeq:
 
     The coefficient array is treated as immutable.  Flags record structural
     properties: real (f_{-k} = conj(f_k)), zero_mean (f_0 = 0) and
-    one_periodic (all odd-index coefficients vanish).
+    one_periodic (all odd-index coefficients vanish); validate() checks them.
+    Subclasses (the KdV state, the Birkhoff coordinates) add fields, and
+    extended / truncated keep them.
     """
     coeffs: np.ndarray
     real: bool = False
@@ -157,6 +159,11 @@ class FourierSeq:
         K = self.half_range
         return np.arange(-K, K + 1)
 
+    def is_conj_symmetric(self, tol=1e-12):
+        """|f_{-k} - conj(f_k)| <= tol for every k; NaN never is."""
+        c = self.coeffs
+        return bool(np.all(np.abs(c - np.conj(c[::-1])) <= tol))
+
     def validate(self, tol=1e-12):
         K = self.half_range
         if self.zero_mean and self.coeffs[K] != 0:
@@ -165,29 +172,35 @@ class FourierSeq:
             odd = self.coeffs[(self.ks() % 2) != 0]
             if np.any(odd != 0):
                 raise InvalidSequenceError("one_periodic set but odd modes present")
-        if self.real:
-            if np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) > tol:
-                raise InvalidSequenceError("real set but f_{-k} != conj(f_k)")
+        if self.real and not self.is_conj_symmetric(tol):
+            raise InvalidSequenceError("real set but f_{-k} != conj(f_k)")
         return True
 
     def nonzero_ks(self):
         K = self.half_range
         return np.flatnonzero(self.coeffs) - K
 
-    @staticmethod
-    def zeros(K, **flags):
-        return FourierSeq(np.zeros(2 * K + 1, dtype=complex), **flags)
+    @classmethod
+    def zeros(cls, K, **fields):
+        return cls(np.zeros(2 * K + 1, dtype=complex), **fields)
 
-    @staticmethod
-    def from_pairs(pairs, K=None, **flags):
-        """Build from (k, value) pairs."""
-        pairs = list(pairs)
+    @classmethod
+    def from_pairs(cls, pairs, K=None, **fields):
+        """Build from (k, value) pairs, a later pair overwriting an earlier
+        one at the same k, and validate the flags.  K defaults to max |k|;
+        an index outside -K..K raises InvalidSequenceError."""
+        pairs = [(int(k), v) for k, v in pairs]
         if K is None:
-            K = max((abs(int(k)) for k, _ in pairs), default=0)
+            K = max((abs(k) for k, _ in pairs), default=0)
+        if K < 0 or any(abs(k) > K for k, _ in pairs):
+            raise InvalidSequenceError("coefficient index outside the half "
+                                       "range %d" % K)
         c = np.zeros(2 * K + 1, dtype=complex)
         for k, v in pairs:
-            c[int(k) + K] = v
-        return FourierSeq(c, **flags)
+            c[k + K] = v
+        f = cls(c, **fields)
+        f.validate()
+        return f
 
     def extended(self, K_new):
         """Same sequence in a larger (or equal) half range."""
@@ -195,17 +208,13 @@ class FourierSeq:
         if K_new < K:
             raise InvalidSequenceError("use truncated() to shrink")
         pad = K_new - K
-        c = np.pad(self.coeffs, (pad, pad))
-        return FourierSeq(c, real=self.real, zero_mean=self.zero_mean,
-                          one_periodic=self.one_periodic)
+        return replace(self, coeffs=np.pad(self.coeffs, (pad, pad)))
 
     def truncated(self, K_new):
         K = self.half_range
         if K_new >= K:
             return self.extended(K_new)
-        c = self.coeffs[K - K_new:K + K_new + 1].copy()
-        return FourierSeq(c, real=self.real, zero_mean=self.zero_mean,
-                          one_periodic=self.one_periodic)
+        return replace(self, coeffs=self.coeffs[K - K_new:K + K_new + 1].copy())
 
     def to_json_obj(self):
         ks = self.nonzero_ks()
@@ -229,15 +238,10 @@ class FourierSeq:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSequenceError("malformed sequence JSON: %s: %s"
                                        % (type(exc).__name__, exc))
-        if K < 0 or any(abs(k) > K for k, _ in pairs):
-            raise InvalidSequenceError("coefficient index outside the half "
-                                       "range %d" % K)
-        c = np.zeros(2 * K + 1, dtype=complex)
-        for k, v in pairs:
-            c[k + K] = v
-        return FourierSeq(c, real=bool(obj.get("real", False)),
-                          zero_mean=bool(obj.get("zero_mean", False)),
-                          one_periodic=bool(obj.get("one_periodic", False)))
+        return FourierSeq.from_pairs(
+            pairs, K=K, real=bool(obj.get("real", False)),
+            zero_mean=bool(obj.get("zero_mean", False)),
+            one_periodic=bool(obj.get("one_periodic", False)))
 
     @staticmethod
     def from_json(text):
@@ -342,10 +346,8 @@ def tail(f, N):
     if N < 1:
         raise ValueError("N must be >= 1")
     c = f.coeffs.copy()
-    ks = f.ks()
-    c[np.abs(ks) < N] = 0
-    return FourierSeq(c, real=f.real, zero_mean=True,
-                      one_periodic=f.one_periodic)
+    c[np.abs(f.ks()) < N] = 0
+    return replace(f, coeffs=c, zero_mean=True)
 
 
 def hilbert_sum(n, sigma, cutoff=1_000_000):

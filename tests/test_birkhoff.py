@@ -36,7 +36,7 @@ def test_state_indexing_and_zero_mode():
 def test_real_state_actions_nonnegative():
     rng = np.random.default_rng(3)
     st = random_real_state(rng, 8)
-    assert st.is_real_state()
+    assert st.is_conj_symmetric(tol=1e-10)
     I = st.actions()
     assert np.max(np.abs(I.imag)) < 1e-14
     assert np.all(I.real >= 0)
@@ -98,6 +98,18 @@ def test_linearized_roundtrip():
         assert back.coeff(k) == pytest.approx(q.coeff(k), abs=1e-13)
 
 
+def test_inverse_linearized_matches_pair_loop():
+    # oracle: the mode-by-mode construction the elementwise product replaced
+    rng = np.random.default_rng(37)
+    st = BirkhoffState(rng.normal(size=13) + 1j * rng.normal(size=13))
+    pairs = [(n, st[n] * math.sqrt(2.0 * math.pi * abs(n)))
+             for n in range(-6, 7) if n != 0]
+    want = Potential.from_even_pairs(pairs, n_max=6)
+    got = inverse_linearized_birkhoff(st)
+    np.testing.assert_array_equal(got.seq.coeffs, want.seq.coeffs)
+    assert got.is_real() == want.is_real()
+
+
 # ---------------------------------------------------------------------------
 # free flow
 # ---------------------------------------------------------------------------
@@ -110,8 +122,8 @@ def test_flow_group_law():
     # phases omega_n t with omega_16 ~ 1e6 carry ~omega * eps rounding noise
     om_max = (2 * 16 * math.pi) ** 3
     tol = max(1e-12, 10 * om_max * np.finfo(float).eps
-              * float(np.max(np.abs(st.z))))
-    assert np.max(np.abs(a.z - b.z)) < tol
+              * float(np.max(np.abs(st.coeffs))))
+    assert np.max(np.abs(a.coeffs - b.coeffs)) < tol
 
 
 def test_flow_preserves_actions_exactly():
@@ -125,17 +137,17 @@ def test_flow_preserves_actions_exactly():
 def test_flow_keeps_real_states_real():
     rng = np.random.default_rng(23)
     st = random_real_state(rng, 10)
-    assert flow(st, 0.02).is_real_state(tol=1e-10)
+    assert flow(st, 0.02).is_conj_symmetric(tol=1e-10)
 
 
 def test_flow_identity_at_zero_time():
     rng = np.random.default_rng(29)
     st = random_real_state(rng, 6)
-    np.testing.assert_allclose(flow(st, 0.0).z, st.z, atol=0)
+    np.testing.assert_allclose(flow(st, 0.0).coeffs, st.coeffs, atol=0)
 
 
 def test_flow_phase_rate_matches_frequency():
-    st = BirkhoffState.from_pairs([(1, 0.3), (-1, 0.3)], N=2)
+    st = BirkhoffState.from_pairs([(1, 0.3), (-1, 0.3)], K=2)
     t = 1e-3
     out = flow(st, t)
     om = frequencies(np.array([0.09, 0.0]))[0]
@@ -159,11 +171,42 @@ def test_torus_membership_rejects_amplitude_change():
     assert not torus_membership(st, other, tol=0.1)
 
 
+def test_torus_membership_matches_mode_loop():
+    # oracle: the mode-by-mode test the array comparison replaced, on
+    # amplitudes near the tolerance and on unequal half ranges
+    def loop(z_ref, z_test, tol):
+        N = max(z_ref.half_range, z_test.half_range)
+        return all(abs(abs(z_ref[k]) - abs(z_test[k]))
+                   <= tol * max(1.0, abs(z_ref[k])) for k in range(-N, N + 1))
+
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        ref = random_real_state(rng, 4)
+        test = BirkhoffState(ref.extended(int(rng.integers(4, 6))).coeffs
+                             * (1.0 + rng.normal(scale=1e-3)))
+        tol = float(rng.uniform(0.0, 2e-3))
+        assert torus_membership(ref, test, tol) == loop(ref, test, tol)
+        assert torus_membership(test, ref, tol) == loop(test, ref, tol)
+
+
+def test_torus_membership_rejects_nan():
+    # every comparison with NaN is false, so a loop that returned False only
+    # on ">" let NaN amplitudes through
+    st = BirkhoffState.from_pairs([(1, 1.0), (-1, 1.0)])
+    nan = BirkhoffState(np.array([np.nan, 0.0, np.nan]))
+    assert not torus_membership(st, nan, tol=0.1)
+    assert not torus_membership(nan, st, tol=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = flow(st, 1e308)  # omega t overflows, the phase is NaN
+    assert np.isnan(far[1])
+    assert not torus_membership(st, far, tol=1e-12)
+
+
 def test_sign_flip_escapes_torus_in_the_limit():
     # z^{(j)} with the mass moving to ever-higher modes: all norms equal,
     # componentwise limit is 0, but no member lies on the torus of the limit
-    limit = BirkhoffState.from_pairs([], N=1)
-    family = [BirkhoffState.from_pairs([(j, 1.0), (-j, 1.0)], N=j + 1)
+    limit = BirkhoffState.from_pairs([], K=1)
+    family = [BirkhoffState.from_pairs([(j, 1.0), (-j, 1.0)], K=j + 1)
               for j in range(1, 9)]
     for st in family:
         assert not torus_membership(limit, st, tol=0.5)

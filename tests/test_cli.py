@@ -5,7 +5,9 @@ import csv
 import json
 import math
 import os
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from hillkdv.cli import main
@@ -142,6 +144,18 @@ def test_flow_action_invariance(tmp_path):
     assert float(rows[2][3]) == pytest.approx(float(rows[2][4]), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_nan_phase_fails_torus_test(tmp_path):
+    # omega_n t overflows at t = 1e308, so every flowed mode is NaN and the
+    # flowed state is not on the torus of the initial one
+    out = str(tmp_path / "o")
+    rc = main(["flow", "--potential", "single-mode:c=0.05", "--K", "16",
+               "--t", "1e308", "--out", out])
+    assert rc == 1
+    assert read_json(os.path.join(out, "flow.json"))["action_invariance"] \
+        is False
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -212,11 +226,16 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "zero", "--s", "0.3"],
     ["--potential", "zero", "--weight", "poly:a=x"],
     ["--potential", "file:ODD"],
+    ["--potential", "single-mode:c=nan"],
+    ["--potential", "zero", "--weight", "poly:a=nan"],
+    ["--potential", "zero", "--weight", "poly:a=-1"],
+    ["--potential", "zero", "--t", "inf"],
 ])
 def test_bad_config_exit_2(tmp_path, capsys, flags):
     # a potential file holding {}, K below 16, a negative and a zero nmax,
     # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
-    # with odd modes
+    # with odd modes, a NaN c and weight exponent, a negative weight
+    # exponent, an infinite time
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     odd = tmp_path / "odd.json"
@@ -250,3 +269,60 @@ def test_potential_file_roundtrip(tmp_path):
     assert rc == 0
     rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert float(rows[2][5]) == pytest.approx(0.1, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any command line gives an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+def _mostly(valid, bad):
+    """valid in about three draws of four, bad in the rest."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else valid)
+
+
+_JUNK = st.text(max_size=12)
+# numbers a user may type: ordinary, negative, huge and tiny, or not a
+# finite number at all
+_NUMBER = _mostly(
+    st.one_of(st.floats(-2.0, 2.0).map(repr),
+              st.sampled_from(["-1", "0", "1e308", "-1e308", "5e-324"])),
+    st.one_of(st.sampled_from(["nan", "inf", "-inf", "x", ""]), _JUNK))
+_NMAX = _mostly(st.integers(1, 8).map(str),
+                st.sampled_from(["0", "-2", "nan", "1e308", "x", ""]))
+
+
+def _spec(name, fields):
+    """name:key=value,... over the given fields, in the CLI grammar."""
+    pairs = st.lists(st.sampled_from(sorted(fields)).flatmap(
+        lambda k: st.tuples(st.just(k), fields[k])), max_size=3)
+    return pairs.map(lambda kv: name + (":" + ",".join("%s=%s" % p for p in kv)
+                                        if kv else ""))
+
+
+_POTENTIAL = _mostly(
+    st.one_of(
+        _spec("zero", {"nmax": _NMAX}),
+        _spec("single-mode", {"c": _NUMBER, "nmax": _NMAX}),
+        _spec("power-law", {"a": _NUMBER, "e": _NUMBER, "nmax": _NMAX,
+                            "phases": st.sampled_from(["0", "1", "true"])}),
+        _spec("random", {"sup": _NUMBER, "nmax": _NMAX, "decay": _NUMBER})),
+    st.one_of(_JUNK.map(lambda j: "file:" + j), _JUNK))
+_WEIGHT = _mostly(st.just("trivial"),
+                  _mostly(_spec("poly", {"a": _NUMBER, "cap": _NUMBER}),
+                          _JUNK))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["spectrum", "reduce", "flow"]),
+       potential=_POTENTIAL, weight=_WEIGHT,
+       K=_mostly(st.sampled_from([16, 24, 32, 48]), st.integers(0, 15)),
+       s=_mostly(st.sampled_from(["0", "-0.25"]), _NUMBER),
+       t=_mostly(st.floats(-2.0, 2.0).map(repr), _NUMBER),
+       seed=st.integers(0, 3))
+def test_fuzz_cli_exit_codes(command, potential, weight, K, s, t, seed):
+    # "--flag=value", so that values such as "-inf" reach the parser
+    argv = [command, "--potential=" + potential, "--K=%d" % K, "--s=" + s,
+            "--t=" + t, "--seed=%d" % seed, "--weight=" + weight]
+    with tempfile.TemporaryDirectory() as out:
+        assert main(argv + ["--out", out]) in (0, 1, 2)

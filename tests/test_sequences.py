@@ -18,6 +18,9 @@ from hillkdv.sequences import (
     weakstar_converged,
 )
 
+from hillkdv.birkhoff import BirkhoffState
+from hillkdv.operator import Potential
+
 from dense_oracle import convolve
 
 
@@ -102,6 +105,20 @@ def test_seq_indexing_and_out_of_range():
     assert f[5] == 0.0 and f[-100] == 0.0
     assert f.half_range == 2
     np.testing.assert_array_equal(f.ks(), [-2, -1, 0, 1, 2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FourierSeq.from_pairs([(-4, 1.0)], K=2),
+    lambda: FourierSeq.from_pairs([(3, 1.0)], K=2),
+    lambda: FourierSeq.from_json_obj({"half_range": 2,
+                                      "coeffs": [[-3, 1.0, 0.0]]}),
+    lambda: BirkhoffState.from_pairs([(-3, 1.0)], K=2),
+    lambda: Potential.from_even_pairs([(-3, 1.0)], n_max=2),
+], ids=["seq-negative", "seq-positive", "seq-json", "birkhoff", "potential"])
+def test_from_pairs_rejects_index_outside_half_range(build):
+    # a negative index past -K used to wrap around to the top of the array
+    with pytest.raises(InvalidSequenceError, match="outside the half range"):
+        build()
 
 
 def test_seq_even_length_rejected():
