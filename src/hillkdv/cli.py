@@ -126,8 +126,7 @@ def load_config(args):
                 cfg[k] = v
         for k, v in parser.defaults().items():
             cfg.setdefault(k, v)
-    for key in ("potential", "weight", "suite", "out", "k", "s", "t", "dt",
-                "seed"):
+    for key in ("potential", "weight", "suite", "out", "k", "s", "t", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
@@ -135,7 +134,7 @@ def load_config(args):
     cfg.setdefault("seed", "0")
     cfg.setdefault("s", "0.0")
     cfg.setdefault("k", "64")
-    for key in ("s", "t", "dt"):  # whether or not the subcommand reads them
+    for key in ("s", "t"):  # whether or not the subcommand reads them
         if key in cfg:
             get_float(cfg, key)
     return cfg
@@ -211,8 +210,11 @@ def _setup(cfg):
     rng = np.random.default_rng(get_int(cfg, "seed", 0))
     weight = parse_weight(cfg.get("weight"))
     try:
-        q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
-    except InvalidSequenceError as exc:  # s outside (-1/2, 0], odd modes
+        # a spec whose numbers overflow builds non-finite coefficients, which
+        # Potential rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
+    except InvalidSequenceError as exc:  # s, odd modes, oversized coefficients
         raise ConfigError(str(exc))
     os.makedirs(cfg["out"], exist_ok=True)
     return q, s, weight, rng
@@ -449,7 +451,6 @@ def build_parser():
         sp.add_argument("--s", type=float)
         sp.add_argument("--weight")
         sp.add_argument("--t", type=float)
-        sp.add_argument("--dt", type=float)
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--suite")

@@ -35,20 +35,26 @@ PI2 = math.pi ** 2
 def _lex_sort(vals, tie_scale=1.0):
     """Lexicographic order: Re nondecreasing, near-ties broken by Im.
 
-    Re values within 1e-10 * max(1, |value scale|) are treated as tied.
+    With scale = max(1, max |Re|, tie_scale), Re values within 1e-10 * scale
+    are tied.  Within a tie, Im values within 64 eps * scale differ by
+    rounding only: they keep their Re order, and larger Im differences
+    decide the order.
     """
     vals = np.asarray(vals)
     order = np.argsort(vals.real, kind="stable")
     v = vals[order]
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(v.real), initial=1.0)), tie_scale)
+    scale = max(1.0, float(np.max(np.abs(v.real), initial=1.0)), tie_scale)
+    tol, im_tol = 1e-10 * scale, 64 * np.finfo(float).eps * scale
     i = 0
     while i < v.size:
         j = i + 1
         while j < v.size and v[j].real - v[i].real <= tol:
             j += 1
         if j - i > 1:
-            sub = np.argsort(v[i:j].imag, kind="stable")
-            v[i:j] = v[i:j][sub]
+            g = v[i:j][np.argsort(v[i:j].imag, kind="stable")]
+            # runs of Im values apart by rounding only, in Im order
+            run = np.r_[0, np.cumsum(np.diff(g.imag) > im_tol)]
+            v[i:j] = g[np.lexsort((g.real, run))]
         i = j
     return v
 

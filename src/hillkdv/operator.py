@@ -19,6 +19,8 @@ import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, norm, InvalidSequenceError
 
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+
 
 class StripViolationError(ValueError):
     pass
@@ -39,6 +41,14 @@ class Potential:
     def __post_init__(self):
         if not (-0.5 < self.s <= 0.0):
             raise InvalidSequenceError("regularity label s must be in (-1/2, 0]")
+        # the solvers form products of two sums of coefficients (matrix norms,
+        # b_n b_-n), so the l1 norm must be finite and so must its square
+        with np.errstate(over="ignore"):
+            l1 = np.sum(np.abs(self.seq.coeffs))
+        if not l1 <= _SQRT_FLOAT_MAX:  # also rejects nan
+            raise InvalidSequenceError(
+                "potential coefficients must be finite, with a finite squared "
+                "l1 norm (got l1 norm %r)" % float(l1))
         seq = FourierSeq(self.seq.coeffs, real=self.seq.real, zero_mean=True,
                          one_periodic=True)
         seq.validate()

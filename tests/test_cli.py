@@ -5,6 +5,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -230,21 +232,44 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "zero", "--weight", "poly:a=nan"],
     ["--potential", "zero", "--weight", "poly:a=-1"],
     ["--potential", "zero", "--t", "inf"],
+    ["reduce", "--potential", "power-law:nmax=8,a=1e308,e=1.5", "--s", "-0.25"],
+    ["--potential", "random:sup=-1e308,nmax=1"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_exit_2(tmp_path, capsys, flags):
     # a potential file holding {}, K below 16, a negative and a zero nmax,
     # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
     # with odd modes, a NaN c and weight exponent, a negative weight
-    # exponent, an infinite time
+    # exponent, an infinite time, an infinite coefficient and a finite one
+    # whose l1 norm squared overflows; flags without a subcommand run
+    # spectrum, and no RuntimeWarning may escape
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     odd = tmp_path / "odd.json"
     odd.write_text('{"half_range": 2, "coeffs": [[1, 0.1, 0], [-1, 0.1, 0]]}')
     flags = [f.replace("EMPTY", str(empty)).replace("ODD", str(odd))
              for f in flags]
-    rc = main(["spectrum"] + flags + ["--out", str(tmp_path / "o")])
+    if flags[0].startswith("--"):
+        flags = ["spectrum"] + flags
+    rc = main(flags + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_dt_flag_rejected(tmp_path):
+    # no subcommand has a time step to set
+    assert main(["flow", "--potential", "zero", "--dt", "1e-3",
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # a fresh process: this one has imported scipy.integrate for the oracles
+    code = ("import sys, hillkdv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "[['scipy', p] for p in ('integrate', 'optimize', 'special', 'sparse')]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_config_file(tmp_path):

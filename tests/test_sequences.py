@@ -397,6 +397,24 @@ def test_hilbert_sum_list_matches_scalar_calls():
         assert got.tolist() == want  # same table entries, same slices
 
 
+@pytest.mark.parametrize("sigma", [0.55, 0.75, 1.0, 2.0])
+def test_hilbert_sum_tail_matches_quadrature(sigma):
+    # at cutoff M = 4n the tails are up to 84 % of the sum; the oracle sums
+    # the body with fsum and integrates each tail, the integral over
+    # x > M + 1/2 of (x^2 - n^2)^{-sigma}, by quad after v = x^{1 - 2 sigma},
+    # which leaves a smooth integrand on a finite interval
+    from scipy.integrate import quad
+    for n in (1, 7, 64, 4096):
+        M = 4 * n
+        body = math.fsum(abs(m * m - n * n) ** (-sigma)
+                         for m in range(-M, M + 1) if abs(m) != n)
+        p = 2.0 / (2.0 * sigma - 1.0)
+        tail, _ = quad(lambda v: (1.0 - n * n * v ** p) ** (-sigma), 0.0,
+                       (M + 0.5) ** (1.0 - 2.0 * sigma), epsabs=0.0, epsrel=2e-14)
+        want = body + 2.0 * tail / (2.0 * sigma - 1.0)
+        assert hilbert_sum(n, sigma, cutoff=M) == pytest.approx(want, rel=1e-13)
+
+
 def test_hilbert_sum_divergent_sigma_rejected():
     with pytest.raises(ValueError):
         hilbert_sum(4, 0.5)
