@@ -12,14 +12,14 @@ obtained by folding the ZZ-indexed expansion with the antisymmetry
 f^sin_{-n} = -f^sin_n; the odd cosine pairings do not vanish, so D does not
 split.  These solvers are the oracle for the reduction module; truncation
 trust is certified conservatively.  The Riesz projector onto the pair
-lambda_n^+- is the spectral (Schur) projector of the block of n's parity.
+lambda_n^+- is the spectral (Schur) projector of the block of n's parity;
+it is the only scipy user and imports scipy.linalg when first called.
 """
 
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .operator import Potential, dirichlet_cos_coeffs
 from .sequences import bracket
@@ -96,15 +96,6 @@ class SpectrumResult:
         return 0.5 * (self.periodic[2 * n] + self.periodic[2 * n - 1])
 
 
-def periodic_matrix(q, K):
-    ks = np.arange(-K, K + 1)
-    col = np.array([q.coeff(d) for d in range(0, 2 * K + 1)])
-    row = np.array([q.coeff(-d) for d in range(0, 2 * K + 1)])
-    M = scipy.linalg.toeplitz(col, row).astype(complex)
-    M[np.diag_indices_from(M)] += (ks * math.pi) ** 2
-    return M
-
-
 def _parity_block(q, K, parity):
     """(ks, B): the block of M on the k in [-K, K] of the given parity, the
     Toeplitz matrix q_{2(i-j)} plus the diagonal (k pi)^2."""
@@ -113,7 +104,8 @@ def _parity_block(q, K, parity):
     d = min(m - 1, H // 2)
     c = np.zeros(2 * m - 1, dtype=complex)  # q_{2j} at j + m - 1, |j| < m
     c[m - 1 - d:m + d] = q.seq.coeffs[H - 2 * d:H + 2 * d + 1:2]
-    B = scipy.linalg.toeplitz(c[m - 1:], c[m - 1::-1])
+    i = np.arange(m)
+    B = c[i[:, None] - i[None, :] + m - 1]
     B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
     return ks, B
 
@@ -121,14 +113,8 @@ def _parity_block(q, K, parity):
 def periodic_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
-    vals = []
-    for parity in (0, 1):
-        B = _parity_block(q, K, parity)[1]
-        # scipy's OpenBLAS, as in riesz_projector: one thread pool for all solves
-        if q.is_real():
-            vals.append(scipy.linalg.eigvalsh(B, driver="evd", overwrite_a=True))
-        else:
-            vals.append(scipy.linalg.eigvals(B, overwrite_a=True))
+    eig = np.linalg.eigvalsh if q.is_real() else np.linalg.eigvals
+    vals = [eig(_parity_block(q, K, parity)[1]) for parity in (0, 1)]
     vals = _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
     return SpectrumResult(periodic=vals, K=K, trust=trust_count(K))
 
@@ -147,9 +133,9 @@ def dirichlet_spectrum(q, K):
         raise ValueError("K must be >= 16")
     D = dirichlet_matrix(q, K)
     if q.is_real():
-        vals = scipy.linalg.eigvalsh(D.real, driver="evd").astype(complex)
+        vals = np.linalg.eigvalsh(D.real).astype(complex)
     else:
-        vals = scipy.linalg.eigvals(D)
+        vals = np.linalg.eigvals(D)
     vals = _lex_sort(vals, tie_scale=K * K * PI2)
     return SpectrumResult(dirichlet=vals, K=K, trust=trust_count(K))
 
@@ -178,14 +164,16 @@ def riesz_projector(q, n, K):
     matrix M over |lambda - n^2 pi^2| = n, which must separate {lambda_n^+-}.
 
     The pair lies in the parity block B of n's parity: R is the projector of
-    B, with exact zeros outside that block.  The contour is checked on B
-    alone; by Gershgorin the other block's eigenvalues stay outside it when
-    ||q||_l1 < (2n-1) pi^2 - n.
+    B, with exact zeros outside that block.  The other block is solved only
+    if one of its Gershgorin discs, centers (k pi)^2 + q_0 and radius at most
+    sum_{j != 0} |q_2j|, meets the contour disc; it must have no eigenvalue
+    on or inside the contour.
 
     Closed form from one sorted complex Schur form B = Z [[A, C], [0, D]] Z^H
     with the enclosed pair in A: P = Z_1 (Z_1^H + X Z_2^H), A X - X D = C.
     Exact also when the pair is a Jordan block.
     """
+    import scipy.linalg
     ks, B = _parity_block(q, K, n % 2)
     center = n * n * PI2
     try:
@@ -200,14 +188,19 @@ def riesz_projector(q, n, K):
     if inside != 2:
         raise SeparationError(
             "contour around n=%d encloses %d eigenvalues, expected 2" % (n, inside))
+    q0, k = q.coeff(0), np.arange(1 - n % 2, K + 1, 2)
+    radius = np.sum(np.abs(q.seq.coeffs)) - abs(q0)
+    if np.any(np.abs((k * math.pi) ** 2 + q0 - center) <= radius + n):
+        other = np.linalg.eigvals(_parity_block(q, K, 1 - n % 2)[1])
+        if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
+            raise SeparationError("contour around n=%d encloses an eigenvalue "
+                                  "of the other parity block" % n)
     # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
     # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
     X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:], T[:2, 2:],
                                              isgn=-1)
     Z1 = Z[:, :2]
-    # the products with Z use scipy's BLAS, which ran the Schur step: numpy's
-    # matmul runs on a second OpenBLAS, whose threads would compete for the
-    # cores with scipy's, still spinning after the call
+    # the products with Z stay on the BLAS that ran the Schur step
     zgemm = scipy.linalg.blas.zgemm
     W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
     R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)

@@ -157,11 +157,15 @@ def estimate_c_s_prime(s, n_max=4096):
     return out
 
 
-def _smallest_n(power, target):
-    """Smallest integer n >= 1 with n^power >= target."""
+def _smallest_n(power, target, name):
+    """Smallest integer n >= 1 with n^power >= target; name labels errors."""
     if target <= 1.0:
         return 1
-    n = max(1, int(math.ceil(target ** (1.0 / power))) - 2)
+    try:
+        n = max(1, int(math.ceil(target ** (1.0 / power))) - 2)
+    except OverflowError:
+        raise ThresholdError("threshold %s exceeds the float range: n^%g >= %.3g"
+                             % (name, power, target)) from None
     while n ** power < target * (1.0 - 1e-13):
         n += 1
     return n
@@ -179,9 +183,9 @@ def thresholds(q, s, w=None, m=None):
     c = estimate_c_s(s)
     cp = estimate_c_s_prime(s)
     power = 0.5 - abs(s)
-    n_s = _smallest_n(power, 2.0 * c * qn)
-    N_ms = _smallest_n(power, 32.0 * cp * m)
-    M_ms = _smallest_n(power, 128.0 * cp * m)
+    n_s = _smallest_n(power, 2.0 * c * qn, "n_s")
+    N_ms = _smallest_n(power, 32.0 * cp * m, "N_ms")
+    M_ms = _smallest_n(power, 128.0 * cp * m, "M_ms")
     return n_s, N_ms, M_ms
 
 

@@ -11,10 +11,14 @@ by term, each support found afresh by multiply, where the package reuses
 one support plan for every lambda at n; the two must agree bit for bit.
 contraction_sum evaluates the divisor sum behind c_s at one n from its own
 index array, where the package slices shared power tables for a whole grid
-of n.
+of n.  periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix
+that the package only ever handles as two parity blocks.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 from scipy.signal import fftconvolve
 
 from hillkdv.sequences import FourierSeq, SparseSeq, shifted_norm
@@ -158,3 +162,13 @@ def contraction_sum(n, alpha, J=None):
     t2, _ = quad(lambda v: (1.0 + 2 * n * v ** (1 / alpha)) ** (-alpha) / alpha,
                  0.0, top)
     return float(body + t1 + t2)
+
+
+def periodic_matrix(q, K):
+    """M[k, l] = (k pi)^2 delta_kl + q_{k-l} over k, l in {-K..K}."""
+    ks = np.arange(-K, K + 1)
+    col = np.array([q.coeff(d) for d in range(0, 2 * K + 1)])
+    row = np.array([q.coeff(-d) for d in range(0, 2 * K + 1)])
+    M = scipy.linalg.toeplitz(col, row).astype(complex)
+    M[np.diag_indices_from(M)] += (ks * math.pi) ** 2
+    return M

@@ -16,8 +16,10 @@ from hillkdv.sequences import Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     gaps_and_midpoints, riesz_projector, free_projector, op_norm_2_to_inf,
-    periodic_matrix, verify_decay, SeparationError, _lex_sort,
+    verify_decay, SeparationError, _lex_sort,
 )
+
+from dense_oracle import periodic_matrix
 
 PI2 = math.pi ** 2
 
@@ -188,9 +190,21 @@ def off_block(n, K):
     return other[:, None] | other[None, :]
 
 
-def test_riesz_criterion12_potential_matches_quadrature():
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the np.linalg.eigvals calls; in riesz_projector only the
+    other block's solve makes one."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a.shape) or eigvals(a))
+    return calls
+
+
+def test_riesz_criterion12_potential_matches_quadrature(eigvals_calls):
     # the lacunary potential of acceptance criterion 12; its pairs are well
-    # separated, so 64 trapezoid nodes already meet the tolerance
+    # separated, so 64 trapezoid nodes already meet the tolerance.  The
+    # other block's Gershgorin discs stay off every contour: no extra solve
     ns = (8, 12, 16, 24, 32, 48, 64)
     pairs = [(s * (n - 1), 0.02 * (n - 1) ** 0.75) for n in ns for s in (1, -1)]
     q = Potential.from_even_pairs(pairs, n_max=64)
@@ -198,6 +212,29 @@ def test_riesz_criterion12_potential_matches_quadrature():
         R, _ = riesz_projector(q, n, 180)
         assert np.all(R[off_block(n, 180)] == 0)
         assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12
+    assert eigvals_calls == []
+
+
+def test_riesz_other_block_discs_meet_contour_none_inside(eigvals_calls):
+    # q_2 = 10 alone: a one-sided potential keeps the free spectrum, so the
+    # even block's eigenvalues stay at (k pi)^2, although its disc around
+    # 0 (radius 10) reaches |lambda - pi^2| <= 1.  That block is solved once
+    q = Potential.from_even_pairs([(1, 10.0)], n_max=1)
+    R, rep = riesz_projector(q, 1, 48)
+    assert eigvals_calls == [(49, 49)]
+    assert np.max(np.abs(R - quadrature_projector(q, 1, 48))) <= 1e-12
+    assert abs(rep["trace"] - 2.0) <= 1e-12
+
+
+def test_riesz_other_block_eigenvalue_inside_raises(eigvals_calls):
+    # q_{+-2} = 183, q_{+-4} = -212: the odd block's eigenvalues 90.506 and
+    # 90.606 are the only ones within 3 of 9 pi^2 = 88.83, as n = 3 needs,
+    # but the even block has 87.782 there too
+    q = Potential.from_even_pairs([(1, 183.0), (-1, 183.0), (2, -212.0),
+                                   (-2, -212.0)])
+    with pytest.raises(SeparationError, match="other parity block"):
+        riesz_projector(q, 3, 48)
+    assert eigvals_calls == [(49, 49)]
 
 
 @st.composite

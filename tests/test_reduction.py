@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hillkdv.sequences import FourierSeq, SparseSeq, norm, shifted_norm
 from hillkdv.operator import Potential, multiply, project
-from hillkdv.galerkin import full_spectrum, periodic_matrix, \
-    periodic_spectrum
+from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
     make_context, ReductionContext, apply_T_n, neumann_K_n, _plans,
@@ -26,7 +25,7 @@ from hillkdv.reduction import (
 )
 
 from dense_oracle import contraction_sum, dense_coefficients, \
-    sparse_coefficients
+    periodic_matrix, sparse_coefficients
 
 PI2 = math.pi ** 2
 
@@ -155,6 +154,14 @@ def test_thresholds_reject_norm_above_m():
     q = Potential.single_mode(0.2)
     with pytest.raises(ThresholdError):
         thresholds(q, 0.0, m=0.1)
+
+
+def test_thresholds_beyond_float_range_named():
+    # n_s of a small q is small, but N_ms^{1/4} >= 32 c_s' m with m = 1e100
+    # puts N_ms beyond the float range
+    q = Potential.single_mode(0.2)
+    with pytest.raises(ThresholdError, match="threshold N_ms exceeds the float"):
+        thresholds(q, -0.25, m=1e100)
 
 
 def test_make_context_defaults():
