@@ -106,14 +106,14 @@ def _n_grid(n_max):
     return grid
 
 
-def estimate_c_s(s, n_max=4096, full=False):
+def estimate_c_s(s, n_max=4096):
     """Contraction constant: c_s = sup_n n^{1/2-|s|} * 2 * S(n) where S(n)
     is the divisor sum of the T_n operator-norm bound.  Dense sweep for
     n <= 1024, geometric grid beyond (the scaled sums decrease past small n);
     k-sum tails handled by integral estimates.
     """
     key = (round(float(s), 9), int(n_max))
-    if key in _CS_CACHE and not full:
+    if key in _CS_CACHE:
         return _CS_CACHE[key]
     if not (-0.5 < s <= 0.0):
         raise ValueError("s must be in (-1/2, 0]")
@@ -123,13 +123,8 @@ def estimate_c_s(s, n_max=4096, full=False):
     grid = _n_grid(n_max)
     vals = np.array(grid, dtype=float) ** power * 2.0 * \
         _contraction_sums(grid, alpha)
-    i = int(np.argmax(vals))
-    c = float(max(vals[i], 1.0))
-    report = {"n_star": grid[i], "sup": float(vals[i]), "grid_size": len(grid),
-              "scaled_values_head": vals[:8].tolist()}
+    c = float(max(vals.max(), 1.0))
     _CS_CACHE[key] = c
-    if full:
-        return c, report
     return c
 
 
@@ -176,8 +171,11 @@ def thresholds(q, s, w=None, m=None):
     2 c_s ||q|| <= n_s^{1/2-|s|},  16 c_s' m / N^{1/2-|s|} <= 1/2,
     sup_{n >= M} 8 c_s' / n^{1/2-|s|} <= 1/(16 m)."""
     qn = norm(q.seq, w, s, math.inf)
-    if m is None:
-        m = max(1.0, qn)
+    return _thresholds(qn, s, max(1.0, qn) if m is None else m)
+
+
+def _thresholds(qn, s, m):
+    # thresholds from qn = ||q||_{w,s,inf} and the ball radius m
     if qn > m * (1.0 + 1e-12):
         raise ThresholdError("||q||_{w,s,inf} exceeds the bound m")
     c = estimate_c_s(s)
@@ -218,7 +216,7 @@ def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
     qn = norm(q.seq, w, s, math.inf)
     if m is None:
         m = max(1.0, qn)
-    n_s, N_ms, M_ms = thresholds(q, s, w, m)
+    n_s, N_ms, M_ms = _thresholds(qn, s, m)
     return ReductionContext(q=q, s=s, w=w, m=float(m),
                             c_s=estimate_c_s(s),
                             c_s_prime=estimate_c_s_prime(s),
@@ -623,16 +621,6 @@ def gap_sandwich(ctx, n, r, gamma_n):
                   holds=bool(lo <= gsq * (1 + 1e-9) + 1e-300
                              and gsq <= hi * (1 + 1e-9)))
     return report
-
-
-def kernel_vector(ctx, n, xi):
-    """A kernel vector of B_n(xi): u = (b_n, xi - n^2 pi^2 - a_n), normalized."""
-    c = coefficients(ctx, n, xi)
-    d = xi - n * n * PI2 - c.a_n
-    u = np.array([c.b_n, d], dtype=complex)
-    if np.linalg.norm(u) == 0:
-        u = np.array([1.0, 0.0], dtype=complex)
-    return u / np.linalg.norm(u)
 
 
 class KernelPreconditionError(ValueError):

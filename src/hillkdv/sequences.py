@@ -168,7 +168,7 @@ class FourierSeq:
         if self.zero_mean and self.coeffs[K] != 0:
             raise InvalidSequenceError("zero_mean set but f_0 != 0")
         if self.one_periodic:
-            odd = self.coeffs[(self.ks() % 2) != 0]
+            odd = self.coeffs[(K + 1) % 2::2]  # coeffs[i] holds k = i - K
             if np.any(odd != 0):
                 raise InvalidSequenceError("one_periodic set but odd modes present")
         if self.real and not self.is_conj_symmetric(tol):
@@ -251,7 +251,7 @@ class FourierSeq:
 class SparseSeq:
     """Coefficients f_k on a finite support: sorted unique int64 indices idx
     and the values coeffs there (exact zeros allowed); f_k = 0 elsewhere.
-    ks() and coeffs line up as for FourierSeq, so weight_profile,
+    ks() and coeffs line up as for FourierSeq, so weight_profile, norm,
     shifted_norm and apply_A_inv_Q take either container."""
     idx: np.ndarray
     coeffs: np.ndarray
@@ -301,15 +301,6 @@ class SparseSeq:
                                     np.concatenate([g.coeffs for g in seqs]))
 
 
-def _ordered_indices(K):
-    # index order 0, +1, -1, +2, -2, ... as positions into the coeff array
-    ks = np.empty(2 * K + 1, dtype=int)
-    ks[0] = 0
-    ks[1::2] = np.arange(1, K + 1)
-    ks[2::2] = -np.arange(1, K + 1)
-    return ks + K
-
-
 def weight_factors(ks, w, s):
     """Array w(k) <k>^s at the indices ks."""
     return (np.ones(ks.size) if w is None else w(ks)) * bracket(ks) ** s
@@ -320,32 +311,52 @@ def weight_profile(f, w, s, shift=0):
     return weight_factors(f.ks() + shift, w, s) * np.abs(f.coeffs)
 
 
-def norm(f, w, s, p):
-    """Weighted norm ||f||_{w,s,p}; w=None means the trivial weight.
+def _sup(f, w, s, shift):
+    """weight_profile(f, w, s, shift).max(initial=0.0), evaluated at the
+    nonzero f_k only: a zero coefficient adds 0 to a max that starts at 0, so
+    the value is the same float.  One pass over coeffs finds the support (a
+    NaN counts as nonzero and gives NaN)."""
+    c = f.coeffs
+    nz = c.real != 0
+    nz |= c.imag != 0
+    nz = np.flatnonzero(nz)
+    ks = f.idx[nz] if isinstance(f, SparseSeq) else nz - f.half_range
+    prof = weight_factors(ks + shift, w, s) * np.abs(c[nz])
+    return float(prof.max(initial=0.0))
 
-    Finite-p summation runs in the fixed order |k| ascending, +k before -k,
-    so results are reproducible bit for bit.
+
+def norm(f, w, s, p):
+    """Weighted norm ||f||_{w,s,p} of a FourierSeq or SparseSeq; w=None means
+    the trivial weight.
+
+    The sup norm (p = inf) reads only the nonzero coefficients.  Finite-p
+    sums stay dense and ordered: every stored coefficient, zeros included,
+    summed in the fixed order |k| ascending, +k before -k, so results are
+    reproducible bit for bit.
     """
     if p < 1:
         raise ValueError("p must be in [1, inf]")
-    prof = weight_profile(f, w, s)
     if math.isinf(p):
-        return float(prof.max(initial=0.0))
-    ordered = prof[_ordered_indices(f.half_range)]
+        return _sup(f, w, s, 0)
+    ks = f.ks()
+    order = np.lexsort((ks < 0, np.abs(ks)))
+    ordered = weight_profile(f, w, s)[order]
     return float(np.add.reduce(ordered ** p) ** (1.0 / p))
 
 
 def shifted_norm(f, w, s, l):
-    """sup_k w_{k+l} <k+l>^s |f_k|  (the norm of f e_l)."""
-    return float(weight_profile(f, w, s, shift=l).max(initial=0.0))
+    """sup_k w_{k+l} <k+l>^s |f_k|  (the norm of f e_l), read from the
+    nonzero coefficients only."""
+    return _sup(f, w, s, l)
 
 
 def tail(f, N):
     """Zero out coefficients with |k| < N."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    K = f.half_range
     c = f.coeffs.copy()
-    c[np.abs(f.ks()) < N] = 0
+    c[max(K - N + 1, 0):K + N] = 0
     return replace(f, coeffs=c, zero_mean=True)
 
 

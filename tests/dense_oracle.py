@@ -12,7 +12,8 @@ one support plan for every lambda at n; the two must agree bit for bit.
 contraction_sum evaluates the divisor sum behind c_s at one n from its own
 index array, where the package slices shared power tables for a whole grid
 of n.  periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix
-that the package only ever handles as two parity blocks.
+that the package only ever handles as two parity blocks.  kernel_vector
+builds the kernel vector of B_n(xi) that eigenfunction_reconstruct takes.
 """
 
 import math
@@ -23,6 +24,7 @@ from scipy.signal import fftconvolve
 
 from hillkdv.sequences import FourierSeq, SparseSeq, shifted_norm
 from hillkdv.operator import apply_A_inv_Q, multiply
+from hillkdv.reduction import PI2, coefficients
 
 _SPARSE_CONV_NNZ = 64
 
@@ -172,3 +174,13 @@ def periodic_matrix(q, K):
     M = scipy.linalg.toeplitz(col, row).astype(complex)
     M[np.diag_indices_from(M)] += (ks * math.pi) ** 2
     return M
+
+
+def kernel_vector(ctx, n, xi):
+    """A kernel vector of B_n(xi): u = (b_n, xi - n^2 pi^2 - a_n), normalized."""
+    c = coefficients(ctx, n, xi)
+    d = xi - n * n * PI2 - c.a_n
+    u = np.array([c.b_n, d], dtype=complex)
+    if np.linalg.norm(u) == 0:
+        u = np.array([1.0, 0.0], dtype=complex)
+    return u / np.linalg.norm(u)

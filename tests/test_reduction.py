@@ -18,14 +18,13 @@ from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
     make_context, ReductionContext, apply_T_n, neumann_K_n, _plans,
     coefficients, det_B, sample_T_norm, alpha_fixed_point, find_roots,
-    adapted_coefficients, gap_sandwich, kernel_vector,
-    eigenfunction_reconstruct,
+    adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
     ThresholdError, KernelPreconditionError, LocalizationError,
     _contraction_sums, _n_grid,
 )
 
 from dense_oracle import contraction_sum, dense_coefficients, \
-    periodic_matrix, sparse_coefficients
+    kernel_vector, periodic_matrix, sparse_coefficients
 
 PI2 = math.pi ** 2
 
@@ -106,10 +105,12 @@ def test_c_s_grows_with_roughness():
     assert 1.0 < c0 < c25 < c45
 
 
-def test_c_s_full_report():
-    c, rep = estimate_c_s(0.0, full=True)
-    assert rep["n_star"] >= 1
-    assert c == rep["sup"]
+def test_c_s_is_sup_of_scaled_sums():
+    # c_0 = max(1, sup_n n^{1/2} 2 S(n)) over the n grid, alpha = 1 at s = 0
+    grid = _n_grid(4096)
+    vals = np.array(grid, dtype=float) ** 0.5 * 2.0 * \
+        _contraction_sums(grid, 1.0)
+    assert estimate_c_s(0.0) == max(1.0, float(vals.max()))
 
 
 def test_epsilon_s_forms():

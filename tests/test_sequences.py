@@ -7,9 +7,11 @@ random inputs with fixed seeds.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hillkdv.sequences import (
     Weight, WeightError, check_weight, cap_weight,
@@ -261,6 +263,88 @@ def test_shifted_norm_zero_shift_is_norm():
     f = random_seq(rng, 12)
     assert shifted_norm(f, None, -0.25, 0) == pytest.approx(
         norm(f, None, -0.25, math.inf), rel=1e-14)
+
+
+_coeff = st.one_of(
+    st.just(0j), st.just(complex(-0.0, -0.0)),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False))
+
+
+@st.composite
+def _seqs(draw):
+    # a FourierSeq or a SparseSeq, explicit zeros, empty and all-zero included
+    if draw(st.booleans()):
+        size = 2 * draw(st.integers(0, 40)) + 1
+        return FourierSeq(draw(st.lists(_coeff, min_size=size,
+                                        max_size=size)))
+    idx = sorted(draw(st.sets(st.integers(-10 ** 6, 10 ** 6), max_size=12)))
+    return SparseSeq(np.array(idx, dtype=np.int64),
+                     np.array(draw(st.lists(_coeff, min_size=len(idx),
+                                            max_size=len(idx))),
+                              dtype=complex))
+
+
+_weights = st.one_of(
+    st.none(),
+    st.floats(0.0, 3.0).map(Weight.polynomial),
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.01, 2.0)).map(
+        lambda a: Weight(a[0], cap=a[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_seqs(), w=_weights,
+       s=st.floats(-0.5, 0.0, exclude_min=True),
+       l=st.integers(-10 ** 6, 10 ** 6))
+def test_sup_norms_equal_dense_profile_max(f, w, s, l):
+    # the sup norms read only the support, and return the same float as the
+    # max of the dense profile (a capped weight's e^{cap |k|} may overflow to
+    # inf before the min)
+    with np.errstate(over="ignore"):
+        assert norm(f, w, s, math.inf) == \
+            weight_profile(f, w, s).max(initial=0.0)
+        assert shifted_norm(f, w, s, l) == \
+            weight_profile(f, w, s, l).max(initial=0.0)
+
+
+@pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_sup_norms_propagate_nan(nan):
+    dense = FourierSeq(np.array([0.0, 1.0, nan, 0.0, 2.0]))
+    sparse = SparseSeq.accumulate([-7, 3], [1.0, nan])
+    for f in (dense, sparse):
+        assert math.isnan(norm(f, None, -0.25, math.inf))
+        assert math.isnan(shifted_norm(f, Weight.polynomial(1.0), 0.0, 5))
+
+
+def test_sup_norm_allocates_on_support_only():
+    # a sup norm of a wide, sparse FourierSeq allocates no O(K) float arrays
+    f = FourierSeq.from_pairs([(-5, 1.0), (0, 2j), (7, -3.0)], K=10 ** 6)
+    w = Weight.polynomial(1.0)
+    tracemalloc.start()
+    try:
+        vals = (norm(f, w, -0.25, math.inf), shifted_norm(f, w, -0.25, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals == pytest.approx((3.0 * 8.0 ** 0.75, 3.0 * 11.0 ** 0.75),
+                                 rel=1e-15)
+    assert peak < f.coeffs.nbytes / 4
+
+
+def test_sparse_finite_p_norm_matches_dense():
+    rng = np.random.default_rng(41)
+    cases = [SparseSeq.accumulate([-3, 2, 5], [1.0, 2.0, 0.5])]
+    for _ in range(10):
+        idx = rng.choice(np.arange(-500, 501), size=int(rng.integers(1, 40)),
+                         replace=False)
+        vals = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+        vals[rng.random(idx.size) < 0.2] = 0.0
+        cases.append(SparseSeq.accumulate(idx, vals))
+    for f in cases:
+        for w, s, p in ((None, 0.0, 2.0), (Weight.polynomial(1.0), -0.25, 1.0),
+                        (Weight(2.0, cap=0.3), -0.4, 3.0)):
+            assert norm(f, w, s, p) == pytest.approx(
+                norm(f.to_dense(), w, s, p), rel=1e-14, abs=0)
 
 
 def test_weight_profile_shape_and_values():
