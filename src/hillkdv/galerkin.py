@@ -12,8 +12,10 @@ obtained by folding the ZZ-indexed expansion with the antisymmetry
 f^sin_{-n} = -f^sin_n; the odd cosine pairings do not vanish, so D does not
 split.  These solvers are the oracle for the reduction module; truncation
 trust is certified conservatively.  The Riesz projector onto the pair
-lambda_n^+- is the spectral (Schur) projector of the block of n's parity;
-it is the only scipy user and imports scipy.linalg when first called.
+lambda_n^+- is the spectral projector of the block of n's parity: from eigh
+when the potential is real and the block Hermitian, from a sorted Schur form
+otherwise.  That non-Hermitian (complex-potential) projector is the only
+scipy user and imports scipy.linalg when it is first called.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .operator import Potential, dirichlet_cos_coeffs
-from .sequences import bracket
+from .sequences import bracket, norm as seq_norm, tail as seq_tail
 
 
 class SeparationError(ValueError):
@@ -36,27 +38,35 @@ def _lex_sort(vals, tie_scale=1.0):
     """Lexicographic order: Re nondecreasing, near-ties broken by Im.
 
     With scale = max(1, max |Re|, tie_scale), Re values within 1e-10 * scale
-    are tied.  Within a tie, Im values within 64 eps * scale differ by
-    rounding only: they keep their Re order, and larger Im differences
-    decide the order.
+    of a group's first (smallest) Re value are tied with it.  Within a tie,
+    Im values within 64 eps * scale differ by rounding only: they keep their
+    Re order, and larger Im differences decide the order.
     """
     vals = np.asarray(vals)
-    order = np.argsort(vals.real, kind="stable")
-    v = vals[order]
-    scale = max(1.0, float(np.max(np.abs(v.real), initial=1.0)), tie_scale)
+    v = vals[np.argsort(vals.real, kind="stable")]
+    re, n = v.real, v.size
+    scale = max(1.0, float(np.max(np.abs(re), initial=1.0)), tie_scale)
     tol, im_tol = 1e-10 * scale, 64 * np.finfo(float).eps * scale
-    i = 0
-    while i < v.size:
-        j = i + 1
-        while j < v.size and v[j].real - v[i].real <= tol:
-            j += 1
-        if j - i > 1:
-            g = v[i:j][np.argsort(v[i:j].imag, kind="stable")]
-            # runs of Im values apart by rounding only, in Im order
-            run = np.r_[0, np.cumsum(np.diff(g.imag) > im_tol)]
-            v[i:j] = g[np.lexsort((g.real, run))]
-        i = j
-    return v
+    # end[i]: the first j > i with re[j] - re[i] > tol, a test monotone in j
+    # that every re[j] <= re[i] + tol passes.  A search one ulp below the
+    # rounded re + tol stops at or short of it, and steps on to it
+    i, past = np.arange(n), np.append(re, np.inf)
+    below = np.nextafter(re + tol, -np.inf)
+    end = np.maximum(np.searchsorted(re, below, side="right"), i + 1)
+    while np.any(step := past[end] - re <= tol):
+        end += step
+    # the group starts are the orbit of 0 under i -> end[i], n a sink;
+    # doubling the jump length finds it in log2(n) rounds
+    start, jump = np.arange(n + 1) == 0, np.append(end, n)
+    while jump[0] < n:
+        start[jump[start]] = True
+        jump = jump[jump]
+    group = np.cumsum(start[:n])
+    v = v[np.lexsort((v.imag, group))]
+    # runs of Im values apart by rounding only, in Im order, within a group
+    run = np.cumsum((np.diff(v.imag, prepend=0) > im_tol)
+                    | (np.diff(group, prepend=0) != 0))
+    return v[np.lexsort((v.real, run))]
 
 
 def trust_count(K):
@@ -141,21 +151,15 @@ def dirichlet_spectrum(q, K):
 
 
 def full_spectrum(q, K):
-    per = periodic_spectrum(q, K)
-    dir_ = dirichlet_spectrum(q, K)
-    return SpectrumResult(periodic=per.periodic, dirichlet=dir_.dirichlet,
-                          K=K, trust=per.trust)
+    spec = periodic_spectrum(q, K)
+    spec.dirichlet = dirichlet_spectrum(q, K).dirichlet
+    return spec
 
 
 def gaps_and_midpoints(spec):
     """(gamma_n, tau_n, tau_n - mu_n) up to trust_count."""
-    gam = spec.gaps()
-    tau = spec.midpoints()
-    if spec.dirichlet is not None:
-        n = np.arange(1, spec.trust + 1)
-        diff = tau - spec.dirichlet[n - 1]
-    else:
-        diff = None
+    gam, tau = spec.gaps(), spec.midpoints()
+    diff = None if spec.dirichlet is None else tau - spec.dirichlet[:spec.trust]
     return gam, tau, diff
 
 
@@ -169,25 +173,32 @@ def riesz_projector(q, n, K):
     sum_{j != 0} |q_2j|, meets the contour disc; it must have no eigenvalue
     on or inside the contour.
 
-    Closed form from one sorted complex Schur form B = Z [[A, C], [0, D]] Z^H
-    with the enclosed pair in A: P = Z_1 (Z_1^H + X Z_2^H), A X - X D = C.
-    Exact also when the pair is a Jordan block.
+    For a real potential B is Hermitian: R = Z_1 Z_1^H from eigh, Z_1 the
+    pair's eigenvectors.  Otherwise, from one sorted complex Schur form
+    B = Z [[A, C], [0, D]] Z^H with the pair in A, P = Z_1 (Z_1^H + X Z_2^H),
+    A X - X D = C, exact also for a Jordan pair; only this imports scipy.linalg.
     """
-    import scipy.linalg
     ks, B = _parity_block(q, K, n % 2)
     center = n * n * PI2
-    try:
-        T, Z, inside = scipy.linalg.schur(
-            B, output="complex", sort=lambda lam: abs(lam - center) < n,
-            overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise SeparationError("Schur reordering around n=%d failed: %s" % (n, exc))
-    dist = np.abs(np.abs(np.diag(T) - center) - n)
-    if np.min(dist) < 1e-6 * max(1.0, n):
+    hermitian = q.is_real()
+    if hermitian:
+        lam, Z = np.linalg.eigh(B)
+    else:
+        import scipy.linalg
+        try:
+            T, Z, _ = scipy.linalg.schur(
+                B, output="complex", sort=lambda lam: abs(lam - center) < n,
+                overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise SeparationError("Schur reordering around n=%d failed: %s" % (n, exc))
+        lam = np.diag(T)
+    r = np.abs(lam - center)
+    if np.min(np.abs(r - n)) < 1e-6 * max(1.0, n):
         raise SeparationError("eigenvalue on the contour |lambda - n^2 pi^2| = n")
-    if inside != 2:
-        raise SeparationError(
-            "contour around n=%d encloses %d eigenvalues, expected 2" % (n, inside))
+    inside = r < n
+    if np.count_nonzero(inside) != 2:
+        raise SeparationError("contour around n=%d encloses %d eigenvalues, "
+                              "expected 2" % (n, np.count_nonzero(inside)))
     q0, k = q.coeff(0), np.arange(1 - n % 2, K + 1, 2)
     radius = np.sum(np.abs(q.seq.coeffs)) - abs(q0)
     if np.any(np.abs((k * math.pi) ** 2 + q0 - center) <= radius + n):
@@ -195,16 +206,21 @@ def riesz_projector(q, n, K):
         if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
             raise SeparationError("contour around n=%d encloses an eigenvalue "
                                   "of the other parity block" % n)
-    # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
-    # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
-    X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:], T[:2, 2:],
-                                             isgn=-1)
-    Z1 = Z[:, :2]
-    # the products with Z stay on the BLAS that ran the Schur step
-    zgemm = scipy.linalg.blas.zgemm
-    W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
+    Z1 = Z[:, inside]
+    if hermitian:
+        W = Z1.conj().T
+        P = Z1 @ W
+    else:
+        # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
+        # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
+        X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:],
+                                                 T[:2, 2:], isgn=-1)
+        # the products with Z stay on the BLAS that ran the Schur step
+        zgemm = scipy.linalg.blas.zgemm
+        W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
+        P = zgemm(1.0, Z1, W)
     R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    R[ks[0] + K::2, ks[0] + K::2] = zgemm(1.0, Z1, W)
+    R[ks[0] + K::2, ks[0] + K::2] = P
     # R^2 - R = Z_1 (W Z_1 - I) W, and Z_1 has orthonormal columns
     defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
     return R, {"quad_points": 0, "idempotency_defect": float(defect),
@@ -245,23 +261,17 @@ def verify_decay(q, w, s, K_list, c_s=None):
         gam, tau, diff = gaps_and_midpoints(spec)
         n = np.arange(1, spec.trust + 1)
         wfac = (np.ones(n.size) if w is None else w(2 * n)) * bracket(2 * n) ** s
-        report["sup_gamma"].append(float(np.max(wfac * np.abs(gam), initial=0.0)))
+        results[K] = n, wfac * np.abs(gam)
+        report["sup_gamma"].append(float(np.max(results[K][1], initial=0.0)))
         report["sup_taumu"].append(float(np.max(wfac * np.abs(diff), initial=0.0)))
-        results[K] = (spec, gam, tau, diff)
-    if len(K_list) >= 2:
-        a, b = report["sup_gamma"][-2], report["sup_gamma"][-1]
-        report["gamma_stabilization"] = abs(a - b) / max(abs(b), 1e-300)
-        a, b = report["sup_taumu"][-2], report["sup_taumu"][-1]
-        report["taumu_stabilization"] = abs(a - b) / max(abs(b), 1e-300)
+    for key in ("gamma", "taumu") if len(K_list) >= 2 else ():
+        a, b = report["sup_" + key][-2:]
+        report[key + "_stabilization"] = abs(a - b) / max(abs(b), 1e-300)
     # tail bound at N = contraction threshold for this potential
-    from .sequences import norm as seq_norm, tail as seq_tail
     qn = seq_norm(q.seq, w, s, math.inf)
     N = max(1, int(np.ceil((2.0 * c_s * qn) ** (1.0 / (0.5 - abs(s))))))
-    spec, gam, tau, diff = results[max(K_list)]
-    n = np.arange(1, spec.trust + 1)
-    wfac = (np.ones(n.size) if w is None else w(2 * n)) * bracket(2 * n) ** s
-    mask = n >= N
-    lhs = float(np.max((wfac * np.abs(gam))[mask], initial=0.0))
+    n, wgam = results[max(K_list)]
+    lhs = float(np.max(wgam[n >= N], initial=0.0))
     tq = seq_norm(seq_tail(q.seq, 2 * N), w, s, math.inf)
     rhs = 4.0 * tq + 16.0 * c_s * N ** (-(0.5 - abs(s))) * qn ** 2
     report["tail_bound"] = {"N": int(N), "lhs": lhs, "rhs": float(rhs),

@@ -168,21 +168,6 @@ def apply_A_inv_Q(lam, n, f, singular_tol=1e-12):
     return FourierSeq(np.where(keep, f.coeffs / safe, 0.0))
 
 
-def project(n, f, which):
-    """P keeps modes +-n, Q zeroes them; P(f) + Q(f) = f."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ks = f.ks()
-    on_pn = np.abs(ks) == n
-    if which == "P":
-        c = np.where(on_pn, f.coeffs, 0.0)
-    elif which == "Q":
-        c = np.where(on_pn, 0.0, f.coeffs)
-    else:
-        raise ValueError("which must be 'P' or 'Q'")
-    return FourierSeq(c, real=f.real)
-
-
 def dirichlet_cos_coeffs(q, K):
     """Cosine pairings c[k] = q^cos_k = int_0^1 q(x) cos(k pi x) dx, 0 <= k <= 2K:
     (q_k + q_{-k})/2 for even k, (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) for odd

@@ -27,6 +27,9 @@ class WeightError(ValueError):
     pass
 
 
+_EXP_MAX = math.log(np.finfo(float).max)  # e^x is finite iff x <= _EXP_MAX
+
+
 def bracket(n):
     """<n> = 1 + |n|, elementwise on arrays."""
     return 1.0 + np.abs(n)
@@ -58,7 +61,10 @@ class Weight:
         n = np.asarray(n, dtype=float)
         vals = bracket(n) ** self.exponent
         if self.cap is not None:
-            vals = np.minimum(vals, np.exp(self.cap * np.abs(n)))
+            # past _EXP_MAX, e^{cap |n|} is inf without an overflow warning
+            e = self.cap * np.abs(n)
+            vals = np.minimum(vals, np.exp(e, out=np.full_like(e, np.inf),
+                                           where=e <= _EXP_MAX))
         if vals.ndim == 0:
             return float(vals)
         return vals

@@ -14,6 +14,8 @@ index array, where the package slices shared power tables for a whole grid
 of n.  periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix
 that the package only ever handles as two parity blocks.  kernel_vector
 builds the kernel vector of B_n(xi) that eigenfunction_reconstruct takes.
+project is the mode projector pair P_n, Q_n = 1 - P_n.  lex_sort_loop is
+the element-by-element loop behind galerkin._lex_sort.
 """
 
 import math
@@ -184,3 +186,39 @@ def kernel_vector(ctx, n, xi):
     if np.linalg.norm(u) == 0:
         u = np.array([1.0, 0.0], dtype=complex)
     return u / np.linalg.norm(u)
+
+
+def lex_sort_loop(vals, tie_scale=1.0):
+    """galerkin._lex_sort as a loop over the Re-sorted values: each tie group
+    grows from its first element, then is sorted by Im and by runs of Im
+    values apart by rounding only."""
+    vals = np.asarray(vals)
+    order = np.argsort(vals.real, kind="stable")
+    v = vals[order]
+    scale = max(1.0, float(np.max(np.abs(v.real), initial=1.0)), tie_scale)
+    tol, im_tol = 1e-10 * scale, 64 * np.finfo(float).eps * scale
+    i = 0
+    while i < v.size:
+        j = i + 1
+        while j < v.size and v[j].real - v[i].real <= tol:
+            j += 1
+        if j - i > 1:
+            g = v[i:j][np.argsort(v[i:j].imag, kind="stable")]
+            run = np.r_[0, np.cumsum(np.diff(g.imag) > im_tol)]
+            v[i:j] = g[np.lexsort((g.real, run))]
+        i = j
+    return v
+
+
+def project(n, f, which):
+    """P keeps modes +-n, Q zeroes them; P(f) + Q(f) = f."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    on_pn = np.abs(f.ks()) == n
+    if which == "P":
+        c = np.where(on_pn, f.coeffs, 0.0)
+    elif which == "Q":
+        c = np.where(on_pn, 0.0, f.coeffs)
+    else:
+        raise ValueError("which must be 'P' or 'Q'")
+    return FourierSeq(c, real=f.real)

@@ -273,7 +273,7 @@ def test_dt_flag_rejected(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     # a fresh process: this one has imported scipy for the oracles; only
-    # riesz_projector loads scipy.linalg, when it is first called
+    # riesz_projector on a complex potential loads scipy.linalg
     code = ("import sys, hillkdv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -3,6 +3,8 @@ refinement, an independent shooting oracle for the Dirichlet problem, Riesz
 projectors, and the decay-transfer report."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hillkdv.galerkin import (
     verify_decay, SeparationError, _lex_sort,
 )
 
-from dense_oracle import periodic_matrix
+from dense_oracle import lex_sort_loop, periodic_matrix
 
 PI2 = math.pi ** 2
 
@@ -286,6 +288,63 @@ def test_periodic_spectrum_matches_full_matrix(q):
     vals = periodic_spectrum(q, K).periodic
     eps = np.finfo(float).eps
     assert np.max(np.abs(vals - full)) <= 200 * eps * np.linalg.norm(M, 2) * kappa
+
+
+@st.composite
+def tie_prone_values(draw):
+    # Re parts on a tol / 2 grid (tol = 1e-10 T), so tie groups chain (k and
+    # k + 2 sit on the tolerance, k + 3 past it), moved by up to 2 ulps to
+    # either side of it; Im parts apart by rounding only (64 eps T) or more
+    T = draw(st.sampled_from([1.0, 3.7, 1e6]))
+    re = []
+    for _ in range(draw(st.integers(0, 24))):
+        x = draw(st.sampled_from([0.0, T / 2])) + draw(st.integers(0, 8)) * 5e-11 * T
+        re.append(x + draw(st.integers(-2, 2)) * np.spacing(x))
+    im = [draw(st.sampled_from([0.0, 1.0, 32.0, 64.0, 65.0, 1e3, 1e12]))
+          * draw(st.sampled_from([1.0, -1.0])) * np.finfo(float).eps * T
+          for _ in re]
+    return np.array(re) + 1j * np.array(im), T
+
+
+_NEAR_TIE = Potential.from_even_pairs([(1, 0.046875j), (-1, -0.0625j)], n_max=1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=tie_prone_values())
+@example(case=(np.linalg.eigvals(periodic_matrix(_NEAR_TIE, 32)), 32 * 32 * PI2))
+def test_lex_sort_matches_loop(case):
+    # the searched tie groups, anchored at their first element, and the
+    # group-wide Im and rounding-run sorts give the loop's permutation; the
+    # example is the near tie of test_periodic_spectrum_matches_full_matrix
+    vals, tie_scale = case
+    assert _lex_sort(vals, tie_scale).tobytes() == \
+        lex_sort_loop(vals, tie_scale).tobytes()
+
+
+def test_riesz_nearly_degenerate_real_pair():
+    # gamma_4 of q = 0.1 cos(2 pi x) is O(c^4): eigh's vectors inside the
+    # pair are arbitrary, their span and so the projector are not
+    q, n, K = Potential.single_mode(0.05), 4, 48
+    R, rep = riesz_projector(q, n, K)
+    M = periodic_matrix(q, K)
+    assert abs(rep["trace"] - 2.0) <= 1e-12
+    assert rep["idempotency_defect"] <= 1e-12
+    assert np.max(np.abs(R - quadrature_projector(q, n, K))) <= 1e-12
+    assert np.max(np.abs(R @ M - M @ R)) <= 1e-10 * np.max(np.abs(M))
+
+
+def test_riesz_projector_loads_scipy_for_complex_potentials_only():
+    # a fresh process each: a real potential's block is Hermitian and needs
+    # numpy's eigh only; the Schur form of a complex one needs scipy.linalg
+    code = ("import sys; from hillkdv.operator import Potential; "
+            "from hillkdv.galerkin import riesz_projector; "
+            "riesz_projector(Potential.from_even_pairs([(1, 0.05), (-1, %s)]), 2, 32); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for q_neg, loaded in (("0.05", False), ("0.02j", True)):
+        out = subprocess.run([sys.executable, "-c", code % q_neg],
+                             capture_output=True, text=True, check=True).stdout
+        assert ("'scipy.linalg'" in out) is loaded
+        assert (out.strip() != "[]") is loaded
 
 
 def test_riesz_free_case_equals_mode_projector():

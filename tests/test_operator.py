@@ -9,9 +9,11 @@ from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
 from hillkdv.operator import (
-    Potential, multiply, in_strip, apply_A_inv_Q, project,
+    Potential, multiply, in_strip, apply_A_inv_Q,
     dirichlet_cos_coeffs, StripViolationError, NearSingularError,
 )
+
+from dense_oracle import project
 
 PI2 = math.pi ** 2
 

@@ -6,13 +6,14 @@ spectral quantities."""
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hillkdv.sequences import FourierSeq, SparseSeq, norm, shifted_norm
-from hillkdv.operator import Potential, multiply, project
+from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm, shifted_norm
+from hillkdv.operator import Potential, multiply
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
@@ -24,7 +25,7 @@ from hillkdv.reduction import (
 )
 
 from dense_oracle import contraction_sum, dense_coefficients, \
-    kernel_vector, periodic_matrix, sparse_coefficients
+    kernel_vector, periodic_matrix, project, sparse_coefficients
 
 PI2 = math.pi ** 2
 
@@ -266,6 +267,15 @@ def test_contraction_bound_independent_of_call_order():
     sample_T_norm(ctx, n, n * n * PI2 + 9.0 * n)
     assert find_roots(ctx, n).contraction_bound == fresh
     assert 0.0 < fresh <= 0.5
+
+
+def test_find_roots_capped_weight_past_exp_range_without_warning():
+    # at n = 3000 the weights w(k) of a cap 0.3 reach past e^{709.78}
+    w = Weight(1.0, cap=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = find_roots(make_context(Potential.single_mode(0.05), w=w), 3000)
+    assert res.converged is True
 
 
 def test_contraction_improves_with_n():

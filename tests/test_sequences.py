@@ -8,6 +8,7 @@ random inputs with fixed seeds.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_weight_invalid_parameters():
         Weight(-1.0)
     with pytest.raises(WeightError):
         Weight(1.0, cap=0.0)
+
+
+def test_capped_weight_past_exp_range_without_warning():
+    # e^{cap |n|} is past the float range from cap |n| > 709.78: the min is
+    # the polynomial part, with no overflow warning on the way
+    w = Weight(1.0, cap=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w(3000) == 3001.0
+        np.testing.assert_array_equal(w(np.array([-3000.0, 2.0, 1e6])),
+                                      [3001.0, min(3.0, math.exp(0.6)), 1e6 + 1])
 
 
 def test_check_weight_accepts_class_members():
@@ -298,13 +310,10 @@ _weights = st.one_of(
        l=st.integers(-10 ** 6, 10 ** 6))
 def test_sup_norms_equal_dense_profile_max(f, w, s, l):
     # the sup norms read only the support, and return the same float as the
-    # max of the dense profile (a capped weight's e^{cap |k|} may overflow to
-    # inf before the min)
-    with np.errstate(over="ignore"):
-        assert norm(f, w, s, math.inf) == \
-            weight_profile(f, w, s).max(initial=0.0)
-        assert shifted_norm(f, w, s, l) == \
-            weight_profile(f, w, s, l).max(initial=0.0)
+    # max of the dense profile
+    assert norm(f, w, s, math.inf) == weight_profile(f, w, s).max(initial=0.0)
+    assert shifted_norm(f, w, s, l) == \
+        weight_profile(f, w, s, l).max(initial=0.0)
 
 
 @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
