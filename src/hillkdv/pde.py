@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .operator import Potential
-from .sequences import FourierSeq
+from .sequences import FourierSeq, bracket
 
 
 class InstabilityError(ArithmeticError):
@@ -67,6 +67,23 @@ def evolve_airy(u0, t):
     """Exact per-mode phases u_k -> e^{i (2 pi k)^3 t} u_k."""
     u = u0.coeffs * np.exp(_airy_symbol(u0.ks()) * t)
     return replace(u0, coeffs=u, t=u0.t + t)
+
+
+def airy_distances(u0, ts, s):
+    """Distances of the Airy flow from u0 at the times ts, over the modes
+    1 <= k <= K: the weighted sup sup_k <k>^s |u_k(t) - u_k(0)| (which the
+    flow keeps macroscopic) and the first component |u_1(t) - u_1(0)| (which
+    goes to 0 with t).  Returns the two lists."""
+    ns = np.arange(1, u0.half_range + 1)
+    wfac = bracket(ns) ** s
+    sups, comps = [], []
+    for t in ts:
+        diff = evolve_airy(u0, t).coeffs[u0.index(ns)] - u0.coeffs[u0.index(ns)]
+        # abs(complex) bit for bit; np.abs can differ in the last place
+        d = np.hypot(diff.real, diff.imag)
+        sups.append(float(np.max(wfac * d)))
+        comps.append(float(d[0]))
+    return sups, comps
 
 
 def default_dt(K, umax):

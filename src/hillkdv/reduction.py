@@ -112,11 +112,11 @@ def estimate_c_s(s, n_max=4096):
     n <= 1024, geometric grid beyond (the scaled sums decrease past small n);
     k-sum tails handled by integral estimates.
     """
-    key = (round(float(s), 9), int(n_max))
-    if key in _CS_CACHE:
-        return _CS_CACHE[key]
     if not (-0.5 < s <= 0.0):
         raise ValueError("s must be in (-1/2, 0]")
+    key = (float(s), int(n_max))
+    if key in _CS_CACHE:
+        return _CS_CACHE[key]
     a = abs(s)
     alpha = 1.0 - 2.0 * a
     power = 0.5 - a
@@ -137,10 +137,10 @@ def epsilon_s(n, s):
 def estimate_c_s_prime(s, n_max=4096):
     """c_s' = max(c_s, fitted constant of the <T_n f, e_{+-n}> bound), the
     latter being sup_n 2 <2n>^s * hilbert_sum(n, 1-|s|) / epsilon_s(n)."""
-    key = (round(float(s), 9), int(n_max))
+    c = estimate_c_s(s, n_max)  # rejects s outside (-1/2, 0]
+    key = (float(s), int(n_max))
     if key in _CSP_CACHE:
         return _CSP_CACHE[key]
-    c = estimate_c_s(s, n_max)
     sigma = 1.0 - abs(s)
     grid = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768, 1024,
                                  2048, 4096]
@@ -166,25 +166,12 @@ def _smallest_n(power, target, name):
     return n
 
 
-def thresholds(q, s, w=None, m=None):
-    """(n_s, N_ms, M_ms): smallest integers with
-    2 c_s ||q|| <= n_s^{1/2-|s|},  16 c_s' m / N^{1/2-|s|} <= 1/2,
+def thresholds(q, s=None, w=None, m=None):
+    """(n_s, N_ms, M_ms) of make_context(q, s, w, m): the smallest integers
+    with 2 c_s ||q|| <= n_s^{1/2-|s|},  16 c_s' m / N^{1/2-|s|} <= 1/2,
     sup_{n >= M} 8 c_s' / n^{1/2-|s|} <= 1/(16 m)."""
-    qn = norm(q.seq, w, s, math.inf)
-    return _thresholds(qn, s, max(1.0, qn) if m is None else m)
-
-
-def _thresholds(qn, s, m):
-    # thresholds from qn = ||q||_{w,s,inf} and the ball radius m
-    if qn > m * (1.0 + 1e-12):
-        raise ThresholdError("||q||_{w,s,inf} exceeds the bound m")
-    c = estimate_c_s(s)
-    cp = estimate_c_s_prime(s)
-    power = 0.5 - abs(s)
-    n_s = _smallest_n(power, 2.0 * c * qn, "n_s")
-    N_ms = _smallest_n(power, 32.0 * cp * m, "N_ms")
-    M_ms = _smallest_n(power, 128.0 * cp * m, "M_ms")
-    return n_s, N_ms, M_ms
+    ctx = make_context(q, s, w, m)
+    return ctx.n_s, ctx.N_ms, ctx.M_ms
 
 
 @dataclass
@@ -216,11 +203,15 @@ def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
     qn = norm(q.seq, w, s, math.inf)
     if m is None:
         m = max(1.0, qn)
-    n_s, N_ms, M_ms = _thresholds(qn, s, m)
-    return ReductionContext(q=q, s=s, w=w, m=float(m),
-                            c_s=estimate_c_s(s),
-                            c_s_prime=estimate_c_s_prime(s),
-                            n_s=n_s, N_ms=N_ms, M_ms=M_ms,
+    if qn > m * (1.0 + 1e-12):
+        raise ThresholdError("||q||_{w,s,inf} exceeds the bound m")
+    c = estimate_c_s(s)
+    cp = estimate_c_s_prime(s)
+    power = 0.5 - abs(s)
+    return ReductionContext(q=q, s=s, w=w, m=float(m), c_s=c, c_s_prime=cp,
+                            n_s=_smallest_n(power, 2.0 * c * qn, "n_s"),
+                            N_ms=_smallest_n(power, 32.0 * cp * m, "N_ms"),
+                            M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"),
                             neumann_tol=neumann_tol)
 
 
@@ -621,6 +612,24 @@ def gap_sandwich(ctx, n, r, gamma_n):
                   holds=bool(lo <= gsq * (1 + 1e-9) + 1e-300
                              and gsq <= hi * (1 + 1e-9)))
     return report
+
+
+def isolated_mode_sandwich(rng, offsets):
+    """The gap sandwich at an isolated high mode: a random real base on
+    |n| <= 8 (sup 0.05, from rng), plus q_{+-2k} = 0.01 at k = M_ms + o for
+    o in offsets, with the base's M_ms; the roots, r and gap_sandwich at
+    the first offset's mode n = M_ms + offsets[0].  Returns (ctx, roots,
+    report)."""
+    base = Potential.random_real(rng, 8, sup=0.05)
+    M = make_context(base).M_ms
+    pairs = [(k, base.coeff(2 * k)) for k in range(-8, 9) if k != 0]
+    for k in offsets:
+        pairs += [(M + k, 0.01), (-M - k, 0.01)]
+    ctx = make_context(Potential.from_even_pairs(pairs, n_max=M + max(offsets)))
+    n = M + offsets[0]
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    r = adapted_coefficients(ctx, n_max=n)
+    return ctx, res, gap_sandwich(ctx, n, r, res.gap_estimate)
 
 
 class KernelPreconditionError(ValueError):

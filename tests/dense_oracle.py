@@ -16,6 +16,9 @@ that the package only ever handles as two parity blocks.  kernel_vector
 builds the kernel vector of B_n(xi) that eigenfunction_reconstruct takes.
 project is the mode projector pair P_n, Q_n = 1 - P_n.  lex_sort_loop is
 the element-by-element loop behind galerkin._lex_sort.
+
+smooth_real_potential and lacunary_potential are test potentials that more
+than one test file uses.
 """
 
 import math
@@ -25,7 +28,7 @@ import scipy.linalg
 from scipy.signal import fftconvolve
 
 from hillkdv.sequences import FourierSeq, SparseSeq, shifted_norm
-from hillkdv.operator import apply_A_inv_Q, multiply
+from hillkdv.operator import Potential, apply_A_inv_Q, multiply
 from hillkdv.reduction import PI2, coefficients
 
 _SPARSE_CONV_NNZ = 64
@@ -222,3 +225,30 @@ def project(n, f, which):
     else:
         raise ValueError("which must be 'P' or 'Q'")
     return FourierSeq(c, real=f.real)
+
+
+def smooth_real_potential(seed=7, n_max=26, amp=0.05):
+    """Real q with |q_{2n}| = amp (1+n)^{-1/2} and seeded phases, n <= n_max:
+    the potential of acceptance criteria 2 to 4."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in range(1, n_max + 1):
+        v = amp * (1 + n) ** -0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        pairs.append((n, v))
+        pairs.append((-n, np.conj(v)))
+    return Potential.from_even_pairs(pairs, n_max=n_max, s=0.0)
+
+
+LACUNARY_NS = (8, 12, 16, 24, 32, 48, 64)
+LACUNARY_C = 0.02
+
+
+def lacunary_potential():
+    """Acceptance criterion 12's lacunary family: q_{+-2(n-1)} =
+    LACUNARY_C (n-1)^{3/4} for n in LACUNARY_NS, couplings of e_n and
+    e_{-n+2}."""
+    pairs = []
+    for n in LACUNARY_NS:
+        v = LACUNARY_C * (n - 1) ** 0.75
+        pairs += [(n - 1, v), (-(n - 1), v)]
+    return Potential.from_even_pairs(pairs, n_max=64, s=0.0)

@@ -19,25 +19,18 @@ from hillkdv.galerkin import (
 )
 from hillkdv.reduction import (
     make_context, sample_T_norm, coefficients, find_roots,
-    alpha_fixed_point, adapted_coefficients, gap_sandwich,
+    alpha_fixed_point, adapted_coefficients, isolated_mode_sandwich,
 )
 from hillkdv.birkhoff import BirkhoffState, flow
 from hillkdv.pde import (
-    PDEState, potential_to_pde_state, evolve_airy, evolve_kdv,
+    PDEState, potential_to_pde_state, airy_distances, evolve_kdv,
     isospectral_check,
 )
 
+from dense_oracle import LACUNARY_C, LACUNARY_NS, lacunary_potential, \
+    smooth_real_potential
+
 PI2 = math.pi ** 2
-
-
-def smooth_real_potential(seed=7, n_max=26, amp=0.05):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for n in range(1, n_max + 1):
-        v = amp * (1 + n) ** -0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        pairs.append((n, v))
-        pairs.append((-n, np.conj(v)))
-    return Potential.from_even_pairs(pairs, n_max=n_max, s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +160,12 @@ def test_criterion_06_gap_sandwich():
     violations = 0
     checked = 0
     for seed, offset in ((0, 0), (1, 1)):
-        rng = np.random.default_rng(200 + seed)
-        base = Potential.random_real(rng, 8, sup=0.05, s=0.0)
-        M = make_context(base).M_ms
-        n = M + offset
-        pairs = [(k, base.coeff(2 * k)) for k in range(-8, 9) if k != 0]
-        pairs += [(n, 0.01), (-n, 0.01)]
-        q = Potential.from_even_pairs(pairs, n_max=n, s=0.0)
-        ctx = make_context(q)
-        assert ctx.M_ms == M
-        res = find_roots(ctx, n, xi_bound_grid=0)
+        # q_{+-2n} = 0.01 at n = M_ms + offset, M_ms of the base alone
+        ctx, res, rep = isolated_mode_sandwich(
+            np.random.default_rng(200 + seed), (offset,))
+        assert rep["n"] == ctx.M_ms + offset
         if res.gap_estimate == 0.0:
             continue
-        r = adapted_coefficients(ctx, n_max=n)
-        rep = gap_sandwich(ctx, n, r, res.gap_estimate)
         assert rep["condition_met"]
         checked += 1
         if not rep["holds"]:
@@ -269,17 +254,8 @@ def test_criterion_10_airy_demo():
     n_max = 256
     q = Potential.power_law(0.1, -s, n_max, s=s)  # <n>^s |q_{2n}| = 0.1
     u0 = potential_to_pde_state(q)
-    ns = np.arange(1, n_max + 1)
-    wfac = (1.0 + ns) ** s
     ts = [10.0 ** e for e in np.linspace(-6, -3, 12)]
-    sups = []
-    comps = []
-    for t in ts:
-        u1 = evolve_airy(u0, t)
-        d = np.abs(u1.coeffs[u0.half_range + ns]
-                   - u0.coeffs[u0.half_range + ns])
-        sups.append(float(np.max(wfac * d)))
-        comps.append(float(d[0]))
+    sups, comps = airy_distances(u0, ts, s)
     # sup-norm distance stays macroscopic at every sampled time
     assert min(sups) >= 0.1
     # each fixed component moves linearly: |e^{i w t} - 1| ~ w t
@@ -334,14 +310,9 @@ def test_criterion_12_projector_trend():
     # realizes the n^{-(1-|t|)} = n^{-1/4} projector rate.  (Generic
     # borderline members decay faster, ~ n^{-3/4} log n.)
     t = -0.75
-    ns_test = [8, 12, 16, 24, 32, 48, 64]
-    c = 0.02
-    pairs = []
-    for n in ns_test:
-        m = n - 1
-        v = c * m ** 0.75
-        pairs += [(m, v), (-m, v)]
-    q = Potential.from_even_pairs(pairs, n_max=64, s=0.0)
+    ns_test = list(LACUNARY_NS)
+    c = LACUNARY_C
+    q = lacunary_potential()
     norm_t2 = math.sqrt(sum(2 * (1.0 + (n - 1)) ** (2 * t)
                             * (c * (n - 1) ** 0.75) ** 2 for n in ns_test))
     assert norm_t2 < 0.1  # certified member of the H^t ball

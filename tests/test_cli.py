@@ -194,6 +194,18 @@ def test_verify_isospectral_suite(tmp_path):
     assert summary["results"][0]["max_lambda_drift"] < 1e-6
 
 
+def test_verify_all_suites(tmp_path):
+    # the sandwich suite checks the gap sandwich at n = M_ms of the s = 0
+    # ball of radius 1
+    out = str(tmp_path / "o")
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", out]) == 0
+    summary = read_json(os.path.join(out, "verify.json"))
+    assert (summary["suites_run"], summary["suites_passed"]) == (4, 4)
+    sandwich = [r for r in summary["results"] if r["suite"] == "sandwich"]
+    assert sandwich[0]["checked"] == [
+        {"n": 832961, "condition_met": True, "holds": True}]
+
+
 def test_verify_unknown_suite(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["verify", "--suite", "nope", "--out", out])
@@ -243,14 +255,18 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "zero", "--t", "inf"],
     ["reduce", "--potential", "power-law:nmax=8,a=1e308,e=1.5", "--s", "-0.25"],
     ["--potential", "random:sup=-1e308,nmax=1"],
+    ["--potential", "zero", "--seed", "-1"],
+    ["reduce", "--potential", "zero", "--seed", "-1"],
+    ["verify", "--suite", "sandwich", "--seed", "-1"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_exit_2(tmp_path, capsys, flags):
     # a potential file holding {}, K below 16, a negative and a zero nmax,
     # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
     # with odd modes, a NaN c and weight exponent, a negative weight
-    # exponent, an infinite time, an infinite coefficient and a finite one
-    # whose l1 norm squared overflows; flags without a subcommand run
+    # exponent, an infinite time, an infinite coefficient, a finite one
+    # whose l1 norm squared overflows and a negative seed (for the seeded
+    # potentials and for the sandwich suite); flags without a subcommand run
     # spectrum, and no RuntimeWarning may escape
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

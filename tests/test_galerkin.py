@@ -21,7 +21,8 @@ from hillkdv.galerkin import (
     verify_decay, SeparationError, _lex_sort,
 )
 
-from dense_oracle import lex_sort_loop, periodic_matrix
+from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
+    periodic_matrix
 
 PI2 = math.pi ** 2
 
@@ -207,10 +208,8 @@ def test_riesz_criterion12_potential_matches_quadrature(eigvals_calls):
     # the lacunary potential of acceptance criterion 12; its pairs are well
     # separated, so 64 trapezoid nodes already meet the tolerance.  The
     # other block's Gershgorin discs stay off every contour: no extra solve
-    ns = (8, 12, 16, 24, 32, 48, 64)
-    pairs = [(s * (n - 1), 0.02 * (n - 1) ** 0.75) for n in ns for s in (1, -1)]
-    q = Potential.from_even_pairs(pairs, n_max=64)
-    for n in ns:
+    q = lacunary_potential()
+    for n in LACUNARY_NS:
         R, _ = riesz_projector(q, n, 180)
         assert np.all(R[off_block(n, 180)] == 0)
         assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12

@@ -20,24 +20,16 @@ from hillkdv.reduction import (
     make_context, ReductionContext, apply_T_n, neumann_K_n, _plans,
     coefficients, det_B, sample_T_norm, alpha_fixed_point, find_roots,
     adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
+    isolated_mode_sandwich,
     ThresholdError, KernelPreconditionError, LocalizationError,
     _contraction_sums, _n_grid,
 )
 
 from dense_oracle import contraction_sum, dense_coefficients, \
-    kernel_vector, periodic_matrix, project, sparse_coefficients
+    kernel_vector, periodic_matrix, project, smooth_real_potential, \
+    sparse_coefficients
 
 PI2 = math.pi ** 2
-
-
-def smooth_real_potential(seed=7, n_max=26, amp=0.05):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for n in range(1, n_max + 1):
-        v = amp * (1 + n) ** -0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        pairs.append((n, v))
-        pairs.append((-n, np.conj(v)))
-    return Potential.from_even_pairs(pairs, n_max=n_max, s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +89,45 @@ def test_thresholds_stable():
     cases += [(q, 0.0, (1, 52061, 832961)) for q in crit5]
     for q, s, want in cases:
         assert thresholds(q, s) == want
+
+
+def test_c_s_rejects_s_outside_range_whatever_is_cached(monkeypatch):
+    # s = 1e-10 > 0 is outside (-1/2, 0], also once c_s(0) is cached
+    import hillkdv.reduction as red
+    monkeypatch.setattr(red, "_CS_CACHE", {})
+    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    q = Potential.single_mode(0.05)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="s must be in"):
+            make_context(q, s=1e-10)
+        estimate_c_s(0.0)
+
+
+def test_c_s_keyed_on_exact_s(monkeypatch):
+    # s = -0.25 - 4e-13 is its own key: its value does not depend on
+    # whether c_s(-0.25) was computed first
+    import hillkdv.reduction as red
+    s = -0.2500000000004
+    cold = []
+    for warm in ((), (-0.25,)):
+        monkeypatch.setattr(red, "_CS_CACHE", {})
+        monkeypatch.setattr(red, "_CSP_CACHE", {})
+        for v in warm:
+            estimate_c_s_prime(v)
+        cold.append((estimate_c_s(s), estimate_c_s_prime(s)))
+    assert cold[0] == cold[1]
+    assert cold[0][0] != estimate_c_s(-0.25)
+
+
+def test_thresholds_are_make_context_thresholds():
+    # a weighted potential: thresholds and make_context both default to q's
+    # s and weight
+    q = Potential.power_law(0.1, -0.25, 64, s=-0.25,
+                            weight=Weight.polynomial(0.5))
+    ctx = make_context(q)
+    assert thresholds(q) == thresholds(q, q.s) == \
+        (ctx.n_s, ctx.N_ms, ctx.M_ms)
+    assert ctx.n_s == 35
 
 
 def test_c_s_grows_with_roughness():
@@ -471,14 +502,9 @@ def test_fixed_point_stop_at_high_mode():
     # is wider than the gap (0.02); one more step of each root's map still
     # moves it by at most 4 ulp(n^2 pi^2), a fifth of the gap: the roots are
     # fixed points to the last place (the verify sandwich construction)
-    base = Potential.random_real(np.random.default_rng(0), 8, sup=0.05)
-    M = make_context(base).M_ms
-    n = M + 1
-    pairs = [(k, base.coeff(2 * k)) for k in range(-8, 9) if k != 0]
-    pairs += [(n, 0.01), (-n, 0.01)]
-    ctx = make_context(Potential.from_even_pairs(pairs, n_max=n))
-    assert ctx.M_ms == M
-    res = find_roots(ctx, n, xi_bound_grid=0)
+    ctx, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
+    n = res.n
+    assert n == ctx.M_ms + 1
     center = n * n * PI2
     ulp4 = 4 * math.ulp(center)
     gap = abs(res.xi_2 - res.xi_1)
