@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .operator import Potential, dirichlet_cos_coeffs
-from .sequences import bracket, norm as seq_norm, tail as seq_tail
+from .sequences import norm as seq_norm, tail as seq_tail, weight_factors
 
 
 class SeparationError(ValueError):
@@ -246,30 +246,29 @@ def op_norm_2_to_inf(A, K, grid=None):
     return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
-def verify_decay(q, w, s, K_list, c_s=None):
+def verify_decay(q, w, s, K_list):
     """Weighted sups of gap lengths and midpoint-Dirichlet differences across
     truncations, with a stabilization measure and the high-mode tail bound
     ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2.
     """
-    if c_s is None:
-        from .reduction import estimate_c_s
-        c_s = estimate_c_s(s)
+    from .reduction import estimate_c_s, _smallest_n
+    c_s = estimate_c_s(s)
     report = {"K_list": list(K_list), "sup_gamma": [], "sup_taumu": []}
     results = {}
     for K in K_list:
         spec = full_spectrum(q, K)
         gam, tau, diff = gaps_and_midpoints(spec)
         n = np.arange(1, spec.trust + 1)
-        wfac = (np.ones(n.size) if w is None else w(2 * n)) * bracket(2 * n) ** s
+        wfac = weight_factors(2 * n, w, s)
         results[K] = n, wfac * np.abs(gam)
         report["sup_gamma"].append(float(np.max(results[K][1], initial=0.0)))
         report["sup_taumu"].append(float(np.max(wfac * np.abs(diff), initial=0.0)))
     for key in ("gamma", "taumu") if len(K_list) >= 2 else ():
         a, b = report["sup_" + key][-2:]
         report[key + "_stabilization"] = abs(a - b) / max(abs(b), 1e-300)
-    # tail bound at N = contraction threshold for this potential
+    # tail bound at N = n_s, the contraction threshold of make_context
     qn = seq_norm(q.seq, w, s, math.inf)
-    N = max(1, int(np.ceil((2.0 * c_s * qn) ** (1.0 / (0.5 - abs(s))))))
+    N = _smallest_n(0.5 - abs(s), 2.0 * c_s * qn, "n_s")
     n, wgam = results[max(K_list)]
     lhs = float(np.max(wgam[n >= N], initial=0.0))
     tq = seq_norm(seq_tail(q.seq, 2 * N), w, s, math.inf)

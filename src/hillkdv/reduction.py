@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
-    norm, shifted_norm, weight_factors
+    norm, shifted_norm, weight_factors, _divisor_sums
 from .operator import Potential, multiply, apply_A_inv_Q, in_strip, \
     StripViolationError, NearSingularError
 
@@ -65,36 +65,6 @@ _CS_CACHE = {}
 _CSP_CACHE = {}
 
 
-def _contraction_sums(grid, alpha):
-    """S(n) = sum over |k| != n of |n+k|^{-alpha} |n-k|^{-1} for each n in
-    grid, via j = n - k: sum over j != 0, 2n of |j-2n|^{-alpha} |j|^{-1} for
-    |j| <= J = max(32n, 65536), plus integral tails.  The tables |j|^{-1}
-    and |x|^{-alpha}, zero at 0 (the excluded terms), serve every n: the
-    body is a slice of the first dotted with a slice of the second at
-    x = j - 2n."""
-    top = max(grid)
-    off = max(32 * top, 65536) + 2 * top  # table index of 0
-    j = np.abs(np.arange(-off, off - 2 * top + 1, dtype=float))
-    j[off] = np.inf  # inf ** negative = 0
-    g, p = j ** (-1.0), j ** (-alpha)
-    body = np.empty(len(grid))
-    for i, n in enumerate(grid):
-        J = max(32 * n, 65536)
-        lo = off - J  # index of j = -J, and of x = -J - 2n at lo - 2n
-        body[i] = np.dot(g[lo:lo + 2 * J + 1], p[lo - 2 * n:lo - 2 * n + 2 * J + 1])
-    # tails: j -> +-inf give the integrals over 0 < u < b = 1/(J + 1/2) of
-    # u^{alpha-1} (1 -+ 2n u)^{-alpha}; the binomial series of their sum,
-    # 2 sum over even k of (alpha)_k / k! (2n u)^k with (alpha)_k the rising
-    # factorial, integrates term by term, and 2n b <= 1/16 makes the terms
-    # past k = 16 negligible
-    ns = np.asarray(grid, dtype=float)
-    b = 1.0 / (np.maximum(32 * ns, 65536) + 0.5)
-    k = np.arange(0, 18, 2)
-    c = np.cumprod(np.r_[1.0, (alpha + np.arange(17)) / np.arange(1, 18)])[::2]
-    return body + 2 * b ** alpha * ((2 * ns * b)[:, None] ** k
-                                    * (c / (k + alpha))).sum(axis=1)
-
-
 def _n_grid(n_max):
     grid = list(range(1, min(1024, n_max) + 1))
     n = 2048
@@ -107,10 +77,11 @@ def _n_grid(n_max):
 
 
 def estimate_c_s(s, n_max=4096):
-    """Contraction constant: c_s = sup_n n^{1/2-|s|} * 2 * S(n) where S(n)
-    is the divisor sum of the T_n operator-norm bound.  Dense sweep for
-    n <= 1024, geometric grid beyond (the scaled sums decrease past small n);
-    k-sum tails handled by integral estimates.
+    """Contraction constant: c_s = max(1, sup_n n^{1/2-|s|} 2 D(n; 1-2|s|, 1))
+    with D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b}, the
+    divisor sum of the T_n operator-norm bound, summed by _divisor_sums to
+    J = max(32n, 65536).  Dense sweep for n <= 1024, geometric grid beyond
+    (the scaled sums decrease past small n).
     """
     if not (-0.5 < s <= 0.0):
         raise ValueError("s must be in (-1/2, 0]")
@@ -118,11 +89,9 @@ def estimate_c_s(s, n_max=4096):
     if key in _CS_CACHE:
         return _CS_CACHE[key]
     a = abs(s)
-    alpha = 1.0 - 2.0 * a
-    power = 0.5 - a
-    grid = _n_grid(n_max)
-    vals = np.array(grid, dtype=float) ** power * 2.0 * \
-        _contraction_sums(grid, alpha)
+    grid = np.array(_n_grid(n_max))
+    vals = grid ** (0.5 - a) * 2.0 * _divisor_sums(
+        grid, 1.0 - 2.0 * a, 1.0, np.maximum(32 * grid, 65536))
     c = float(max(vals.max(), 1.0))
     _CS_CACHE[key] = c
     return c
@@ -135,8 +104,8 @@ def epsilon_s(n, s):
 
 
 def estimate_c_s_prime(s, n_max=4096):
-    """c_s' = max(c_s, fitted constant of the <T_n f, e_{+-n}> bound), the
-    latter being sup_n 2 <2n>^s * hilbert_sum(n, 1-|s|) / epsilon_s(n)."""
+    """c_s' = max(c_s, sup_n 2 <2n>^s D(n; 1-|s|, 1-|s|) / epsilon_s(n)), the
+    latter fitted to the <T_n f, e_{+-n}> bound; D is hilbert_sum's sum."""
     c = estimate_c_s(s, n_max)  # rejects s outside (-1/2, 0]
     key = (float(s), int(n_max))
     if key in _CSP_CACHE:
@@ -174,7 +143,7 @@ def thresholds(q, s=None, w=None, m=None):
     return ctx.n_s, ctx.N_ms, ctx.M_ms
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionContext:
     """Bundle of potential, space parameters, Neumann settings and
     thresholds; nothing here changes after make_context, so results do not

@@ -366,41 +366,49 @@ def tail(f, N):
     return replace(f, coeffs=c, zero_mean=True)
 
 
-def hilbert_sum(n, sigma, cutoff=1_000_000):
-    """S(n, sigma) = sum over |m| != n of 1/|m^2 - n^2|^sigma; for a list
-    of n, the array of S over it.
+def _divisor_sums(ns, a, b, Js):
+    """D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b} for each n in
+    ns: the terms |k| <= J (one J >= 2n per n in Js) plus both tails.
 
-    Direct summation up to M = max(cutoff, 4n) plus an exact series for both
-    tails.  The summands factor as |m-n|^{-sigma} (m+n)^{-sigma}, so one
-    table t[x] = x^{-sigma} serves every n: n < m <= M gives
-    t[1:M-n+1] t[2n+1:M+n+1], 0 < m < n gives t[n-1:0:-1] t[n+1:2n] and
-    m = 0 gives n^{-2 sigma}.  Each tail is the integral of (x^2 - n^2)^{-sigma}
-    over x > M + 1/2; u = 1/x and b = 1/(M + 1/2) turn it into the integral
-    over 0 < u < b of u^{2 sigma - 2} (1 - n^2 u^2)^{-sigma}, whose binomial
-    series integrates term by term to
-    b^{2 sigma - 1} sum_j (sigma)_j / j! (nb)^{2j} / (2 sigma - 1 + 2j),
-    (sigma)_j the rising factorial.  M >= 4n makes (nb)^2 < 1/16, so the
-    terms past j = 24 are below double precision for sigma up to about 16.
-    Raises ValueError for n < 1 or sigma <= 1/2.
+    The tables x^{-a} and x^{-b}, zero at x = 0 (the excluded terms), serve
+    every n: k > n, k < -n and |k| < n are three dot products of slices, and
+    when a = b the first two are equal.  The tails are the integrals over
+    x > J + 1/2 of (x +- n)^{-a} (x -+ n)^{-b}; with u = 1/x, B = 1/(J + 1/2)
+    and f(t) = (1+t)^{-a} (1-t)^{-b}, whose series is the product of two
+    binomial series, their sum is the integral over 0 < u < B of
+    u^{a+b-2} (f(nu) + f(-nu)) = 2 B^{a+b-1} sum over even k of
+    f_k (nB)^k / (a+b-1+k).  nB < 1/2, so the terms past k = 64 are negligible.
+    """
+    ns, Js = np.asarray(ns), np.asarray(Js)
+    x = np.arange((Js + ns).max() + 1, dtype=float)
+    x[0] = np.inf  # inf ** negative = 0
+    ta = x ** (-a)
+    tb = ta if a == b else x ** (-b)
+    body = []
+    for n, J in zip(ns.tolist(), Js.tolist()):
+        right = np.dot(ta[2 * n + 1:J + n + 1], tb[1:J - n + 1])
+        left = right if a == b else np.dot(ta[1:J - n + 1], tb[2 * n + 1:J + n + 1])
+        body.append(right + left + np.dot(ta[1:2 * n], tb[2 * n - 1:0:-1]))
+    i, k = np.arange(1, 65), np.arange(0, 65, 2)
+    f = np.convolve(np.cumprod(np.r_[1.0, -(a + i - 1) / i]),
+                    np.cumprod(np.r_[1.0, (b + i - 1) / i]))[k]
+    B = 1.0 / (Js + 0.5)
+    return np.array(body) + 2.0 * B ** (a + b - 1) * (
+        (ns * B)[:, None] ** k * (f / (a + b - 1 + k))).sum(axis=1)
+
+
+def hilbert_sum(n, sigma, cutoff=1_000_000):
+    """S(n, sigma) = sum over |m| != n of 1/|m^2 - n^2|^sigma, the divisor
+    sum D(n; sigma, sigma) of _divisor_sums summed to |m| <= max(cutoff, 4n);
+    for a list of n, the array of S over it.  Raises ValueError for n < 1 or
+    sigma <= 1/2.
     """
     ns = np.atleast_1d(n)
     if ns.min() < 1:
         raise ValueError("n must be >= 1")
     if sigma <= 0.5:
         raise ValueError("sum diverges for sigma <= 1/2")
-    Ms = np.maximum(int(cutoff), 4 * ns)
-    x = np.arange((Ms + ns).max() + 1, dtype=float)
-    x[0] = np.inf  # inf ** negative = 0
-    t = x ** (-sigma)
-    body = np.array([np.dot(t[1:M - k + 1], t[2 * k + 1:M + k + 1])
-                     + np.dot(t[k - 1:0:-1], t[k + 1:2 * k])
-                     for k, M in zip(ns.tolist(), Ms.tolist())])
-    b = 1.0 / (Ms + 0.5)
-    j = np.arange(25)
-    c = np.cumprod(np.r_[1.0, (sigma + j[:-1]) / j[1:]])
-    tails = b ** (2 * sigma - 1) * (((ns * b) ** 2)[:, None] ** j
-                                    * (c / (2 * sigma - 1 + 2 * j))).sum(axis=1)
-    out = 2.0 * body + ns.astype(float) ** (-2.0 * sigma) + 2.0 * tails
+    out = _divisor_sums(ns, sigma, sigma, np.maximum(int(cutoff), 4 * ns))
     return float(out[0]) if np.ndim(n) == 0 else out
 
 

@@ -9,13 +9,14 @@ otherwise) and a Neumann series whose every term is cut to the window
 must agree to rounding.  sparse_neumann sums the series on SparseSeqs term
 by term, each support found afresh by multiply, where the package reuses
 one support plan for every lambda at n; the two must agree bit for bit.
-contraction_sum evaluates the divisor sum behind c_s at one n from its own
-index array, where the package slices shared power tables for a whole grid
-of n.  periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix
-that the package only ever handles as two parity blocks.  kernel_vector
-builds the kernel vector of B_n(xi) that eigenfunction_reconstruct takes.
-project is the mode projector pair P_n, Q_n = 1 - P_n.  lex_sort_loop is
-the element-by-element loop behind galerkin._lex_sort.
+divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
+one n from its own index array, where the package slices shared power
+tables for a whole array of n.  periodic_matrix is the full (2K+1)x(2K+1)
+periodic Galerkin matrix that the package only ever handles as two parity
+blocks.  kernel_vector builds the kernel vector of B_n(xi) that
+eigenfunction_reconstruct takes.  project is the mode projector pair P_n,
+Q_n = 1 - P_n.  lex_sort_loop is the element-by-element loop behind
+galerkin._lex_sort.
 
 smooth_real_potential and lacunary_potential are test potentials that more
 than one test file uses.
@@ -148,27 +149,22 @@ def sparse_coefficients(ctx, n, lam):
             "max_ratio": max(r1, r2), "converged": ok1 and ok2}
 
 
-def contraction_sum(n, alpha, J=None):
-    """S(n) = sum over |k| != n of |n+k|^{-alpha} |n-k|^{-1}, via j = n - k:
-    sum over j != 0, 2n of |2n-j|^{-alpha} |j|^{-1}, plus integral tails."""
-    if J is None:
-        J = max(32 * n, 65536)
-    j = np.arange(-J, J + 1, dtype=float)
-    mask = (j != 0) & (j != 2 * n)
-    jj = j[mask]
-    body = np.sum(np.abs(2 * n - jj) ** (-alpha) * np.abs(jj) ** (-1.0))
-    # tails: j -> +inf gives 1/((j-2n)^alpha j); j -> -inf gives 1/((i+2n)^alpha i);
-    # x = 1/u and then u = v^{1/alpha} turn them into integrals of the smooth
-    # (1 -+ 2n u)^{-alpha} / alpha over a finite interval (in u alone the
-    # integrand is singular like u^{alpha-1}, and quad misses the tails by up
-    # to 4e-10 at alpha = 0.1)
+def divisor_sum(n, a, b, J):
+    """D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b}: the terms
+    |k| <= J from one fresh index array, plus the integrals over x > J + 1/2
+    of (x +- n)^{-a} (x -+ n)^{-b}.  After u = 1/x the tails are one integral
+    over 0 < u < 1/(J + 1/2) of u^{a+b-2} times a smooth factor, which quad
+    integrates with the algebraic weight u^{a+b-2} (QAWS), so the endpoint
+    singularity needs no substitution."""
     from scipy.integrate import quad
-    top = (J + 0.5) ** (-alpha)
-    t1, _ = quad(lambda v: (1.0 - 2 * n * v ** (1 / alpha)) ** (-alpha) / alpha,
-                 0.0, top)
-    t2, _ = quad(lambda v: (1.0 + 2 * n * v ** (1 / alpha)) ** (-alpha) / alpha,
-                 0.0, top)
-    return float(body + t1 + t2)
+    k = np.arange(-J, J + 1, dtype=float)
+    k = k[np.abs(k) != n]
+    body = np.sum(np.abs(k + n) ** (-a) * np.abs(k - n) ** (-b))
+    tails, _ = quad(lambda u: (1.0 + n * u) ** (-a) * (1.0 - n * u) ** (-b)
+                    + (1.0 - n * u) ** (-a) * (1.0 + n * u) ** (-b),
+                    0.0, 1.0 / (J + 0.5), weight="alg", wvar=(a + b - 2.0, 0.0),
+                    epsabs=0.0, epsrel=2e-14)
+    return float(body + tails)
 
 
 def periodic_matrix(q, K):

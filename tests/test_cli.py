@@ -128,6 +128,19 @@ def test_reduce_below_threshold_rows(tmp_path):
     assert statuses[8] == "ok"
 
 
+def test_reduce_empty_range_exit_2(tmp_path, capsys):
+    # n_s = 93 at s = -1/4 lies past the trust count of K = 64, so the
+    # default range n_s .. min(n_s + 7, trust) is empty
+    out = tmp_path / "o"
+    rc = main(["reduce", "--potential", "single-mode:c=0.2", "--s", "-0.25",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no modes to reduce")
+    assert "n_s = 93" in err and "K = 64" in err
+    assert not (out / "reduce.csv").exists()
+
+
 def test_reduce_threshold_beyond_float_range(tmp_path, capsys):
     # ||q|| ~ 1e152 is finite, but n_s ~ (2 c_s ||q||)^4 is not
     rc = main(["reduce", "--potential", "power-law:nmax=8,a=1e150,e=1.5",

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm, shifted_norm
 from hillkdv.operator import Potential, multiply
@@ -22,10 +22,11 @@ from hillkdv.reduction import (
     adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
     isolated_mode_sandwich,
     ThresholdError, KernelPreconditionError, LocalizationError,
-    _contraction_sums, _n_grid,
+    _n_grid,
 )
+from hillkdv.sequences import _divisor_sums
 
-from dense_oracle import contraction_sum, dense_coefficients, \
+from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
     sparse_coefficients
 
@@ -52,12 +53,31 @@ def test_c_s_reference_value():
 
 @pytest.mark.parametrize("s", [0.0, -0.25, -0.45])
 def test_contraction_sums_match_per_n_oracle(s):
-    # the shared-table sweep against one fresh index array per n
+    # c_s's sweep of the shared-table kernel, D(n; 1-2|s|, 1) at
+    # J = max(32n, 65536), against one fresh index array per n
     alpha = 1.0 - 2.0 * abs(s)
-    grid = _n_grid(4096)
-    got = _contraction_sums(grid, alpha)
-    want = np.array([contraction_sum(n, alpha) for n in grid])
+    grid = np.array(_n_grid(4096))
+    Js = np.maximum(32 * grid, 65536)
+    got = _divisor_sums(grid, alpha, 1.0, Js)
+    want = np.array([divisor_sum(n, alpha, 1.0, J)
+                     for n, J in zip(grid.tolist(), Js.tolist())])
     assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.0, 2.0, exclude_min=True),
+       b=st.floats(0.0, 2.0, exclude_min=True),
+       equal=st.booleans(), n=st.integers(1, 4096), data=st.data())
+def test_divisor_sums_match_oracle(a, b, equal, n, data):
+    # D(n; a, b) for a = b (one side summed and doubled) and a != b, at
+    # every body reach 2n <= J <= 8192, where the tail series converges
+    # slowest (nB < 1/2)
+    if equal:
+        b = a
+    assume(a + b - 1.0 > 0.0)
+    J = data.draw(st.integers(2 * n, 8192))
+    got = _divisor_sums([n], a, b, [J])
+    assert got[0] == pytest.approx(divisor_sum(n, a, b, J), rel=1e-13)
 
 
 @pytest.mark.parametrize("s, c_s, c_s_prime", [
@@ -65,7 +85,7 @@ def test_contraction_sums_match_per_n_oracle(s):
     (-0.25, 10.193612941496836, 18.822725736106342),
 ])
 def test_c_s_cold_recorded_values(monkeypatch, s, c_s, c_s_prime):
-    # reference values from per-n summation: contraction_sum in
+    # reference values from per-n summation: divisor_sum in
     # dense_oracle.py for c_s, and a sorted sum of |m^2 - n^2|^{-sigma} for c_s'
     import hillkdv.reduction as red
     monkeypatch.setattr(red, "_CS_CACHE", {})
@@ -138,10 +158,10 @@ def test_c_s_grows_with_roughness():
 
 
 def test_c_s_is_sup_of_scaled_sums():
-    # c_0 = max(1, sup_n n^{1/2} 2 S(n)) over the n grid, alpha = 1 at s = 0
-    grid = _n_grid(4096)
-    vals = np.array(grid, dtype=float) ** 0.5 * 2.0 * \
-        _contraction_sums(grid, 1.0)
+    # c_0 = max(1, sup_n n^{1/2} 2 D(n; 1, 1)) over the n grid
+    grid = np.array(_n_grid(4096))
+    vals = grid ** 0.5 * 2.0 * \
+        _divisor_sums(grid, 1.0, 1.0, np.maximum(32 * grid, 65536))
     assert estimate_c_s(0.0) == max(1.0, float(vals.max()))
 
 
