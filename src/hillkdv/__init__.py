@@ -11,13 +11,13 @@ Conventions used throughout:
   * bracket(n) = 1 + |n|.
 """
 
-from .sequences import FourierSeq, SparseSeq, Weight, norm, shifted_norm, tail, \
-    hilbert_sum, weakstar_converged, cap_weight
+from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
+    weakstar_converged, cap_weight
 from .operator import Potential, multiply, apply_A_inv_Q, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     gaps_and_midpoints, riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
-    thresholds, make_context, apply_T_n, neumann_K_n, coefficients, find_roots, \
+    thresholds, make_context, neumann_K_n, coefficients, find_roots, \
     alpha_fixed_point, adapted_coefficients, gap_sandwich, \
     eigenfunction_reconstruct
 from .birkhoff import BirkhoffState, actions_from_gaps, frequencies, \

@@ -32,11 +32,12 @@ class BirkhoffState(FourierSeq):
         return self.coeffs[N + n] * self.coeffs[N - n]
 
 
-def actions_from_gaps(gamma, tol=1e-9):
+def actions_from_gaps(gamma):
     """Asymptotic actions I_n = gamma_n^2 / (8 n pi) from real gap lengths
-    gamma = (gamma_1, gamma_2, ...).  Complex gaps are unsupported."""
+    gamma = (gamma_1, gamma_2, ...).  Complex gaps (an imaginary part above
+    1e-9) are unsupported."""
     gamma = np.asarray(gamma)
-    if np.iscomplexobj(gamma) and np.max(np.abs(gamma.imag), initial=0.0) > tol:
+    if np.iscomplexobj(gamma) and np.max(np.abs(gamma.imag), initial=0.0) > 1e-9:
         raise ValueError("complex gap lengths unsupported (real potentials only)")
     g = gamma.real.astype(float)
     n = np.arange(1, g.size + 1)

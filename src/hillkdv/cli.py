@@ -186,6 +186,7 @@ def _meta(cfg):
 def write_json(path, obj, cfg):
     obj = dict(obj)
     obj["meta"] = _meta(cfg)
+    os.makedirs(os.path.dirname(path), exist_ok=True)  # at the first output
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -198,6 +199,7 @@ def _fnum(x):
 
 def write_csv(path, header, rows, cfg):
     meta = _meta(cfg)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         wr.writerow(["# config_hash=%s version=%s" % (meta["config_hash"],
@@ -221,7 +223,6 @@ def _setup(cfg):
             q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
     except InvalidSequenceError as exc:  # s, odd modes, oversized coefficients
         raise ConfigError(str(exc))
-    os.makedirs(cfg["out"], exist_ok=True)
     return q, s, weight, rng
 
 
@@ -325,7 +326,7 @@ def cmd_flow(cfg):
     t = get_float(cfg, "t", 1.0)
     spec = full_spectrum(q, K)
     gam, tau, diff = gaps_and_midpoints(spec)
-    I = actions_from_gaps(gam.real)
+    I = actions_from_gaps(gam)
     om = frequencies(I)
     z0 = linearized_birkhoff(q)
     z1 = birkhoff_flow(z0, t)
@@ -395,7 +396,6 @@ def _suite_sandwich(cfg, rng):
 
 def cmd_verify(cfg):
     rng = np.random.default_rng(get_int(cfg, "seed", 0))
-    os.makedirs(cfg["out"], exist_ok=True)
     suites = {"decay": _suite_decay, "isospectral": _suite_isospectral,
               "airy-demo": _suite_airy, "sandwich": _suite_sandwich}
     chosen = cfg.get("suite", "all")

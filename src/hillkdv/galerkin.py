@@ -18,12 +18,12 @@ otherwise.  That non-Hermitian (complex-potential) projector is the only
 scipy user and imports scipy.linalg when it is first called.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .operator import Potential, dirichlet_cos_coeffs
+from .operator import dirichlet_cos_coeffs
 from .sequences import norm as seq_norm, tail as seq_tail, weight_factors
 
 
@@ -225,25 +225,6 @@ def riesz_projector(q, n, K):
     defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
     return R, {"quad_points": 0, "idempotency_defect": float(defect),
                "trace": complex(np.trace(R))}
-
-
-def free_projector(n, K):
-    """P_n for q = 0: mass on modes +-n (in the truncated basis)."""
-    P = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    P[K + n, K + n] = 1.0
-    P[K - n, K - n] = 1.0
-    return P
-
-
-def op_norm_2_to_inf(A, K, grid=None):
-    """L^2 -> L^infty norm of the operator with matrix A in the e_k basis:
-    sup_x || row functional ||_2 with (Af)(x) = sum_k (Af)_k e^{i pi k x}."""
-    if grid is None:
-        grid = np.linspace(0.0, 2.0, 8 * K + 9, endpoint=False)
-    ks = np.arange(-K, K + 1)
-    E = np.exp(1j * math.pi * grid[:, None] * ks[None, :])
-    rows = E @ A
-    return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
 def verify_decay(q, w, s, K_list):

@@ -103,27 +103,29 @@ class Potential:
     def power_law(amplitude, exponent, n_max, s=0.0, weight=None, rng=None):
         """|q_{2n}| = amplitude * <n>^exponent for 1 <= |n| <= n_max, with
         random phases if rng is given (conjugate-symmetric, so q is real)."""
-        ns = np.arange(1, n_max + 1)
-        mags = amplitude * bracket(ns) ** exponent
+        mags = amplitude * bracket(np.arange(1, n_max + 1)) ** exponent
         if rng is None:
             phases = np.zeros(n_max)
         else:
             phases = rng.uniform(0, 2 * np.pi, size=n_max)
-        vals = mags * np.exp(1j * phases)
-        pairs = [(int(n), v) for n, v in zip(ns, vals)]
-        pairs += [(-int(n), np.conj(v)) for n, v in zip(ns, vals)]
-        return Potential.from_even_pairs(pairs, n_max=n_max, s=s, weight=weight)
+        return _real_potential(mags, phases, s, weight)
 
     @staticmethod
     def random_real(rng, n_max, sup=0.1, decay=0.0, s=0.0, weight=None):
         """Random real potential with |q_{2n}| <= sup * <n>^decay."""
-        ns = np.arange(1, n_max + 1)
-        mags = sup * bracket(ns) ** decay * rng.uniform(0.3, 1.0, size=n_max)
+        mags = sup * bracket(np.arange(1, n_max + 1)) ** decay \
+            * rng.uniform(0.3, 1.0, size=n_max)
         phases = rng.uniform(0, 2 * np.pi, size=n_max)
-        vals = mags * np.exp(1j * phases)
-        pairs = [(int(n), v) for n, v in zip(ns, vals)]
-        pairs += [(-int(n), np.conj(v)) for n, v in zip(ns, vals)]
-        return Potential.from_even_pairs(pairs, n_max=n_max, s=s, weight=weight)
+        return _real_potential(mags, phases, s, weight)
+
+
+def _real_potential(mags, phases, s, weight):
+    """The real potential with q_{+-2n} = mags[n-1] e^{+-i phases[n-1]} for
+    1 <= n <= len(mags)."""
+    vals = mags * np.exp(1j * phases)
+    pairs = [(n, v) for n, v in enumerate(vals, 1)]
+    pairs += [(-n, np.conj(v)) for n, v in enumerate(vals, 1)]
+    return Potential.from_even_pairs(pairs, n_max=len(vals), s=s, weight=weight)
 
 
 def multiply(q, f):
@@ -139,12 +141,12 @@ def in_strip(lam, n):
     return abs(lam.real - n * n * math.pi ** 2) <= 12.0 * n + 1e-9
 
 
-def apply_A_inv_Q(lam, n, f, singular_tol=1e-12):
+def apply_A_inv_Q(lam, n, f):
     """Inverse of A_lambda = d^2/dx^2 + lambda on the complement of
     span{e_n, e_{-n}}: g_{+-n} = 0, g_k = f_k / (lambda - (k pi)^2).
     Returns the container it is given; a SparseSeq loses the indices +-n.
 
-    lambda must lie in the strip S_n; a divisor smaller than singular_tol
+    lambda must lie in the strip S_n; a divisor smaller than 1e-12
     signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
     in units of pi^2 ... up to the strip width) and raises.
     """
@@ -157,11 +159,10 @@ def apply_A_inv_Q(lam, n, f, singular_tol=1e-12):
     ks = f.ks()
     div = lam - (ks * math.pi) ** 2
     keep = np.abs(ks) != n
-    small = keep & (np.abs(div) < singular_tol)
+    small = keep & (np.abs(div) < 1e-12)
     if np.any(small):
-        k_bad = ks[small][0]
         raise NearSingularError(
-            "divisor |lambda - (k pi)^2| < %g at k=%d" % (singular_tol, k_bad))
+            "divisor |lambda - (k pi)^2| < 1e-12 at k=%d" % ks[small][0])
     if isinstance(f, SparseSeq):
         return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
     safe = np.where(keep, div, 1.0)  # avoid 0/0 at the excluded modes

@@ -33,12 +33,13 @@ All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 
 from dataclasses import dataclass
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
-    norm, shifted_norm, weight_factors, _divisor_sums
+    norm, weight_factors, _divisor_sums
 from .operator import Potential, multiply, apply_A_inv_Q, in_strip, \
     StripViolationError, NearSingularError
 
@@ -61,40 +62,31 @@ class RootError(ArithmeticError):
 
 PI2 = math.pi ** 2
 
-_CS_CACHE = {}
-_CSP_CACHE = {}
+# the n of the c_s sweep: every n <= 1024, then 2048 and 4096 (the scaled
+# sums decrease past small n)
+_C_S_GRID = np.r_[1:1025, 2048, 4096]
+# the n of the c_s' sweep
+_C_S_PRIME_GRID = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768,
+                                       1024, 2048, 4096]
 
 
-def _n_grid(n_max):
-    grid = list(range(1, min(1024, n_max) + 1))
-    n = 2048
-    while n < n_max:
-        grid.append(n)
-        n *= 2
-    if n_max > grid[-1]:
-        grid.append(n_max)
-    return grid
-
-
-def estimate_c_s(s, n_max=4096):
+def estimate_c_s(s):
     """Contraction constant: c_s = max(1, sup_n n^{1/2-|s|} 2 D(n; 1-2|s|, 1))
-    with D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b}, the
-    divisor sum of the T_n operator-norm bound, summed by _divisor_sums to
-    J = max(32n, 65536).  Dense sweep for n <= 1024, geometric grid beyond
-    (the scaled sums decrease past small n).
+    over _C_S_GRID with D(n; a, b) = sum over k != +-n of |k+n|^{-a}
+    |k-n|^{-b}, the divisor sum of the T_n operator-norm bound, summed by
+    _divisor_sums to J = max(32n, 65536).  Computed once per s.
     """
     if not (-0.5 < s <= 0.0):
         raise ValueError("s must be in (-1/2, 0]")
-    key = (float(s), int(n_max))
-    if key in _CS_CACHE:
-        return _CS_CACHE[key]
+    return _c_s(s)
+
+
+@functools.cache
+def _c_s(s):
     a = abs(s)
-    grid = np.array(_n_grid(n_max))
-    vals = grid ** (0.5 - a) * 2.0 * _divisor_sums(
-        grid, 1.0 - 2.0 * a, 1.0, np.maximum(32 * grid, 65536))
-    c = float(max(vals.max(), 1.0))
-    _CS_CACHE[key] = c
-    return c
+    vals = _C_S_GRID ** (0.5 - a) * 2.0 * _divisor_sums(
+        _C_S_GRID, 1.0 - 2.0 * a, 1.0, np.maximum(32 * _C_S_GRID, 65536))
+    return float(max(vals.max(), 1.0))
 
 
 def epsilon_s(n, s):
@@ -103,22 +95,18 @@ def epsilon_s(n, s):
     return max(math.log(1.0 + n) / n, n ** (-(1.0 - abs(s))))
 
 
-def estimate_c_s_prime(s, n_max=4096):
-    """c_s' = max(c_s, sup_n 2 <2n>^s D(n; 1-|s|, 1-|s|) / epsilon_s(n)), the
-    latter fitted to the <T_n f, e_{+-n}> bound; D is hilbert_sum's sum."""
-    c = estimate_c_s(s, n_max)  # rejects s outside (-1/2, 0]
-    key = (float(s), int(n_max))
-    if key in _CSP_CACHE:
-        return _CSP_CACHE[key]
-    sigma = 1.0 - abs(s)
-    grid = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768, 1024,
-                                 2048, 4096]
-    grid = [n for n in grid if n <= n_max] or [1]
-    best = max(2.0 * bracket(2 * n) ** s * h / epsilon_s(n, s)
-               for n, h in zip(grid, hilbert_sum(grid, sigma)))
-    out = max(c, float(best))
-    _CSP_CACHE[key] = out
-    return out
+def estimate_c_s_prime(s):
+    """c_s' = max(c_s, sup_n 2 <2n>^s D(n; 1-|s|, 1-|s|) / epsilon_s(n)) over
+    _C_S_PRIME_GRID, the latter fitted to the <T_n f, e_{+-n}> bound; D is
+    hilbert_sum's sum.  Computed once per s."""
+    return max(estimate_c_s(s), _hilbert_sup(s))  # rejects s outside (-1/2, 0]
+
+
+@functools.cache
+def _hilbert_sup(s):
+    h = hilbert_sum(_C_S_PRIME_GRID, 1.0 - abs(s))
+    return float(max(2.0 * bracket(2 * n) ** s * hn / epsilon_s(n, s)
+                     for n, hn in zip(_C_S_PRIME_GRID, h)))
 
 
 def _smallest_n(power, target, name):
@@ -161,7 +149,7 @@ class ReductionContext:
     max_terms: int = 60
 
 
-def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
+def make_context(q, s=None, w=None, m=None):
     """Context for q: s and w (default: the potential's), the ball radius m
     (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds.  There
     is no truncation parameter: iterates live on their exact support."""
@@ -180,18 +168,7 @@ def make_context(q, s=None, w=None, m=None, neumann_tol=1e-12):
     return ReductionContext(q=q, s=s, w=w, m=float(m), c_s=c, c_s_prime=cp,
                             n_s=_smallest_n(power, 2.0 * c * qn, "n_s"),
                             N_ms=_smallest_n(power, 32.0 * cp * m, "N_ms"),
-                            M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"),
-                            neumann_tol=neumann_tol)
-
-
-def _shift_pair(f, ctx, n):
-    return max(shifted_norm(f, ctx.w, ctx.s, n),
-               shifted_norm(f, ctx.w, ctx.s, -n))
-
-
-def apply_T_n(ctx, n, lam, f):
-    """T_n(lambda) f = V A_lambda^{-1} Q_n f, on the sumset of supports."""
-    return multiply(ctx.q, apply_A_inv_Q(lam, n, f))
+                            M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"))
 
 
 class _SupportPlan:
@@ -211,7 +188,8 @@ class _SupportPlan:
             S + l, self.ctx.w, self.ctx.s) for l in (self.n, -self.n)])
 
     def size(self, l, c):
-        """_shift_pair of the term with coefficients c on S_l."""
+        """max of the shifted norms ||.||_{w,s,inf;+-n} of the term with
+        coefficients c on S_l."""
         a = np.abs(c)
         return max(float((g * a).max(initial=0.0)) for g in self.levels[l][3])
 
@@ -317,43 +295,10 @@ def coefficients(ctx, n, lam, plans=None):
                        converged=ok1 and ok2)
 
 
-def det_B(ctx, n, lam, coeff=None):
-    if coeff is None:
-        coeff = coefficients(ctx, n, lam)
+def det_B(ctx, n, lam, coeff):
+    """det B_n(lam) from coeff, the CoeffResult of coefficients(ctx, n, lam)."""
     d = lam - n * n * PI2 - coeff.a_n
     return d * d - coeff.b_n * coeff.b_neg_n
-
-
-def sample_T_norm(ctx, n, lam, rng=None):
-    """Sample estimate of ||T_n||_{w,s,inf;+-n}: max shifted-norm ratio over
-    unit masses, random probes, and the Neumann iterates V e_{+-n} /
-    K_n V e_{+-n} (so coefficient bounds chain through the estimate)."""
-    if rng is None:
-        rng = np.random.default_rng(1000 + n)
-    probes = []
-    offsets = [0, 1, -1, 2, -2, 3, 5, 8, 13, 21]
-    anchors = [0, n, -n, 2 * n, -2 * n]
-    ks = {a + o for a in anchors for o in offsets} - {n, -n}
-    for k in sorted(ks)[:64]:
-        probes.append(SparseSeq.accumulate([k], [1.0]))
-    span = 2 * n + 8
-    for _ in range(16):
-        idx = rng.integers(-span, span + 1, size=12)
-        vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        last = dict(zip(idx.tolist(), vals))  # repeated index: last value
-        probes.append(SparseSeq.accumulate(list(last), list(last.values())))
-    for sign in (+1, -1):
-        ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
-        probes.append(ve)
-        probes.append(neumann_K_n(ctx, n, lam, ve)[0])
-    best = 0.0
-    for f in probes:
-        base = _shift_pair(f, ctx, n)
-        if base == 0:
-            continue
-        h = apply_T_n(ctx, n, lam, f)
-        best = max(best, _shift_pair(h, ctx, n) / base)
-    return best
 
 
 @dataclass
@@ -605,7 +550,7 @@ class KernelPreconditionError(ValueError):
     pass
 
 
-def eigenfunction_reconstruct(ctx, n, xi, u_coeffs, kernel_tol=1e-6):
+def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
     """Eigenfunction f = u + A_xi^{-1} Q_n K_n V u from a kernel vector
     u = u_plus e_n + u_minus e_{-n} of B_n(xi).
 
@@ -619,7 +564,7 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs, kernel_tol=1e-6):
     bu = np.array([d * u_plus - c.b_n * u_minus,
                    -c.b_neg_n * u_plus + d * u_minus])
     unorm = math.hypot(abs(u_plus), abs(u_minus))
-    if unorm == 0 or np.linalg.norm(bu) > kernel_tol * unorm * max(1.0, abs(d)):
+    if unorm == 0 or np.linalg.norm(bu) > 1e-6 * unorm * max(1.0, abs(d)):
         raise KernelPreconditionError(
             "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
     u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])

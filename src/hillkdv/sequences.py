@@ -12,7 +12,7 @@ symmetric, monotone, submultiplicative weights, stored as closed forms so that
 arbitrarily large indices are well defined.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import json
 import math
 
@@ -257,8 +257,8 @@ class FourierSeq:
 class SparseSeq:
     """Coefficients f_k on a finite support: sorted unique int64 indices idx
     and the values coeffs there (exact zeros allowed); f_k = 0 elsewhere.
-    ks() and coeffs line up as for FourierSeq, so weight_profile, norm,
-    shifted_norm and apply_A_inv_Q take either container."""
+    ks() and coeffs line up as for FourierSeq, so weight_profile, norm and
+    apply_A_inv_Q take either container."""
     idx: np.ndarray
     coeffs: np.ndarray
 
@@ -312,48 +312,36 @@ def weight_factors(ks, w, s):
     return (np.ones(ks.size) if w is None else w(ks)) * bracket(ks) ** s
 
 
-def weight_profile(f, w, s, shift=0):
-    """Array w(k+shift) <k+shift>^s |f_k| in ascending-k order."""
-    return weight_factors(f.ks() + shift, w, s) * np.abs(f.coeffs)
-
-
-def _sup(f, w, s, shift):
-    """weight_profile(f, w, s, shift).max(initial=0.0), evaluated at the
-    nonzero f_k only: a zero coefficient adds 0 to a max that starts at 0, so
-    the value is the same float.  One pass over coeffs finds the support (a
-    NaN counts as nonzero and gives NaN)."""
-    c = f.coeffs
-    nz = c.real != 0
-    nz |= c.imag != 0
-    nz = np.flatnonzero(nz)
-    ks = f.idx[nz] if isinstance(f, SparseSeq) else nz - f.half_range
-    prof = weight_factors(ks + shift, w, s) * np.abs(c[nz])
-    return float(prof.max(initial=0.0))
+def weight_profile(f, w, s):
+    """Array w(k) <k>^s |f_k| in ascending-k order."""
+    return weight_factors(f.ks(), w, s) * np.abs(f.coeffs)
 
 
 def norm(f, w, s, p):
     """Weighted norm ||f||_{w,s,p} of a FourierSeq or SparseSeq; w=None means
     the trivial weight.
 
-    The sup norm (p = inf) reads only the nonzero coefficients.  Finite-p
-    sums stay dense and ordered: every stored coefficient, zeros included,
-    summed in the fixed order |k| ascending, +k before -k, so results are
-    reproducible bit for bit.
+    The sup norm (p = inf) reads only the nonzero coefficients: a zero adds 0
+    to a max that starts at 0, so the value is that of the dense profile (a
+    NaN counts as nonzero and gives NaN).  Finite-p sums stay dense and
+    ordered: every stored coefficient, zeros included, summed in the fixed
+    order |k| ascending, +k before -k, so results are reproducible bit for
+    bit.
     """
     if p < 1:
         raise ValueError("p must be in [1, inf]")
     if math.isinf(p):
-        return _sup(f, w, s, 0)
+        c = f.coeffs
+        nz = c.real != 0
+        nz |= c.imag != 0
+        nz = np.flatnonzero(nz)
+        ks = f.idx[nz] if isinstance(f, SparseSeq) else nz - f.half_range
+        prof = weight_factors(ks, w, s) * np.abs(c[nz])
+        return float(prof.max(initial=0.0))
     ks = f.ks()
     order = np.lexsort((ks < 0, np.abs(ks)))
     ordered = weight_profile(f, w, s)[order]
     return float(np.add.reduce(ordered ** p) ** (1.0 / p))
-
-
-def shifted_norm(f, w, s, l):
-    """sup_k w_{k+l} <k+l>^s |f_k|  (the norm of f e_l), read from the
-    nonzero coefficients only."""
-    return _sup(f, w, s, l)
 
 
 def tail(f, N):

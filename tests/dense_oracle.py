@@ -9,13 +9,19 @@ otherwise) and a Neumann series whose every term is cut to the window
 must agree to rounding.  sparse_neumann sums the series on SparseSeqs term
 by term, each support found afresh by multiply, where the package reuses
 one support plan for every lambda at n; the two must agree bit for bit.
+shifted_norm is the norm ||f||_{w,s,inf;l} of f e_l that the series' stopping
+rule reads at l = +-n (shift_pair), where the package's support plan
+precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
+and sample_T_norm estimates ||T_n||_{w,s,inf;+-n} from it by sampling.
 divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
 one n from its own index array, where the package slices shared power
 tables for a whole array of n.  periodic_matrix is the full (2K+1)x(2K+1)
 periodic Galerkin matrix that the package only ever handles as two parity
 blocks.  kernel_vector builds the kernel vector of B_n(xi) that
 eigenfunction_reconstruct takes.  project is the mode projector pair P_n,
-Q_n = 1 - P_n.  lex_sort_loop is the element-by-element loop behind
+Q_n = 1 - P_n; free_projector is P_n as a matrix, the Riesz projector of
+q = 0, and op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k
+basis.  lex_sort_loop is the element-by-element loop behind
 galerkin._lex_sort.
 
 smooth_real_potential and lacunary_potential are test potentials that more
@@ -28,9 +34,9 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import fftconvolve
 
-from hillkdv.sequences import FourierSeq, SparseSeq, shifted_norm
+from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, apply_A_inv_Q, multiply
-from hillkdv.reduction import PI2, coefficients
+from hillkdv.reduction import PI2, coefficients, neumann_K_n
 
 _SPARSE_CONV_NNZ = 64
 
@@ -67,6 +73,57 @@ def convolve(a, b):
                       one_periodic=a.one_periodic and b.one_periodic)
 
 
+def shifted_norm(f, w, s, l):
+    """||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|, the sup norm of f e_l,
+    read from the nonzero f_k only."""
+    nz = np.flatnonzero(f.coeffs)
+    ks = f.idx[nz] if isinstance(f, SparseSeq) else nz - f.half_range
+    return norm(SparseSeq(ks + l, f.coeffs[nz]), w, s, math.inf)
+
+
+def shift_pair(f, ctx, n):
+    """max of the shifted norms of f at l = n and l = -n."""
+    return max(shifted_norm(f, ctx.w, ctx.s, n),
+               shifted_norm(f, ctx.w, ctx.s, -n))
+
+
+def apply_T_n(ctx, n, lam, f):
+    """T_n(lambda) f = V A_lambda^{-1} Q_n f, on the sumset of supports."""
+    return multiply(ctx.q, apply_A_inv_Q(lam, n, f))
+
+
+def sample_T_norm(ctx, n, lam, rng=None):
+    """Sample estimate of ||T_n||_{w,s,inf;+-n}: max shifted-norm ratio over
+    unit masses, random probes, and the Neumann iterates V e_{+-n} /
+    K_n V e_{+-n} (so coefficient bounds chain through the estimate)."""
+    if rng is None:
+        rng = np.random.default_rng(1000 + n)
+    probes = []
+    offsets = [0, 1, -1, 2, -2, 3, 5, 8, 13, 21]
+    anchors = [0, n, -n, 2 * n, -2 * n]
+    ks = {a + o for a in anchors for o in offsets} - {n, -n}
+    for k in sorted(ks)[:64]:
+        probes.append(SparseSeq.accumulate([k], [1.0]))
+    span = 2 * n + 8
+    for _ in range(16):
+        idx = rng.integers(-span, span + 1, size=12)
+        vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        last = dict(zip(idx.tolist(), vals))  # repeated index: last value
+        probes.append(SparseSeq.accumulate(list(last), list(last.values())))
+    for sign in (+1, -1):
+        ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
+        probes.append(ve)
+        probes.append(neumann_K_n(ctx, n, lam, ve)[0])
+    best = 0.0
+    for f in probes:
+        base = shift_pair(f, ctx, n)
+        if base == 0:
+            continue
+        h = apply_T_n(ctx, n, lam, f)
+        best = max(best, shift_pair(h, ctx, n) / base)
+    return best
+
+
 def window(ctx, n):
     """A window that holds the iterates started at +-n: the support spreads
     by at most the potential's half range per hop, and 44 hops lie below
@@ -77,17 +134,13 @@ def window(ctx, n):
 def dense_neumann(ctx, n, lam, f, K):
     """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
     rule as reduction.neumann_K_n.  Returns (sum, terms)."""
-    def size(g):
-        return max(shifted_norm(g, ctx.w, ctx.s, n),
-                   shifted_norm(g, ctx.w, ctx.s, -n))
-
     total = f.coeffs.copy()
     term = f
-    base = size(f)
+    base = shift_pair(f, ctx, n)
     terms = 1
     for _ in range(ctx.max_terms):
         term = convolve(ctx.q.seq, apply_A_inv_Q(lam, n, term)).truncated(K)
-        tn = size(term)
+        tn = shift_pair(term, ctx, n)
         if tn == 0.0:
             break
         total += term.coeffs
@@ -113,18 +166,14 @@ def sparse_neumann(ctx, n, lam, f):
     per term, stopped by the rule of reduction.neumann_K_n (whose ratio
     streak only raises, so it is left out).  Returns (sum, terms_used,
     max_ratio, converged)."""
-    def size(g):
-        return max(shifted_norm(g, ctx.w, ctx.s, n),
-                   shifted_norm(g, ctx.w, ctx.s, -n))
-
     parts = [f]
     term = f
-    base = prev = size(f)
+    base = prev = shift_pair(f, ctx, n)
     max_ratio = 0.0
     converged = False
     for _ in range(ctx.max_terms):
-        term = multiply(ctx.q, apply_A_inv_Q(lam, n, term))
-        tn = size(term)
+        term = apply_T_n(ctx, n, lam, term)
+        tn = shift_pair(term, ctx, n)
         if prev > 0:
             max_ratio = max(max_ratio, tn / prev)
         if tn == 0.0:
@@ -185,6 +234,25 @@ def kernel_vector(ctx, n, xi):
     if np.linalg.norm(u) == 0:
         u = np.array([1.0, 0.0], dtype=complex)
     return u / np.linalg.norm(u)
+
+
+def free_projector(n, K):
+    """P_n for q = 0: mass on modes +-n (in the truncated basis)."""
+    P = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    P[K + n, K + n] = 1.0
+    P[K - n, K - n] = 1.0
+    return P
+
+
+def op_norm_2_to_inf(A, K, grid=None):
+    """L^2 -> L^infty norm of the operator with matrix A in the e_k basis:
+    sup_x || row functional ||_2 with (Af)(x) = sum_k (Af)_k e^{i pi k x}."""
+    if grid is None:
+        grid = np.linspace(0.0, 2.0, 8 * K + 9, endpoint=False)
+    ks = np.arange(-K, K + 1)
+    E = np.exp(1j * math.pi * grid[:, None] * ks[None, :])
+    rows = E @ A
+    return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
 def lex_sort_loop(vals, tie_scale=1.0):

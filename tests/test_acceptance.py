@@ -15,10 +15,10 @@ from hillkdv.sequences import FourierSeq, norm as seq_norm, hilbert_sum
 from hillkdv.operator import Potential
 from hillkdv.galerkin import (
     full_spectrum, periodic_spectrum, gaps_and_midpoints, riesz_projector,
-    free_projector, op_norm_2_to_inf, verify_decay,
+    verify_decay,
 )
 from hillkdv.reduction import (
-    make_context, sample_T_norm, coefficients, find_roots,
+    make_context, coefficients, find_roots,
     alpha_fixed_point, adapted_coefficients, isolated_mode_sandwich,
 )
 from hillkdv.birkhoff import BirkhoffState, flow
@@ -28,7 +28,7 @@ from hillkdv.pde import (
 )
 
 from dense_oracle import LACUNARY_C, LACUNARY_NS, lacunary_potential, \
-    smooth_real_potential
+    smooth_real_potential, sample_T_norm, free_projector, op_norm_2_to_inf
 
 PI2 = math.pi ** 2
 

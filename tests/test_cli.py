@@ -138,16 +138,18 @@ def test_reduce_empty_range_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: no modes to reduce")
     assert "n_s = 93" in err and "K = 64" in err
-    assert not (out / "reduce.csv").exists()
+    assert not out.exists()
 
 
 def test_reduce_threshold_beyond_float_range(tmp_path, capsys):
     # ||q|| ~ 1e152 is finite, but n_s ~ (2 c_s ||q||)^4 is not
+    out = tmp_path / "o"
     rc = main(["reduce", "--potential", "power-law:nmax=8,a=1e150,e=1.5",
-               "--s", "-0.25", "--K", "32", "--out", str(tmp_path / "o")])
+               "--s", "-0.25", "--K", "32", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "error: threshold n_s exceeds the float range")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,22 @@ def test_flow_action_invariance(tmp_path):
     rows = read_csv(os.path.join(out, "flow.csv"))
     assert rows[1] == ["n", "action", "frequency", "amp_t0", "amp_t1"]
     assert float(rows[2][3]) == pytest.approx(float(rows[2][4]), abs=1e-12)
+
+
+def test_flow_complex_potential_exit_1(tmp_path, capsys):
+    # q_2 = 0.05, q_{-2} = 0.05i: gamma_1 ~ 2 sqrt(q_2 q_{-2}) has an
+    # imaginary part of about 0.07, and actions need real gaps
+    from hillkdv.sequences import FourierSeq
+    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05j)], K=4,
+                                zero_mean=True, one_periodic=True)
+    pf = tmp_path / "q.json"
+    pf.write_text(seq.to_json())
+    out = tmp_path / "o"
+    rc = main(["flow", "--potential", "file:%s" % pf, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: complex gap lengths unsupported")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

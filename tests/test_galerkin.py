@@ -17,12 +17,12 @@ from hillkdv.operator import Potential
 from hillkdv.sequences import Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
-    gaps_and_midpoints, riesz_projector, free_projector, op_norm_2_to_inf,
-    verify_decay, SeparationError, _lex_sort,
+    gaps_and_midpoints, riesz_projector, verify_decay, SeparationError,
+    _lex_sort,
 )
 
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
-    periodic_matrix
+    periodic_matrix, free_projector, op_norm_2_to_inf
 
 PI2 = math.pi ** 2
 

@@ -12,23 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm, shifted_norm
+from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm
 from hillkdv.operator import Potential, multiply
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
-    make_context, ReductionContext, apply_T_n, neumann_K_n, _plans,
-    coefficients, det_B, sample_T_norm, alpha_fixed_point, find_roots,
+    make_context, ReductionContext, neumann_K_n, _plans,
+    coefficients, det_B, alpha_fixed_point, find_roots,
     adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
     isolated_mode_sandwich,
     ThresholdError, KernelPreconditionError, LocalizationError,
-    _n_grid,
+    _C_S_GRID,
 )
 from hillkdv.sequences import _divisor_sums
 
 from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
-    sparse_coefficients
+    sparse_coefficients, shift_pair, apply_T_n, sample_T_norm
 
 PI2 = math.pi ** 2
 
@@ -56,7 +56,7 @@ def test_contraction_sums_match_per_n_oracle(s):
     # c_s's sweep of the shared-table kernel, D(n; 1-2|s|, 1) at
     # J = max(32n, 65536), against one fresh index array per n
     alpha = 1.0 - 2.0 * abs(s)
-    grid = np.array(_n_grid(4096))
+    grid = _C_S_GRID
     Js = np.maximum(32 * grid, 65536)
     got = _divisor_sums(grid, alpha, 1.0, Js)
     want = np.array([divisor_sum(n, alpha, 1.0, J)
@@ -84,12 +84,12 @@ def test_divisor_sums_match_oracle(a, b, equal, n, data):
     (0.0, 5.539003119294624, 7.130207275243559),
     (-0.25, 10.193612941496836, 18.822725736106342),
 ])
-def test_c_s_cold_recorded_values(monkeypatch, s, c_s, c_s_prime):
+def test_c_s_cold_recorded_values(s, c_s, c_s_prime):
     # reference values from per-n summation: divisor_sum in
     # dense_oracle.py for c_s, and a sorted sum of |m^2 - n^2|^{-sigma} for c_s'
     import hillkdv.reduction as red
-    monkeypatch.setattr(red, "_CS_CACHE", {})
-    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    red._c_s.cache_clear()
+    red._hilbert_sup.cache_clear()
     assert estimate_c_s(s) == pytest.approx(c_s, rel=1e-13, abs=0)
     assert estimate_c_s_prime(s) == pytest.approx(c_s_prime, rel=1e-13, abs=0)
 
@@ -111,11 +111,11 @@ def test_thresholds_stable():
         assert thresholds(q, s) == want
 
 
-def test_c_s_rejects_s_outside_range_whatever_is_cached(monkeypatch):
+def test_c_s_rejects_s_outside_range_whatever_is_cached():
     # s = 1e-10 > 0 is outside (-1/2, 0], also once c_s(0) is cached
     import hillkdv.reduction as red
-    monkeypatch.setattr(red, "_CS_CACHE", {})
-    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    red._c_s.cache_clear()
+    red._hilbert_sup.cache_clear()
     q = Potential.single_mode(0.05)
     for _ in range(2):
         with pytest.raises(ValueError, match="s must be in"):
@@ -123,15 +123,15 @@ def test_c_s_rejects_s_outside_range_whatever_is_cached(monkeypatch):
         estimate_c_s(0.0)
 
 
-def test_c_s_keyed_on_exact_s(monkeypatch):
+def test_c_s_keyed_on_exact_s():
     # s = -0.25 - 4e-13 is its own key: its value does not depend on
     # whether c_s(-0.25) was computed first
     import hillkdv.reduction as red
     s = -0.2500000000004
     cold = []
     for warm in ((), (-0.25,)):
-        monkeypatch.setattr(red, "_CS_CACHE", {})
-        monkeypatch.setattr(red, "_CSP_CACHE", {})
+        red._c_s.cache_clear()
+        red._hilbert_sup.cache_clear()
         for v in warm:
             estimate_c_s_prime(v)
         cold.append((estimate_c_s(s), estimate_c_s_prime(s)))
@@ -159,7 +159,7 @@ def test_c_s_grows_with_roughness():
 
 def test_c_s_is_sup_of_scaled_sums():
     # c_0 = max(1, sup_n n^{1/2} 2 D(n; 1, 1)) over the n grid
-    grid = np.array(_n_grid(4096))
+    grid = _C_S_GRID
     vals = grid ** 0.5 * 2.0 * \
         _divisor_sums(grid, 1.0, 1.0, np.maximum(32 * grid, 65536))
     assert estimate_c_s(0.0) == max(1.0, float(vals.max()))
@@ -178,14 +178,11 @@ def test_c_s_prime_dominates_c_s():
         assert estimate_c_s_prime(s) >= estimate_c_s(s)
 
 
-def test_c_s_prime_independent_of_call_order(monkeypatch):
+def test_c_s_prime_independent_of_call_order():
     import hillkdv.reduction as red
-    monkeypatch.setattr(red, "_CSP_CACHE", {})
+    red._hilbert_sup.cache_clear()
     cold = estimate_c_s_prime(-0.25)
-    monkeypatch.setattr(red, "_CSP_CACHE", {})
-    small = estimate_c_s_prime(-0.25, n_max=64)
     assert estimate_c_s_prime(-0.25) == cold
-    assert estimate_c_s_prime(-0.25, n_max=64) == small
 
 
 def test_thresholds_minimality():
@@ -428,10 +425,7 @@ def test_sparse_kernel_property_random_small_potentials(
     # (I - T_n) K_n f = f to the Neumann tolerance, in the shifted norm
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
     resid = one_minus_T_residual(ctx, n, lam, neumann_K_n(ctx, n, lam, f)[0], f)
-
-    def size(g):
-        return max(shifted_norm(g, None, 0.0, n), shifted_norm(g, None, 0.0, -n))
-    assert size(resid) <= ctx.neumann_tol * size(f)
+    assert shift_pair(resid, ctx, n) <= ctx.neumann_tol * shift_pair(f, ctx, n)
 
 
 @st.composite
@@ -605,7 +599,7 @@ def test_winding_root_on_contour_raises(monkeypatch):
     real_det_B = red.det_B
     calls = []
 
-    def det_B_zero_at_node_5(ctx, n, lam, coeff=None):
+    def det_B_zero_at_node_5(ctx, n, lam, coeff):
         calls.append(lam)
         return 0j if len(calls) == 5 else real_det_B(ctx, n, lam, coeff)
 
