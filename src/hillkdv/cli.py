@@ -183,11 +183,21 @@ def _meta(cfg):
     return {"config_hash": config_hash(cfg), "version": __version__}
 
 
+def _open_out(path, newline):
+    """Open an output file for writing, creating --out at the first output;
+    an empty --out or one through an existing file is a config error."""
+    out, name = os.path.split(path)
+    try:
+        os.makedirs(out, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError("cannot write %s into --out %r: %s" % (name, out, exc))
+
+
 def write_json(path, obj, cfg):
     obj = dict(obj)
     obj["meta"] = _meta(cfg)
-    os.makedirs(os.path.dirname(path), exist_ok=True)  # at the first output
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path, "\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -199,8 +209,7 @@ def _fnum(x):
 
 def write_csv(path, header, rows, cfg):
     meta = _meta(cfg)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path, "") as fh:
         wr = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         wr.writerow(["# config_hash=%s version=%s" % (meta["config_hash"],
                                                       meta["version"])])

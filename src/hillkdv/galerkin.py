@@ -5,15 +5,19 @@ over k, l in {-K..K}.  A 1-periodic q has no odd modes, so M couples k and l
 only when k - l is even and splits into two parity blocks: the even-k block
 is the periodic problem on [0,1], the odd-k block the antiperiodic one.  Both
 are the Toeplitz matrix q_{2(i-j)} of the even coefficients plus their own
-diagonal (k pi)^2, and the solvers work on the blocks, never on M.
+diagonal (k pi)^2, and the solvers work on the blocks, never on M: for a
+complex q in the e_k basis, for a real q (q_{-j} = conj q_j) as the real
+symmetric matrix of the same size in the orthonormal basis of e_0 and
+c_k = (e_k + e_-k)/sqrt 2, s_k = (e_k - e_-k)/(i sqrt 2) over its k > 0.
 Dirichlet problem on [0,1]: KxK sine-basis matrix
 D[m,n] = (m pi)^2 delta_{mn} + (q^cos_{m-n} - q^cos_{m+n}) over m, n >= 1,
 obtained by folding the ZZ-indexed expansion with the antisymmetry
 f^sin_{-n} = -f^sin_n; the odd cosine pairings do not vanish, so D does not
-split.  These solvers are the oracle for the reduction module; truncation
-trust is certified conservatively.  The Riesz projector onto the pair
-lambda_n^+- is the spectral projector of the block of n's parity: from eigh
-when the potential is real and the block Hermitian, from a sorted Schur form
+split; for a real q it is built and solved in float64.  These solvers are
+the oracle for the reduction module; truncation trust is certified
+conservatively.  The Riesz projector onto the pair lambda_n^+- is the
+spectral projector of the block of n's parity: from eigh of the real block
+when the potential is real, from a sorted Schur form of the complex block
 otherwise.  That non-Hermitian (complex-potential) projector is the only
 scipy user and imports scipy.linalg when it is first called.
 """
@@ -107,8 +111,8 @@ class SpectrumResult:
 
 
 def _parity_block(q, K, parity):
-    """(ks, B): the block of M on the k in [-K, K] of the given parity, the
-    Toeplitz matrix q_{2(i-j)} plus the diagonal (k pi)^2."""
+    """The block of M on the k in [-K, K] of the given parity, the Toeplitz
+    matrix q_{2(i-j)} plus the diagonal (k pi)^2."""
     ks = np.arange(-K + (K + parity) % 2, K + 1, 2)
     m, H = ks.size, q.half_range
     d = min(m - 1, H // 2)
@@ -117,23 +121,59 @@ def _parity_block(q, K, parity):
     i = np.arange(m)
     B = c[i[:, None] - i[None, :] + m - 1]
     B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
-    return ks, B
+    return B
+
+
+def _real_block(q, K, parity):
+    """The parity block of a real q, a_j + i b_j = q_j, in the basis e_0 (k = 0
+    in the even block), c_k, s_k over k > 0 (module doc): cos-cos entries
+    a_{k-l} + a_{k+l}, sin-sin a_{k-l} - a_{k+l}, cos-sin b_{k-l} - b_{k+l},
+    with the k = 0 ones times 1/sqrt 2 each as e_0 = c_0 / sqrt 2."""
+    k, z, H = np.arange(parity, K + 1, 2), 1 - parity, q.half_range
+    h = min(H, 2 * K)
+    f = np.zeros(4 * K + 1, dtype=complex)  # q_j at j + 2K, |j| <= 2K
+    f[2 * K - h:2 * K + h + 1] = q.seq.coeffs[H - h:H + h + 1]
+    dif, tot = k[:, None] - k[None, :] + 2 * K, k[:, None] + k[None, :] + 2 * K
+    w = np.where(k == 0, math.sqrt(0.5), 1.0)
+    cos, sin = slice(0, k.size), slice(k.size, None)
+    B = np.empty((2 * k.size - z,) * 2)
+    B[cos, cos] = (f.real[dif] + f.real[tot]) * np.outer(w, w)
+    B[sin, sin] = (f.real[dif] - f.real[tot])[z:, z:]
+    B[cos, sin] = (f.imag[dif] - f.imag[tot])[:, z:] * w[:, None]
+    B[sin, cos] = B[cos, sin].T
+    B[np.diag_indices_from(B)] += (np.r_[k, k[z:]] * math.pi) ** 2
+    return B
+
+
+def _exp_basis(Y, parity):
+    """Columns Y in _real_block's basis to the e_k basis, k ascending:
+    e_+-k gets (y_cos -+ i y_sin)/sqrt 2, e_0 gets y_0."""
+    z = 1 - parity
+    p = (Y.shape[0] - z) // 2
+    pos = (Y[z:z + p] - 1j * Y[z + p:]) / math.sqrt(2)
+    return np.concatenate([pos[::-1].conj(), Y[:z], pos])
+
+
+def _block_eigvals(q, K, parity):
+    if q.is_real():
+        return np.linalg.eigvalsh(_real_block(q, K, parity))
+    return np.linalg.eigvals(_parity_block(q, K, parity))
 
 
 def periodic_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
-    eig = np.linalg.eigvalsh if q.is_real() else np.linalg.eigvals
-    vals = [eig(_parity_block(q, K, parity)[1]) for parity in (0, 1)]
+    vals = [_block_eigvals(q, K, parity) for parity in (0, 1)]
     vals = _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
     return SpectrumResult(periodic=vals, K=K, trust=trust_count(K))
 
 
 def dirichlet_matrix(q, K):
     qc = dirichlet_cos_coeffs(q, K)
+    if q.is_real():
+        qc = qc.real
     m = np.arange(1, K + 1)
     D = qc[np.abs(m[:, None] - m[None, :])] - qc[m[:, None] + m[None, :]]
-    D = D.astype(complex)
     D[np.diag_indices_from(D)] += (m * math.pi) ** 2
     return D
 
@@ -141,12 +181,9 @@ def dirichlet_matrix(q, K):
 def dirichlet_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
-    D = dirichlet_matrix(q, K)
-    if q.is_real():
-        vals = np.linalg.eigvalsh(D.real).astype(complex)
-    else:
-        vals = np.linalg.eigvals(D)
-    vals = _lex_sort(vals, tie_scale=K * K * PI2)
+    D = dirichlet_matrix(q, K)  # float64 for a real q
+    eig = np.linalg.eigvalsh if q.is_real() else np.linalg.eigvals
+    vals = _lex_sort(eig(D).astype(complex), tie_scale=K * K * PI2)
     return SpectrumResult(dirichlet=vals, K=K, trust=trust_count(K))
 
 
@@ -173,18 +210,20 @@ def riesz_projector(q, n, K):
     sum_{j != 0} |q_2j|, meets the contour disc; it must have no eigenvalue
     on or inside the contour.
 
-    For a real potential B is Hermitian: R = Z_1 Z_1^H from eigh, Z_1 the
-    pair's eigenvectors.  Otherwise, from one sorted complex Schur form
-    B = Z [[A, C], [0, D]] Z^H with the pair in A, P = Z_1 (Z_1^H + X Z_2^H),
-    A X - X D = C, exact also for a Jordan pair; only this imports scipy.linalg.
+    For a real potential B is solved as the real symmetric block of the
+    cos/sin basis (_real_block): R = Z_1 Z_1^H from eigh, Z_1 the pair's
+    eigenvectors mapped to the e_k basis.  Otherwise, from one sorted complex
+    Schur form of B = Z [[A, C], [0, D]] Z^H with the pair in A,
+    P = Z_1 (Z_1^H + X Z_2^H), A X - X D = C, exact also for a Jordan pair;
+    only this imports scipy.linalg.
     """
-    ks, B = _parity_block(q, K, n % 2)
-    center = n * n * PI2
+    parity, center = n % 2, n * n * PI2
     hermitian = q.is_real()
     if hermitian:
-        lam, Z = np.linalg.eigh(B)
+        lam, Z = np.linalg.eigh(_real_block(q, K, parity))
     else:
         import scipy.linalg
+        B = _parity_block(q, K, parity)
         try:
             T, Z, _ = scipy.linalg.schur(
                 B, output="complex", sort=lambda lam: abs(lam - center) < n,
@@ -199,18 +238,19 @@ def riesz_projector(q, n, K):
     if np.count_nonzero(inside) != 2:
         raise SeparationError("contour around n=%d encloses %d eigenvalues, "
                               "expected 2" % (n, np.count_nonzero(inside)))
-    q0, k = q.coeff(0), np.arange(1 - n % 2, K + 1, 2)
+    q0, k = q.coeff(0), np.arange(1 - parity, K + 1, 2)
     radius = np.sum(np.abs(q.seq.coeffs)) - abs(q0)
     if np.any(np.abs((k * math.pi) ** 2 + q0 - center) <= radius + n):
-        other = np.linalg.eigvals(_parity_block(q, K, 1 - n % 2)[1])
+        other = _block_eigvals(q, K, 1 - parity)
         if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
             raise SeparationError("contour around n=%d encloses an eigenvalue "
                                   "of the other parity block" % n)
-    Z1 = Z[:, inside]
     if hermitian:
+        Z1 = _exp_basis(Z[:, inside], parity)
         W = Z1.conj().T
         P = Z1 @ W
     else:
+        Z1 = Z[:, inside]
         # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
         # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
         X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:],
@@ -220,7 +260,8 @@ def riesz_projector(q, n, K):
         W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
         P = zgemm(1.0, Z1, W)
     R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    R[ks[0] + K::2, ks[0] + K::2] = P
+    first = (K + parity) % 2  # the block's k run from first - K up by 2
+    R[first::2, first::2] = P
     # R^2 - R = Z_1 (W Z_1 - I) W, and Z_1 has orthonormal columns
     defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
     return R, {"quad_points": 0, "idempotency_defect": float(defect),

@@ -17,7 +17,10 @@ divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
 one n from its own index array, where the package slices shared power
 tables for a whole array of n.  periodic_matrix is the full (2K+1)x(2K+1)
 periodic Galerkin matrix that the package only ever handles as two parity
-blocks.  kernel_vector builds the kernel vector of B_n(xi) that
+blocks.  hermitian_spectrum and hermitian_projector solve a real
+potential's parity blocks as complex Hermitian matrices in the e_k basis
+(zheevd), where the package solves them as real symmetric ones in the
+cos/sin basis.  kernel_vector builds the kernel vector of B_n(xi) that
 eigenfunction_reconstruct takes.  project is the mode projector pair P_n,
 Q_n = 1 - P_n; free_projector is P_n as a matrix, the Riesz projector of
 q = 0, and op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k
@@ -34,6 +37,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import fftconvolve
 
+from hillkdv.galerkin import _lex_sort, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, apply_A_inv_Q, multiply
 from hillkdv.reduction import PI2, coefficients, neumann_K_n
@@ -224,6 +228,24 @@ def periodic_matrix(q, K):
     M = scipy.linalg.toeplitz(col, row).astype(complex)
     M[np.diag_indices_from(M)] += (ks * math.pi) ** 2
     return M
+
+
+def hermitian_spectrum(q, K):
+    """periodic_spectrum(q, K).periodic of a real q, from eigvalsh on the
+    complex parity blocks."""
+    vals = [np.linalg.eigvalsh(_parity_block(q, K, parity)) for parity in (0, 1)]
+    return _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
+
+
+def hermitian_projector(q, n, K):
+    """riesz_projector(q, n, K)[0] of a real q whose contour separates the
+    pair, from eigh on the complex block of n's parity."""
+    lam, Z = np.linalg.eigh(_parity_block(q, K, n % 2))
+    Z1 = Z[:, np.abs(lam - n * n * PI2) < n]
+    R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    first = (K + n) % 2
+    R[first::2, first::2] = Z1 @ Z1.conj().T
+    return R
 
 
 def kernel_vector(ctx, n, xi):

@@ -312,6 +312,23 @@ def test_bad_config_exit_2(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "flow", "verify"])
+def test_unusable_out_exit_2(tmp_path, capsys, monkeypatch, command):
+    # an empty --out (no directory to create) and an --out naming an
+    # existing file: a config error, no traceback, nothing written
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    flags = {"spectrum": [], "flow": ["--t", "0.01"],
+             "verify": ["--suite", "airy-demo"]}[command]
+    for out in ("", str(taken)):
+        rc = main([command, "--potential", "zero", "--out", out] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert taken.read_text() == ""
+
+
 def test_dt_flag_rejected(tmp_path):
     # no subcommand has a time step to set
     assert main(["flow", "--potential", "zero", "--dt", "1e-3",

@@ -14,15 +14,16 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from hillkdv.operator import Potential
-from hillkdv.sequences import Weight
+from hillkdv.sequences import FourierSeq, Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     gaps_and_midpoints, riesz_projector, verify_decay, SeparationError,
-    _lex_sort,
+    dirichlet_matrix, _lex_sort, _parity_block,
 )
 
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
-    periodic_matrix, free_projector, op_norm_2_to_inf
+    periodic_matrix, free_projector, op_norm_2_to_inf, hermitian_spectrum, \
+    hermitian_projector
 
 PI2 = math.pi ** 2
 
@@ -194,40 +195,43 @@ def off_block(n, K):
 
 
 @pytest.fixture
-def eigvals_calls(monkeypatch):
-    """Shapes of the np.linalg.eigvals calls; in riesz_projector only the
-    other block's solve makes one."""
+def eig_calls(monkeypatch):
+    """(name, shape, dtype) of each np.linalg eigensolver call; the complex
+    Schur form of riesz_projector makes none."""
     calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: calls.append(a.shape) or eigvals(a))
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def record(a, _name=name, _solve=getattr(np.linalg, name)):
+            calls.append((_name, a.shape, a.dtype))
+            return _solve(a)
+        monkeypatch.setattr(np.linalg, name, record)
     return calls
 
 
-def test_riesz_criterion12_potential_matches_quadrature(eigvals_calls):
+def test_riesz_criterion12_potential_matches_quadrature(eig_calls):
     # the lacunary potential of acceptance criterion 12; its pairs are well
     # separated, so 64 trapezoid nodes already meet the tolerance.  The
-    # other block's Gershgorin discs stay off every contour: no extra solve
+    # other block's Gershgorin discs stay off every contour: one real eigh
+    # per projector, no other solve
     q = lacunary_potential()
     for n in LACUNARY_NS:
         R, _ = riesz_projector(q, n, 180)
         assert np.all(R[off_block(n, 180)] == 0)
         assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12
-    assert eigvals_calls == []
+    assert eig_calls == [("eigh", (181, 181), np.float64)] * len(LACUNARY_NS)
 
 
-def test_riesz_other_block_discs_meet_contour_none_inside(eigvals_calls):
+def test_riesz_other_block_discs_meet_contour_none_inside(eig_calls):
     # q_2 = 10 alone: a one-sided potential keeps the free spectrum, so the
     # even block's eigenvalues stay at (k pi)^2, although its disc around
     # 0 (radius 10) reaches |lambda - pi^2| <= 1.  That block is solved once
     q = Potential.from_even_pairs([(1, 10.0)], n_max=1)
     R, rep = riesz_projector(q, 1, 48)
-    assert eigvals_calls == [(49, 49)]
+    assert eig_calls == [("eigvals", (49, 49), np.complex128)]
     assert np.max(np.abs(R - quadrature_projector(q, 1, 48))) <= 1e-12
     assert abs(rep["trace"] - 2.0) <= 1e-12
 
 
-def test_riesz_other_block_eigenvalue_inside_raises(eigvals_calls):
+def test_riesz_other_block_eigenvalue_inside_raises(eig_calls):
     # q_{+-2} = 183, q_{+-4} = -212: the odd block's eigenvalues 90.506 and
     # 90.606 are the only ones within 3 of 9 pi^2 = 88.83, as n = 3 needs,
     # but the even block has 87.782 there too
@@ -235,7 +239,78 @@ def test_riesz_other_block_eigenvalue_inside_raises(eigvals_calls):
                                    (-2, -212.0)])
     with pytest.raises(SeparationError, match="other parity block"):
         riesz_projector(q, 3, 48)
-    assert eigvals_calls == [(49, 49)]
+    assert eig_calls == [("eigh", (48, 48), np.float64),
+                         ("eigvalsh", (49, 49), np.float64)]
+    # the verdict of the complex Hermitian block
+    other = scipy.linalg.eigvalsh(_parity_block(q, 48, 0))
+    assert np.any(np.abs(other - 9 * PI2) < 3)
+
+
+@pytest.mark.parametrize("c, n", [(5.0, 1), (15.0, 2)])
+def test_riesz_real_other_block_solved_none_inside(eig_calls, c, n):
+    # q_{+-20} = c: the even (odd) block's disc around 0 (pi^2), radius 2c,
+    # reaches the n = 1 (2) contour, but its eigenvalues stay near (k pi)^2,
+    # outside, as for the complex Hermitian block; the pair moves by less
+    # than 0.1.  Spectrum, projector and other block solve float64 only
+    q, K = Potential.from_even_pairs([(10, c), (-10, c)]), 48
+    periodic_spectrum(q, K)
+    R, rep = riesz_projector(q, n, K)
+    assert [(name, dtype) for name, _, dtype in eig_calls] == [
+        ("eigvalsh", np.float64)] * 2 + [("eigh", np.float64),
+                                         ("eigvalsh", np.float64)]
+    other = scipy.linalg.eigvalsh(_parity_block(q, K, 1 - n % 2))
+    assert np.all(np.abs(other - n * n * PI2) >= n + 1e-6 * n)
+    assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= 1e-12
+    assert abs(rep["trace"] - 2.0) <= 1e-12
+
+
+@st.composite
+def real_potentials(draw, sup):
+    # seeded phases and magnitudes, n_max <= 40, K in [16, 200]
+    n_max = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = Potential.random_real(rng, n_max, sup=draw(sup) / n_max)
+    return q, draw(st.integers(16, 200))
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=real_potentials(st.floats(0.01, 40.0)))
+def test_real_blocks_match_hermitian_oracle(case):
+    # both parities; the oracle solves the complex blocks in the e_k basis
+    q, K = case
+    eps = np.finfo(float).eps
+    vals = periodic_spectrum(q, K).periodic
+    assert vals.dtype == np.complex128
+    assert np.max(np.abs(vals - hermitian_spectrum(q, K))) <= \
+        64 * eps * (K * math.pi) ** 2
+    # the float64 Dirichlet matrix is the real part of the complex one that
+    # the same coefficients build when not flagged real, bit for bit
+    D = dirichlet_matrix(q, K)
+    as_complex = Potential(FourierSeq(q.seq.coeffs, real=False))
+    assert D.dtype == np.float64
+    assert D.tobytes() == dirichlet_matrix(as_complex, K).real.copy().tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=real_potentials(st.floats(0.01, 0.3)), n=st.integers(1, 12))
+@example(case=(Potential.random_real(np.random.default_rng(30), 16, 0.3 / 16),
+               190), n=2)
+def test_real_projector_matches_hermitian_oracle(case, n):
+    # sum |q_j| <= 0.6 keeps every eigenvalue within 0.6 of a free one, so
+    # the contour separates the pair.  Both projectors are exact for blocks
+    # within about eps ||B|| of B, so they differ by up to that over the
+    # distance sep from the pair to the rest of the block's spectrum: below
+    # 1e-12 up to K ~ 130 at n = 2, up to 2.4e-12 near K = 200, as in the
+    # example, where a 34-digit reference finds the error in the oracle
+    q, K = case
+    R, rep = riesz_projector(q, n, K)
+    lam = scipy.linalg.eigvalsh(_parity_block(q, K, n % 2))
+    inside = np.abs(lam - n * n * PI2) < n
+    sep = np.min(np.abs(lam[~inside, None] - lam[inside]))
+    tol = max(1e-12, 4 * np.finfo(float).eps * (K * math.pi) ** 2 / sep)
+    assert np.all(R[off_block(n, K)] == 0)
+    assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= tol
+    assert rep["idempotency_defect"] <= 1e-13
 
 
 @st.composite
