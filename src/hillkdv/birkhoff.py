@@ -7,22 +7,25 @@ omega_n = (2 n pi)^3 - 6 I_n with the o(1) remainder dropped); every report
 that carries them is tagged "asymptotic".
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 import math
 
 import numpy as np
 
 from .pde import PDEState, potential_to_pde_state, pde_state_to_potential
-from .sequences import FourierSeq
+from .sequences import FourierSeq, InvalidSequenceError
 
 
-@dataclass(frozen=True)
 class BirkhoffState(FourierSeq):
     """Mode amplitudes z_n = coeffs[n + N], |n| <= N, with z_0 = 0
-    (zero_mean, checked by validate()).  Real states satisfy
+    (checked by validate(), so by from_pairs).  Real states satisfy
     z_{-n} = conj(z_n), making every action I_n = z_n z_{-n} = |z_n|^2
     nonnegative."""
-    zero_mean: bool = True
+
+    def validate(self, tol=1e-12):
+        if self.coeffs[self.half_range] != 0:
+            raise InvalidSequenceError("Birkhoff state with z_0 != 0")
+        return super().validate(tol)
 
     def actions(self):
         """I_n = z_n z_{-n} for n >= 1 (complex in general, real >= 0 for

@@ -333,7 +333,7 @@ def cmd_flow(cfg):
     q, s, weight, rng = _setup(cfg)
     K = get_int(cfg, "k", 64)
     t = get_float(cfg, "t", 1.0)
-    spec = full_spectrum(q, K)
+    spec = periodic_spectrum(q, K)
     gam, tau, diff = gaps_and_midpoints(spec)
     I = actions_from_gaps(gam)
     om = frequencies(I)

@@ -32,8 +32,8 @@ class NearSingularError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Zero-mean 1-periodic potential with regularity label s and optional
-    weight; seq holds the even-mode coefficients q_{2n} on half range 2*n_max."""
+    """Zero-mean 1-periodic potential, both checked here, with regularity
+    label s and optional weight; seq holds q_{2n} on half range 2*n_max."""
     seq: FourierSeq
     s: float = 0.0
     weight: Weight | None = None
@@ -49,10 +49,12 @@ class Potential:
             raise InvalidSequenceError(
                 "potential coefficients must be finite, with a finite squared "
                 "l1 norm (got l1 norm %r)" % float(l1))
-        seq = FourierSeq(self.seq.coeffs, real=self.seq.real, zero_mean=True,
-                         one_periodic=True)
-        seq.validate()
-        object.__setattr__(self, "seq", seq)
+        c, K = self.seq.coeffs, self.seq.half_range
+        if c[K] != 0:
+            raise InvalidSequenceError("zero-mean potential: q_0 != 0")
+        if np.any(c[(K + 1) % 2::2] != 0):  # coeffs[i] holds k = i - K
+            raise InvalidSequenceError("1-periodic potential: odd modes present")
+        self.seq.validate()
 
     @cached_property
     def support(self):
@@ -143,8 +145,8 @@ def in_strip(lam, n):
 
 def apply_A_inv_Q(lam, n, f):
     """Inverse of A_lambda = d^2/dx^2 + lambda on the complement of
-    span{e_n, e_{-n}}: g_{+-n} = 0, g_k = f_k / (lambda - (k pi)^2).
-    Returns the container it is given; a SparseSeq loses the indices +-n.
+    span{e_n, e_{-n}}: g_k = f_k / (lambda - (k pi)^2) for k != +-n.
+    Takes either container and returns a SparseSeq on f's indices but +-n.
 
     lambda must lie in the strip S_n; a divisor smaller than 1e-12
     signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
@@ -163,10 +165,7 @@ def apply_A_inv_Q(lam, n, f):
     if np.any(small):
         raise NearSingularError(
             "divisor |lambda - (k pi)^2| < 1e-12 at k=%d" % ks[small][0])
-    if isinstance(f, SparseSeq):
-        return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
-    safe = np.where(keep, div, 1.0)  # avoid 0/0 at the excluded modes
-    return FourierSeq(np.where(keep, f.coeffs / safe, 0.0))
+    return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
 
 
 def dirichlet_cos_coeffs(q, K):

@@ -315,7 +315,7 @@ class ReductionResult:
     contraction_bound: float
     det_residuals: tuple
     method: str
-    converged: bool    # Neumann sums at alpha_n, xi_1 and xi_2 met neumann_tol
+    converged: bool    # the alpha_n iteration and the Neumann sums converged
     xi_bound: dict | None = None
 
 
@@ -364,12 +364,12 @@ def alpha_fixed_point(ctx, n, plans=None):
     return n * n * PI2 + _fixed_point(ctx, n, 0, plans, [], tol=1e-10).a_n
 
 
-def _winding_roots(ctx, n, points=256, plans=None):
-    """Argument-principle estimate on the circle |lambda - n^2 pi^2| = 4 sqrt(n):
-    winding number must be 2; the two roots are recovered from the first two
-    power sums of the logarithmic derivative.  Returns the two estimates and
-    the CoeffResults on the contour."""
-    center = n * n * PI2
+def _winding_roots(ctx, n, plans=None):
+    """Argument-principle estimate on the circle |lambda - n^2 pi^2| = 4 sqrt(n)
+    at 256 nodes: winding number must be 2; the two roots are recovered from
+    the first two power sums of the logarithmic derivative.  Returns the two
+    estimates and the CoeffResults on the contour."""
+    center, points = n * n * PI2, 256
     rad = 4.0 * math.sqrt(n)
     theta = 2 * np.pi * (np.arange(points) + 0.5) / points
     lams = center + rad * np.exp(1j * theta)
@@ -422,8 +422,9 @@ def find_roots(ctx, n, xi_bound_grid=16):
     on the disc's boundary seeds it again (method "winding"); RootError if
     that fails too.  Returns a ReductionResult with residuals |det B_n(xi)|
     at the roots' own coefficients, the contraction bound (the worst Neumann
-    ratio over every coefficient evaluation made here) and whether the
-    Neumann sums at alpha_n and at both roots met neumann_tol.
+    ratio over every coefficient evaluation made here) and converged, which
+    is False if the alpha_n iteration failed (alpha_n is then n^2 pi^2) or
+    a Neumann sum at alpha_n or at a root missed neumann_tol.
     """
     if n < ctx.n_s:
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
@@ -432,9 +433,9 @@ def find_roots(ctx, n, xi_bound_grid=16):
     plans = _plans(ctx, n)
     try:
         c0 = _fixed_point(ctx, n, 0, plans, evals, tol=1e-10)
-        alpha = center + c0.a_n
-    except RootError:
-        c0, alpha = evals[0], complex(center)
+        alpha, ok = center + c0.a_n, c0.converged
+    except RootError:  # the roots start from n^2 pi^2
+        c0, alpha, ok = evals[0], complex(center), False
     rad = 4.0 * math.sqrt(n) + 1e-6 * center
 
     def roots(seeds):
@@ -476,7 +477,7 @@ def find_roots(ctx, n, xi_bound_grid=16):
                            det_residuals=(abs(det_B(ctx, n, xi1, coeff=c1)),
                                           abs(det_B(ctx, n, xi2, coeff=c2))),
                            method=method,
-                           converged=c0.converged and c1.converged and c2.converged,
+                           converged=ok and c1.converged and c2.converged,
                            xi_bound=xb)
 
 
@@ -499,7 +500,7 @@ def adapted_coefficients(ctx, n_max=None):
         c = coefficients(ctx, k, alpha, plans)
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
-    return FourierSeq(r, zero_mean=True, one_periodic=True)
+    return FourierSeq(r)
 
 
 def gap_sandwich(ctx, n, r, gamma_n):

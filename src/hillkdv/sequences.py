@@ -70,23 +70,18 @@ class Weight:
         return vals
 
     @staticmethod
-    def trivial():
-        return Weight(0.0)
-
-    @staticmethod
     def polynomial(a):
         return Weight(float(a))
 
 
-def check_weight(w, radius=512, samples=2000, rng=None):
+def check_weight(w):
     """Sampled verification of the weight-class invariants.
 
-    Checks w_n >= 1, symmetry, monotonicity in |n| and submultiplicativity
-    w_{n+m} <= w_n w_m on random pairs with |n|, |m| <= radius.  Raises
-    WeightError on the first violation.
+    Checks w_n >= 1, symmetry and monotonicity in |n| for |n| <= 512, and
+    submultiplicativity w_{n+m} <= w_n w_m on 2000 pairs with |n|, |m| <= 512
+    drawn from a fixed seed.  Raises WeightError on the first violation.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    radius, samples, rng = 512, 2000, np.random.default_rng(0)
     idx = np.arange(0, radius + 1)
     vals = w(idx)
     if np.any(vals < 1.0 - 1e-12):
@@ -130,16 +125,13 @@ def cap_weight(w, eps):
 class FourierSeq:
     """Complex coefficients f_k for k in {-K..K}; coeffs[i] holds k = i - K.
 
-    The coefficient array is treated as immutable.  Flags record structural
-    properties: real (f_{-k} = conj(f_k)), zero_mean (f_0 = 0) and
-    one_periodic (all odd-index coefficients vanish); validate() checks them.
-    Subclasses (the KdV state, the Birkhoff coordinates) add fields, and
-    extended / truncated keep them.
+    The coefficient array is treated as immutable; validate() checks the flag
+    real (f_{-k} = conj(f_k)), Potential and BirkhoffState their own
+    invariants.  Subclasses (the KdV state, the Birkhoff coordinates) add
+    fields, and extended / truncated keep them.
     """
     coeffs: np.ndarray
     real: bool = False
-    zero_mean: bool = False
-    one_periodic: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -170,13 +162,6 @@ class FourierSeq:
         return bool(np.all(np.abs(c - np.conj(c[::-1])) <= tol))
 
     def validate(self, tol=1e-12):
-        K = self.half_range
-        if self.zero_mean and self.coeffs[K] != 0:
-            raise InvalidSequenceError("zero_mean set but f_0 != 0")
-        if self.one_periodic:
-            odd = self.coeffs[(K + 1) % 2::2]  # coeffs[i] holds k = i - K
-            if np.any(odd != 0):
-                raise InvalidSequenceError("one_periodic set but odd modes present")
         if self.real and not self.is_conj_symmetric(tol):
             raise InvalidSequenceError("real set but f_{-k} != conj(f_k)")
         return True
@@ -192,7 +177,7 @@ class FourierSeq:
     @classmethod
     def from_pairs(cls, pairs, K=None, **fields):
         """Build from (k, value) pairs, a later pair overwriting an earlier
-        one at the same k, and validate the flags.  K defaults to max |k|;
+        one at the same k, and validate.  K defaults to max |k|;
         an index outside -K..K raises InvalidSequenceError."""
         pairs = [(int(k), v) for k, v in pairs]
         if K is None:
@@ -226,8 +211,6 @@ class FourierSeq:
         return {
             "half_range": int(self.half_range),
             "real": bool(self.real),
-            "zero_mean": bool(self.zero_mean),
-            "one_periodic": bool(self.one_periodic),
             "coeffs": [[int(k), float(self[k].real), float(self[k].imag)]
                        for k in ks],
         }
@@ -237,16 +220,14 @@ class FourierSeq:
 
     @staticmethod
     def from_json_obj(obj):
+        """Inverse of to_json_obj; other keys (older files' flags) are ignored."""
         try:
             K = int(obj["half_range"])
             pairs = [(int(k), re + 1j * im) for k, re, im in obj["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSequenceError("malformed sequence JSON: %s: %s"
                                        % (type(exc).__name__, exc))
-        return FourierSeq.from_pairs(
-            pairs, K=K, real=bool(obj.get("real", False)),
-            zero_mean=bool(obj.get("zero_mean", False)),
-            one_periodic=bool(obj.get("one_periodic", False)))
+        return FourierSeq.from_pairs(pairs, K=K, real=bool(obj.get("real", False)))
 
     @staticmethod
     def from_json(text):
@@ -351,7 +332,7 @@ def tail(f, N):
     K = f.half_range
     c = f.coeffs.copy()
     c[max(K - N + 1, 0):K + N] = 0
-    return replace(f, coeffs=c, zero_mean=True)
+    return replace(f, coeffs=c)
 
 
 def _divisor_sums(ns, a, b, Js):
@@ -385,9 +366,9 @@ def _divisor_sums(ns, a, b, Js):
         (ns * B)[:, None] ** k * (f / (a + b - 1 + k))).sum(axis=1)
 
 
-def hilbert_sum(n, sigma, cutoff=1_000_000):
+def hilbert_sum(n, sigma):
     """S(n, sigma) = sum over |m| != n of 1/|m^2 - n^2|^sigma, the divisor
-    sum D(n; sigma, sigma) of _divisor_sums summed to |m| <= max(cutoff, 4n);
+    sum D(n; sigma, sigma) of _divisor_sums summed to |m| <= max(10^6, 4n);
     for a list of n, the array of S over it.  Raises ValueError for n < 1 or
     sigma <= 1/2.
     """
@@ -396,7 +377,7 @@ def hilbert_sum(n, sigma, cutoff=1_000_000):
         raise ValueError("n must be >= 1")
     if sigma <= 0.5:
         raise ValueError("sum diverges for sigma <= 1/2")
-    out = _divisor_sums(ns, sigma, sigma, np.maximum(int(cutoff), 4 * ns))
+    out = _divisor_sums(ns, sigma, sigma, np.maximum(1_000_000, 4 * ns))
     return float(out[0]) if np.ndim(n) == 0 else out
 
 

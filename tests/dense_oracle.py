@@ -5,10 +5,12 @@ The package applies V and sums the Neumann series on the exact support of
 each iterate.  This module redoes the same sums on FourierSeq arrays: a
 dense convolution (shift-and-add when one side has small support, FFT
 otherwise) and a Neumann series whose every term is cut to the window
-|k| <= K.  With a window wide enough to hold the iterates' mass, the two
-must agree to rounding.  sparse_neumann sums the series on SparseSeqs term
-by term, each support found afresh by multiply, where the package reuses
-one support plan for every lambda at n; the two must agree bit for bit.
+|k| <= K, dividing by lambda - (k pi)^2 on the dense array itself
+(dense_A_inv_Q) where the package divides on the support.  With a window
+wide enough to hold the iterates' mass, the two must agree to rounding.
+sparse_neumann sums the series on SparseSeqs term by term, each support
+found afresh by multiply, where the package reuses one support plan for
+every lambda at n; the two must agree bit for bit.
 shifted_norm is the norm ||f||_{w,s,inf;l} of f e_l that the series' stopping
 rule reads at l = +-n (shift_pair), where the package's support plan
 precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
@@ -72,9 +74,7 @@ def convolve(a, b):
     full = _convolve_arrays(a.coeffs, b.coeffs)  # indices -(Ka+Kb) .. Ka+Kb
     mid = Ka + Kb
     out = full[mid - K:mid + K + 1]
-    return FourierSeq(out.copy(),
-                      real=a.real and b.real,
-                      one_periodic=a.one_periodic and b.one_periodic)
+    return FourierSeq(out.copy(), real=a.real and b.real)
 
 
 def shifted_norm(f, w, s, l):
@@ -135,6 +135,15 @@ def window(ctx, n):
     return max(64, n + 44 * ctx.q.half_range + 16)
 
 
+def dense_A_inv_Q(lam, n, f):
+    """A_lambda^{-1} Q_n f on the dense array of a FourierSeq: f_k divided by
+    lambda - (k pi)^2, and 0 at k = +-n."""
+    ks = f.ks()
+    keep = np.abs(ks) != n
+    safe = np.where(keep, complex(lam) - (ks * math.pi) ** 2, 1.0)
+    return FourierSeq(np.where(keep, f.coeffs / safe, 0.0))
+
+
 def dense_neumann(ctx, n, lam, f, K):
     """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
     rule as reduction.neumann_K_n.  Returns (sum, terms)."""
@@ -143,7 +152,7 @@ def dense_neumann(ctx, n, lam, f, K):
     base = shift_pair(f, ctx, n)
     terms = 1
     for _ in range(ctx.max_terms):
-        term = convolve(ctx.q.seq, apply_A_inv_Q(lam, n, term)).truncated(K)
+        term = convolve(ctx.q.seq, dense_A_inv_Q(lam, n, term)).truncated(K)
         tn = shift_pair(term, ctx, n)
         if tn == 0.0:
             break

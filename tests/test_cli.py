@@ -174,8 +174,7 @@ def test_flow_complex_potential_exit_1(tmp_path, capsys):
     # q_2 = 0.05, q_{-2} = 0.05i: gamma_1 ~ 2 sqrt(q_2 q_{-2}) has an
     # imaginary part of about 0.07, and actions need real gaps
     from hillkdv.sequences import FourierSeq
-    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05j)], K=4,
-                                zero_mean=True, one_periodic=True)
+    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05j)], K=4)
     pf = tmp_path / "q.json"
     pf.write_text(seq.to_json())
     out = tmp_path / "o"
@@ -357,8 +356,7 @@ def test_unknown_command_exit_2():
 
 def test_potential_file_roundtrip(tmp_path):
     from hillkdv.sequences import FourierSeq
-    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05)], K=4, real=True,
-                                zero_mean=True, one_periodic=True)
+    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05)], K=4, real=True)
     pf = tmp_path / "q.json"
     pf.write_text(seq.to_json())
     out = str(tmp_path / "o")
@@ -367,6 +365,27 @@ def test_potential_file_roundtrip(tmp_path):
     assert rc == 0
     rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert float(rows[2][5]) == pytest.approx(0.1, abs=1e-5)
+
+
+def test_potential_file_with_old_flag_keys(tmp_path):
+    # files that also carry the zero_mean and one_periodic keys of older
+    # versions give the same spectrum bytes as files without them; the run
+    # reads both through one path, so the config hashes agree
+    body = ('"coeffs": [[-2, 0.05, -0.01], [2, 0.05, 0.01]], '
+            '"half_range": 4, "real": true')
+    texts = {"new": "{%s}" % body,
+             "old": '{%s, "one_periodic": true, "zero_mean": true}' % body}
+    pf = tmp_path / "q.json"
+    outs = {}
+    for name, text in texts.items():
+        pf.write_text(text)
+        out = tmp_path / name
+        rc = main(["spectrum", "--potential", "file:%s" % pf, "--K", "32",
+                   "--out", str(out)])
+        assert rc == 0
+        outs[name] = [(out / f).read_bytes()
+                      for f in ("spectrum.json", "spectrum.csv")]
+    assert outs["old"] == outs["new"]
 
 
 # ---------------------------------------------------------------------------

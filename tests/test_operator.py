@@ -51,6 +51,10 @@ def test_potential_regularity_range():
 def test_potential_zero_mean_enforced():
     with pytest.raises(InvalidSequenceError):
         Potential.from_even_pairs([(0, 1.0)])
+    # a sequence with a mean reaches Potential's own check
+    seq = FourierSeq.from_pairs([(0, 1.0), (2, .1), (-2, .1)], K=2)
+    with pytest.raises(InvalidSequenceError, match="q_0"):
+        Potential(seq)
 
 
 def test_potential_odd_modes_forbidden():
@@ -144,21 +148,24 @@ def test_A_inv_Q_is_left_inverse_on_complement():
     f = random_seq(rng, 9)
     f = project(n, f, "Q")
     g = apply_A_inv_Q(lam, n, f)
+    assert isinstance(g, SparseSeq)
     # (lambda - A) g should reproduce f off modes +-n
     ks = g.ks()
+    np.testing.assert_array_equal(ks, f.ks()[np.abs(f.ks()) != n])
     back = (lam - (ks * math.pi) ** 2) * g.coeffs
-    np.testing.assert_allclose(back, f.coeffs, atol=1e-10)
+    np.testing.assert_allclose(back, f.coeffs[f.index(ks)], atol=1e-10)
 
 
 def test_A_inv_Q_zeroes_pn_modes():
     n = 2
     lam = n * n * PI2 + 1.0
     pairs = [(2, 5.0), (-2, 7.0), (1, 1.0)]
+    # either container gives a SparseSeq without the indices +-n
     g = apply_A_inv_Q(lam, n, FourierSeq.from_pairs(pairs, K=4))
-    assert isinstance(g, FourierSeq)
+    assert isinstance(g, SparseSeq)
+    np.testing.assert_array_equal(g.idx, [-4, -3, -1, 0, 1, 3, 4])
     assert g[2] == 0.0 and g[-2] == 0.0
     assert g[1] == pytest.approx(1.0 / (lam - PI2))
-    # a SparseSeq stays sparse and loses the indices +-n
     h = apply_A_inv_Q(lam, n, SparseSeq.accumulate(*zip(*pairs)))
     assert isinstance(h, SparseSeq)
     np.testing.assert_array_equal(h.idx, [1])

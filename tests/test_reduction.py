@@ -605,7 +605,7 @@ def test_winding_root_on_contour_raises(monkeypatch):
 
     monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
     with pytest.raises(LocalizationError, match="root on the contour"):
-        red._winding_roots(ctx, 6, points=16)
+        red._winding_roots(ctx, 6)
 
 
 def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
@@ -652,6 +652,31 @@ def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
     monkeypatch.setattr(red, "_fixed_point", roots_fail)
     with pytest.raises(red.RootError):
         find_roots(ctx, 6, xi_bound_grid=0)
+
+
+def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
+    # alpha_n's iteration fails after its first evaluation, at n^2 pi^2:
+    # alpha_n is reported as n^2 pi^2, the roots are still found from the
+    # seeds there, and the result says it did not converge
+    import hillkdv.reduction as red
+    q = smooth_real_potential()
+    ctx = make_context(q)
+    n = 6
+    direct = find_roots(ctx, n, xi_bound_grid=0)
+    real_fixed_point = red._fixed_point
+
+    def alpha_fails(ctx, n, sign, plans, evals, *args, **kwargs):
+        if not sign:
+            evals.append(red.coefficients(ctx, n, n * n * PI2 + 0j, plans))
+            raise red.RootError("forced")
+        return real_fixed_point(ctx, n, sign, plans, evals, *args, **kwargs)
+
+    monkeypatch.setattr(red, "_fixed_point", alpha_fails)
+    res = find_roots(ctx, n, xi_bound_grid=0)
+    assert direct.converged and not res.converged
+    assert res.alpha_n == n * n * PI2 and res.method == "fixed-point"
+    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
+    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
 
 
 @pytest.mark.parametrize("c, n", [(1e-3, 2), (1e-3, 3), (1e-3, 4),

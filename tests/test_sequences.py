@@ -18,6 +18,7 @@ from hillkdv.sequences import (
     Weight, WeightError, check_weight, cap_weight,
     FourierSeq, SparseSeq, InvalidSequenceError, bracket,
     norm, weight_profile, tail, hilbert_sum, weakstar_converged,
+    _divisor_sums,
 )
 
 from hillkdv.birkhoff import BirkhoffState
@@ -38,7 +39,7 @@ def random_seq(rng, K, real=False):
 # ---------------------------------------------------------------------------
 
 def test_weight_trivial_is_one_everywhere():
-    w = Weight.trivial()
+    w = Weight()
     for n in (0, 1, -7, 1000, -12345):
         assert w(n) == 1.0
 
@@ -70,7 +71,7 @@ def test_capped_weight_past_exp_range_without_warning():
 
 
 def test_check_weight_accepts_class_members():
-    for w in (Weight.trivial(), Weight.polynomial(1.5),
+    for w in (Weight(), Weight.polynomial(1.5),
               Weight(3.0, cap=0.1)):
         assert check_weight(w)
 
@@ -82,8 +83,8 @@ def test_check_weight_rejects_supermultiplicative():
             n = np.asarray(n, dtype=float)
             v = np.exp(n * n / 100.0)
             return float(v) if v.ndim == 0 else v
-    with pytest.raises(WeightError):
-        check_weight(Bad(), radius=30)
+    with pytest.raises(WeightError, match="submultiplicativity"):
+        check_weight(Bad())
 
 
 def test_cap_weight_crossover():
@@ -103,7 +104,7 @@ def test_cap_weight_crossover():
 
 def test_cap_weight_requires_positive_eps():
     with pytest.raises(WeightError):
-        cap_weight(Weight.trivial(), 0.0)
+        cap_weight(Weight(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +141,10 @@ def test_seq_even_length_rejected():
 
 
 def test_seq_flag_validation():
-    good = FourierSeq.from_pairs([(1, 1 + 2j), (-1, 1 - 2j)], real=True,
-                                 zero_mean=True)
+    # real is the container's one flag; a mean and odd modes are allowed
+    good = FourierSeq.from_pairs([(0, 2.0), (1, 1 + 2j), (-1, 1 - 2j)],
+                                 real=True)
     assert good.validate()
-    with pytest.raises(InvalidSequenceError):
-        FourierSeq.from_pairs([(0, 1.0)], zero_mean=True).validate()
-    with pytest.raises(InvalidSequenceError):
-        FourierSeq.from_pairs([(1, 1.0)], K=2, one_periodic=True).validate()
     with pytest.raises(InvalidSequenceError):
         FourierSeq.from_pairs([(1, 1j), (-1, 1j)], real=True).validate()
 
@@ -166,13 +164,14 @@ def test_seq_extend_truncate_roundtrip():
 
 def test_seq_json_roundtrip_stores_nonzeros_only():
     f = FourierSeq.from_pairs([(3, 1.5 - 0.5j), (-3, 1.5 + 0.5j)], K=10,
-                              real=True, zero_mean=True)
+                              real=True)
     obj = json.loads(f.to_json())
+    assert sorted(obj) == ["coeffs", "half_range", "real"]
     assert len(obj["coeffs"]) == 2  # sparse storage
     g = FourierSeq.from_json(f.to_json())
     assert g.half_range == f.half_range
     np.testing.assert_array_equal(g.coeffs, f.coeffs)
-    assert g.real and g.zero_mean
+    assert g.real
 
 
 def test_sparse_seq_matches_dense():
@@ -491,7 +490,7 @@ def test_hilbert_sum_list_matches_scalar_calls():
 
 @pytest.mark.parametrize("sigma", [0.55, 0.75, 1.0, 2.0])
 def test_hilbert_sum_tail_matches_quadrature(sigma):
-    # at cutoff M = 4n the tails are up to 84 % of the sum; the oracle sums
+    # summed to J = M = 4n the tails are up to 84 % of the sum; the oracle sums
     # the body with fsum and integrates each tail, the integral over
     # x > M + 1/2 of (x^2 - n^2)^{-sigma}, by quad after v = x^{1 - 2 sigma},
     # which leaves a smooth integrand on a finite interval
@@ -504,7 +503,8 @@ def test_hilbert_sum_tail_matches_quadrature(sigma):
         tail, _ = quad(lambda v: (1.0 - n * n * v ** p) ** (-sigma), 0.0,
                        (M + 0.5) ** (1.0 - 2.0 * sigma), epsabs=0.0, epsrel=2e-14)
         want = body + 2.0 * tail / (2.0 * sigma - 1.0)
-        assert hilbert_sum(n, sigma, cutoff=M) == pytest.approx(want, rel=1e-13)
+        got = _divisor_sums([n], sigma, sigma, [M])[0]
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_hilbert_sum_divergent_sigma_rejected():
