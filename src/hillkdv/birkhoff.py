@@ -22,10 +22,10 @@ class BirkhoffState(FourierSeq):
     z_{-n} = conj(z_n), making every action I_n = z_n z_{-n} = |z_n|^2
     nonnegative."""
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         if self.coeffs[self.half_range] != 0:
             raise InvalidSequenceError("Birkhoff state with z_0 != 0")
-        return super().validate(tol)
+        return super().validate()
 
     def actions(self):
         """I_n = z_n z_{-n} for n >= 1 (complex in general, real >= 0 for

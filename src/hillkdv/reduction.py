@@ -24,9 +24,9 @@ roots when that iteration does not contract.
 The Neumann iterates live on their exact support: T_n maps a support S to
 the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
 is only approximated where the series stops; neumann_K_n reports whether that
-met neumann_tol.  They depend on n and supp(q) but not on lambda, so a
-support plan finds them once per n and start vector, and every lambda there
-reuses it: applying T_n is then a divide, an outer product and two bincounts.
+met neumann_tol.  They depend on n and supp(q) but not on lambda: one plan
+per n finds them for V e_n and V e_{-n} at once, two rows on their union, and
+every lambda reuses it (a divide, then per row an outer product and add.at).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -172,58 +172,90 @@ def make_context(q, s=None, w=None, m=None):
 
 
 class _SupportPlan:
-    """The lambda-free part of K_n f for one n and start f, each piece found
-    when first needed.  Per term l: the support S_l of T_n^l f, its mask keep
-    without +-n, (k pi)^2 on S_l[keep], the shifted-norm factors w(k+-n)
-    <k+-n>^s on S_l and the inverse index of supp(q) + S_l[keep] onto
-    S_{l+1}; per number of terms, the inverse index onto their union."""
+    """The lambda-free part of the Neumann series at n of the starts rows,
+    held as the rows of one array on the union of their supports (a row's
+    zeros off its own support add nothing to it).  Per level l, found when
+    first needed: the union S_l of the supports of the terms T_n^l f, its
+    slots keep but +-n, (k pi)^2 there, the larger of the shifted-norm
+    factors w(k+-n) <k+-n>^s (exact for the max of the two norms, as
+    |f_k| >= 0), the slots and indices of +-n, and the inverse index of
+    supp(q) + S_l[keep] onto S_{l+1}."""
 
-    def __init__(self, ctx, n, f):
-        self.n, self.f, self.q, self.ctx = n, f, ctx.q.support, ctx
-        self.levels, self.inv, self.unions = [self._level(f.ks())], [], {}
+    def __init__(self, ctx, n, rows):
+        self.n, self.q, self.ctx = n, ctx.q.support, ctx
+        S, inv = np.unique(np.concatenate([f.ks() for f in rows]),
+                           return_inverse=True)
+        self.start = np.zeros((len(rows), S.size), dtype=complex)
+        self.start[np.repeat(range(len(rows)), [f.ks().size for f in rows]),
+                   inv] = np.concatenate([f.coeffs for f in rows])
+        self.levels, self.inv = [self._level(S)], []
 
     def _level(self, S):
-        keep = np.abs(S) != self.n
-        return (S, keep, (S[keep] * math.pi) ** 2, [weight_factors(
-            S + l, self.ctx.w, self.ctx.s) for l in (self.n, -self.n)])
+        n, w, s = self.n, self.ctx.w, self.ctx.s
+        keep, pm = np.flatnonzero(np.abs(S) != n), np.flatnonzero(np.abs(S) == n)
+        return (S, keep, (S[keep] * math.pi) ** 2, np.maximum(
+            weight_factors(S + n, w, s), weight_factors(S - n, w, s)),
+            pm, S[pm].tolist())
 
     def size(self, l, c):
-        """max of the shifted norms ||.||_{w,s,inf;+-n} of the term with
-        coefficients c on S_l."""
-        a = np.abs(c)
-        return max(float((g * a).max(initial=0.0)) for g in self.levels[l][3])
+        """Each row's max of its shifted norms ||.||_{w,s,inf;+-n} on S_l."""
+        return (self.levels[l][3] * np.abs(c)).max(axis=1, initial=0.0).tolist()
 
     def apply(self, l, lam, c):
-        """The coefficients on S_{l+1} of T_n(lam) applied to those, c, on
-        S_l, as multiply(q, apply_A_inv_Q(lam, n, .)) gives them."""
-        S, keep, ksq, _ = self.levels[l]
+        """The coefficients on S_{l+1} of T_n(lam) applied to each row of
+        those, c, on S_l: each slot sums its products in the order of
+        supp(q) from +0.0, as multiply(q, apply_A_inv_Q(lam, n, .)) does."""
+        S, keep, ksq = self.levels[l][:3]
         if l == len(self.inv):
-            S_next, inv = np.unique(np.add.outer(self.q.idx, S[keep]).ravel(),
-                                    return_inverse=True)
+            # return_index sorts stably: a fast merge of the runs k + S[keep]
+            S_next, _, inv = np.unique(np.add.outer(self.q.idx, S[keep]).ravel(),
+                                       return_index=True, return_inverse=True)
             self.inv.append(inv)
             self.levels.append(self._level(S_next))
         div = complex(lam) - ksq
-        if np.any(np.abs(div) < 1e-12):
+        if np.abs(div).min(initial=np.inf) < 1e-12:
             raise NearSingularError("divisor |lambda - (k pi)^2| < 1e-12 "
                                     "in T_%d" % self.n)
-        vals = np.multiply.outer(self.q.coeffs, c[keep] / div).ravel()
-        return SparseSeq.sums(self.inv[l], vals, self.levels[l + 1][0].size)
-
-    def total(self, parts):
-        """SparseSeq.total of the terms with coefficients parts on S_0, ..."""
-        L = len(parts)
-        if L not in self.unions:
-            self.unions[L] = np.unique(np.concatenate(
-                [lv[0] for lv in self.levels[:L]]), return_inverse=True)
-        union, inv = self.unions[L]
-        return SparseSeq(union, SparseSeq.sums(inv, np.concatenate(parts),
-                                               union.size))
+        out = np.zeros((len(c), self.levels[l + 1][0].size), dtype=complex)
+        for o, x in zip(out, c.take(keep, axis=1) / div):
+            np.add.at(o, self.inv[l], np.multiply.outer(self.q.coeffs, x).ravel())
+        return out
 
 
 def _plans(ctx, n):
-    """Support plans of the series started at V e_n and at V e_{-n}."""
-    return tuple(_SupportPlan(ctx, n, multiply(
-        ctx.q, SparseSeq.accumulate([k], [1.0]))) for k in (n, -n))
+    """The support plan of the series from V e_n (row 0) and V e_{-n} (row 1)."""
+    return _SupportPlan(ctx, n, [multiply(ctx.q, SparseSeq.accumulate(
+        [k], [1.0])) for k in (n, -n)])
+
+
+def _neumann_rows(ctx, lam, plan):
+    """The terms T_n^l f of each start f of plan, each row stopped by the
+    rule of neumann_K_n on its own (a stopped row adds no more terms, and its
+    ratios no longer count).  Returns (terms, used, max_ratio, converged),
+    the last three per row: row r's sum is that of terms[:used[r]]."""
+    if not in_strip(lam, plan.n):
+        raise StripViolationError("lambda outside S_n")
+    terms, base = [plan.start], plan.size(0, plan.start)
+    prev, rows = list(base), len(base)
+    used, max_ratio, streak, converged = ([x] * rows for x in (1, 0.0, 0, False))
+    for l in range(ctx.max_terms):
+        if all(converged):
+            break
+        terms.append(plan.apply(l, lam, terms[-1]))
+        for r, tn in enumerate(plan.size(l + 1, terms[-1])):
+            if converged[r]:
+                continue
+            if prev[r] > 0:
+                ratio = tn / prev[r]
+                max_ratio[r] = max(max_ratio[r], ratio)
+                streak[r] = streak[r] + 1 if ratio > 0.9 else 0
+                if streak[r] >= 3:
+                    raise ContractionFailureError(
+                        "Neumann ratio > 0.9 three times at n=%d" % plan.n)
+            used[r] += tn != 0.0  # a zero term ends the sum unadded
+            converged[r] = tn < ctx.neumann_tol * max(base[r], 1e-300)
+            prev[r] = tn
+    return terms, used, max_ratio, converged
 
 
 def neumann_K_n(ctx, n, lam, f, plan=None):
@@ -231,41 +263,12 @@ def neumann_K_n(ctx, n, lam, f, plan=None):
     term's shifted norm drops below neumann_tol * ||f||; a ratio > 0.9 three
     times in a row raises ContractionFailureError.  Returns (sum, terms_used,
     max_ratio, converged); converged is False when max_terms applications of
-    T_n left the tolerance unmet.  plan is the support plan of (n, f), built
-    here if not given; callers that sum at many lambda reuse one.  Values
-    are those of multiply and apply_A_inv_Q, bit for bit."""
-    if not in_strip(lam, n):
-        raise StripViolationError("lambda outside S_n")
-    if plan is None:
-        plan = _SupportPlan(ctx, n, f)
-    parts = [f.coeffs]
-    term = f.coeffs
-    base = prev = plan.size(0, term)
-    max_ratio = 0.0
-    bad_streak = 0
-    converged = False
-    for l in range(ctx.max_terms):
-        term = plan.apply(l, lam, term)
-        tn = plan.size(l + 1, term)
-        if prev > 0:
-            ratio = tn / prev
-            max_ratio = max(max_ratio, ratio)
-            if ratio > 0.9:
-                bad_streak += 1
-                if bad_streak >= 3:
-                    raise ContractionFailureError(
-                        "Neumann ratio > 0.9 three times at n=%d" % n)
-            else:
-                bad_streak = 0
-        if tn == 0.0:
-            converged = True
-            break
-        parts.append(term)
-        if tn < ctx.neumann_tol * max(base, 1e-300):
-            converged = True
-            break
-        prev = tn
-    return plan.total(parts), len(parts), max_ratio, converged
+    T_n left the tolerance unmet.  plan, the support plan of (n, [f]), is
+    built if not given.  Values: multiply's and apply_A_inv_Q's, bit for bit."""
+    plan = plan or _SupportPlan(ctx, n, [f])
+    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, lam, plan)
+    return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
+        plan.levels, terms[:used])]), used, ratio, ok
 
 
 @dataclass
@@ -282,17 +285,23 @@ class CoeffResult:
 
 
 def coefficients(ctx, n, lam, plans=None):
-    """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>,
-    b_{-n} = <K_n V e_n, e_{-n}> at lambda, with the support plans of V e_n
-    and V e_{-n} (_plans) that callers share over lambda, or new ones."""
-    p, m = plans or _plans(ctx, n)
-    h_p, t1, r1, ok1 = neumann_K_n(ctx, n, lam, p.f, p)
-    h_m, t2, r2, ok2 = neumann_K_n(ctx, n, lam, m.f, m)
+    """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>, b_{-n} =
+    <K_n V e_n, e_{-n}> at lambda, on the support plan of V e_n and V e_{-n}
+    (_plans) that callers share over lambda, or a new one; the sums at +-n
+    are added level by level from 0j, as neumann_K_n's sum adds them."""
+    plan = plans or _plans(ctx, n)
+    terms, used, ratio, ok = _neumann_rows(ctx, lam, plan)
+    h = {}  # (row, k) -> the row's sum at k = +-n
+    for l, c in enumerate(terms[:max(used)]):
+        pm, pk = plan.levels[l][4:]
+        for r in (r for r in (0, 1) if l < used[r]):
+            for k, v in zip(pk, c[r, pm].tolist()):
+                h[r, k] = h.get((r, k), 0j) + v
     return CoeffResult(n=n, lam=complex(lam),
-                       a_n=h_p[n], a_n_alt=h_m[-n],
-                       b_n=h_m[n], b_neg_n=h_p[-n],
-                       terms_used=max(t1, t2), max_ratio=max(r1, r2),
-                       converged=ok1 and ok2)
+                       a_n=h.get((0, n), 0j), a_n_alt=h.get((1, -n), 0j),
+                       b_n=h.get((1, n), 0j), b_neg_n=h.get((0, -n), 0j),
+                       terms_used=max(used), max_ratio=max(ratio),
+                       converged=all(ok))
 
 
 def det_B(ctx, n, lam, coeff):

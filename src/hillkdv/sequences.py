@@ -77,16 +77,18 @@ class Weight:
 def check_weight(w):
     """Sampled verification of the weight-class invariants.
 
-    Checks w_n >= 1, symmetry and monotonicity in |n| for |n| <= 512, and
-    submultiplicativity w_{n+m} <= w_n w_m on 2000 pairs with |n|, |m| <= 512
+    Checks that w_n is finite, >= 1, symmetric and monotone in |n| for
+    |n| <= 512, and w_{n+m} <= w_n w_m on 2000 pairs with |n|, |m| <= 512
     drawn from a fixed seed.  Raises WeightError on the first violation.
     """
     radius, samples, rng = 512, 2000, np.random.default_rng(0)
     idx = np.arange(0, radius + 1)
-    vals = w(idx)
+    vals, neg = w(idx), w(-idx)
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(neg))):
+        raise WeightError("weight is not finite on |n| <= %d" % radius)
     if np.any(vals < 1.0 - 1e-12):
         raise WeightError("weight takes values below 1")
-    if np.any(np.abs(w(-idx) - vals) > 1e-12 * np.abs(vals)):
+    if np.any(np.abs(neg - vals) > 1e-12 * np.abs(vals)):
         raise WeightError("weight is not symmetric")
     if np.any(np.diff(vals) < -1e-12 * vals[:-1]):
         raise WeightError("weight is not monotone in |n|")
@@ -161,8 +163,8 @@ class FourierSeq:
         c = self.coeffs
         return bool(np.all(np.abs(c - np.conj(c[::-1])) <= tol))
 
-    def validate(self, tol=1e-12):
-        if self.real and not self.is_conj_symmetric(tol):
+    def validate(self):
+        if self.real and not self.is_conj_symmetric():
             raise InvalidSequenceError("real set but f_{-k} != conj(f_k)")
         return True
 
@@ -272,14 +274,9 @@ class SparseSeq:
         """sum_j vals_j e_{idx_j}, equal indices summed in the order given."""
         support, inv = np.unique(np.asarray(idx, dtype=np.int64),
                                  return_inverse=True)
-        return SparseSeq(support, SparseSeq.sums(inv, vals, support.size))
-
-    @staticmethod
-    def sums(inv, vals, m):
-        """m sums of vals_j over equal positions inv_j, in the order given."""
-        vals = np.asarray(vals, dtype=complex)
-        return (np.bincount(inv, weights=vals.real, minlength=m)
-                + 1j * np.bincount(inv, weights=vals.imag, minlength=m))
+        vals, m = np.asarray(vals, dtype=complex), support.size
+        return SparseSeq(support, np.bincount(inv, weights=vals.real, minlength=m)
+                         + 1j * np.bincount(inv, weights=vals.imag, minlength=m))
 
     @staticmethod
     def total(seqs):

@@ -28,7 +28,7 @@ from hillkdv.sequences import _divisor_sums
 
 from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
-    sparse_coefficients, shift_pair, apply_T_n, sample_T_norm
+    sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm
 
 PI2 = math.pi ** 2
 
@@ -491,6 +491,46 @@ def test_plan_reuse_is_call_order_independent():
     for g, f in zip(got, fresh):
         assert g == f
         assert repr(g) == repr(f)
+
+
+def test_plan_bit_equal_on_disjoint_rows():
+    # N_ms and M_ms of a criterion-5 potential and n = M_ms + 1 of the
+    # isolated-mode sandwich: V e_n and V e_{-n} have disjoint supports, so
+    # each row of the plan is zero on the other's half of the union
+    q5 = Potential.random_real(np.random.default_rng(100), 8, sup=0.05, s=0.0)
+    ctx5 = make_context(q5)
+    ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
+    for ctx, n in ((ctx5, ctx5.N_ms), (ctx5, ctx5.M_ms), (ctx6, res.n)):
+        plans = _plans(ctx, n)
+        assert not np.any((plans.start[0] != 0) & (plans.start[1] != 0))
+        for d in (0.0, 0.3 + 0.1j, -11.0 * n):
+            lam = n * n * PI2 + d
+            assert_same_bits(coefficients(ctx, n, lam, plans),
+                             sparse_coefficients(ctx, n, lam))
+
+
+def test_plan_rows_stop_on_their_own():
+    # for this non-self-adjoint q the series from V e_3 stops after 5 terms
+    # and the one from V e_{-3} after 6: the first row adds no sixth term and
+    # no sixth ratio, so every field is that of the two separate series
+    q = Potential.from_even_pairs([(1, 0.2), (-1, 0.002), (2, 0.1)],
+                                  n_max=2, real=False)
+    ctx = make_context(q)
+    n, lam = 3, 9 * PI2 + 0.3
+    starts = [multiply(q, SparseSeq.accumulate([k], [1.0])) for k in (n, -n)]
+    assert [sparse_neumann(ctx, n, lam, f)[1] for f in starts] == [5, 6]
+    assert_same_bits(coefficients(ctx, n, lam), sparse_coefficients(ctx, n, lam))
+
+
+def test_plan_bit_equal_when_max_terms_cuts_the_series():
+    # one application of T_n: both rows stop unconverged after 2 terms
+    short = dataclasses.replace(make_context(smooth_real_potential()),
+                                max_terms=1)
+    for n in range(short.n_s, short.n_s + 5):
+        lam = n * n * PI2 + 0.3
+        got = coefficients(short, n, lam)
+        assert got.converged is False and got.terms_used == 2
+        assert_same_bits(got, sparse_coefficients(short, n, lam))
 
 
 @settings(max_examples=25, deadline=None)

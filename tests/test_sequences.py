@@ -76,15 +76,35 @@ def test_check_weight_accepts_class_members():
         assert check_weight(w)
 
 
+class GaussianWeight:
+    """w_n = e^{n^2 / scale} (inf once n^2 / scale overflows): >= 1,
+    symmetric and monotone, but w_{n+m} > w_n w_m when n m > 0."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __call__(self, n):
+        n = np.asarray(n, dtype=float)
+        with np.errstate(over="ignore"):
+            v = np.exp(n * n / self.scale)
+        return float(v) if v.ndim == 0 else v
+
+
 def test_check_weight_rejects_supermultiplicative():
-    # w_n = e^{n^2 / 100} grows too fast: w_{n+m} > w_n w_m
-    class Bad:
-        def __call__(self, n):
-            n = np.asarray(n, dtype=float)
-            v = np.exp(n * n / 100.0)
-            return float(v) if v.ndim == 0 else v
+    # e^{n^2 / 10^4} is finite on every sampled n and n + m (|n + m| <= 1024)
     with pytest.raises(WeightError, match="submultiplicativity"):
-        check_weight(Bad())
+        check_weight(GaussianWeight(1e4))
+
+
+def test_check_weight_rejects_non_finite_weight():
+    # e^{n^2 / 100} is inf past |n| = 266, where inf - inf = NaN would pass
+    # the symmetry and monotonicity checks; it is rejected by name instead
+    with pytest.raises(WeightError, match="not finite"):
+        check_weight(GaussianWeight(100.0))
+    nan_at_7 = (lambda n: np.where(np.abs(n) == 7, np.nan,
+                                   Weight.polynomial(1.0)(n)))
+    with pytest.raises(WeightError, match="not finite"):
+        check_weight(nan_at_7)
 
 
 def test_cap_weight_crossover():
