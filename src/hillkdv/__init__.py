@@ -17,7 +17,7 @@ from .operator import Potential, multiply, apply_A_inv_Q, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     gaps_and_midpoints, riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
-    thresholds, make_context, neumann_K_n, coefficients, find_roots, \
+    make_context, neumann_K_n, coefficients, find_roots, \
     alpha_fixed_point, adapted_coefficients, gap_sandwich, \
     eigenfunction_reconstruct
 from .birkhoff import BirkhoffState, actions_from_gaps, frequencies, \

@@ -89,7 +89,6 @@ class SpectrumResult:
     and Dirichlet list mu_1, mu_2, ...; trust_count caps the certified n."""
     periodic: np.ndarray | None = None
     dirichlet: np.ndarray | None = None
-    K: int = 0
     trust: int = 0
 
     def lam_minus(self, n):
@@ -165,7 +164,7 @@ def periodic_spectrum(q, K):
         raise ValueError("K must be >= 16")
     vals = [_block_eigvals(q, K, parity) for parity in (0, 1)]
     vals = _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
-    return SpectrumResult(periodic=vals, K=K, trust=trust_count(K))
+    return SpectrumResult(periodic=vals, trust=trust_count(K))
 
 
 def dirichlet_matrix(q, K):
@@ -184,7 +183,7 @@ def dirichlet_spectrum(q, K):
     D = dirichlet_matrix(q, K)  # float64 for a real q
     eig = np.linalg.eigvalsh if q.is_real() else np.linalg.eigvals
     vals = _lex_sort(eig(D).astype(complex), tie_scale=K * K * PI2)
-    return SpectrumResult(dirichlet=vals, K=K, trust=trust_count(K))
+    return SpectrumResult(dirichlet=vals, trust=trust_count(K))
 
 
 def full_spectrum(q, K):
@@ -271,10 +270,12 @@ def riesz_projector(q, n, K):
 def verify_decay(q, w, s, K_list):
     """Weighted sups of gap lengths and midpoint-Dirichlet differences across
     truncations, with a stabilization measure and the high-mode tail bound
-    ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2.
+    ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2;
+    w = None and s = None mean the potential's, as in make_context.
     """
-    from .reduction import estimate_c_s, _smallest_n
-    c_s = estimate_c_s(s)
+    from .reduction import make_context
+    ctx = make_context(q, s, w)
+    w, s = ctx.w, ctx.s
     report = {"K_list": list(K_list), "sup_gamma": [], "sup_taumu": []}
     results = {}
     for K in K_list:
@@ -290,7 +291,7 @@ def verify_decay(q, w, s, K_list):
         report[key + "_stabilization"] = abs(a - b) / max(abs(b), 1e-300)
     # tail bound at N = n_s, the contraction threshold of make_context
     qn = seq_norm(q.seq, w, s, math.inf)
-    N = _smallest_n(0.5 - abs(s), 2.0 * c_s * qn, "n_s")
+    N, c_s = ctx.n_s, ctx.c_s
     n, wgam = results[max(K_list)]
     lhs = float(np.max(wgam[n >= N], initial=0.0))
     tq = seq_norm(seq_tail(q.seq, 2 * N), w, s, math.inf)

@@ -11,7 +11,7 @@ vanishes only for even q (q_{-m} = q_m).  Conversion to the [0,1] product:
 int_0^1 f conj(g) dx = <f, g> for 1-periodic f, g.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 import math
 
@@ -54,7 +54,6 @@ class Potential:
             raise InvalidSequenceError("zero-mean potential: q_0 != 0")
         if np.any(c[(K + 1) % 2::2] != 0):  # coeffs[i] holds k = i - K
             raise InvalidSequenceError("1-periodic potential: odd modes present")
-        self.seq.validate()
 
     @cached_property
     def support(self):
@@ -73,27 +72,30 @@ class Potential:
         return norm(self.seq, self.weight, self.s, math.inf)
 
     def is_real(self):
-        return self.seq.real
+        """q_{-k} = conj(q_k) to 1e-14, so that -d^2/dx^2 + q is self-adjoint."""
+        return self.seq.is_conj_symmetric()
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(n_max=1, s=0.0, weight=None):
-        return Potential(FourierSeq.zeros(2 * n_max, real=True), s, weight)
+        return Potential(FourierSeq.zeros(2 * n_max), s, weight)
 
     @staticmethod
     def from_even_pairs(pairs, n_max=None, s=0.0, weight=None, real=None):
-        """pairs: iterable of (n, q_{2n}) with n != 0; real defaults to
-        conjugate symmetry to 1e-14."""
+        """pairs: iterable of (n, q_{2n}) with n != 0; a real given that
+        differs from is_real() raises InvalidSequenceError."""
         pairs = [(int(n), v) for n, v in pairs]
         if any(n == 0 for n, _ in pairs):
             raise InvalidSequenceError("zero-mean potential: n = 0 not allowed")
         if n_max is None:
             n_max = max((abs(n) for n, _ in pairs), default=1)
-        seq = FourierSeq.from_pairs([(2 * n, v) for n, v in pairs], K=2 * n_max)
-        if real is None:
-            real = seq.is_conj_symmetric(1e-14)
-        return Potential(replace(seq, real=real), s, weight)
+        q = Potential(FourierSeq.from_pairs([(2 * n, v) for n, v in pairs],
+                                            K=2 * n_max), s, weight)
+        if real is not None and real != q.is_real():
+            raise InvalidSequenceError("real=%s, but q_{-2n} %s conj(q_{2n})"
+                                       % (real, "=" if q.is_real() else "!="))
+        return q
 
     @staticmethod
     def single_mode(c, n_max=1, s=0.0, weight=None):

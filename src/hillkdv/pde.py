@@ -47,15 +47,12 @@ def potential_to_pde_state(q):
 
 def pde_state_to_potential(u, s=0.0, weight=None):
     """PDE mode k -> spectral even mode 2k, on at least one mode pair; the
-    mean u_0 is dropped, and the potential is real if it is conjugate
-    symmetric to 1e-14."""
+    mean u_0 is dropped."""
     K = max(u.half_range, 1)
     c = np.zeros(4 * K + 1, dtype=complex)
     c[::2] = u.extended(K).coeffs
     c[2 * K] = 0.0
-    seq = FourierSeq(c)
-    return Potential(replace(seq, real=seq.is_conj_symmetric(1e-14)), s=s,
-                     weight=weight)
+    return Potential(FourierSeq(c), s=s, weight=weight)
 
 
 def _airy_symbol(ks):

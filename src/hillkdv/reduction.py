@@ -123,14 +123,6 @@ def _smallest_n(power, target, name):
     return n
 
 
-def thresholds(q, s=None, w=None, m=None):
-    """(n_s, N_ms, M_ms) of make_context(q, s, w, m): the smallest integers
-    with 2 c_s ||q|| <= n_s^{1/2-|s|},  16 c_s' m / N^{1/2-|s|} <= 1/2,
-    sup_{n >= M} 8 c_s' / n^{1/2-|s|} <= 1/(16 m)."""
-    ctx = make_context(q, s, w, m)
-    return ctx.n_s, ctx.N_ms, ctx.M_ms
-
-
 @dataclass(frozen=True)
 class ReductionContext:
     """Bundle of potential, space parameters, Neumann settings and
@@ -151,8 +143,10 @@ class ReductionContext:
 
 def make_context(q, s=None, w=None, m=None):
     """Context for q: s and w (default: the potential's), the ball radius m
-    (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds.  There
-    is no truncation parameter: iterates live on their exact support."""
+    (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds, the
+    smallest integers with 2 c_s ||q|| <= n_s^{1/2-|s|}, 16 c_s' m /
+    N_ms^{1/2-|s|} <= 1/2 and 8 c_s' / M_ms^{1/2-|s|} <= 1/(16 m).  There is
+    no truncation parameter: iterates live on their exact support."""
     if s is None:
         s = q.s
     if w is None:
@@ -258,14 +252,14 @@ def _neumann_rows(ctx, lam, plan):
     return terms, used, max_ratio, converged
 
 
-def neumann_K_n(ctx, n, lam, f, plan=None):
+def neumann_K_n(ctx, n, lam, f):
     """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f, stopped when the latest
     term's shifted norm drops below neumann_tol * ||f||; a ratio > 0.9 three
     times in a row raises ContractionFailureError.  Returns (sum, terms_used,
     max_ratio, converged); converged is False when max_terms applications of
-    T_n left the tolerance unmet.  plan, the support plan of (n, [f]), is
-    built if not given.  Values: multiply's and apply_A_inv_Q's, bit for bit."""
-    plan = plan or _SupportPlan(ctx, n, [f])
+    T_n left the tolerance unmet.  Values: multiply's and apply_A_inv_Q's, bit
+    for bit."""
+    plan = _SupportPlan(ctx, n, [f])
     terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, lam, plan)
     return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
         plan.levels, terms[:used])]), used, ratio, ok

@@ -127,13 +127,12 @@ def cap_weight(w, eps):
 class FourierSeq:
     """Complex coefficients f_k for k in {-K..K}; coeffs[i] holds k = i - K.
 
-    The coefficient array is treated as immutable; validate() checks the flag
-    real (f_{-k} = conj(f_k)), Potential and BirkhoffState their own
-    invariants.  Subclasses (the KdV state, the Birkhoff coordinates) add
-    fields, and extended / truncated keep them.
+    The coefficient array is treated as immutable; properties such as
+    realness (f_{-k} = conj(f_k)) are read from it, and Potential and
+    BirkhoffState check their own invariants.  Subclasses (the KdV state, the
+    Birkhoff coordinates) add fields, and extended / truncated keep them.
     """
     coeffs: np.ndarray
-    real: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -158,14 +157,13 @@ class FourierSeq:
         K = self.half_range
         return np.arange(-K, K + 1)
 
-    def is_conj_symmetric(self, tol=1e-12):
+    def is_conj_symmetric(self, tol=1e-14):
         """|f_{-k} - conj(f_k)| <= tol for every k; NaN never is."""
         c = self.coeffs
         return bool(np.all(np.abs(c - np.conj(c[::-1])) <= tol))
 
     def validate(self):
-        if self.real and not self.is_conj_symmetric():
-            raise InvalidSequenceError("real set but f_{-k} != conj(f_k)")
+        """A subclass's invariants; from_pairs calls it."""
         return True
 
     def nonzero_ks(self):
@@ -212,7 +210,6 @@ class FourierSeq:
         ks = self.nonzero_ks()
         return {
             "half_range": int(self.half_range),
-            "real": bool(self.real),
             "coeffs": [[int(k), float(self[k].real), float(self[k].imag)]
                        for k in ks],
         }
@@ -222,14 +219,15 @@ class FourierSeq:
 
     @staticmethod
     def from_json_obj(obj):
-        """Inverse of to_json_obj; other keys (older files' flags) are ignored."""
+        """Inverse of to_json_obj; other keys (older files' flags, "real"
+        among them) are ignored."""
         try:
             K = int(obj["half_range"])
             pairs = [(int(k), re + 1j * im) for k, re, im in obj["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSequenceError("malformed sequence JSON: %s: %s"
                                        % (type(exc).__name__, exc))
-        return FourierSeq.from_pairs(pairs, K=K, real=bool(obj.get("real", False)))
+        return FourierSeq.from_pairs(pairs, K=K)
 
     @staticmethod
     def from_json(text):
@@ -348,8 +346,9 @@ def _divisor_sums(ns, a, b, Js):
     ns, Js = np.asarray(ns), np.asarray(Js)
     x = np.arange((Js + ns).max() + 1, dtype=float)
     x[0] = np.inf  # inf ** negative = 0
-    ta = x ** (-a)
-    tb = ta if a == b else x ** (-b)
+    # x^{-a} overwrites x, one table fewer at the peak; for a = b, tb is it
+    tb = x if a == b else x ** (-b)
+    ta = np.power(x, -a, out=x)
     body = []
     for n, J in zip(ns.tolist(), Js.tolist()):
         right = np.dot(ta[2 * n + 1:J + n + 1], tb[1:J - n + 1])

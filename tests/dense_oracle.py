@@ -74,7 +74,7 @@ def convolve(a, b):
     full = _convolve_arrays(a.coeffs, b.coeffs)  # indices -(Ka+Kb) .. Ka+Kb
     mid = Ka + Kb
     out = full[mid - K:mid + K + 1]
-    return FourierSeq(out.copy(), real=a.real and b.real)
+    return FourierSeq(out.copy())
 
 
 def shifted_norm(f, w, s, l):
@@ -319,7 +319,7 @@ def project(n, f, which):
         c = np.where(on_pn, 0.0, f.coeffs)
     else:
         raise ValueError("which must be 'P' or 'Q'")
-    return FourierSeq(c, real=f.real)
+    return FourierSeq(c)
 
 
 def smooth_real_potential(seed=7, n_max=26, amp=0.05):

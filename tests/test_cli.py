@@ -356,7 +356,7 @@ def test_unknown_command_exit_2():
 
 def test_potential_file_roundtrip(tmp_path):
     from hillkdv.sequences import FourierSeq
-    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05)], K=4, real=True)
+    seq = FourierSeq.from_pairs([(2, 0.05), (-2, 0.05)], K=4)
     pf = tmp_path / "q.json"
     pf.write_text(seq.to_json())
     out = str(tmp_path / "o")
@@ -368,13 +368,16 @@ def test_potential_file_roundtrip(tmp_path):
 
 
 def test_potential_file_with_old_flag_keys(tmp_path):
-    # files that also carry the zero_mean and one_periodic keys of older
-    # versions give the same spectrum bytes as files without them; the run
-    # reads both through one path, so the config hashes agree
+    # files that also carry the real, zero_mean and one_periodic keys of
+    # older versions give the same spectrum bytes as files without them; the
+    # run reads both through one path, so the config hashes agree.  The
+    # potential is real (q_{-2} = conj(q_2)) whether or not a key says so,
+    # so its periodic eigenvalues have imaginary part exactly 0
     body = ('"coeffs": [[-2, 0.05, -0.01], [2, 0.05, 0.01]], '
-            '"half_range": 4, "real": true')
+            '"half_range": 4')
     texts = {"new": "{%s}" % body,
-             "old": '{%s, "one_periodic": true, "zero_mean": true}' % body}
+             "old": '{%s, "one_periodic": true, "real": true, '
+                    '"zero_mean": true}' % body}
     pf = tmp_path / "q.json"
     outs = {}
     for name, text in texts.items():
@@ -385,6 +388,8 @@ def test_potential_file_with_old_flag_keys(tmp_path):
         assert rc == 0
         outs[name] = [(out / f).read_bytes()
                       for f in ("spectrum.json", "spectrum.csv")]
+        periodic = read_json(str(out / "spectrum.json"))["periodic"]
+        assert all(im == 0.0 for _, im in periodic)
     assert outs["old"] == outs["new"]
 
 

@@ -273,6 +273,13 @@ def real_potentials(draw, sup):
     return q, draw(st.integers(16, 200))
 
 
+class _AsComplex(Potential):
+    """The same coefficients, sent down the complex (non-self-adjoint) path."""
+
+    def is_real(self):
+        return False
+
+
 @settings(deadline=None, max_examples=40)
 @given(case=real_potentials(st.floats(0.01, 40.0)))
 def test_real_blocks_match_hermitian_oracle(case):
@@ -284,11 +291,26 @@ def test_real_blocks_match_hermitian_oracle(case):
     assert np.max(np.abs(vals - hermitian_spectrum(q, K))) <= \
         64 * eps * (K * math.pi) ** 2
     # the float64 Dirichlet matrix is the real part of the complex one that
-    # the same coefficients build when not flagged real, bit for bit
+    # the same coefficients build on the complex path, bit for bit
     D = dirichlet_matrix(q, K)
-    as_complex = Potential(FourierSeq(q.seq.coeffs, real=False))
-    assert D.dtype == np.float64
+    as_complex = _AsComplex(q.seq)
+    assert D.dtype == np.float64 and not as_complex.is_real()
     assert D.tobytes() == dirichlet_matrix(as_complex, K).real.copy().tobytes()
+
+
+def test_undeclared_real_potential_takes_real_path():
+    # a potential built straight from conjugate-symmetric coefficients is
+    # real without saying so: its spectra are those of the same coefficients
+    # built by from_even_pairs, bit for bit, and the periodic eigenvalues
+    # have no imaginary rounding noise
+    want = Potential.random_real(np.random.default_rng(31), 12, sup=0.05)
+    q = Potential(FourierSeq(want.seq.coeffs.copy()))
+    assert q.is_real()
+    K = 32
+    got, ref = full_spectrum(q, K), full_spectrum(want, K)
+    assert got.periodic.tobytes() == ref.periodic.tobytes()
+    assert got.dirichlet.tobytes() == ref.dirichlet.tobytes()
+    assert np.all(got.periodic.imag == 0.0)
 
 
 @settings(deadline=None, max_examples=40)

@@ -87,6 +87,27 @@ def test_random_real_is_real_and_bounded():
         assert abs(q.coeff(2 * n)) <= 0.2 * (1 + n) ** -0.3 + 1e-14
 
 
+def test_is_real_read_from_coefficients():
+    # conjugate symmetry to 1e-14, whichever constructor built the potential
+    c = np.zeros(9, dtype=complex)
+    c[[2, 6]] = [0.05 + 0.03j, 0.05 - 0.03j]  # q_{-2}, q_2
+    assert Potential(FourierSeq(c)).is_real()
+    c[2] += 1e-13
+    assert not Potential(FourierSeq(c)).is_real()
+    assert Potential.zero().is_real()
+
+
+def test_from_even_pairs_real_must_match_coefficients():
+    sym = [(1, 0.05 - 0.03j), (-1, 0.05 + 0.03j)]
+    asym = [(1, 0.05), (-1, 0.02)]
+    assert Potential.from_even_pairs(sym, real=True).is_real()
+    assert not Potential.from_even_pairs(asym, real=False).is_real()
+    with pytest.raises(InvalidSequenceError, match="real=True"):
+        Potential.from_even_pairs(asym, real=True)
+    with pytest.raises(InvalidSequenceError, match="real=False"):
+        Potential.from_even_pairs(sym, real=False)
+
+
 # ---------------------------------------------------------------------------
 # multiplication operator
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm
 from hillkdv.operator import Potential, multiply
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
-    estimate_c_s, epsilon_s, estimate_c_s_prime, thresholds,
+    estimate_c_s, epsilon_s, estimate_c_s_prime,
     make_context, ReductionContext, neumann_K_n, _plans,
     coefficients, det_B, alpha_fixed_point, find_roots,
     adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
@@ -107,8 +107,13 @@ def test_thresholds_stable():
              (Potential.power_law(0.1, -0.25, n_max=128, s=-0.25), -0.25,
               (3, 131622449926, 33695347180871))]
     cases += [(q, 0.0, (1, 52061, 832961)) for q in crit5]
+    # s = None: make_context takes s and the weight from the potential
+    weighted = Potential.power_law(0.1, -0.25, 64, s=-0.25,
+                                   weight=Weight.polynomial(0.5))
+    cases += [(weighted, None, (35, 131622449926, 33695347180871))]
     for q, s, want in cases:
-        assert thresholds(q, s) == want
+        ctx = make_context(q, s)
+        assert (ctx.n_s, ctx.N_ms, ctx.M_ms) == want
 
 
 def test_c_s_rejects_s_outside_range_whatever_is_cached():
@@ -137,17 +142,6 @@ def test_c_s_keyed_on_exact_s():
         cold.append((estimate_c_s(s), estimate_c_s_prime(s)))
     assert cold[0] == cold[1]
     assert cold[0][0] != estimate_c_s(-0.25)
-
-
-def test_thresholds_are_make_context_thresholds():
-    # a weighted potential: thresholds and make_context both default to q's
-    # s and weight
-    q = Potential.power_law(0.1, -0.25, 64, s=-0.25,
-                            weight=Weight.polynomial(0.5))
-    ctx = make_context(q)
-    assert thresholds(q) == thresholds(q, q.s) == \
-        (ctx.n_s, ctx.N_ms, ctx.M_ms)
-    assert ctx.n_s == 35
 
 
 def test_c_s_grows_with_roughness():
@@ -187,7 +181,8 @@ def test_c_s_prime_independent_of_call_order():
 
 def test_thresholds_minimality():
     q = Potential.single_mode(0.2)
-    n_s, N_ms, M_ms = thresholds(q, 0.0)
+    ctx = make_context(q, 0.0)
+    n_s, N_ms, M_ms = ctx.n_s, ctx.N_ms, ctx.M_ms
     c = estimate_c_s(0.0)
     cp = estimate_c_s_prime(0.0)
     qn = 0.2
@@ -203,7 +198,7 @@ def test_thresholds_minimality():
 def test_thresholds_reject_norm_above_m():
     q = Potential.single_mode(0.2)
     with pytest.raises(ThresholdError):
-        thresholds(q, 0.0, m=0.1)
+        make_context(q, 0.0, m=0.1)
 
 
 def test_thresholds_beyond_float_range_named():
@@ -211,7 +206,7 @@ def test_thresholds_beyond_float_range_named():
     # puts N_ms beyond the float range
     q = Potential.single_mode(0.2)
     with pytest.raises(ThresholdError, match="threshold N_ms exceeds the float"):
-        thresholds(q, -0.25, m=1e100)
+        make_context(q, -0.25, m=1e100)
 
 
 def test_make_context_defaults():

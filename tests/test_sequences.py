@@ -31,7 +31,7 @@ def random_seq(rng, K, real=False):
     c = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
     if real:
         c = 0.5 * (c + np.conj(c[::-1]))
-    return FourierSeq(c, real=real)
+    return FourierSeq(c)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,17 @@ def test_seq_even_length_rejected():
         FourierSeq(np.zeros(4, dtype=complex))
 
 
-def test_seq_flag_validation():
-    # real is the container's one flag; a mean and odd modes are allowed
-    good = FourierSeq.from_pairs([(0, 2.0), (1, 1 + 2j), (-1, 1 - 2j)],
-                                 real=True)
-    assert good.validate()
-    with pytest.raises(InvalidSequenceError):
-        FourierSeq.from_pairs([(1, 1j), (-1, 1j)], real=True).validate()
+def test_seq_conj_symmetry():
+    # realness is read from the coefficients, to 1e-14 unless told otherwise;
+    # the container has no flags, so a mean and odd modes are allowed and an
+    # asymmetric sequence builds
+    good = FourierSeq.from_pairs([(0, 2.0), (1, 1 + 2j), (-1, 1 - 2j)])
+    assert good.is_conj_symmetric()
+    assert not FourierSeq.from_pairs([(1, 1j), (-1, 1j)]).is_conj_symmetric()
+    near = FourierSeq.from_pairs([(2, 0.1), (-2, 0.1 + 1e-13)])
+    assert not near.is_conj_symmetric()
+    assert near.is_conj_symmetric(1e-12)
+    assert not FourierSeq(np.array([np.nan, 0.0, np.nan])).is_conj_symmetric()
 
 
 def test_seq_extend_truncate_roundtrip():
@@ -183,15 +187,18 @@ def test_seq_extend_truncate_roundtrip():
 
 
 def test_seq_json_roundtrip_stores_nonzeros_only():
-    f = FourierSeq.from_pairs([(3, 1.5 - 0.5j), (-3, 1.5 + 0.5j)], K=10,
-                              real=True)
+    f = FourierSeq.from_pairs([(3, 1.5 - 0.5j), (-3, 1.5 + 0.5j)], K=10)
     obj = json.loads(f.to_json())
-    assert sorted(obj) == ["coeffs", "half_range", "real"]
+    assert sorted(obj) == ["coeffs", "half_range"]
     assert len(obj["coeffs"]) == 2  # sparse storage
     g = FourierSeq.from_json(f.to_json())
     assert g.half_range == f.half_range
     np.testing.assert_array_equal(g.coeffs, f.coeffs)
-    assert g.real
+    assert g.is_conj_symmetric()
+    # an older file's "real" key is ignored, whatever it says
+    for flag in (True, False):
+        old = FourierSeq.from_json_obj(dict(obj, real=flag))
+        np.testing.assert_array_equal(old.coeffs, f.coeffs)
 
 
 def test_sparse_seq_matches_dense():
@@ -446,13 +453,12 @@ def test_convolve_identity():
     np.testing.assert_allclose(c.coeffs, f.coeffs, atol=1e-14)
 
 
-def test_convolve_real_flag_propagates():
+def test_convolve_keeps_conj_symmetry():
     rng = np.random.default_rng(53)
     a = random_seq(rng, 6, real=True)
     b = random_seq(rng, 4, real=True)
-    c = convolve(a, b)
-    assert c.real
-    c.validate()
+    assert a.is_conj_symmetric() and b.is_conj_symmetric()
+    assert convolve(a, b).is_conj_symmetric(1e-12)
 
 
 def test_convolution_inequality_weighted():
