@@ -17,11 +17,10 @@ from .operator import Potential, multiply, apply_A_inv_Q, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     gaps_and_midpoints, riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
-    make_context, neumann_K_n, coefficients, find_roots, \
-    alpha_fixed_point, adapted_coefficients, gap_sandwich, \
-    eigenfunction_reconstruct
+    make_context, coefficients, find_roots, alpha_fixed_point, \
+    adapted_coefficients, gap_sandwich
 from .birkhoff import BirkhoffState, actions_from_gaps, frequencies, \
-    linearized_birkhoff, inverse_linearized_birkhoff, flow, torus_membership
+    linearized_birkhoff, flow, torus_membership
 from .pde import PDEState, evolve_kdv, evolve_airy, conserved, \
     isospectral_check, potential_to_pde_state, pde_state_to_potential
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .pde import PDEState, potential_to_pde_state, pde_state_to_potential
+from .pde import potential_to_pde_state
 from .sequences import FourierSeq, InvalidSequenceError
 
 
@@ -63,14 +63,6 @@ def linearized_birkhoff(q):
     # componentwise division; numpy's complex / real multiplies by 1/d,
     # which adds a rounding
     return BirkhoffState(u.coeffs.real / d + 1j * (u.coeffs.imag / d))
-
-
-def inverse_linearized_birkhoff(state, s=0.0, weight=None):
-    """Inverse of the linearized map: q_{2n} = sqrt(2 pi |n|) z_n."""
-    d = np.sqrt(2.0 * math.pi * np.abs(state.ks()))
-    z = state.coeffs
-    return pde_state_to_potential(PDEState(z.real * d + 1j * (z.imag * d)),
-                                  s=s, weight=weight)
 
 
 def flow(state, t):

@@ -284,7 +284,7 @@ def cmd_reduce(cfg):
             rows.append([n, "below-threshold", "", "", "", "", "", "", "", ""])
             entries.append({"n": n, "status": "below-threshold"})
             continue
-        res = find_roots(ctx, n, xi_bound_grid=0)
+        res = find_roots(ctx, n)
         entry = {
             "n": n,
             "a_n": [res.a_n.real, res.a_n.imag],

@@ -23,10 +23,11 @@ roots when that iteration does not contract.
 
 The Neumann iterates live on their exact support: T_n maps a support S to
 the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
-is only approximated where the series stops; neumann_K_n reports whether that
-met neumann_tol.  They depend on n and supp(q) but not on lambda: one plan
-per n finds them for V e_n and V e_{-n} at once, two rows on their union, and
-every lambda reuses it (a divide, then per row an outer product and add.at).
+is only approximated where the series stops; coefficients reports whether
+that met neumann_tol.  The supports depend on n and supp(q) but not on
+lambda: one plan per n finds them for V e_n and V e_{-n} at once, two rows
+on their union, and every lambda reuses it (a divide, then per row an outer
+product and add.at).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -40,7 +41,7 @@ import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
     norm, weight_factors, _divisor_sums
-from .operator import Potential, multiply, apply_A_inv_Q, in_strip, \
+from .operator import Potential, multiply, in_strip, \
     StripViolationError, NearSingularError
 
 
@@ -223,10 +224,14 @@ def _plans(ctx, n):
 
 
 def _neumann_rows(ctx, lam, plan):
-    """The terms T_n^l f of each start f of plan, each row stopped by the
-    rule of neumann_K_n on its own (a stopped row adds no more terms, and its
-    ratios no longer count).  Returns (terms, used, max_ratio, converged),
-    the last three per row: row r's sum is that of terms[:used[r]]."""
+    """The terms T_n^l f of each start f of plan, up to max_terms
+    applications of T_n.  Each row stops on its own once its latest term's
+    shifted norm is below neumann_tol times its start's (a zero term ends
+    the sum unadded); a stopped row adds no more terms, and its ratios no
+    longer count.  Three term ratios > 0.9 in a row raise
+    ContractionFailureError.  Returns (terms, used, max_ratio, converged),
+    the last three per row: row r's sum is that of terms[:used[r]], and
+    converged[r] is False when max_terms left its tolerance unmet."""
     if not in_strip(lam, plan.n):
         raise StripViolationError("lambda outside S_n")
     terms, base = [plan.start], plan.size(0, plan.start)
@@ -252,19 +257,6 @@ def _neumann_rows(ctx, lam, plan):
     return terms, used, max_ratio, converged
 
 
-def neumann_K_n(ctx, n, lam, f):
-    """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f, stopped when the latest
-    term's shifted norm drops below neumann_tol * ||f||; a ratio > 0.9 three
-    times in a row raises ContractionFailureError.  Returns (sum, terms_used,
-    max_ratio, converged); converged is False when max_terms applications of
-    T_n left the tolerance unmet.  Values: multiply's and apply_A_inv_Q's, bit
-    for bit."""
-    plan = _SupportPlan(ctx, n, [f])
-    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, lam, plan)
-    return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
-        plan.levels, terms[:used])]), used, ratio, ok
-
-
 @dataclass
 class CoeffResult:
     n: int
@@ -282,7 +274,7 @@ def coefficients(ctx, n, lam, plans=None):
     """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>, b_{-n} =
     <K_n V e_n, e_{-n}> at lambda, on the support plan of V e_n and V e_{-n}
     (_plans) that callers share over lambda, or a new one; the sums at +-n
-    are added level by level from 0j, as neumann_K_n's sum adds them."""
+    are added level by level from 0j."""
     plan = plans or _plans(ctx, n)
     terms, used, ratio, ok = _neumann_rows(ctx, lam, plan)
     h = {}  # (row, k) -> the row's sum at k = +-n
@@ -319,7 +311,6 @@ class ReductionResult:
     det_residuals: tuple
     method: str
     converged: bool    # the alpha_n iteration and the Neumann sums converged
-    xi_bound: dict | None = None
 
 
 def _sqrt_continuous(value, prev):
@@ -402,19 +393,7 @@ def _winding_roots(ctx, n, plans=None):
     return ((e1 + disc) / 2.0, (e1 - disc) / 2.0), coeffs
 
 
-def _xi_bound_check(ctx, n, grid_points=16, plans=None):
-    """sup over a grid of the disc D_n of |b_n b_{-n}|^{1/2} (times sqrt(6)
-    bounds the root separation), and the CoeffResults on the grid."""
-    center = n * n * PI2
-    rad = 4.0 * math.sqrt(n)
-    m = max(grid_points - 1, 1)
-    pts = [center + rad * 0.7 * cmath.exp(1j * (2 * np.pi * j / m))
-           for j in range(m)] + [complex(center)]
-    coeffs = [coefficients(ctx, n, lam, plans) for lam in pts[:grid_points]]
-    return max(abs(c.b_n * c.b_neg_n) ** 0.5 for c in coeffs), coeffs
-
-
-def find_roots(ctx, n, xi_bound_grid=16):
+def find_roots(ctx, n, xi_bound_grid=0):
     """Both roots of det B_n in the disc |lambda - n^2 pi^2| <= 4 sqrt(n).
 
     alpha_n and the two roots are fixed points of the reduced maps
@@ -427,8 +406,11 @@ def find_roots(ctx, n, xi_bound_grid=16):
     at the roots' own coefficients, the contraction bound (the worst Neumann
     ratio over every coefficient evaluation made here) and converged, which
     is False if the alpha_n iteration failed (alpha_n is then n^2 pi^2) or
-    a Neumann sum at alpha_n or at a root missed neumann_tol.
+    a Neumann sum at alpha_n or at a root missed neumann_tol.  xi_bound_grid
+    stays for callers that pass 0; any other value raises ValueError.
     """
+    if xi_bound_grid:
+        raise ValueError("xi_bound_grid must be 0: find_roots has no grid")
     if n < ctx.n_s:
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
     center = n * n * PI2
@@ -465,13 +447,6 @@ def find_roots(ctx, n, xi_bound_grid=16):
     gap = abs(xi1 - xi2)
     if gap < 1e-9 * max(1.0, math.sqrt(n)):
         gap = 0.0
-    xb = None
-    if xi_bound_grid:
-        sup, grid = _xi_bound_check(ctx, n, xi_bound_grid, plans)
-        evals += grid
-        xb = {"sup_sqrt_bb": sup, "bound": math.sqrt(6.0) * sup,
-              "separation": abs(xi1 - xi2),
-              "holds": bool(abs(xi1 - xi2) <= math.sqrt(6.0) * sup + 1e-9)}
     return ReductionResult(n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
                            alpha_n=alpha, xi_1=xi1, xi_2=xi2,
                            gap_estimate=gap,
@@ -480,8 +455,7 @@ def find_roots(ctx, n, xi_bound_grid=16):
                            det_residuals=(abs(det_B(ctx, n, xi1, coeff=c1)),
                                           abs(det_B(ctx, n, xi2, coeff=c2))),
                            method=method,
-                           converged=ok and c1.converged and c2.converged,
-                           xi_bound=xb)
+                           converged=ok and c1.converged and c2.converged)
 
 
 def adapted_coefficients(ctx, n_max=None):
@@ -545,42 +519,6 @@ def isolated_mode_sandwich(rng, offsets):
         pairs += [(M + k, 0.01), (-M - k, 0.01)]
     ctx = make_context(Potential.from_even_pairs(pairs, n_max=M + max(offsets)))
     n = M + offsets[0]
-    res = find_roots(ctx, n, xi_bound_grid=0)
+    res = find_roots(ctx, n)
     r = adapted_coefficients(ctx, n_max=n)
     return ctx, res, gap_sandwich(ctx, n, r, res.gap_estimate)
-
-
-class KernelPreconditionError(ValueError):
-    pass
-
-
-def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
-    """Eigenfunction f = u + A_xi^{-1} Q_n K_n V u from a kernel vector
-    u = u_plus e_n + u_minus e_{-n} of B_n(xi).
-
-    Returns (f, report) where the report carries the relative residual of
-    (L - xi) f measured in the (s-2)-weighted sup norm against ||f||_{w,s,inf},
-    and the smoother-decay sup (s+2 weight) as a regularity diagnostic.
-    """
-    u_plus, u_minus = complex(u_coeffs[0]), complex(u_coeffs[1])
-    c = coefficients(ctx, n, xi)
-    d = xi - n * n * PI2 - c.a_n
-    bu = np.array([d * u_plus - c.b_n * u_minus,
-                   -c.b_neg_n * u_plus + d * u_minus])
-    unorm = math.hypot(abs(u_plus), abs(u_minus))
-    if unorm == 0 or np.linalg.norm(bu) > 1e-6 * unorm * max(1.0, abs(d)):
-        raise KernelPreconditionError(
-            "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
-    u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])
-    k = neumann_K_n(ctx, n, xi, multiply(ctx.q, u))[0]
-    f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
-    res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
-        f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])
-    res_norm = norm(res, ctx.w, ctx.s - 2.0, math.inf)
-    f_norm = norm(f, ctx.w, ctx.s, math.inf)
-    reg_sup = norm(f, ctx.w, ctx.s + 2.0, math.inf)
-    report = {"residual_s_minus_2": float(res_norm),
-              "f_norm": float(f_norm),
-              "relative_residual": float(res_norm / max(f_norm, 1e-300)),
-              "reg_sup_s_plus_2": float(reg_sup)}
-    return f.to_dense(), report

@@ -1,5 +1,6 @@
 """Dense and term-by-term references for the sparse reduction kernel and
-the contraction constants.
+the contraction constants, and the uses of the reduction that only tests
+make: the Neumann sum K_n f of one sequence and eigenfunction reconstruction.
 
 The package applies V and sums the Neumann series on the exact support of
 each iterate.  This module redoes the same sums on FourierSeq arrays: a
@@ -8,9 +9,11 @@ otherwise) and a Neumann series whose every term is cut to the window
 |k| <= K, dividing by lambda - (k pi)^2 on the dense array itself
 (dense_A_inv_Q) where the package divides on the support.  With a window
 wide enough to hold the iterates' mass, the two must agree to rounding.
-sparse_neumann sums the series on SparseSeqs term by term, each support
-found afresh by multiply, where the package reuses one support plan for
-every lambda at n; the two must agree bit for bit.
+neumann_K_n sums K_n f for one SparseSeq f on the package's support plan
+(reduction._SupportPlan and _neumann_rows, one row); sparse_neumann sums
+the same series term by term, each support found afresh by multiply, where
+the package reuses one support plan for every lambda at n; the two must
+agree bit for bit.
 shifted_norm is the norm ||f||_{w,s,inf;l} of f e_l that the series' stopping
 rule reads at l = +-n (shift_pair), where the package's support plan
 precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
@@ -23,7 +26,9 @@ blocks.  hermitian_spectrum and hermitian_projector solve a real
 potential's parity blocks as complex Hermitian matrices in the e_k basis
 (zheevd), where the package solves them as real symmetric ones in the
 cos/sin basis.  kernel_vector builds the kernel vector of B_n(xi) that
-eigenfunction_reconstruct takes.  project is the mode projector pair P_n,
+eigenfunction_reconstruct takes; that function builds the eigenfunction
+u + A_xi^{-1} Q_n K_n V u from it, and raises KernelPreconditionError when
+u is not in the kernel.  project is the mode projector pair P_n,
 Q_n = 1 - P_n; free_projector is P_n as a matrix, the Riesz projector of
 q = 0, and op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k
 basis.  lex_sort_loop is the element-by-element loop behind
@@ -42,7 +47,7 @@ from scipy.signal import fftconvolve
 from hillkdv.galerkin import _lex_sort, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, apply_A_inv_Q, multiply
-from hillkdv.reduction import PI2, coefficients, neumann_K_n
+from hillkdv.reduction import PI2, coefficients, _SupportPlan, _neumann_rows
 
 _SPARSE_CONV_NNZ = 64
 
@@ -146,7 +151,7 @@ def dense_A_inv_Q(lam, n, f):
 
 def dense_neumann(ctx, n, lam, f, K):
     """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
-    rule as reduction.neumann_K_n.  Returns (sum, terms)."""
+    rule as reduction._neumann_rows.  Returns (sum, terms)."""
     total = f.coeffs.copy()
     term = f
     base = shift_pair(f, ctx, n)
@@ -174,9 +179,20 @@ def dense_coefficients(ctx, n, lam, K=None):
     return h_p[n], h_m[n], h_p[-n], max(t1, t2)
 
 
+def neumann_K_n(ctx, n, lam, f):
+    """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f on the package's support
+    plan, stopped by the rule of reduction._neumann_rows.  Returns (sum,
+    terms_used, max_ratio, converged).  Values: multiply's and
+    apply_A_inv_Q's, bit for bit."""
+    plan = _SupportPlan(ctx, n, [f])
+    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, lam, plan)
+    return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
+        plan.levels, terms[:used])]), used, ratio, ok
+
+
 def sparse_neumann(ctx, n, lam, f):
     """sum_l T_n^l f for a SparseSeq f, one multiply(q, apply_A_inv_Q(.))
-    per term, stopped by the rule of reduction.neumann_K_n (whose ratio
+    per term, stopped by the rule of reduction._neumann_rows (whose ratio
     streak only raises, so it is left out).  Returns (sum, terms_used,
     max_ratio, converged)."""
     parts = [f]
@@ -265,6 +281,42 @@ def kernel_vector(ctx, n, xi):
     if np.linalg.norm(u) == 0:
         u = np.array([1.0, 0.0], dtype=complex)
     return u / np.linalg.norm(u)
+
+
+class KernelPreconditionError(ValueError):
+    pass
+
+
+def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
+    """Eigenfunction f = u + A_xi^{-1} Q_n K_n V u from a kernel vector
+    u = u_plus e_n + u_minus e_{-n} of B_n(xi).
+
+    Returns (f, report) where the report carries the relative residual of
+    (L - xi) f measured in the (s-2)-weighted sup norm against ||f||_{w,s,inf},
+    and the smoother-decay sup (s+2 weight) as a regularity diagnostic.
+    """
+    u_plus, u_minus = complex(u_coeffs[0]), complex(u_coeffs[1])
+    c = coefficients(ctx, n, xi)
+    d = xi - n * n * PI2 - c.a_n
+    bu = np.array([d * u_plus - c.b_n * u_minus,
+                   -c.b_neg_n * u_plus + d * u_minus])
+    unorm = math.hypot(abs(u_plus), abs(u_minus))
+    if unorm == 0 or np.linalg.norm(bu) > 1e-6 * unorm * max(1.0, abs(d)):
+        raise KernelPreconditionError(
+            "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
+    u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])
+    k = neumann_K_n(ctx, n, xi, multiply(ctx.q, u))[0]
+    f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
+    res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
+        f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])
+    res_norm = norm(res, ctx.w, ctx.s - 2.0, math.inf)
+    f_norm = norm(f, ctx.w, ctx.s, math.inf)
+    reg_sup = norm(f, ctx.w, ctx.s + 2.0, math.inf)
+    report = {"residual_s_minus_2": float(res_norm),
+              "f_norm": float(f_norm),
+              "relative_residual": float(res_norm / max(f_norm, 1e-300)),
+              "reg_sup_s_plus_2": float(reg_sup)}
+    return f.to_dense(), report
 
 
 def free_projector(n, K):

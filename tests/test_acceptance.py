@@ -63,7 +63,7 @@ def test_criterion_02_oracle_equivalence():
     spec = full_spectrum(q, 128)
     assert ctx.n_s + 20 <= spec.trust
     for n in range(ctx.n_s, ctx.n_s + 21):
-        res = find_roots(ctx, n, xi_bound_grid=0)
+        res = find_roots(ctx, n)
         lm, lp = spec.lam_minus(n), spec.lam_plus(n)
         tol = 1e-6 * n * n * PI2
         assert abs(res.xi_1 - lm) <= tol

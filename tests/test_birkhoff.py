@@ -10,7 +10,7 @@ from hillkdv.operator import Potential
 from hillkdv.sequences import FourierSeq
 from hillkdv.birkhoff import (
     BirkhoffState, actions_from_gaps, frequencies, linearized_birkhoff,
-    inverse_linearized_birkhoff, flow, torus_membership,
+    flow, torus_membership,
 )
 
 
@@ -87,27 +87,6 @@ def test_linearized_map_scaling():
     for n in range(-3, 4):
         want = q.coeff(2 * n) / math.sqrt(2.0 * math.pi * abs(n)) if n else 0
         assert st[n] == want
-
-
-def test_linearized_roundtrip():
-    rng = np.random.default_rng(11)
-    q = Potential.random_real(rng, n_max=9, sup=0.2)
-    st = linearized_birkhoff(q)
-    back = inverse_linearized_birkhoff(st)
-    for k in range(-2 * 9, 2 * 9 + 1):
-        assert back.coeff(k) == pytest.approx(q.coeff(k), abs=1e-13)
-
-
-def test_inverse_linearized_matches_pair_loop():
-    # oracle: the mode-by-mode construction the elementwise product replaced
-    rng = np.random.default_rng(37)
-    st = BirkhoffState(rng.normal(size=13) + 1j * rng.normal(size=13))
-    pairs = [(n, st[n] * math.sqrt(2.0 * math.pi * abs(n)))
-             for n in range(-6, 7) if n != 0]
-    want = Potential.from_even_pairs(pairs, n_max=6)
-    got = inverse_linearized_birkhoff(st)
-    np.testing.assert_array_equal(got.seq.coeffs, want.seq.coeffs)
-    assert got.is_real() == want.is_real()
 
 
 # ---------------------------------------------------------------------------

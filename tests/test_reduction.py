@@ -1,7 +1,8 @@
 """Tests for the finite-dimensional reduction: contraction constants,
 thresholds, the Neumann inverse, reduced coefficients, root localization and
-eigenfunction reconstruction.  The dense Galerkin solver is the oracle for
-spectral quantities."""
+eigenfunction reconstruction (the Neumann sum of one sequence and the
+eigenfunction are dense_oracle's, on the package's support plan).  The dense
+Galerkin solver is the oracle for spectral quantities."""
 
 import cmath
 import dataclasses
@@ -17,18 +18,17 @@ from hillkdv.operator import Potential, multiply
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime,
-    make_context, ReductionContext, neumann_K_n, _plans,
+    make_context, ReductionContext, _plans,
     coefficients, det_B, alpha_fixed_point, find_roots,
-    adapted_coefficients, gap_sandwich, eigenfunction_reconstruct,
-    isolated_mode_sandwich,
-    ThresholdError, KernelPreconditionError, LocalizationError,
-    _C_S_GRID,
+    adapted_coefficients, gap_sandwich, isolated_mode_sandwich,
+    ThresholdError, LocalizationError, _C_S_GRID,
 )
 from hillkdv.sequences import _divisor_sums
 
 from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
-    sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm
+    sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm, \
+    neumann_K_n, eigenfunction_reconstruct, KernelPreconditionError
 
 PI2 = math.pi ** 2
 
@@ -287,7 +287,22 @@ def test_neumann_reports_nonconvergence():
     assert neumann_K_n(short, n, lam, f)[3] is False
     assert coefficients(short, n, lam).converged is False
     assert coefficients(ctx, n, lam).converged is True
-    assert find_roots(ctx, n, xi_bound_grid=0).converged is True
+    assert find_roots(ctx, n).converged is True
+
+
+def disc_grid(n):
+    """15 points on the circle of radius 0.7 * 4 sqrt(n) about n^2 pi^2 and
+    its center: a sample of the disc D_n off the real roots."""
+    center, rad = n * n * PI2, 0.7 * 4.0 * math.sqrt(n)
+    return [center + rad * cmath.exp(1j * (2 * math.pi * j / 15))
+            for j in range(15)] + [complex(center)]
+
+
+def disc_ratio(ctx, n):
+    """The worst Neumann ratio of find_roots' evaluations and of the
+    coefficients on disc_grid(n)."""
+    return max([find_roots(ctx, n).contraction_bound] +
+               [coefficients(ctx, n, lam).max_ratio for lam in disc_grid(n)])
 
 
 def test_neumann_contraction_ratio_small_above_threshold():
@@ -297,18 +312,18 @@ def test_neumann_contraction_ratio_small_above_threshold():
         lam = n * n * PI2
         est = sample_T_norm(ctx, n, lam)
         assert est <= 0.5
-        assert find_roots(ctx, n).contraction_bound <= 0.5
+        assert disc_ratio(ctx, n) <= 0.5
 
 
 def test_contraction_bound_independent_of_call_order():
-    # the bound comes from find_roots' own evaluations, so probing T_n at
+    # the bound comes from the evaluations' own ratios, so probing T_n at
     # the same n beforehand leaves it unchanged
     q = smooth_real_potential()
     n = 6
-    fresh = find_roots(make_context(q), n).contraction_bound
+    fresh = disc_ratio(make_context(q), n)
     ctx = make_context(q)
     sample_T_norm(ctx, n, n * n * PI2 + 9.0 * n)
-    assert find_roots(ctx, n).contraction_bound == fresh
+    assert disc_ratio(ctx, n) == fresh
     assert 0.0 < fresh <= 0.5
 
 
@@ -317,8 +332,11 @@ def test_find_roots_capped_weight_past_exp_range_without_warning():
     w = Weight(1.0, cap=0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = find_roots(make_context(Potential.single_mode(0.05), w=w), 3000)
+        ctx = make_context(Potential.single_mode(0.05), w=w)
+        res = find_roots(ctx, 3000)
+        grid = [coefficients(ctx, 3000, lam) for lam in disc_grid(3000)]
     assert res.converged is True
+    assert all(c.converged for c in grid)
 
 
 def test_contraction_improves_with_n():
@@ -531,8 +549,8 @@ def test_plan_bit_equal_when_max_terms_cuts_the_series():
 @settings(max_examples=25, deadline=None)
 @given(q=small_potentials(), offset=st.integers(0, 4))
 def test_find_roots_property_random_small_potentials(q, offset):
-    # both reduced roots, with the xi-bound grid on the shared plans, match
-    # the dense periodic spectrum at criterion 2's tolerance
+    # both reduced roots match the dense periodic spectrum at criterion 2's
+    # tolerance
     ctx = make_context(q)
     n = ctx.n_s + offset
     spec = periodic_spectrum(q, 48)
@@ -592,13 +610,26 @@ def test_find_roots_real_for_real_potential():
     assert abs(res.xi_2.imag) < 1e-9
 
 
+COMPLEX_PAIRS = [(1, 0.05 + 0.02j), (-1, 0.03 - 0.01j), (2, 0.02j), (-2, 0.01)]
+
+
 def test_find_roots_separation_bound():
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    res = find_roots(ctx, 6, xi_bound_grid=16)
-    assert res.xi_bound is not None
-    assert res.xi_bound["holds"]
-    assert res.xi_bound["separation"] <= res.xi_bound["bound"] + 1e-9
+    # the paper's |xi_1 - xi_2| <= sqrt(6) sup_{D_n} |b_n b_{-n}|^{1/2}, the
+    # sup over disc_grid(n)
+    smooth = make_context(smooth_real_potential())
+    cplx = make_context(Potential.from_even_pairs(COMPLEX_PAIRS, n_max=2, s=0.0))
+    for ctx, n in ((smooth, 6), (smooth, 8), (smooth, 10), (cplx, 2), (cplx, 3)):
+        res = find_roots(ctx, n)
+        sup = max(abs(c.b_n * c.b_neg_n) ** 0.5
+                  for c in (coefficients(ctx, n, lam) for lam in disc_grid(n)))
+        assert abs(res.xi_1 - res.xi_2) <= math.sqrt(6.0) * sup + 1e-9
+
+
+def test_find_roots_xi_bound_grid_only_zero():
+    # no grid is evaluated, so a nonzero grid is refused rather than ignored
+    ctx = make_context(smooth_real_potential())
+    with pytest.raises(ValueError, match="xi_bound_grid"):
+        find_roots(ctx, 6, xi_bound_grid=16)
 
 
 def test_find_roots_below_threshold_rejected():
@@ -612,9 +643,7 @@ def test_find_roots_below_threshold_rejected():
 
 def test_find_roots_complex_potential():
     # non-self-adjoint case: complex gap, roots still match dense eigenvalues
-    pairs = [(1, 0.05 + 0.02j), (-1, 0.03 - 0.01j),
-             (2, 0.02j), (-2, 0.01)]
-    q = Potential.from_even_pairs(pairs, n_max=2, s=0.0)
+    q = Potential.from_even_pairs(COMPLEX_PAIRS, n_max=2, s=0.0)
     ctx = make_context(q)
     spec = full_spectrum(q, 96)
     n = 2
@@ -651,7 +680,7 @@ def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
     ctx = make_context(q)
     spec = full_spectrum(q, 128)
     n = 6
-    direct = find_roots(ctx, n, xi_bound_grid=0)
+    direct = find_roots(ctx, n)
     real_fixed_point = red._fixed_point
     failed = []
 
@@ -662,7 +691,7 @@ def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
         return real_fixed_point(ctx, n, sign, *args, **kwargs)
 
     monkeypatch.setattr(red, "_fixed_point", fail_first_root)
-    res = find_roots(ctx, n, xi_bound_grid=0)
+    res = find_roots(ctx, n)
     assert failed and res.method == "winding" and res.converged
     tol = 1e-6 * n * n * PI2
     assert abs(res.xi_1 - spec.lam_minus(n)) <= tol
@@ -686,7 +715,7 @@ def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
 
     monkeypatch.setattr(red, "_fixed_point", roots_fail)
     with pytest.raises(red.RootError):
-        find_roots(ctx, 6, xi_bound_grid=0)
+        find_roots(ctx, 6)
 
 
 def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
@@ -697,7 +726,7 @@ def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
     q = smooth_real_potential()
     ctx = make_context(q)
     n = 6
-    direct = find_roots(ctx, n, xi_bound_grid=0)
+    direct = find_roots(ctx, n)
     real_fixed_point = red._fixed_point
 
     def alpha_fails(ctx, n, sign, plans, evals, *args, **kwargs):
@@ -707,7 +736,7 @@ def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
         return real_fixed_point(ctx, n, sign, plans, evals, *args, **kwargs)
 
     monkeypatch.setattr(red, "_fixed_point", alpha_fails)
-    res = find_roots(ctx, n, xi_bound_grid=0)
+    res = find_roots(ctx, n)
     assert direct.converged and not res.converged
     assert res.alpha_n == n * n * PI2 and res.method == "fixed-point"
     assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
@@ -723,7 +752,7 @@ def test_find_roots_small_gap_keeps_branches(c, n):
     q = Potential.single_mode(c)
     ctx = make_context(q)
     spec = periodic_spectrum(q, 32)
-    res = find_roots(ctx, n, xi_bound_grid=0)
+    res = find_roots(ctx, n)
     lm, lp = spec.lam_minus(n), spec.lam_plus(n)
     assert res.method == "fixed-point"
     assert abs(res.xi_1 - lm) <= 1e-6 * n * n * PI2
