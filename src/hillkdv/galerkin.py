@@ -13,13 +13,15 @@ Dirichlet problem on [0,1]: KxK sine-basis matrix
 D[m,n] = (m pi)^2 delta_{mn} + (q^cos_{m-n} - q^cos_{m+n}) over m, n >= 1,
 obtained by folding the ZZ-indexed expansion with the antisymmetry
 f^sin_{-n} = -f^sin_n; the odd cosine pairings do not vanish, so D does not
-split; for a real q it is built and solved in float64.  These solvers are
-the oracle for the reduction module; truncation trust is certified
-conservatively.  The Riesz projector onto the pair lambda_n^+- is the
-spectral projector of the block of n's parity: from eigh of the real block
-when the potential is real, from a sorted Schur form of the complex block
-otherwise.  That non-Hermitian (complex-potential) projector is the only
-scipy user and imports scipy.linalg when it is first called.
+split; for a real q it is built and solved in float64.  Both lists are
+ordered by Re, and the periodic one puts a pair lambda_n^-+ whose Re parts
+tie in Im order (_pair_order).  These solvers are the oracle for the
+reduction module; truncation trust is certified conservatively.  The Riesz
+projector onto the pair lambda_n^+- is the spectral projector of the block
+of n's parity: from eigh of the real block when the potential is real, from
+a sorted Schur form of the complex block otherwise.  That non-Hermitian
+(complex-potential) projector is the only scipy user and imports
+scipy.linalg when it is first called.
 """
 
 from dataclasses import dataclass
@@ -38,39 +40,20 @@ class SeparationError(ValueError):
 PI2 = math.pi ** 2
 
 
-def _lex_sort(vals, tie_scale=1.0):
-    """Lexicographic order: Re nondecreasing, near-ties broken by Im.
-
-    With scale = max(1, max |Re|, tie_scale), Re values within 1e-10 * scale
-    of a group's first (smallest) Re value are tied with it.  Within a tie,
-    Im values within 64 eps * scale differ by rounding only: they keep their
-    Re order, and larger Im differences decide the order.
-    """
-    vals = np.asarray(vals)
+def _pair_order(vals, tie_scale):
+    """The order of a periodic list (odd length): a stable sort by Re, then
+    each pair (a, b) at (2n - 1, 2n) swapped when b.re - a.re <= 1e-10 scale
+    and a.im > b.im, by more than rounding (64 eps scale) unless a.re == b.re,
+    with scale = max(1, max |Re|, tie_scale): the lexicographic order when no
+    Re tie spans more than one pair, as in every Hill spectrum."""
     v = vals[np.argsort(vals.real, kind="stable")]
-    re, n = v.real, v.size
-    scale = max(1.0, float(np.max(np.abs(re), initial=1.0)), tie_scale)
-    tol, im_tol = 1e-10 * scale, 64 * np.finfo(float).eps * scale
-    # end[i]: the first j > i with re[j] - re[i] > tol, a test monotone in j
-    # that every re[j] <= re[i] + tol passes.  A search one ulp below the
-    # rounded re + tol stops at or short of it, and steps on to it
-    i, past = np.arange(n), np.append(re, np.inf)
-    below = np.nextafter(re + tol, -np.inf)
-    end = np.maximum(np.searchsorted(re, below, side="right"), i + 1)
-    while np.any(step := past[end] - re <= tol):
-        end += step
-    # the group starts are the orbit of 0 under i -> end[i], n a sink;
-    # doubling the jump length finds it in log2(n) rounds
-    start, jump = np.arange(n + 1) == 0, np.append(end, n)
-    while jump[0] < n:
-        start[jump[start]] = True
-        jump = jump[jump]
-    group = np.cumsum(start[:n])
-    v = v[np.lexsort((v.imag, group))]
-    # runs of Im values apart by rounding only, in Im order, within a group
-    run = np.cumsum((np.diff(v.imag, prepend=0) > im_tol)
-                    | (np.diff(group, prepend=0) != 0))
-    return v[np.lexsort((v.real, run))]
+    scale = max(float(np.max(np.abs(v.real), initial=1.0)), tie_scale)
+    pairs = v[1:].reshape(-1, 2)  # a view of v
+    a, b = pairs[:, 0], pairs[:, 1]
+    swap = (b.real - a.real <= 1e-10 * scale) & (a.imag > b.imag) & (
+        (a.imag - b.imag > 64 * np.finfo(float).eps * scale) | (a.real == b.real))
+    pairs[swap] = pairs[swap, ::-1]
+    return v
 
 
 def trust_count(K):
@@ -86,7 +69,8 @@ def trust_count(K):
 @dataclass
 class SpectrumResult:
     """Ordered spectra: periodic list lambda_0^+, lambda_1^-, lambda_1^+, ...
-    and Dirichlet list mu_1, mu_2, ...; trust_count caps the certified n."""
+    by Re, each pair by Im where its Re parts tie (_pair_order), and the
+    Dirichlet list mu_1, mu_2, ... by Re; trust_count caps the certified n."""
     periodic: np.ndarray | None = None
     dirichlet: np.ndarray | None = None
     trust: int = 0
@@ -163,7 +147,7 @@ def periodic_spectrum(q, K):
     if K < 16:
         raise ValueError("K must be >= 16")
     vals = [_block_eigvals(q, K, parity) for parity in (0, 1)]
-    vals = _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
+    vals = _pair_order(np.concatenate(vals).astype(complex), K * K * PI2)
     return SpectrumResult(periodic=vals, trust=trust_count(K))
 
 
@@ -182,7 +166,8 @@ def dirichlet_spectrum(q, K):
         raise ValueError("K must be >= 16")
     D = dirichlet_matrix(q, K)  # float64 for a real q
     eig = np.linalg.eigvalsh if q.is_real() else np.linalg.eigvals
-    vals = _lex_sort(eig(D).astype(complex), tie_scale=K * K * PI2)
+    vals = eig(D).astype(complex)  # the mu_n are simple: ordered by Re alone
+    vals = vals[np.argsort(vals.real, kind="stable")]
     return SpectrumResult(dirichlet=vals, trust=trust_count(K))
 
 

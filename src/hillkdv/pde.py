@@ -107,8 +107,11 @@ def evolve_kdv(u0, t_end, dt=None):
 
     The linear phase is applied exactly; the mean is preserved exactly (the
     k = 0 symbol and nonlinear derivative both vanish there).  Raises
-    InstabilityError if the coefficient sup grows by a factor above 1e6.
+    InstabilityError if the coefficient sup grows by a factor above 1e6, and
+    ValueError unless dt is finite and > 0 (None takes default_dt).
     """
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0, got %r" % (dt,))
     if t_end == 0.0:
         return u0
     K = u0.half_range

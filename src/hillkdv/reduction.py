@@ -421,7 +421,7 @@ def find_roots(ctx, n, xi_bound_grid=0):
         alpha, ok = center + c0.a_n, c0.converged
     except RootError:  # the roots start from n^2 pi^2
         c0, alpha, ok = evals[0], complex(center), False
-    rad = 4.0 * math.sqrt(n) + 1e-6 * center
+    rad = 4.0 * math.sqrt(n) + 1e-14 * center  # the roots' stop tolerance
 
     def roots(seeds):
         found = [_fixed_point(ctx, n, sign, plans, evals, lam, sq)

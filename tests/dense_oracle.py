@@ -31,8 +31,9 @@ u + A_xi^{-1} Q_n K_n V u from it, and raises KernelPreconditionError when
 u is not in the kernel.  project is the mode projector pair P_n,
 Q_n = 1 - P_n; free_projector is P_n as a matrix, the Riesz projector of
 q = 0, and op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k
-basis.  lex_sort_loop is the element-by-element loop behind
-galerkin._lex_sort.
+basis.  lex_sort_loop is the lexicographic order as an element-by-element
+loop over tie groups, the reference for galerkin._pair_order on
+pair-structured inputs.
 
 smooth_real_potential and lacunary_potential are test potentials that more
 than one test file uses.
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import fftconvolve
 
-from hillkdv.galerkin import _lex_sort, _parity_block
+from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, apply_A_inv_Q, multiply
 from hillkdv.reduction import PI2, coefficients, _SupportPlan, _neumann_rows
@@ -259,7 +260,7 @@ def hermitian_spectrum(q, K):
     """periodic_spectrum(q, K).periodic of a real q, from eigvalsh on the
     complex parity blocks."""
     vals = [np.linalg.eigvalsh(_parity_block(q, K, parity)) for parity in (0, 1)]
-    return _lex_sort(np.concatenate(vals).astype(complex), tie_scale=K * K * PI2)
+    return _pair_order(np.concatenate(vals).astype(complex), K * K * PI2)
 
 
 def hermitian_projector(q, n, K):
@@ -339,9 +340,11 @@ def op_norm_2_to_inf(A, K, grid=None):
 
 
 def lex_sort_loop(vals, tie_scale=1.0):
-    """galerkin._lex_sort as a loop over the Re-sorted values: each tie group
-    grows from its first element, then is sorted by Im and by runs of Im
-    values apart by rounding only."""
+    """The lexicographic order as a loop over the Re-sorted values: each tie
+    group grows from its first element, then is sorted by Im and by runs of
+    Im values apart by rounding only.  On inputs whose every tie group is a
+    single value or the pair at positions (2n - 1, 2n) it is
+    galerkin._pair_order's order."""
     vals = np.asarray(vals)
     order = np.argsort(vals.real, kind="stable")
     v = vals[order]

@@ -18,7 +18,7 @@ from hillkdv.sequences import FourierSeq, Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     gaps_and_midpoints, riesz_projector, verify_decay, SeparationError,
-    dirichlet_matrix, _lex_sort, _parity_block,
+    dirichlet_matrix, _pair_order, _parity_block,
 )
 
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
@@ -380,41 +380,59 @@ def test_periodic_spectrum_matches_full_matrix(q):
     else:
         full, left, right = scipy.linalg.eig(M, left=True, right=True)
         kappa = np.max(1.0 / np.abs(np.sum(left.conj() * right, axis=0)))
-    full = _lex_sort(full.astype(complex), tie_scale=K * K * PI2)
+    full = _pair_order(full.astype(complex), K * K * PI2)
     vals = periodic_spectrum(q, K).periodic
     eps = np.finfo(float).eps
     assert np.max(np.abs(vals - full)) <= 200 * eps * np.linalg.norm(M, 2) * kappa
 
 
 @st.composite
-def tie_prone_values(draw):
-    # Re parts on a tol / 2 grid (tol = 1e-10 T), so tie groups chain (k and
-    # k + 2 sit on the tolerance, k + 3 past it), moved by up to 2 ulps to
-    # either side of it; Im parts apart by rounding only (64 eps T) or more
+def pair_structured_values(draw):
+    # one leading value, then pairs whose Re parts are 1e-8 T apart from
+    # every other pair's, far past tol = 1e-10 T.  Within a pair the Re parts
+    # sit on a tol / 2 grid (k and k + 2 on the tolerance, k + 3 past it),
+    # moved by up to 2 ulps to either side of it, and the Im parts are apart
+    # by rounding only (64 eps T) or more; the values come in shuffled.  At
+    # x0 = 4 T the Re parts, not T, set the tolerances' scale
     T = draw(st.sampled_from([1.0, 3.7, 1e6]))
-    re = []
-    for _ in range(draw(st.integers(0, 24))):
-        x = draw(st.sampled_from([0.0, T / 2])) + draw(st.integers(0, 8)) * 5e-11 * T
-        re.append(x + draw(st.integers(-2, 2)) * np.spacing(x))
+    x0 = draw(st.sampled_from([0.0, T / 2, 4 * T]))
+    re = [x0 - 1e-8 * T]
+    for j in range(draw(st.integers(0, 12))):
+        for _ in range(2):
+            x = x0 + j * 1e-8 * T + draw(st.integers(0, 3)) * 5e-11 * T
+            re.append(x + draw(st.integers(-2, 2)) * np.spacing(x))
     im = [draw(st.sampled_from([0.0, 1.0, 32.0, 64.0, 65.0, 1e3, 1e12]))
           * draw(st.sampled_from([1.0, -1.0])) * np.finfo(float).eps * T
           for _ in re]
-    return np.array(re) + 1j * np.array(im), T
+    vals = np.array(re) + 1j * np.array(im)
+    return vals[draw(st.permutations(range(vals.size)))], T
 
 
 _NEAR_TIE = Potential.from_even_pairs([(1, 0.046875j), (-1, -0.0625j)], n_max=1)
 
 
 @settings(deadline=None, max_examples=300)
-@given(case=tie_prone_values())
+@given(case=pair_structured_values())
 @example(case=(np.linalg.eigvals(periodic_matrix(_NEAR_TIE, 32)), 32 * 32 * PI2))
+@example(case=(np.array([-1e-8, 1e-3j, 1e-10]), 1.0))
 def test_lex_sort_matches_loop(case):
-    # the searched tie groups, anchored at their first element, and the
-    # group-wide Im and rounding-run sorts give the loop's permutation; the
-    # example is the near tie of test_periodic_spectrum_matches_full_matrix
+    # where every tie group is one pair at positions (2n - 1, 2n), the
+    # pairwise rule gives the lexicographic loop's permutation.  The first
+    # example is the near tie of test_periodic_spectrum_matches_full_matrix,
+    # the second a pair whose Re parts are exactly tol apart
     vals, tie_scale = case
-    assert _lex_sort(vals, tie_scale).tobytes() == \
+    assert _pair_order(vals, tie_scale).tobytes() == \
         lex_sort_loop(vals, tie_scale).tobytes()
+
+
+def test_pair_order_on_a_tie_chain():
+    # three Re parts within tol = 1e-10 of the first: the lexicographic
+    # order sorts all three by Im, the pairwise rule keeps the leading value
+    # and puts only the pair at positions (1, 2) in Im order
+    vals = np.array([1e-10 - 1j, 0.0 + 1j, 5e-11 + 0j])
+    got = _pair_order(vals, 1.0)
+    assert got.tobytes() == np.array([0.0 + 1j, 1e-10 - 1j, 5e-11 + 0j]).tobytes()
+    assert got.tobytes() != lex_sort_loop(vals, 1.0).tobytes()
 
 
 def test_riesz_nearly_degenerate_real_pair():

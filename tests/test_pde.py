@@ -124,6 +124,14 @@ def test_kdv_mean_preserved_exactly():
     assert u1[0] == u0[0]
 
 
+@pytest.mark.parametrize("dt", [-1e-4, math.inf, 0.0, math.nan])
+def test_kdv_rejects_bad_dt(dt):
+    # a negative or infinite dt would take one RK4 step over the whole
+    # interval, 0 and NaN would fail in the step count
+    with pytest.raises(ValueError, match="dt"):
+        evolve_kdv(PDEState.cosine(0.1, K=16), 0.01, dt=dt)
+
+
 def test_default_dt_scaling():
     assert default_dt(32, 0.1) <= 1e-3
     assert default_dt(64, 10.0) < default_dt(64, 1.0)

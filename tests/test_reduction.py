@@ -718,6 +718,24 @@ def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
         find_roots(ctx, 6)
 
 
+def test_find_roots_rejects_root_outside_disc(monkeypatch):
+    # at n = 10^4 the disc radius is 4 sqrt(n) = 400: a root iteration that
+    # lands 1000 from n^2 pi^2 has left D_n, from the fixed point and from
+    # the winding seeds alike
+    import hillkdv.reduction as red
+    ctx = make_context(smooth_real_potential())
+    n = 10 ** 4
+    real_fixed_point = red._fixed_point
+
+    def lands_outside(ctx, n, sign, *args, **kwargs):
+        c = real_fixed_point(ctx, n, sign, *args, **kwargs)
+        return dataclasses.replace(c, lam=n * n * PI2 + 1000.0 + 0j) if sign else c
+
+    monkeypatch.setattr(red, "_fixed_point", lands_outside)
+    with pytest.raises(red.RootError, match="left D_10000"):
+        find_roots(ctx, n)
+
+
 def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
     # alpha_n's iteration fails after its first evaluation, at n^2 pi^2:
     # alpha_n is reported as n^2 pi^2, the roots are still found from the
