@@ -271,6 +271,8 @@ def cmd_reduce(cfg):
     spec = periodic_spectrum(q, K)
     n_lo = get_int(cfg, "n_lo", ctx.n_s)
     n_hi = get_int(cfg, "n_hi", min(ctx.n_s + 7, spec.trust))
+    if n_lo < 1:
+        raise ConfigError("n_lo must be >= 1, got %d" % n_lo)
     if n_hi < n_lo:
         raise ConfigError("no modes to reduce: n_lo = %d > n_hi = %d (n_s = %d, "
                           "Galerkin trust count %d at K = %d)"

@@ -101,8 +101,7 @@ def _parity_block(q, K, parity):
     d = min(m - 1, H // 2)
     c = np.zeros(2 * m - 1, dtype=complex)  # q_{2j} at j + m - 1, |j| < m
     c[m - 1 - d:m + d] = q.seq.coeffs[H - 2 * d:H + 2 * d + 1:2]
-    i = np.arange(m)
-    B = c[i[:, None] - i[None, :] + m - 1]
+    B = np.lib.stride_tricks.sliding_window_view(c[::-1], m)[::-1].copy()
     B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
     return B
 
@@ -155,9 +154,9 @@ def dirichlet_matrix(q, K):
     qc = dirichlet_cos_coeffs(q, K)
     if q.is_real():
         qc = qc.real
-    m = np.arange(1, K + 1)
-    D = qc[np.abs(m[:, None] - m[None, :])] - qc[m[:, None] + m[None, :]]
-    D[np.diag_indices_from(D)] += (m * math.pi) ** 2
+    win = np.lib.stride_tricks.sliding_window_view  # qc[|i - j|] - qc[i + j + 2]
+    D = win(np.r_[qc[K - 1:0:-1], qc[:K]], K)[::-1] - win(qc[2:2 * K + 1], K)
+    D[np.diag_indices_from(D)] += (np.arange(1, K + 1) * math.pi) ** 2
     return D
 
 

@@ -103,13 +103,15 @@ def _nonlinear(u, ks, mask):
 
 def evolve_kdv(u0, t_end, dt=None):
     """Integrating-factor RK4 for u_t = -u_xxx + 6 u u_x, from u0.t to
-    u0.t + t_end (t_end may be negative for backward evolution).
+    u0.t + t_end (t_end finite, and negative for backward evolution).
 
     The linear phase is applied exactly; the mean is preserved exactly (the
     k = 0 symbol and nonlinear derivative both vanish there).  Raises
     InstabilityError if the coefficient sup grows by a factor above 1e6, and
-    ValueError unless dt is finite and > 0 (None takes default_dt).
+    ValueError unless t_end is finite and dt > 0 finite (None: default_dt).
     """
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite, got %r" % (t_end,))
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0, got %r" % (dt,))
     if t_end == 0.0:

@@ -18,8 +18,8 @@ map r, and the gap sandwich diagnostic.
 The map lambda -> (a_n, b_{+-n})(lambda) contracts on the strip, so alpha_n
 and the two roots, the fixed points of lambda <- n^2 pi^2 + a_n(lambda) and
 lambda <- n^2 pi^2 + a_n(lambda) +- sqrt(b_n b_{-n})(lambda), are found by
-plain iteration; the argument principle on the disc's boundary reseeds the
-roots when that iteration does not contract.
+plain iteration; when it does not contract, contour sums of log(det B_n /
+z^2), z = lambda - n^2 pi^2, on 16-256 nested nodes reseed the roots.
 
 The Neumann iterates live on their exact support: T_n maps a support S to
 the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
@@ -359,38 +359,39 @@ def alpha_fixed_point(ctx, n, plans=None):
 
 
 def _winding_roots(ctx, n, plans=None):
-    """Argument-principle estimate on the circle |lambda - n^2 pi^2| = 4 sqrt(n)
-    at 256 nodes: winding number must be 2; the two roots are recovered from
-    the first two power sums of the logarithmic derivative.  Returns the two
-    estimates and the CoeffResults on the contour."""
-    center, points = n * n * PI2, 256
-    rad = 4.0 * math.sqrt(n)
-    theta = 2 * np.pi * (np.arange(points) + 0.5) / points
-    lams = center + rad * np.exp(1j * theta)
-    coeffs = [coefficients(ctx, n, complex(l), plans) for l in lams]
-    dets = np.array([det_B(ctx, n, c.lam, coeff=c) for c in coeffs])
-    if np.any(dets == 0):
-        raise LocalizationError("root on the contour of D_%d" % n)
-    # winding number from the total phase increment around the closed loop
-    dphi = np.angle(np.roll(dets, -1) / dets)
-    total_phase = float(np.sum(dphi))
-    winding = int(round(total_phase / (2 * np.pi)))
-    if winding != 2:
-        raise LocalizationError(
-            "winding number %d != 2 on D_%d boundary" % (winding, n))
-    # continuous log det along the loop; cyclic extension shifts the phase by
-    # the full 2 pi * winding so centered differences are seam-consistent
-    phase = np.angle(dets[0]) + np.concatenate(([0.0], np.cumsum(dphi[:-1])))
-    logd = np.log(np.abs(dets)) + 1j * phase
-    ext = np.concatenate((logd[-1:] - 1j * total_phase, logd,
-                          logd[:1] + 1j * total_phase))
-    dlog = (ext[2:] - ext[:-2]) / 2.0
-    s1 = np.sum(lams * dlog) / (2j * np.pi)
-    s2 = np.sum(lams ** 2 * dlog) / (2j * np.pi)
-    e1, p2 = complex(s1), complex(s2)
-    e2 = (e1 * e1 - p2) / 2.0
-    disc = cmath.sqrt(e1 * e1 - 4.0 * e2)
-    return ((e1 + disc) / 2.0, (e1 - disc) / 2.0), coeffs
+    """Seeds for both roots of det B_n in |z| < r = 4 sqrt(n), z = lambda -
+    n^2 pi^2: with two roots inside, g = det B_n / z^2 (z the offset det B_n
+    is taken at) has a single-valued log, and the trapezoid rule at z_j =
+    r e^{2 pi i j / P} gives z_1 + z_2 = -mean(z log g), z_1^2 + z_2^2 =
+    -2 mean(z^2 log g).  P doubles from 8, reusing every node, until no phase
+    step of g exceeds pi/4 and both sums agree with P/2's to 1e-12 r^j, or to
+    256 (find_roots' polish judges those seeds).  LocalizationError on a zero
+    at a node, or a winding of det B_n (2 plus g's, read once the steps
+    resolve) other than 2.  Returns the seeds and the nodes' CoeffResults."""
+    center, r, coeffs, sums = n * n * PI2, 4.0 * math.sqrt(n), [], None
+    for P in (8, 16, 32, 64, 128, 256):
+        z = r * np.exp(2j * np.pi * np.arange(P) / P)
+        new = [coefficients(ctx, n, center + zj, plans)
+               for zj in (z[1::2] if coeffs else z)]
+        coeffs = [c for p in zip(coeffs, new) for c in p] if coeffs else new
+        g = np.array([det_B(ctx, n, c.lam, coeff=c) / (c.lam - center) ** 2
+                      for c in coeffs])
+        if np.any(g == 0):
+            raise LocalizationError("root on the contour of D_%d" % n)
+        step = np.angle(np.roll(g, -1) / g)
+        log_g = np.log(np.abs(g)) + 1j * np.cumsum(np.r_[np.angle(g[0]), step[:-1]])
+        old, sums = sums, (-np.mean(z * log_g), -2.0 * np.mean(z * z * log_g))
+        if np.abs(step).max() <= np.pi / 4:
+            winding = 2 + round(step.sum() / (2 * np.pi))
+            if winding != 2:
+                raise LocalizationError(
+                    "winding number %d != 2 on D_%d boundary" % (winding, n))
+            if old and all(abs(a - b) <= 1e-12 * r ** j
+                           for j, a, b in zip((1, 2), sums, old)):
+                break
+    s1, s2 = sums
+    disc = cmath.sqrt(2.0 * s2 - s1 * s1)
+    return (center + (s1 + disc) / 2.0, center + (s1 - disc) / 2.0), coeffs
 
 
 def find_roots(ctx, n, xi_bound_grid=0):
@@ -400,14 +401,14 @@ def find_roots(ctx, n, xi_bound_grid=0):
     lambda <- n^2 pi^2 + a_n(lambda) (+-sqrt(b_n b_{-n})(lambda)), which
     contract on the strip for n >= n_s (see _fixed_point); the roots start
     at alpha_n +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root
-    iteration does not contract or leaves the disc, the argument principle
-    on the disc's boundary seeds it again (method "winding"); RootError if
-    that fails too.  Returns a ReductionResult with residuals |det B_n(xi)|
-    at the roots' own coefficients, the contraction bound (the worst Neumann
-    ratio over every coefficient evaluation made here) and converged, which
-    is False if the alpha_n iteration failed (alpha_n is then n^2 pi^2) or
-    a Neumann sum at alpha_n or at a root missed neumann_tol.  xi_bound_grid
-    stays for callers that pass 0; any other value raises ValueError.
+    iteration fails or leaves the disc, contour sums of log(det B_n / z^2),
+    z = lambda - n^2 pi^2, on 16-256 nested nodes seed both again (method
+    "winding"); RootError if that fails too.  Returns a ReductionResult with
+    residuals |det B_n(xi)| at the roots' own coefficients, the contraction
+    bound (the worst Neumann ratio over every coefficient evaluation made
+    here) and converged, which is False if the alpha_n iteration failed
+    (alpha_n is then n^2 pi^2) or a Neumann sum at alpha_n or at a root
+    missed neumann_tol.  A nonzero xi_bound_grid raises ValueError.
     """
     if xi_bound_grid:
         raise ValueError("xi_bound_grid must be 0: find_roots has no grid")

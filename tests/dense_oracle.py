@@ -22,21 +22,24 @@ divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
 one n from its own index array, where the package slices shared power
 tables for a whole array of n.  periodic_matrix is the full (2K+1)x(2K+1)
 periodic Galerkin matrix that the package only ever handles as two parity
-blocks.  hermitian_spectrum and hermitian_projector solve a real
-potential's parity blocks as complex Hermitian matrices in the e_k basis
-(zheevd), where the package solves them as real symmetric ones in the
+blocks; parity_block_gather and dirichlet_matrix_gather build the parity
+blocks and the Dirichlet matrix by gathers through index matrices, the
+reference for the package's strided Toeplitz and Hankel views, which must
+equal them byte for byte.  hermitian_spectrum and hermitian_projector solve
+a real potential's parity blocks as complex Hermitian matrices in the e_k
+basis (zheevd), where the package solves them as real symmetric ones in the
 cos/sin basis.  kernel_vector builds the kernel vector of B_n(xi) that
 eigenfunction_reconstruct takes; that function builds the eigenfunction
 u + A_xi^{-1} Q_n K_n V u from it, and raises KernelPreconditionError when
-u is not in the kernel.  project is the mode projector pair P_n,
-Q_n = 1 - P_n; free_projector is P_n as a matrix, the Riesz projector of
-q = 0, and op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k
-basis.  lex_sort_loop is the lexicographic order as an element-by-element
-loop over tie groups, the reference for galerkin._pair_order on
-pair-structured inputs.
+u is not in the kernel.  project is the mode projector pair P_n, Q_n = 1 - P_n;
+free_projector is P_n as a matrix, the Riesz projector of q = 0, and
+op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k basis.
+lex_sort_loop is the lexicographic order as an element-by-element loop over
+tie groups, the reference for galerkin._pair_order on pair-structured
+inputs.
 
-smooth_real_potential and lacunary_potential are test potentials that more
-than one test file uses.
+smooth_real_potential, complex_band_potential and lacunary_potential are
+test potentials that more than one test file uses.
 """
 
 import math
@@ -47,7 +50,8 @@ from scipy.signal import fftconvolve
 
 from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
-from hillkdv.operator import Potential, apply_A_inv_Q, multiply
+from hillkdv.operator import Potential, apply_A_inv_Q, dirichlet_cos_coeffs, \
+    multiply
 from hillkdv.reduction import PI2, coefficients, _SupportPlan, _neumann_rows
 
 _SPARSE_CONV_NNZ = 64
@@ -256,6 +260,32 @@ def periodic_matrix(q, K):
     return M
 
 
+def parity_block_gather(q, K, parity):
+    """galerkin._parity_block gathered through the index matrix i - j + m - 1
+    of c, q_{2j} at j + m - 1."""
+    ks = np.arange(-K + (K + parity) % 2, K + 1, 2)
+    m, H = ks.size, q.half_range
+    d = min(m - 1, H // 2)
+    c = np.zeros(2 * m - 1, dtype=complex)
+    c[m - 1 - d:m + d] = q.seq.coeffs[H - 2 * d:H + 2 * d + 1:2]
+    i = np.arange(m)
+    B = c[i[:, None] - i[None, :] + m - 1]
+    B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
+    return B
+
+
+def dirichlet_matrix_gather(q, K):
+    """galerkin.dirichlet_matrix gathered through the index matrices |i - j|
+    and i + j of the cosine pairings qc (real parts for a real q)."""
+    qc = dirichlet_cos_coeffs(q, K)
+    if q.is_real():
+        qc = qc.real
+    m = np.arange(1, K + 1)
+    D = qc[np.abs(m[:, None] - m[None, :])] - qc[m[:, None] + m[None, :]]
+    D[np.diag_indices_from(D)] += (m * math.pi) ** 2
+    return D
+
+
 def hermitian_spectrum(q, K):
     """periodic_spectrum(q, K).periodic of a real q, from eigvalsh on the
     complex parity blocks."""
@@ -387,6 +417,18 @@ def smooth_real_potential(seed=7, n_max=26, amp=0.05):
         pairs.append((n, v))
         pairs.append((-n, np.conj(v)))
     return Potential.from_even_pairs(pairs, n_max=n_max, s=0.0)
+
+
+def complex_band_potential(seed=1, n_max=16, amp=0.05):
+    """Non-self-adjoint q with |q_{+-2n}| = amp (1+n)^{-1/2} for n <= n_max,
+    q_{2n} and q_{-2n} with independent seeded phases."""
+    rng = np.random.default_rng(seed)
+    mags = amp * (1.0 + np.arange(1, n_max + 1)) ** -0.5
+    plus, minus = (mags * np.exp(2j * np.pi * rng.uniform(size=n_max))
+                   for _ in range(2))
+    pairs = [(m, v) for m, v in enumerate(plus, 1)]
+    pairs += [(-m, v) for m, v in enumerate(minus, 1)]
+    return Potential.from_even_pairs(pairs, n_max=n_max)
 
 
 LACUNARY_NS = (8, 12, 16, 24, 32, 48, 64)

@@ -141,6 +141,20 @@ def test_reduce_empty_range_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_lo", [0, -2])
+def test_reduce_modes_below_one_exit_2(tmp_path, capsys, n_lo):
+    # modes n <= 0 have no reduction, so the config is refused before
+    # anything is written
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\npotential = single-mode:c=0.05\nk = 32\n"
+                       "n_lo = %d\nn_hi = 2\n" % n_lo)
+    out = tmp_path / "o"
+    rc = main(["reduce", "--config", str(cfgfile), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: n_lo must be >= 1")
+    assert not out.exists()
+
+
 def test_reduce_threshold_beyond_float_range(tmp_path, capsys):
     # ||q|| ~ 1e152 is finite, but n_s ~ (2 c_s ||q||)^4 is not
     out = tmp_path / "o"

@@ -23,7 +23,8 @@ from hillkdv.galerkin import (
 
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
     periodic_matrix, free_projector, op_norm_2_to_inf, hermitian_spectrum, \
-    hermitian_projector
+    hermitian_projector, parity_block_gather, dirichlet_matrix_gather, \
+    complex_band_potential
 
 PI2 = math.pi ** 2
 
@@ -333,6 +334,29 @@ def test_real_projector_matches_hermitian_oracle(case, n):
     assert np.all(R[off_block(n, K)] == 0)
     assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= tol
     assert rep["idempotency_defect"] <= 1e-13
+
+
+def matrix_potentials(seed):
+    # real and complex, band-limited inside and far outside the blocks
+    rng = np.random.default_rng(seed)
+    return [Potential.random_real(rng, 40, sup=0.5),
+            Potential.power_law(0.1, -0.25, 300, s=-0.25, rng=rng),
+            complex_band_potential(seed), complex_band_potential(seed, 300),
+            Potential.single_mode(0.05), Potential.zero()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("K", [16, 17, 31, 64, 255])
+def test_strided_matrices_equal_index_gathers(seed, K):
+    # the strided Toeplitz and Hankel views give the gathered matrices
+    # byte for byte, dtype and shape included
+    for q in matrix_potentials(seed):
+        pairs = [(_parity_block(q, K, p), parity_block_gather(q, K, p))
+                 for p in (0, 1)]
+        pairs.append((dirichlet_matrix(q, K), dirichlet_matrix_gather(q, K)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite

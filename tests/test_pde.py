@@ -132,6 +132,14 @@ def test_kdv_rejects_bad_dt(dt):
         evolve_kdv(PDEState.cosine(0.1, K=16), 0.01, dt=dt)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_kdv_rejects_non_finite_t_end(t_end):
+    # NaN and +-inf would otherwise reach the step count, as a conversion
+    # error and an overflow; a finite negative t_end stays allowed
+    with pytest.raises(ValueError, match="t_end"):
+        evolve_kdv(PDEState.cosine(0.1, K=16), t_end, dt=1e-4)
+
+
 def test_default_dt_scaling():
     assert default_dt(32, 0.1) <= 1e-3
     assert default_dt(64, 10.0) < default_dt(64, 1.0)

@@ -24,9 +24,11 @@ from hillkdv.reduction import (
     ThresholdError, LocalizationError, _C_S_GRID,
 )
 from hillkdv.sequences import _divisor_sums
+import hillkdv.reduction as red
 
 from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
+    complex_band_potential, \
     sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm, \
     neumann_K_n, eigenfunction_reconstruct, KernelPreconditionError
 
@@ -699,6 +701,92 @@ def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
     assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
     assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
     assert res.alpha_n == direct.alpha_n
+
+
+def seed_error(seeds, roots):
+    """The larger distance from the two seeds to the two roots, over the
+    better of the two pairings."""
+    (a, b), (x1, x2) = seeds, roots
+    return min(max(abs(a - x1), abs(b - x2)), max(abs(a - x2), abs(b - x1)))
+
+
+@pytest.mark.parametrize("name", ["smooth", "rough", "complex"])
+def test_winding_seeds_spectrally_accurate(name):
+    # the contour sums seed both roots to 1e-13 n^2 pi^2 of the fixed-point
+    # roots with at most 32 evaluations, at n_s and n_s + 10 (inside q's
+    # band, so each pair is well apart)
+    q = {"smooth": smooth_real_potential(),
+         "rough": Potential.power_law(0.1, -0.25, 16, s=-0.25,
+                                      rng=np.random.default_rng(1)),
+         "complex": complex_band_potential()}[name]
+    ctx = make_context(q)
+    for n in (ctx.n_s, ctx.n_s + 10):
+        seeds, contour = red._winding_roots(ctx, n, _plans(ctx, n))
+        res = find_roots(ctx, n)
+        assert len(contour) <= 32
+        assert seed_error(seeds, (res.xi_1, res.xi_2)) <= 1e-13 * n * n * PI2
+
+
+def fake_det_B(zeros, monkeypatch):
+    """det B_n replaced by the product of z - z_k over zeros, times
+    1 + 0.1 z / r, z = lambda - n^2 pi^2 and r = 4 sqrt(n)."""
+    def det(ctx, n, lam, coeff):
+        z = lam - n * n * PI2
+        return np.prod([z - zk for zk in zeros]) * (1 + 0.1 * z / (4 * n ** 0.5))
+    monkeypatch.setattr(red, "det_B", det)
+
+
+@pytest.mark.parametrize("rho, nodes", [(0.1, 32), (0.5, 128), (0.9, 256)])
+def test_winding_seeds_on_a_synthetic_determinant(monkeypatch, rho, nodes):
+    # two zeros at rho r from the centre: the P-node sums err by about
+    # rho^P, so they agree to 1e-12 r^j at P = 32 and 128, and at 0.9 r not
+    # by P = 256, whose seeds are returned; all are exact to 1e-10 r
+    ctx, n = make_context(smooth_real_potential()), 6
+    r = 4.0 * math.sqrt(n)
+    zeros = [rho * r * cmath.exp(0.7j), rho * r * cmath.exp(-2.1j)]
+    fake_det_B(zeros, monkeypatch)
+    seeds, contour = red._winding_roots(ctx, n)
+    assert len(contour) == nodes
+    assert seed_error(seeds, [n * n * PI2 + z for z in zeros]) <= 1e-10 * r
+
+
+def test_winding_three_zeros_inside_raises(monkeypatch):
+    # g = det B_n / z^2 then winds once: det B_n's winding, read once the
+    # phase steps resolve, is 3
+    ctx, n = make_context(smooth_real_potential()), 6
+    r = 4.0 * math.sqrt(n)
+    fake_det_B([0.2 * r, -0.3j * r, 0.5 * r * cmath.exp(2j)], monkeypatch)
+    with pytest.raises(LocalizationError, match="winding number 3 != 2"):
+        red._winding_roots(ctx, n)
+
+
+@pytest.mark.parametrize("case", ["smooth", "pairs"])
+def test_find_roots_winding_fallback_near_double_pair(monkeypatch, case):
+    # beyond q's band the pair is nearly double, so its seeds are ill-
+    # conditioned in the sums; the fallback's polish still gives the direct
+    # roots to 1e-13 n^2 pi^2
+    if case == "smooth":
+        ctx = make_context(smooth_real_potential())
+        n = ctx.n_s + 30
+    else:
+        ctx = make_context(Potential.from_even_pairs(COMPLEX_PAIRS, n_max=2,
+                                                     s=0.0))
+        n = ctx.n_s + 10
+    direct = find_roots(ctx, n)
+    real_fixed_point = red._fixed_point
+    failed = []
+
+    def fail_first_root(ctx, n, sign, *args, **kwargs):
+        if sign and not failed:
+            failed.append(sign)
+            raise red.RootError("forced")
+        return real_fixed_point(ctx, n, sign, *args, **kwargs)
+
+    monkeypatch.setattr(red, "_fixed_point", fail_first_root)
+    res = find_roots(ctx, n)
+    assert failed and res.method == "winding"
+    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
+    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
 
 
 def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
