@@ -63,8 +63,8 @@ class RootError(ArithmeticError):
 
 PI2 = math.pi ** 2
 
-# the n of the c_s sweep: every n <= 1024, then 2048 and 4096 (the scaled
-# sums decrease past small n)
+# the n of the c_s sweep: every n <= 1024, then 2048 and 4096 (where the
+# scaled sums peak: estimate_c_s)
 _C_S_GRID = np.r_[1:1025, 2048, 4096]
 # the n of the c_s' sweep
 _C_S_PRIME_GRID = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768,
@@ -74,8 +74,11 @@ _C_S_PRIME_GRID = list(range(1, 65)) + [96, 128, 192, 256, 384, 512, 768,
 def estimate_c_s(s):
     """Contraction constant: c_s = max(1, sup_n n^{1/2-|s|} 2 D(n; 1-2|s|, 1))
     over _C_S_GRID with D(n; a, b) = sum over k != +-n of |k+n|^{-a}
-    |k-n|^{-b}, the divisor sum of the T_n operator-norm bound, summed by
-    _divisor_sums to J = max(32n, 65536).  Computed once per s.
+    |k-n|^{-b}, the divisor sum of the T_n operator-norm bound, summed to
+    infinity by _divisor_sums.  Computed once per s.  The scaled sums peak
+    at n = 2, 4, 41 and 132 for s = 0, -1/4, -0.4 and -0.42; at s = -0.45
+    they still rise at the grid's last point, n = 4096, so c_s there is
+    only a lower estimate of the sup.
     """
     if not (-0.5 < s <= 0.0):
         raise ValueError("s must be in (-1/2, 0]")
@@ -86,7 +89,7 @@ def estimate_c_s(s):
 def _c_s(s):
     a = abs(s)
     vals = _C_S_GRID ** (0.5 - a) * 2.0 * _divisor_sums(
-        _C_S_GRID, 1.0 - 2.0 * a, 1.0, np.maximum(32 * _C_S_GRID, 65536))
+        _C_S_GRID, 1.0 - 2.0 * a, 1.0)
     return float(max(vals.max(), 1.0))
 
 
@@ -99,7 +102,7 @@ def epsilon_s(n, s):
 def estimate_c_s_prime(s):
     """c_s' = max(c_s, sup_n 2 <2n>^s D(n; 1-|s|, 1-|s|) / epsilon_s(n)) over
     _C_S_PRIME_GRID, the latter fitted to the <T_n f, e_{+-n}> bound; D is
-    hilbert_sum's sum.  Computed once per s."""
+    hilbert_sum's infinite sum.  Computed once per s."""
     return max(estimate_c_s(s), _hilbert_sup(s))  # rejects s outside (-1/2, 0]
 
 

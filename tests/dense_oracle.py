@@ -20,12 +20,14 @@ precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
 and sample_T_norm estimates ||T_n||_{w,s,inf;+-n} from it by sampling.
 divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
 one n from its own index array, where the package slices shared power
-tables for a whole array of n.  periodic_matrix is the full (2K+1)x(2K+1)
-periodic Galerkin matrix that the package only ever handles as two parity
-blocks; parity_block_gather and dirichlet_matrix_gather build the parity
-blocks and the Dirichlet matrix by gathers through index matrices, the
-reference for the package's strided Toeplitz and Hankel views, which must
-equal them byte for byte.  hermitian_spectrum and hermitian_projector solve
+tables for a whole array of n, and its tails by quadrature (abel_plana_tail),
+where the package sums a binomial series of Hurwitz zeta tails.
+periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix that the
+package only ever handles as two parity blocks; parity_block_gather and
+dirichlet_matrix_gather build the parity blocks and the Dirichlet matrix by
+gathers through index matrices, the reference for the package's strided
+Toeplitz and Hankel views, which must equal them byte for byte.
+hermitian_spectrum and hermitian_projector solve
 a real potential's parity blocks as complex Hermitian matrices in the e_k
 basis (zheevd), where the package solves them as real symmetric ones in the
 cos/sin basis.  kernel_vector builds the kernel vector of B_n(xi) that
@@ -232,21 +234,47 @@ def sparse_coefficients(ctx, n, lam):
             "max_ratio": max(r1, r2), "converged": ok1 and ok2}
 
 
-def divisor_sum(n, a, b, J):
-    """D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b}: the terms
-    |k| <= J from one fresh index array, plus the integrals over x > J + 1/2
-    of (x +- n)^{-a} (x -+ n)^{-b}.  After u = 1/x the tails are one integral
-    over 0 < u < 1/(J + 1/2) of u^{a+b-2} times a smooth factor, which quad
-    integrates with the algebraic weight u^{a+b-2} (QAWS), so the endpoint
-    singularity needs no substitution."""
+def abel_plana_tail(g, N, integral):
+    """sum over k >= N of g(k), given integral = the integral of g over
+    x > N: by the Abel-Plana formula, integral + g(N)/2 - 2 times the
+    integral over t > 0 of Im g(N + it) / (e^{2 pi t} - 1), which quad
+    evaluates on 0 < t < 30 (the weight beyond is below e^{-188}).  The
+    formula is exact for g real on the real axis, analytic and algebraically
+    decaying in Re z >= N, so the only error is quad's: there is no midpoint
+    or Euler-Maclaurin remainder to push below 1e-15 by a far reach J_ref
+    or a Richardson step."""
     from scipy.integrate import quad
+    corr, _ = quad(lambda t: g(N + 1j * t).imag / math.expm1(2.0 * math.pi * t),
+                   0.0, 30.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return integral + g(N).real / 2.0 - 2.0 * corr
+
+
+def divisor_sum(n, a, b):
+    """D(n; a, b) = sum over k != +-n of |k+n|^{-a} |k-n|^{-b}, a + b > 1:
+    the terms |k| <= J = 4n + 4 from one fresh index array, plus the tails
+    |k| > J as abel_plana_tail of g(x) = (x + n)^{-a} (x - n)^{-b} +
+    (x - n)^{-a} (x + n)^{-b} from N = J + 1.  After u = 1/x the integral of
+    g over x > N is one integral over 0 < u < 1/N of u^{a+b-2} h(u), h smooth
+    and even with h(0) = 2: 2 N^{1-a-b} / (a + b - 1), with a + b - 1
+    rounded once (it sets D when it is small), plus u^{a+b-2} (h(u) - 2),
+    which quad integrates with the algebraic weight u^{a+b-2} (QAWS), so the
+    endpoint singularity needs no substitution.  The sum is the infinite one
+    to quad's tolerances (2e-14 relative, 1e-16 of the first term absolute),
+    not a truncation at J."""
+    from scipy.integrate import quad
+    J = 4 * n + 4
     k = np.arange(-J, J + 1, dtype=float)
     k = k[np.abs(k) != n]
     body = np.sum(np.abs(k + n) ** (-a) * np.abs(k - n) ** (-b))
-    tails, _ = quad(lambda u: (1.0 + n * u) ** (-a) * (1.0 - n * u) ** (-b)
-                    + (1.0 - n * u) ** (-a) * (1.0 + n * u) ** (-b),
-                    0.0, 1.0 / (J + 0.5), weight="alg", wvar=(a + b - 2.0, 0.0),
-                    epsabs=0.0, epsrel=2e-14)
+    p1 = math.fsum((a, b, -1.0))
+    lead = 2.0 * (J + 1.0) ** (-p1) / p1
+    rest, _ = quad(lambda u: (1.0 + n * u) ** (-a) * (1.0 - n * u) ** (-b)
+                   + (1.0 - n * u) ** (-a) * (1.0 + n * u) ** (-b) - 2.0,
+                   0.0, 1.0 / (J + 1), weight="alg", wvar=(a + b - 2.0, 0.0),
+                   epsabs=1e-16 * lead, epsrel=2e-14)
+    tails = abel_plana_tail(lambda z: (z + n) ** (-a) * (z - n) ** (-b)
+                            + (z - n) ** (-a) * (z + n) ** (-b), J + 1,
+                            lead + rest)
     return float(body + tails)
 
 

@@ -18,13 +18,12 @@ from hillkdv.sequences import (
     Weight, WeightError, check_weight, cap_weight,
     FourierSeq, SparseSeq, InvalidSequenceError, bracket,
     norm, weight_profile, tail, hilbert_sum, weakstar_converged,
-    _divisor_sums,
 )
 
 from hillkdv.birkhoff import BirkhoffState
 from hillkdv.operator import Potential
 
-from dense_oracle import convolve, shifted_norm
+from dense_oracle import abel_plana_tail, convolve, shifted_norm
 
 
 def random_seq(rng, K, real=False):
@@ -516,21 +515,22 @@ def test_hilbert_sum_list_matches_scalar_calls():
 
 @pytest.mark.parametrize("sigma", [0.55, 0.75, 1.0, 2.0])
 def test_hilbert_sum_tail_matches_quadrature(sigma):
-    # summed to J = M = 4n the tails are up to 84 % of the sum; the oracle sums
-    # the body with fsum and integrates each tail, the integral over
-    # x > M + 1/2 of (x^2 - n^2)^{-sigma}, by quad after v = x^{1 - 2 sigma},
-    # which leaves a smooth integrand on a finite interval
+    # the infinite sum: the oracle sums the body |m| <= M = 4n with fsum and
+    # each tail m > M by abel_plana_tail, with the integral over x > M + 1
+    # of (x^2 - n^2)^{-sigma} by quad after v = x^{1 - 2 sigma}, which leaves
+    # a smooth integrand on a finite interval; the tails are up to 84 % of S
     from scipy.integrate import quad
     for n in (1, 7, 64, 4096):
         M = 4 * n
         body = math.fsum(abs(m * m - n * n) ** (-sigma)
                          for m in range(-M, M + 1) if abs(m) != n)
         p = 2.0 / (2.0 * sigma - 1.0)
-        tail, _ = quad(lambda v: (1.0 - n * n * v ** p) ** (-sigma), 0.0,
-                       (M + 0.5) ** (1.0 - 2.0 * sigma), epsabs=0.0, epsrel=2e-14)
-        want = body + 2.0 * tail / (2.0 * sigma - 1.0)
-        got = _divisor_sums([n], sigma, sigma, [M])[0]
-        assert got == pytest.approx(want, rel=1e-13)
+        integral, _ = quad(lambda v: (1.0 - n * n * v ** p) ** (-sigma), 0.0,
+                           (M + 1.0) ** (1.0 - 2.0 * sigma), epsabs=0.0,
+                           epsrel=2e-14)
+        tail = abel_plana_tail(lambda z: (z * z - n * n) ** (-sigma), M + 1,
+                               integral / (2.0 * sigma - 1.0))
+        assert hilbert_sum(n, sigma) == pytest.approx(body + 2.0 * tail, rel=1e-13)
 
 
 def test_hilbert_sum_divergent_sigma_rejected():
