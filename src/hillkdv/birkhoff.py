@@ -17,15 +17,14 @@ from .sequences import FourierSeq, InvalidSequenceError
 
 
 class BirkhoffState(FourierSeq):
-    """Mode amplitudes z_n = coeffs[n + N], |n| <= N, with z_0 = 0
-    (checked by validate(), so by from_pairs).  Real states satisfy
-    z_{-n} = conj(z_n), making every action I_n = z_n z_{-n} = |z_n|^2
-    nonnegative."""
+    """Mode amplitudes z_n = coeffs[n + N], |n| <= N, with z_0 = 0 (checked
+    at construction).  Real states satisfy z_{-n} = conj(z_n), making every
+    action I_n = z_n z_{-n} = |z_n|^2 nonnegative."""
 
-    def validate(self):
+    def __post_init__(self):
+        super().__post_init__()
         if self.coeffs[self.half_range] != 0:
             raise InvalidSequenceError("Birkhoff state with z_0 != 0")
-        return super().validate()
 
     def actions(self):
         """I_n = z_n z_{-n} for n >= 1 (complex in general, real >= 0 for

@@ -4,7 +4,10 @@ Subcommands: spectrum, reduce, flow, verify.  Configuration comes from an
 INI-style flat key=value file (sections are merged in file order) with
 command-line flags taking precedence.  Outputs are UTF-8 JSON with sorted
 keys and RFC-4180 CSV; every file embeds the resolved-config hash and the
-package version, so a fixed config + seed reproduces outputs byte for byte.
+package version, so a fixed config + seed reproduces outputs byte for byte
+at a fixed BLAS thread count.  LAPACK's eigenvalues (spectrum, flow, verify,
+reduce's oracle columns) can change in the last digits with it; the
+reduction's own numbers use no BLAS and do not.
 
 The verify suites run the library code of acceptance criteria 7 (decay), 8
 (isospectral), 10 (airy-demo) and 6 (sandwich) at their own sizes.

@@ -15,18 +15,20 @@ constant c_s, the thresholds (n_s, N_ms, M_ms), the coefficients, the fixed
 point alpha_n = n^2 pi^2 + a_n(alpha_n), the roots, the adapted coefficient
 map r, and the gap sandwich diagnostic.
 
-The map lambda -> (a_n, b_{+-n})(lambda) contracts on the strip, so alpha_n
-and the two roots, the fixed points of lambda <- n^2 pi^2 + a_n(lambda) and
-lambda <- n^2 pi^2 + a_n(lambda) +- sqrt(b_n b_{-n})(lambda), are found by
-plain iteration; when it does not contract, contour sums of log(det B_n /
-z^2), z = lambda - n^2 pi^2, on 16-256 nested nodes reseed the roots.
+Inside, lambda is held only as delta = lambda - n^2 pi^2, so each divisor
+lambda - (k pi)^2 is delta - (k - n)(k + n) pi^2 with an exact integer
+(k - n)(k + n), and no digit is lost to n^2 pi^2.  The map delta -> (a_n,
+b_{+-n})(delta) contracts on the strip, so the offsets of alpha_n and of the
+roots, the fixed points of delta <- a_n(delta) (+- sqrt(b_n b_{-n})(delta)),
+are found by plain iteration; when it does not contract, contour sums of
+log(det B_n / delta^2) on 16-256 nested nodes reseed the roots.
 
 The Neumann iterates live on their exact support: T_n maps a support S to
 the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
 is only approximated where the series stops; coefficients reports whether
 that met neumann_tol.  The supports depend on n and supp(q) but not on
 lambda: one plan per n finds them for V e_n and V e_{-n} at once, two rows
-on their union, and every lambda reuses it (a divide, then per row an outer
+on their union, and every delta reuses it (a divide, then per row an outer
 product and add.at).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
@@ -41,8 +43,8 @@ import numpy as np
 
 from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
     norm, weight_factors, _divisor_sums
-from .operator import Potential, multiply, in_strip, \
-    StripViolationError, NearSingularError
+from .operator import Potential, multiply, StripViolationError, \
+    NearSingularError
 
 
 class ContractionFailureError(ArithmeticError):
@@ -170,14 +172,14 @@ def make_context(q, s=None, w=None, m=None):
 
 
 class _SupportPlan:
-    """The lambda-free part of the Neumann series at n of the starts rows,
+    """The delta-free part of the Neumann series at n of the starts rows,
     held as the rows of one array on the union of their supports (a row's
     zeros off its own support add nothing to it).  Per level l, found when
     first needed: the union S_l of the supports of the terms T_n^l f, its
-    slots keep but +-n, (k pi)^2 there, the larger of the shifted-norm
-    factors w(k+-n) <k+-n>^s (exact for the max of the two norms, as
-    |f_k| >= 0), the slots and indices of +-n, and the inverse index of
-    supp(q) + S_l[keep] onto S_{l+1}."""
+    slots keep but +-n, (k - n)(k + n) pi^2 there, the larger of the
+    shifted-norm factors w(k+-n) <k+-n>^s (exact for the max of the two
+    norms, as |f_k| >= 0), the slots and indices of +-n, and the inverse
+    index of supp(q) + S_l[keep] onto S_{l+1}."""
 
     def __init__(self, ctx, n, rows):
         self.n, self.q, self.ctx = n, ctx.q.support, ctx
@@ -191,7 +193,7 @@ class _SupportPlan:
     def _level(self, S):
         n, w, s = self.n, self.ctx.w, self.ctx.s
         keep, pm = np.flatnonzero(np.abs(S) != n), np.flatnonzero(np.abs(S) == n)
-        return (S, keep, (S[keep] * math.pi) ** 2, np.maximum(
+        return (S, keep, (S[keep] - n) * (S[keep] + n) * PI2, np.maximum(
             weight_factors(S + n, w, s), weight_factors(S - n, w, s)),
             pm, S[pm].tolist())
 
@@ -199,18 +201,18 @@ class _SupportPlan:
         """Each row's max of its shifted norms ||.||_{w,s,inf;+-n} on S_l."""
         return (self.levels[l][3] * np.abs(c)).max(axis=1, initial=0.0).tolist()
 
-    def apply(self, l, lam, c):
-        """The coefficients on S_{l+1} of T_n(lam) applied to each row of
-        those, c, on S_l: each slot sums its products in the order of
-        supp(q) from +0.0, as multiply(q, apply_A_inv_Q(lam, n, .)) does."""
-        S, keep, ksq = self.levels[l][:3]
+    def apply(self, l, delta, c):
+        """The coefficients on S_{l+1} of T_n(n^2 pi^2 + delta) applied to
+        each row of those, c, on S_l: each slot sums its products in the
+        order of supp(q) from +0.0, as multiply(q, .) does."""
+        S, keep, kk = self.levels[l][:3]
         if l == len(self.inv):
             # return_index sorts stably: a fast merge of the runs k + S[keep]
             S_next, _, inv = np.unique(np.add.outer(self.q.idx, S[keep]).ravel(),
                                        return_index=True, return_inverse=True)
             self.inv.append(inv)
             self.levels.append(self._level(S_next))
-        div = complex(lam) - ksq
+        div = complex(delta) - kk
         if np.abs(div).min(initial=np.inf) < 1e-12:
             raise NearSingularError("divisor |lambda - (k pi)^2| < 1e-12 "
                                     "in T_%d" % self.n)
@@ -226,7 +228,7 @@ def _plans(ctx, n):
         [k], [1.0])) for k in (n, -n)])
 
 
-def _neumann_rows(ctx, lam, plan):
+def _neumann_rows(ctx, delta, plan):
     """The terms T_n^l f of each start f of plan, up to max_terms
     applications of T_n.  Each row stops on its own once its latest term's
     shifted norm is below neumann_tol times its start's (a zero term ends
@@ -235,15 +237,15 @@ def _neumann_rows(ctx, lam, plan):
     ContractionFailureError.  Returns (terms, used, max_ratio, converged),
     the last three per row: row r's sum is that of terms[:used[r]], and
     converged[r] is False when max_terms left its tolerance unmet."""
-    if not in_strip(lam, plan.n):
-        raise StripViolationError("lambda outside S_n")
+    if not abs(delta.real) <= 12.0 * plan.n + 1e-9:  # the strip S_n
+        raise StripViolationError("delta %r outside S_%d" % (delta, plan.n))
     terms, base = [plan.start], plan.size(0, plan.start)
     prev, rows = list(base), len(base)
     used, max_ratio, streak, converged = ([x] * rows for x in (1, 0.0, 0, False))
     for l in range(ctx.max_terms):
         if all(converged):
             break
-        terms.append(plan.apply(l, lam, terms[-1]))
+        terms.append(plan.apply(l, delta, terms[-1]))
         for r, tn in enumerate(plan.size(l + 1, terms[-1])):
             if converged[r]:
                 continue
@@ -263,7 +265,7 @@ def _neumann_rows(ctx, lam, plan):
 @dataclass
 class CoeffResult:
     n: int
-    lam: complex
+    delta: complex     # lambda - n^2 pi^2
     a_n: complex
     a_n_alt: complex   # computed from e_{-n}; should equal a_n
     b_n: complex
@@ -274,28 +276,33 @@ class CoeffResult:
 
 
 def coefficients(ctx, n, lam, plans=None):
+    """_coefficients at delta = lambda - n^2 pi^2, on plans or a new plan."""
+    return _coefficients(ctx, n, complex(lam) - n * n * PI2,
+                         plans or _plans(ctx, n))
+
+
+def _coefficients(ctx, n, delta, plan):
     """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>, b_{-n} =
-    <K_n V e_n, e_{-n}> at lambda, on the support plan of V e_n and V e_{-n}
-    (_plans) that callers share over lambda, or a new one; the sums at +-n
-    are added level by level from 0j."""
-    plan = plans or _plans(ctx, n)
-    terms, used, ratio, ok = _neumann_rows(ctx, lam, plan)
+    <K_n V e_n, e_{-n}> at lambda = n^2 pi^2 + delta, on the support plan of
+    V e_n and V e_{-n} (_plans) that callers share over delta; the sums at
+    +-n are added level by level from 0j."""
+    terms, used, ratio, ok = _neumann_rows(ctx, delta, plan)
     h = {}  # (row, k) -> the row's sum at k = +-n
     for l, c in enumerate(terms[:max(used)]):
         pm, pk = plan.levels[l][4:]
         for r in (r for r in (0, 1) if l < used[r]):
             for k, v in zip(pk, c[r, pm].tolist()):
                 h[r, k] = h.get((r, k), 0j) + v
-    return CoeffResult(n=n, lam=complex(lam),
+    return CoeffResult(n=n, delta=complex(delta),
                        a_n=h.get((0, n), 0j), a_n_alt=h.get((1, -n), 0j),
                        b_n=h.get((1, n), 0j), b_neg_n=h.get((0, -n), 0j),
                        terms_used=max(used), max_ratio=max(ratio),
                        converged=all(ok))
 
 
-def det_B(ctx, n, lam, coeff):
-    """det B_n(lam) from coeff, the CoeffResult of coefficients(ctx, n, lam)."""
-    d = lam - n * n * PI2 - coeff.a_n
+def det_B(coeff):
+    """det B_n at coeff.delta from coeff, a CoeffResult."""
+    d = coeff.delta - coeff.a_n
     return d * d - coeff.b_n * coeff.b_neg_n
 
 
@@ -323,32 +330,29 @@ def _sqrt_continuous(value, prev):
     return sq
 
 
-def _fixed_point(ctx, n, sign, plans, evals, lam=None, sq=None, tol=1e-14):
-    """Iterate lambda <- n^2 pi^2 + a_n(lambda) + sign sqrt(b_n b_{-n})(lambda)
-    from lam (default n^2 pi^2) until a step is below tol n^2 pi^2, and
-    return the CoeffResult of the last iterate, the lambda that passed the
-    test.  Sign 0 is alpha_n's map, +-1 the maps whose fixed points are the
-    roots of det B_n; the square root stays on the branch nearest sq, its
-    last value.  Every CoeffResult is appended to evals.  RootError when a
-    step exceeds 0.8 times the one before (the map does not contract there)
-    or after 80 steps."""
-    center = n * n * PI2
-    lam = complex(center) if lam is None else lam
+def _fixed_point(ctx, n, sign, plans, evals, delta=0j, sq=None, tol=1e-14):
+    """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
+    until a step is below tol n^2 pi^2, and return the CoeffResult of the
+    last iterate, the delta that passed the test.  Sign 0 is alpha_n's map,
+    +-1 the maps whose fixed points are the roots of det B_n; the square
+    root stays on the branch nearest sq, its last value.  Every CoeffResult
+    is appended to evals.  RootError when a step exceeds 0.8 times the one
+    before (the map does not contract there) or after 80 steps."""
     prev_step = math.inf
     for _ in range(80):
-        c = coefficients(ctx, n, lam, plans)
+        c = _coefficients(ctx, n, delta, plans)
         evals.append(c)
-        new = center + c.a_n
+        new = c.a_n
         if sign:
             sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
             new += sign * sq
-        step = abs(new - lam)
-        if step < tol * center:
+        step = abs(new - delta)
+        if step < tol * n * n * PI2:
             return c
         if step > 0.8 * prev_step:
             raise RootError("fixed point not contracting at n=%d" % n)
         prev_step = step
-        lam = new
+        delta = new
     raise RootError("fixed point did not converge at n=%d" % n)
 
 
@@ -361,24 +365,23 @@ def alpha_fixed_point(ctx, n, plans=None):
     return n * n * PI2 + _fixed_point(ctx, n, 0, plans, [], tol=1e-10).a_n
 
 
-def _winding_roots(ctx, n, plans=None):
-    """Seeds for both roots of det B_n in |z| < r = 4 sqrt(n), z = lambda -
-    n^2 pi^2: with two roots inside, g = det B_n / z^2 (z the offset det B_n
-    is taken at) has a single-valued log, and the trapezoid rule at z_j =
-    r e^{2 pi i j / P} gives z_1 + z_2 = -mean(z log g), z_1^2 + z_2^2 =
-    -2 mean(z^2 log g).  P doubles from 8, reusing every node, until no phase
-    step of g exceeds pi/4 and both sums agree with P/2's to 1e-12 r^j, or to
-    256 (find_roots' polish judges those seeds).  LocalizationError on a zero
-    at a node, or a winding of det B_n (2 plus g's, read once the steps
-    resolve) other than 2.  Returns the seeds and the nodes' CoeffResults."""
-    center, r, coeffs, sums = n * n * PI2, 4.0 * math.sqrt(n), [], None
+def _winding_roots(ctx, n, plans):
+    """Seeds for the offsets z = delta of both roots of det B_n in |z| < r =
+    4 sqrt(n): with two roots inside, g = det B_n / z^2 has a single-valued
+    log, and the trapezoid rule at z_j = r e^{2 pi i j / P} gives z_1 + z_2 =
+    -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log g).  P doubles from 8,
+    reusing every node, until no phase step of g exceeds pi/4 and both sums
+    agree with P/2's to 1e-12 r^j, or to 256 (find_roots' polish judges
+    those seeds).  LocalizationError on a zero at a node, or a winding of
+    det B_n (2 plus g's, read once the steps resolve) other than 2.  Returns
+    the seeds and the nodes' CoeffResults."""
+    r, coeffs, sums = 4.0 * math.sqrt(n), [], None
     for P in (8, 16, 32, 64, 128, 256):
         z = r * np.exp(2j * np.pi * np.arange(P) / P)
-        new = [coefficients(ctx, n, center + zj, plans)
+        new = [_coefficients(ctx, n, zj, plans)
                for zj in (z[1::2] if coeffs else z)]
         coeffs = [c for p in zip(coeffs, new) for c in p] if coeffs else new
-        g = np.array([det_B(ctx, n, c.lam, coeff=c) / (c.lam - center) ** 2
-                      for c in coeffs])
+        g = np.array([det_B(c) / c.delta ** 2 for c in coeffs])
         if np.any(g == 0):
             raise LocalizationError("root on the contour of D_%d" % n)
         step = np.angle(np.roll(g, -1) / g)
@@ -394,43 +397,41 @@ def _winding_roots(ctx, n, plans=None):
                 break
     s1, s2 = sums
     disc = cmath.sqrt(2.0 * s2 - s1 * s1)
-    return (center + (s1 + disc) / 2.0, center + (s1 - disc) / 2.0), coeffs
+    return ((s1 + disc) / 2.0, (s1 - disc) / 2.0), coeffs
 
 
 def find_roots(ctx, n, xi_bound_grid=0):
     """Both roots of det B_n in the disc |lambda - n^2 pi^2| <= 4 sqrt(n).
 
-    alpha_n and the two roots are fixed points of the reduced maps
-    lambda <- n^2 pi^2 + a_n(lambda) (+-sqrt(b_n b_{-n})(lambda)), which
-    contract on the strip for n >= n_s (see _fixed_point); the roots start
-    at alpha_n +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root
-    iteration fails or leaves the disc, contour sums of log(det B_n / z^2),
-    z = lambda - n^2 pi^2, on 16-256 nested nodes seed both again (method
-    "winding"); RootError if that fails too.  Returns a ReductionResult with
-    residuals |det B_n(xi)| at the roots' own coefficients, the contraction
-    bound (the worst Neumann ratio over every coefficient evaluation made
-    here) and converged, which is False if the alpha_n iteration failed
-    (alpha_n is then n^2 pi^2) or a Neumann sum at alpha_n or at a root
-    missed neumann_tol.  A nonzero xi_bound_grid raises ValueError.
+    The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
+    points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
+    on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
+    +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root iteration
+    fails or leaves the disc, contour sums of log(det B_n / delta^2) on
+    16-256 nested nodes seed both again (method "winding"); RootError if
+    that fails too.  Returns a ReductionResult with xi_j = n^2 pi^2 +
+    delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at the roots,
+    the contraction bound (the worst Neumann ratio of every evaluation made
+    here) and converged, False if the alpha_n iteration failed (alpha_n is
+    then n^2 pi^2) or a Neumann sum at alpha_n or at a root missed
+    neumann_tol.  A nonzero xi_bound_grid raises ValueError.
     """
     if xi_bound_grid:
         raise ValueError("xi_bound_grid must be 0: find_roots has no grid")
     if n < ctx.n_s:
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
-    center = n * n * PI2
     evals = []
     plans = _plans(ctx, n)
     try:
         c0 = _fixed_point(ctx, n, 0, plans, evals, tol=1e-10)
-        alpha, ok = center + c0.a_n, c0.converged
+        alpha, ok = c0.a_n, c0.converged
     except RootError:  # the roots start from n^2 pi^2
-        c0, alpha, ok = evals[0], complex(center), False
-    rad = 4.0 * math.sqrt(n) + 1e-14 * center  # the roots' stop tolerance
+        c0, alpha, ok = evals[0], 0j, False
 
     def roots(seeds):
-        found = [_fixed_point(ctx, n, sign, plans, evals, lam, sq)
-                 for sign, lam, sq in seeds]
-        if any(abs(c.lam - center) > rad for c in found):
+        found = [_fixed_point(ctx, n, sign, plans, evals, d, sq)
+                 for sign, d, sq in seeds]
+        if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in found):
             raise RootError("root left D_%d" % n)
         return found
 
@@ -442,22 +443,21 @@ def find_roots(ctx, n, xi_bound_grid=0):
         method = "winding"
         estimates, contour = _winding_roots(ctx, n, plans=plans)
         evals += contour
-        # the + map on the branch of sqrt(b_n b_{-n}) nearest xi - alpha_n
-        # is the one that fixes the root near the estimate xi
-        c1, c2 = roots([(+1, xi, xi - alpha) for xi in estimates])
-    if c2.lam.real < c1.lam.real:  # report in nondecreasing real-part order
+        # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
+        # is the one that fixes the root near the estimate d
+        c1, c2 = roots([(+1, d, d - alpha) for d in estimates])
+    if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
         c1, c2 = c2, c1
-    xi1, xi2 = c1.lam, c2.lam
-    gap = abs(xi1 - xi2)
+    gap = abs(c1.delta - c2.delta)
     if gap < 1e-9 * max(1.0, math.sqrt(n)):
         gap = 0.0
+    center = n * n * PI2
     return ReductionResult(n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
-                           alpha_n=alpha, xi_1=xi1, xi_2=xi2,
-                           gap_estimate=gap,
+                           alpha_n=center + alpha, xi_1=center + c1.delta,
+                           xi_2=center + c2.delta, gap_estimate=gap,
                            neumann_terms_used=c0.terms_used,
                            contraction_bound=max(c.max_ratio for c in evals),
-                           det_residuals=(abs(det_B(ctx, n, xi1, coeff=c1)),
-                                          abs(det_B(ctx, n, xi2, coeff=c2))),
+                           det_residuals=(abs(det_B(c1)), abs(det_B(c2))),
                            method=method,
                            converged=ok and c1.converged and c2.converged)
 
@@ -477,8 +477,8 @@ def adapted_coefficients(ctx, n_max=None):
     r[qs.idx[low] + K] = qs.coeffs[low]
     for k in range(M, n_max + 1):
         plans = _plans(ctx, k)
-        alpha = alpha_fixed_point(ctx, k, plans)
-        c = coefficients(ctx, k, alpha, plans)
+        delta = _fixed_point(ctx, k, 0, plans, [], tol=1e-10).a_n  # alpha_k's
+        c = _coefficients(ctx, k, delta, plans)
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
     return FourierSeq(r)

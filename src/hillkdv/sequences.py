@@ -162,10 +162,6 @@ class FourierSeq:
         c = self.coeffs
         return bool(np.all(np.abs(c - np.conj(c[::-1])) <= tol))
 
-    def validate(self):
-        """A subclass's invariants; from_pairs calls it."""
-        return True
-
     def nonzero_ks(self):
         K = self.half_range
         return np.flatnonzero(self.coeffs) - K
@@ -177,8 +173,8 @@ class FourierSeq:
     @classmethod
     def from_pairs(cls, pairs, K=None, **fields):
         """Build from (k, value) pairs, a later pair overwriting an earlier
-        one at the same k, and validate.  K defaults to max |k|;
-        an index outside -K..K raises InvalidSequenceError."""
+        one at the same k.  K defaults to max |k|; an index outside -K..K
+        raises InvalidSequenceError."""
         pairs = [(int(k), v) for k, v in pairs]
         if K is None:
             K = max((abs(k) for k, _ in pairs), default=0)
@@ -188,9 +184,7 @@ class FourierSeq:
         c = np.zeros(2 * K + 1, dtype=complex)
         for k, v in pairs:
             c[k + K] = v
-        f = cls(c, **fields)
-        f.validate()
-        return f
+        return cls(c, **fields)
 
     def extended(self, K_new):
         """Same sequence in a larger (or equal) half range."""

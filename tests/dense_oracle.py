@@ -3,17 +3,22 @@ the contraction constants, and the uses of the reduction that only tests
 make: the Neumann sum K_n f of one sequence and eigenfunction reconstruction.
 
 The package applies V and sums the Neumann series on the exact support of
-each iterate.  This module redoes the same sums on FourierSeq arrays: a
-dense convolution (shift-and-add when one side has small support, FFT
-otherwise) and a Neumann series whose every term is cut to the window
-|k| <= K, dividing by lambda - (k pi)^2 on the dense array itself
-(dense_A_inv_Q) where the package divides on the support.  With a window
-wide enough to hold the iterates' mass, the two must agree to rounding.
-neumann_K_n sums K_n f for one SparseSeq f on the package's support plan
-(reduction._SupportPlan and _neumann_rows, one row); sparse_neumann sums
-the same series term by term, each support found afresh by multiply, where
-the package reuses one support plan for every lambda at n; the two must
-agree bit for bit.
+each iterate, at the offset delta = lambda - n^2 pi^2.  This module redoes
+the same sums on FourierSeq arrays: a dense convolution (shift-and-add when
+one side has small support, FFT otherwise) and a Neumann series whose every
+term is cut to the window |k| <= K, dividing by delta - (k - n)(k + n) pi^2
+on the dense array itself (dense_A_inv_Q) where the package divides on the
+support.  With a window wide enough to hold the iterates' mass, the two must
+agree to rounding.  neumann_K_n sums K_n f for one SparseSeq f on the
+package's support plan (reduction._SupportPlan and _neumann_rows, one row);
+sparse_neumann sums the same series term by term, each support found afresh
+by multiply, where the package reuses one support plan for every delta at n;
+the two must agree bit for bit.  With lam_form, sparse_neumann divides by
+lambda - (k pi)^2 through operator.apply_A_inv_Q instead, which loses the
+digits of n^2 pi^2: an oracle to 1e-12 for n <= 100 only.
+shifted_galerkin_pair is the dense Galerkin matrix of L - n^2 pi^2 on two
+clusters of indices around +-n, whose two eigenvalues nearest 0 are the
+offsets of the roots at any n, to eigvalsh's eps ||M||.
 shifted_norm is the norm ||f||_{w,s,inf;l} of f e_l that the series' stopping
 rule reads at l = +-n (shift_pair), where the package's support plan
 precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
@@ -129,7 +134,7 @@ def sample_T_norm(ctx, n, lam, rng=None):
     for sign in (+1, -1):
         ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
         probes.append(ve)
-        probes.append(neumann_K_n(ctx, n, lam, ve)[0])
+        probes.append(neumann_K_n(ctx, n, lam - n * n * PI2, ve)[0])
     best = 0.0
     for f in probes:
         base = shift_pair(f, ctx, n)
@@ -147,16 +152,27 @@ def window(ctx, n):
     return max(64, n + 44 * ctx.q.half_range + 16)
 
 
-def dense_A_inv_Q(lam, n, f):
-    """A_lambda^{-1} Q_n f on the dense array of a FourierSeq: f_k divided by
-    lambda - (k pi)^2, and 0 at k = +-n."""
+def dense_A_inv_Q(delta, n, f):
+    """A_lambda^{-1} Q_n f at lambda = n^2 pi^2 + delta on the dense array of
+    a FourierSeq: f_k divided by delta - (k - n)(k + n) pi^2, and 0 at
+    k = +-n."""
     ks = f.ks()
     keep = np.abs(ks) != n
-    safe = np.where(keep, complex(lam) - (ks * math.pi) ** 2, 1.0)
+    safe = np.where(keep, complex(delta) - (ks - n) * (ks + n) * PI2, 1.0)
     return FourierSeq(np.where(keep, f.coeffs / safe, 0.0))
 
 
-def dense_neumann(ctx, n, lam, f, K):
+def offset_A_inv_Q(delta, n, f):
+    """apply_A_inv_Q at lambda = n^2 pi^2 + delta, dividing by delta -
+    (k - n)(k + n) pi^2 as the support plan does; a SparseSeq on f's indices
+    but +-n."""
+    ks = f.ks()
+    keep = np.abs(ks) != n
+    k = ks[keep]
+    return SparseSeq(k, f.coeffs[keep] / (complex(delta) - (k - n) * (k + n) * PI2))
+
+
+def dense_neumann(ctx, n, delta, f, K):
     """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
     rule as reduction._neumann_rows.  Returns (sum, terms)."""
     total = f.coeffs.copy()
@@ -164,7 +180,7 @@ def dense_neumann(ctx, n, lam, f, K):
     base = shift_pair(f, ctx, n)
     terms = 1
     for _ in range(ctx.max_terms):
-        term = convolve(ctx.q.seq, dense_A_inv_Q(lam, n, term)).truncated(K)
+        term = convolve(ctx.q.seq, dense_A_inv_Q(delta, n, term)).truncated(K)
         tn = shift_pair(term, ctx, n)
         if tn == 0.0:
             break
@@ -175,40 +191,47 @@ def dense_neumann(ctx, n, lam, f, K):
     return FourierSeq(total), terms
 
 
-def dense_coefficients(ctx, n, lam, K=None):
+def dense_coefficients(ctx, n, delta, K=None):
     """(a_n, b_n, b_{-n}, terms) from the dense Neumann sums on |k| <= K."""
     if K is None:
         K = window(ctx, n)
     ve_p = convolve(ctx.q.seq, FourierSeq.from_pairs([(n, 1.0)], K=K)).truncated(K)
     ve_m = convolve(ctx.q.seq, FourierSeq.from_pairs([(-n, 1.0)], K=K)).truncated(K)
-    h_p, t1 = dense_neumann(ctx, n, lam, ve_p, K)
-    h_m, t2 = dense_neumann(ctx, n, lam, ve_m, K)
+    h_p, t1 = dense_neumann(ctx, n, delta, ve_p, K)
+    h_m, t2 = dense_neumann(ctx, n, delta, ve_m, K)
     return h_p[n], h_m[n], h_p[-n], max(t1, t2)
 
 
-def neumann_K_n(ctx, n, lam, f):
-    """K_n f = sum_{l>=0} T_n^l f for a SparseSeq f on the package's support
-    plan, stopped by the rule of reduction._neumann_rows.  Returns (sum,
-    terms_used, max_ratio, converged).  Values: multiply's and
-    apply_A_inv_Q's, bit for bit."""
+def neumann_K_n(ctx, n, delta, f):
+    """K_n f = sum_{l>=0} T_n^l f at lambda = n^2 pi^2 + delta for a
+    SparseSeq f on the package's support plan, stopped by the rule of
+    reduction._neumann_rows.  Returns (sum, terms_used, max_ratio,
+    converged).  Values: multiply's and offset_A_inv_Q's, bit for bit."""
     plan = _SupportPlan(ctx, n, [f])
-    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, lam, plan)
+    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, delta, plan)
     return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
         plan.levels, terms[:used])]), used, ratio, ok
 
 
-def sparse_neumann(ctx, n, lam, f):
-    """sum_l T_n^l f for a SparseSeq f, one multiply(q, apply_A_inv_Q(.))
-    per term, stopped by the rule of reduction._neumann_rows (whose ratio
-    streak only raises, so it is left out).  Returns (sum, terms_used,
-    max_ratio, converged)."""
+def sparse_neumann(ctx, n, delta, f, lam_form=False):
+    """sum_l T_n^l f at lambda = n^2 pi^2 + delta for a SparseSeq f, one
+    multiply(q, offset_A_inv_Q(.)) per term, or multiply(q,
+    apply_A_inv_Q(lambda, .)) with lam_form, stopped by the rule of
+    reduction._neumann_rows (whose ratio streak only raises, so it is left
+    out).  Returns (sum, terms_used, max_ratio, converged)."""
+    if lam_form:
+        def a_inv(g):
+            return apply_A_inv_Q(n * n * PI2 + delta, n, g)
+    else:
+        def a_inv(g):
+            return offset_A_inv_Q(delta, n, g)
     parts = [f]
     term = f
     base = prev = shift_pair(f, ctx, n)
     max_ratio = 0.0
     converged = False
     for _ in range(ctx.max_terms):
-        term = apply_T_n(ctx, n, lam, term)
+        term = multiply(ctx.q, a_inv(term))
         tn = shift_pair(term, ctx, n)
         if prev > 0:
             max_ratio = max(max_ratio, tn / prev)
@@ -223,15 +246,31 @@ def sparse_neumann(ctx, n, lam, f):
     return SparseSeq.total(parts), len(parts), max_ratio, converged
 
 
-def sparse_coefficients(ctx, n, lam):
+def sparse_coefficients(ctx, n, delta, lam_form=False):
     """The fields of reduction.coefficients from sparse_neumann."""
     ve_p = multiply(ctx.q, SparseSeq.accumulate([n], [1.0]))
     ve_m = multiply(ctx.q, SparseSeq.accumulate([-n], [1.0]))
-    h_p, t1, r1, ok1 = sparse_neumann(ctx, n, lam, ve_p)
-    h_m, t2, r2, ok2 = sparse_neumann(ctx, n, lam, ve_m)
+    h_p, t1, r1, ok1 = sparse_neumann(ctx, n, delta, ve_p, lam_form)
+    h_m, t2, r2, ok2 = sparse_neumann(ctx, n, delta, ve_m, lam_form)
     return {"a_n": h_p[n], "a_n_alt": h_m[-n], "b_n": h_m[n],
             "b_neg_n": h_p[-n], "terms_used": max(t1, t2),
             "max_ratio": max(r1, r2), "converged": ok1 and ok2}
+
+
+def shifted_galerkin_pair(ctx, n, W=64):
+    """The offsets delta_1 <= delta_2 of the periodic eigenvalues near
+    n^2 pi^2 of a real q: the two eigenvalues nearest 0 of the Hermitian
+    matrix diag((k - n)(k + n) pi^2) + q_{k-l} on the indices k = +-n + j,
+    |j| <= W, j even, by eigvalsh (absolute error about eps ||M||, ||M|| of
+    order 2 n W pi^2)."""
+    j = np.arange(-W, W + 1, 2)
+    ks = np.unique(np.concatenate([n + j, -n + j]))
+    d = ks[:, None] - ks[None, :]
+    H = ctx.q.half_range
+    M = np.where(np.abs(d) <= H, ctx.q.seq.coeffs[np.clip(d + H, 0, 2 * H)], 0.0)
+    M[np.diag_indices_from(M)] += (ks - n) * (ks + n) * PI2
+    vals = np.linalg.eigvalsh(M)
+    return tuple(sorted(vals[np.argsort(np.abs(vals))[:2]]))
 
 
 def abel_plana_tail(g, N, integral):
@@ -335,7 +374,7 @@ def hermitian_projector(q, n, K):
 def kernel_vector(ctx, n, xi):
     """A kernel vector of B_n(xi): u = (b_n, xi - n^2 pi^2 - a_n), normalized."""
     c = coefficients(ctx, n, xi)
-    d = xi - n * n * PI2 - c.a_n
+    d = c.delta - c.a_n
     u = np.array([c.b_n, d], dtype=complex)
     if np.linalg.norm(u) == 0:
         u = np.array([1.0, 0.0], dtype=complex)
@@ -356,7 +395,7 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
     """
     u_plus, u_minus = complex(u_coeffs[0]), complex(u_coeffs[1])
     c = coefficients(ctx, n, xi)
-    d = xi - n * n * PI2 - c.a_n
+    d = c.delta - c.a_n
     bu = np.array([d * u_plus - c.b_n * u_minus,
                    -c.b_neg_n * u_plus + d * u_minus])
     unorm = math.hypot(abs(u_plus), abs(u_minus))
@@ -364,7 +403,7 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
         raise KernelPreconditionError(
             "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
     u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])
-    k = neumann_K_n(ctx, n, xi, multiply(ctx.q, u))[0]
+    k = neumann_K_n(ctx, n, c.delta, multiply(ctx.q, u))[0]
     f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
     res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
         f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])

@@ -1,13 +1,14 @@
 """Tests for the Birkhoff-coordinate surrogates: actions, frequencies, the
 linearized coordinate map, the free flow and torus membership."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hillkdv.operator import Potential
-from hillkdv.sequences import FourierSeq
+from hillkdv.sequences import FourierSeq, InvalidSequenceError
 from hillkdv.birkhoff import (
     BirkhoffState, actions_from_gaps, frequencies, linearized_birkhoff,
     flow, torus_membership,
@@ -31,6 +32,17 @@ def test_state_indexing_and_zero_mode():
     assert st[0] == 0 and st[5] == 0
     with pytest.raises(ValueError):
         BirkhoffState.from_pairs([(0, 1.0)])
+
+
+def test_state_checks_zero_mode_at_construction():
+    # the direct constructor and dataclasses.replace check z_0 = 0 as well as
+    # from_pairs does
+    with pytest.raises(InvalidSequenceError, match="z_0 != 0"):
+        BirkhoffState(np.array([1.0, 2.0, 3.0]))
+    st = BirkhoffState.from_pairs([(1, 1.0), (-1, 1.0)])
+    with pytest.raises(InvalidSequenceError, match="z_0 != 0"):
+        dataclasses.replace(st, coeffs=np.array([1.0, 2.0, 1.0]))
+    assert dataclasses.replace(st, coeffs=2 * st.coeffs)[1] == 2.0
 
 
 def test_real_state_actions_nonnegative():
