@@ -13,12 +13,12 @@ Conventions used throughout:
 
 from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
     weakstar_converged, cap_weight
-from .operator import Potential, multiply, apply_A_inv_Q, dirichlet_cos_coeffs
+from .operator import Potential, multiply, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     gaps_and_midpoints, riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
     make_context, coefficients, find_roots, alpha_fixed_point, \
-    adapted_coefficients, gap_sandwich
+    adapted_coefficients, gap_sandwich, find_roots_batch
 from .birkhoff import BirkhoffState, actions_from_gaps, frequencies, \
     linearized_birkhoff, flow, torus_membership
 from .pde import PDEState, evolve_kdv, evolve_airy, conserved, \

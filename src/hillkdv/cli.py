@@ -32,8 +32,8 @@ from .sequences import FourierSeq, Weight, WeightError, cap_weight, \
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
     verify_decay
-from .reduction import make_context, find_roots, isolated_mode_sandwich, \
-    ThresholdError
+from .reduction import make_context, find_roots_batch, \
+    isolated_mode_sandwich, ThresholdError
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
     flow as birkhoff_flow, torus_membership
 from .pde import airy_distances, isospectral_check, potential_to_pde_state
@@ -284,12 +284,13 @@ def cmd_reduce(cfg):
     entries = []
     worst = 0.0
     failed = False
+    found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
     for n in range(n_lo, n_hi + 1):
         if n < ctx.n_s:
             rows.append([n, "below-threshold", "", "", "", "", "", "", "", ""])
             entries.append({"n": n, "status": "below-threshold"})
             continue
-        res = find_roots(ctx, n)
+        res = next(found)
         entry = {
             "n": n,
             "a_n": [res.a_n.real, res.a_n.imag],

@@ -140,36 +140,6 @@ def multiply(q, f):
                                 np.multiply.outer(qs.coeffs, f.coeffs).ravel())
 
 
-def in_strip(lam, n):
-    """Strip S_n = { |Re lambda - n^2 pi^2| <= 12 n }."""
-    return abs(lam.real - n * n * math.pi ** 2) <= 12.0 * n + 1e-9
-
-
-def apply_A_inv_Q(lam, n, f):
-    """Inverse of A_lambda = d^2/dx^2 + lambda on the complement of
-    span{e_n, e_{-n}}: g_k = f_k / (lambda - (k pi)^2) for k != +-n.
-    Takes either container and returns a SparseSeq on f's indices but +-n.
-
-    lambda must lie in the strip S_n; a divisor smaller than 1e-12
-    signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
-    in units of pi^2 ... up to the strip width) and raises.
-    """
-    lam = complex(lam)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not in_strip(lam, n):
-        raise StripViolationError(
-            "lambda = %r outside S_%d (|Re lambda - n^2 pi^2| <= 12 n)" % (lam, n))
-    ks = f.ks()
-    div = lam - (ks * math.pi) ** 2
-    keep = np.abs(ks) != n
-    small = keep & (np.abs(div) < 1e-12)
-    if np.any(small):
-        raise NearSingularError(
-            "divisor |lambda - (k pi)^2| < 1e-12 at k=%d" % ks[small][0])
-    return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
-
-
 def dirichlet_cos_coeffs(q, K):
     """Cosine pairings c[k] = q^cos_k = int_0^1 q(x) cos(k pi x) dx, 0 <= k <= 2K:
     (q_k + q_{-k})/2 for even k, (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) for odd

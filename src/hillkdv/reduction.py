@@ -23,13 +23,14 @@ roots, the fixed points of delta <- a_n(delta) (+- sqrt(b_n b_{-n})(delta)),
 are found by plain iteration; when it does not contract, contour sums of
 log(det B_n / delta^2) on 16-256 nested nodes reseed the roots.
 
-The Neumann iterates live on their exact support: T_n maps a support S to
-the sumset (S minus {+-n}) + supp(q), and nothing is cut to a window, so K_n
-is only approximated where the series stops; coefficients reports whether
-that met neumann_tol.  The supports depend on n and supp(q) but not on
-lambda: one plan per n finds them for V e_n and V e_{-n} at once, two rows
-on their union, and every delta reuses it (a divide, then per row an outer
-product and add.at).
+The Neumann iterates live on their exact support, and nothing is cut to a
+window, so K_n is only approximated where the series stops; coefficients
+reports whether that met neumann_tol.  Each row is held in offsets j = k - m
+from its own mode m = +-n: V e_n and V e_{-n} both start on supp(q), and T_n
+maps the offsets S of a term onto S + supp(q), whatever n and lambda.  So
+one plan serves both rows of every mode of a batch, and find_roots_batch
+runs the fixed points of all its modes in lockstep, each step one Neumann
+sum over all their rows (per level a divide and a scatter).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -171,95 +172,84 @@ def make_context(q, s=None, w=None, m=None):
                             M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"))
 
 
-class _SupportPlan:
-    """The delta-free part of the Neumann series at n of the starts rows,
-    held as the rows of one array on the union of their supports (a row's
-    zeros off its own support add nothing to it).  Per level l, found when
-    first needed: the union S_l of the supports of the terms T_n^l f, its
-    slots keep but +-n, (k - n)(k + n) pi^2 there, the larger of the
-    shifted-norm factors w(k+-n) <k+-n>^s (exact for the max of the two
-    norms, as |f_k| >= 0), the slots and indices of +-n, and the inverse
-    index of supp(q) + S_l[keep] onto S_{l+1}."""
+class _OffsetPlan:
+    """The delta-free part of the Neumann series from V e_n (row 2i) and
+    V e_{-n} (row 2i + 1) for n = ns[i], in offsets j = k - m, m = +-n.  The
+    slots j = 0 and j = -2m (k = +-n) that Q_n drops stay in the n-free
+    levels S_l: they add only zero products to sums that start at +0.0.
+    Per level, found when first needed, rows the inner (contiguous) axis:
+    S_l; each row's divisor parts j (j + 2m) pi^2 = (k - n)(k + n) pi^2,
+    inf at its dropped slots (c / (delta - inf) is 0, with no division by
+    0); the larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s)
+    (exact for the max of the two norms, as |c| >= 0); the slot of j = 0
+    and each row's slot of j = -2m (-1 where absent).  Per step, the slot
+    in S_{l+1} of each (tap, slot) pair and the edges of the runs of S_l
+    that every tap maps onto consecutive slots."""
 
-    def __init__(self, ctx, n, rows):
-        self.n, self.q, self.ctx = n, ctx.q.support, ctx
-        S, inv = np.unique(np.concatenate([f.ks() for f in rows]),
-                           return_inverse=True)
-        self.start = np.zeros((len(rows), S.size), dtype=complex)
-        self.start[np.repeat(range(len(rows)), [f.ks().size for f in rows]),
-                   inv] = np.concatenate([f.coeffs for f in rows])
-        self.levels, self.inv = [self._level(S)], []
+    def __init__(self, ctx, ns):
+        self.ctx, self.q, self.ns = ctx, ctx.q.support, list(ns)
+        self.two_m = np.array([(2 * n, -2 * n) for n in self.ns],
+                              dtype=np.int64).reshape(-1)
+        self.pm = np.concatenate(([0], -self.two_m))  # j = 0, then each -2m
+        self.start = multiply(ctx.q, SparseSeq([0], [1.0])).coeffs
+        self.levels, self.steps = [self._level(self.q.idx)], []
+        self.base = (self.levels[0][2] * np.abs(self.start)[:, None]).max(
+            axis=0, initial=0.0).tolist()  # each row's start norm
 
     def _level(self, S):
-        n, w, s = self.n, self.ctx.w, self.ctx.s
-        keep, pm = np.flatnonzero(np.abs(S) != n), np.flatnonzero(np.abs(S) == n)
-        return (S, keep, (S[keep] - n) * (S[keep] + n) * PI2, np.maximum(
-            weight_factors(S + n, w, s), weight_factors(S - n, w, s)),
-            pm, S[pm].tolist())
+        w, s, jm = self.ctx.w, self.ctx.s, S[:, None] + self.two_m
+        kk = S[:, None] * jm * PI2
+        kk[(S[:, None] == 0) | (jm == 0)] = np.inf
+        wt = np.maximum(weight_factors(S, w, s)[:, None], weight_factors(
+            jm.ravel(), w, s).reshape(jm.shape))
+        at = np.searchsorted(S, self.pm)  # the slots of j = 0 and each -2m
+        if S.size:
+            at[S.take(at, mode="clip") != self.pm] = -1
+        else:
+            at[:] = -1
+        return S, kk, wt, int(at[0]), at[1:].tolist()
 
-    def size(self, l, c):
-        """Each row's max of its shifted norms ||.||_{w,s,inf;+-n} on S_l."""
-        return (self.levels[l][3] * np.abs(c)).max(axis=1, initial=0.0).tolist()
+    def level(self, l):
+        """Level l's tables, building the levels and steps up to it."""
+        while len(self.levels) <= l:
+            S = self.levels[-1][0]
+            S1, inv = np.unique(np.add.outer(self.q.idx, S).ravel(),
+                                return_inverse=True)
+            inv = inv.reshape(self.q.idx.size, S.size)
+            cut = np.flatnonzero((inv[:, 1:] - inv[:, :-1] != 1).any(axis=0))
+            self.steps.append((inv, [0, *(cut + 1).tolist(), S.size]))
+            self.levels.append(self._level(S1))
+        return self.levels[l]
 
-    def apply(self, l, delta, c):
-        """The coefficients on S_{l+1} of T_n(n^2 pi^2 + delta) applied to
-        each row of those, c, on S_l: each slot sums its products in the
-        order of supp(q) from +0.0, as multiply(q, .) does."""
-        S, keep, kk = self.levels[l][:3]
-        if l == len(self.inv):
-            # return_index sorts stably: a fast merge of the runs k + S[keep]
-            S_next, _, inv = np.unique(np.add.outer(self.q.idx, S[keep]).ravel(),
-                                       return_index=True, return_inverse=True)
-            self.inv.append(inv)
-            self.levels.append(self._level(S_next))
-        div = complex(delta) - kk
-        if np.abs(div).min(initial=np.inf) < 1e-12:
-            raise NearSingularError("divisor |lambda - (k pi)^2| < 1e-12 "
-                                    "in T_%d" % self.n)
-        out = np.zeros((len(c), self.levels[l + 1][0].size), dtype=complex)
-        for o, x in zip(out, c.take(keep, axis=1) / div):
-            np.add.at(o, self.inv[l], np.multiply.outer(self.q.coeffs, x).ravel())
+    def apply(self, l, x):
+        """The terms on S_{l+1} from x = A^{-1} Q_n c on S_l, slots by rows:
+        each slot sums its products in the order of supp(q) from +0.0, as
+        multiply(q, .) does.  A level of few long runs takes _slices, one of
+        many short runs _add_at: the rows times the mean run length at least
+        512, about where the two cost the same (measured on x86-64)."""
+        out = np.zeros((self.level(l + 1)[0].size, x.shape[1]), dtype=complex)
+        slices = x.size >= 512 * (len(self.steps[l][1]) - 1)
+        return (self._slices if slices else self._add_at)(l, x, out)
+
+    def _slices(self, l, x, out):
+        """Per tap a, in order, and per run, one product q_a x on a
+        contiguous block, added to the run's image.  Scalar first: numpy's
+        complex multiply(x, q_a) can differ from multiply(q_a, x) and
+        multiply.outer(q, x) in the last bit."""
+        inv, edges = self.steps[l]
+        runs, tmp = list(zip(edges[:-1], edges[1:])), np.empty_like(x)
+        for qa, ds in zip(self.q.coeffs.tolist(), inv[:, edges[:-1]].tolist()):
+            for (i0, i1), d in zip(runs, ds):
+                t, o = tmp[:i1 - i0], out[d:d + i1 - i0]
+                np.add(o, np.multiply(qa, x[i0:i1], out=t), out=o)
         return out
 
-
-def _plans(ctx, n):
-    """The support plan of the series from V e_n (row 0) and V e_{-n} (row 1)."""
-    return _SupportPlan(ctx, n, [multiply(ctx.q, SparseSeq.accumulate(
-        [k], [1.0])) for k in (n, -n)])
-
-
-def _neumann_rows(ctx, delta, plan):
-    """The terms T_n^l f of each start f of plan, up to max_terms
-    applications of T_n.  Each row stops on its own once its latest term's
-    shifted norm is below neumann_tol times its start's (a zero term ends
-    the sum unadded); a stopped row adds no more terms, and its ratios no
-    longer count.  Three term ratios > 0.9 in a row raise
-    ContractionFailureError.  Returns (terms, used, max_ratio, converged),
-    the last three per row: row r's sum is that of terms[:used[r]], and
-    converged[r] is False when max_terms left its tolerance unmet."""
-    if not abs(delta.real) <= 12.0 * plan.n + 1e-9:  # the strip S_n
-        raise StripViolationError("delta %r outside S_%d" % (delta, plan.n))
-    terms, base = [plan.start], plan.size(0, plan.start)
-    prev, rows = list(base), len(base)
-    used, max_ratio, streak, converged = ([x] * rows for x in (1, 0.0, 0, False))
-    for l in range(ctx.max_terms):
-        if all(converged):
-            break
-        terms.append(plan.apply(l, delta, terms[-1]))
-        for r, tn in enumerate(plan.size(l + 1, terms[-1])):
-            if converged[r]:
-                continue
-            if prev[r] > 0:
-                ratio = tn / prev[r]
-                max_ratio[r] = max(max_ratio[r], ratio)
-                streak[r] = streak[r] + 1 if ratio > 0.9 else 0
-                if streak[r] >= 3:
-                    raise ContractionFailureError(
-                        "Neumann ratio > 0.9 three times at n=%d" % plan.n)
-            used[r] += tn != 0.0  # a zero term ends the sum unadded
-            converged[r] = tn < ctx.neumann_tol * max(base[r], 1e-300)
-            prev[r] = tn
-    return terms, used, max_ratio, converged
+    def _add_at(self, l, x, out):
+        """multiply.outer(q, x), then one add.at per row."""
+        prod = np.multiply.outer(self.q.coeffs, x).reshape(-1, x.shape[1])
+        for k in range(x.shape[1]):
+            np.add.at(out[:, k], self.steps[l][0].ravel(), prod[:, k])
+        return out
 
 
 @dataclass
@@ -275,29 +265,101 @@ class CoeffResult:
     converged: bool    # both Neumann sums met neumann_tol
 
 
-def coefficients(ctx, n, lam, plans=None):
-    """_coefficients at delta = lambda - n^2 pi^2, on plans or a new plan."""
-    return _coefficients(ctx, n, complex(lam) - n * n * PI2,
-                         plans or _plans(ctx, n))
+def _evaluate(plan, modes, deltas):
+    """The CoeffResult at n = plan.ns[i] and delta for each pair (i, delta)
+    of modes and deltas, from one Neumann sum over all their rows: a_n =
+    <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n> and b_{-n} = <K_n V e_n,
+    e_{-n}> at lambda = n^2 pi^2 + delta, added level by level from 0j.
+    Each row stops on its own once its latest term's shifted norm is below
+    neumann_tol times its start's (a zero term ends the sum unadded); a
+    stopped row adds no more terms, and its ratios no longer count.  An
+    evaluation leaves the batch when both rows have stopped or max_terms
+    applications of T_n are spent (converged False).  One outside the strip
+    S_n, with a divisor below 1e-12 or with three term ratios > 0.9 in a row
+    gets a StripViolationError, NearSingularError or ContractionFailureError
+    in place of its result; the others go on."""
+    ctx, ns = plan.ctx, [plan.ns[i] for i in modes]
+    out = [None if abs(d.real) <= 12.0 * n + 1e-9 else StripViolationError(
+        "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
+    ev = [e for e, o in enumerate(out) if o is None]
+    tcol = [2 * modes[e] + r for e in ev for r in (0, 1)]  # table columns
+    full, cols = tcol == list(range(plan.two_m.size)), np.array(tcol, dtype=np.intp)
+    d_act = np.repeat(np.array([deltas[e] for e in ev], dtype=complex), 2)
+    lv, act = plan.level(0), list(range(len(tcol)))
+    c = np.repeat(plan.start[:, None], len(tcol), axis=1)
+    base = [plan.base[t] for t in tcol]
+    prev, h = list(base), [[0j, 0j] for _ in tcol]  # sums at j = 0 and -2m
+    used, ratio, streak, done = ([x] * len(tcol) for x in (1, 0.0, 0, False))
+
+    def add(k, p):  # c's column k, row p
+        for t, slot in enumerate((lv[3], lv[4][tcol[p]])):
+            if slot >= 0:
+                h[p][t] += c.item(slot, k)
+
+    def fail(p, err, msg):
+        out[ev[p // 2]] = err(msg % ns[ev[p // 2]])
+
+    def drop():  # the columns of evaluations that stopped or failed
+        nonlocal act, c, d_act, cols, full
+        keep = [k for k, p in enumerate(act) if out[ev[p // 2]] is None
+                and not (done[p - p % 2] and done[p | 1])]
+        if len(keep) < len(act):
+            act, c, d_act = [act[k] for k in keep], c[:, keep], d_act[keep]
+            cols, full = cols[keep], False
+
+    for p in act:
+        add(p, p)
+    for l in range(ctx.max_terms):
+        div = d_act - (lv[1] if full else lv[1][:, cols])
+        if np.abs(div).min(initial=np.inf) < 1e-12:
+            for k in np.flatnonzero(np.abs(div).min(axis=0) < 1e-12).tolist():
+                fail(act[k], NearSingularError,
+                     "divisor |lambda - (k pi)^2| < 1e-12 in T_%d")
+            drop()
+            div = d_act - (lv[1] if full else lv[1][:, cols])
+        c, lv = plan.apply(l, c / div), plan.levels[l + 1]
+        tn = ((lv[2] if full else lv[2][:, cols]) * np.abs(c)).max(
+            axis=0, initial=0.0).tolist()
+        for k, p in enumerate(act):
+            if done[p]:
+                continue
+            if prev[p] > 0:
+                r = tn[k] / prev[p]
+                ratio[p] = max(ratio[p], r)
+                streak[p] = streak[p] + 1 if r > 0.9 else 0
+                if streak[p] >= 3:
+                    fail(p, ContractionFailureError,
+                         "Neumann ratio > 0.9 three times at n=%d")
+            if tn[k] != 0.0:  # a zero term ends the sum unadded
+                used[p] += 1
+                add(k, p)
+            done[p] = tn[k] < ctx.neumann_tol * max(base[p], 1e-300)
+            prev[p] = tn[k]
+        drop()
+        if not act:
+            break
+    for k, e in enumerate(ev):
+        p, q = 2 * k, 2 * k + 1
+        if out[e] is None:
+            out[e] = CoeffResult(
+                n=ns[e], delta=complex(deltas[e]), a_n=h[p][0], a_n_alt=h[q][0],
+                b_n=h[q][1], b_neg_n=h[p][1], terms_used=max(used[p], used[q]),
+                max_ratio=max(ratio[p], ratio[q]), converged=done[p] and done[q])
+    return out
 
 
-def _coefficients(ctx, n, delta, plan):
-    """a_n = <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n>, b_{-n} =
-    <K_n V e_n, e_{-n}> at lambda = n^2 pi^2 + delta, on the support plan of
-    V e_n and V e_{-n} (_plans) that callers share over delta; the sums at
-    +-n are added level by level from 0j."""
-    terms, used, ratio, ok = _neumann_rows(ctx, delta, plan)
-    h = {}  # (row, k) -> the row's sum at k = +-n
-    for l, c in enumerate(terms[:max(used)]):
-        pm, pk = plan.levels[l][4:]
-        for r in (r for r in (0, 1) if l < used[r]):
-            for k, v in zip(pk, c[r, pm].tolist()):
-                h[r, k] = h.get((r, k), 0j) + v
-    return CoeffResult(n=n, delta=complex(delta),
-                       a_n=h.get((0, n), 0j), a_n_alt=h.get((1, -n), 0j),
-                       b_n=h.get((1, n), 0j), b_neg_n=h.get((0, -n), 0j),
-                       terms_used=max(used), max_ratio=max(ratio),
-                       converged=all(ok))
+def _raise_first(results):
+    """results, or the first error among them raised."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
+def coefficients(ctx, n, lam):
+    """The CoeffResult at n and lambda (_evaluate), delta = lambda - n^2 pi^2."""
+    return _raise_first(_evaluate(_OffsetPlan(ctx, [n]), [0],
+                                  [complex(lam) - n * n * PI2]))[0]
 
 
 def det_B(coeff):
@@ -321,6 +383,7 @@ class ReductionResult:
     det_residuals: tuple
     method: str
     converged: bool    # the alpha_n iteration and the Neumann sums converged
+    evaluations: int   # the coefficient evaluations behind the result
 
 
 def _sqrt_continuous(value, prev):
@@ -330,56 +393,74 @@ def _sqrt_continuous(value, prev):
     return sq
 
 
-def _fixed_point(ctx, n, sign, plans, evals, delta=0j, sq=None, tol=1e-14):
-    """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
-    until a step is below tol n^2 pi^2, and return the CoeffResult of the
-    last iterate, the delta that passed the test.  Sign 0 is alpha_n's map,
-    +-1 the maps whose fixed points are the roots of det B_n; the square
-    root stays on the branch nearest sq, its last value.  Every CoeffResult
-    is appended to evals.  RootError when a step exceeds 0.8 times the one
-    before (the map does not contract there) or after 80 steps."""
-    prev_step = math.inf
+def _fixed_points(plan, jobs):
+    """Run the fixed-point iterations of jobs in lockstep, one _evaluate of
+    every running job per step.  Job (i, sign, delta, sq, tol, evals)
+    iterates delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) at n =
+    plan.ns[i] until a step is below tol n^2 pi^2, and ends with the
+    CoeffResult of its last iterate, the delta that passed the test.  Sign
+    0 is alpha_n's map, +-1 the maps whose fixed points are the roots of
+    det B_n; the square root stays on the branch nearest sq, its last value.
+    Every CoeffResult is appended to evals.  A job ends with a RootError
+    when a step exceeds 0.8 times the one before (the map does not contract
+    there) or after 80 steps, and with its evaluation's error if that
+    failed.  Returns each job's CoeffResult or error."""
+    out = [None] * len(jobs)
+    state = {j: (job[2], job[3], math.inf) for j, job in enumerate(jobs)}
     for _ in range(80):
-        c = _coefficients(ctx, n, delta, plans)
-        evals.append(c)
-        new = c.a_n
-        if sign:
-            sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
-            new += sign * sq
-        step = abs(new - delta)
-        if step < tol * n * n * PI2:
-            return c
-        if step > 0.8 * prev_step:
-            raise RootError("fixed point not contracting at n=%d" % n)
-        prev_step = step
-        delta = new
-    raise RootError("fixed point did not converge at n=%d" % n)
+        run = list(state)
+        if not run:
+            break
+        for j, c in zip(run, _evaluate(plan, [jobs[j][0] for j in run],
+                                       [state[j][0] for j in run])):
+            i, sign, _, _, tol, evals = jobs[j]
+            n, (delta, sq, prev_step) = plan.ns[i], state.pop(j)
+            if isinstance(c, Exception):
+                out[j] = c
+                continue
+            evals.append(c)
+            new = c.a_n
+            if sign:
+                sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
+                new += sign * sq
+            step = abs(new - delta)
+            if step < tol * n * n * PI2:
+                out[j] = c
+            elif step > 0.8 * prev_step:
+                out[j] = RootError("fixed point not contracting at n=%d" % n)
+            else:
+                state[j] = new, sq, step
+    for j in state:
+        out[j] = RootError("fixed point did not converge at n=%d" % plan.ns[jobs[j][0]])
+    return out
 
 
-def alpha_fixed_point(ctx, n, plans=None):
+def alpha_fixed_point(ctx, n):
     """Fixed point alpha_n = n^2 pi^2 + a_n(alpha_n), iterated from n^2 pi^2
     until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
-    plans = plans or _plans(ctx, n)
-    return n * n * PI2 + _fixed_point(ctx, n, 0, plans, [], tol=1e-10).a_n
+    return n * n * PI2 + _raise_first(_fixed_points(
+        _OffsetPlan(ctx, [n]), [(0, 0, 0j, None, 1e-10, [])]))[0].a_n
 
 
-def _winding_roots(ctx, n, plans):
-    """Seeds for the offsets z = delta of both roots of det B_n in |z| < r =
-    4 sqrt(n): with two roots inside, g = det B_n / z^2 has a single-valued
-    log, and the trapezoid rule at z_j = r e^{2 pi i j / P} gives z_1 + z_2 =
-    -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log g).  P doubles from 8,
-    reusing every node, until no phase step of g exceeds pi/4 and both sums
-    agree with P/2's to 1e-12 r^j, or to 256 (find_roots' polish judges
-    those seeds).  LocalizationError on a zero at a node, or a winding of
-    det B_n (2 plus g's, read once the steps resolve) other than 2.  Returns
+def _winding_roots(plan, i):
+    """Seeds for the offsets z = delta of both roots of det B_n, n =
+    plan.ns[i], in |z| < r = 4 sqrt(n): with two roots inside, g = det B_n /
+    z^2 has a single-valued log, and the trapezoid rule at z_j = r e^{2 pi i
+    j / P} gives z_1 + z_2 = -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log
+    g).  P doubles from 8, reusing every node, until no phase step of g
+    exceeds pi/4 and both sums agree with P/2's to 1e-12 r^j, or to 256
+    (find_roots' polish judges those seeds); the new nodes of each P are one
+    _evaluate.  LocalizationError on a zero at a node, or a winding of det
+    B_n (2 plus g's, read once the steps resolve) other than 2.  Returns
     the seeds and the nodes' CoeffResults."""
+    n = plan.ns[i]
     r, coeffs, sums = 4.0 * math.sqrt(n), [], None
     for P in (8, 16, 32, 64, 128, 256):
         z = r * np.exp(2j * np.pi * np.arange(P) / P)
-        new = [_coefficients(ctx, n, zj, plans)
-               for zj in (z[1::2] if coeffs else z)]
+        nodes = list(z[1::2] if coeffs else z)
+        new = _raise_first(_evaluate(plan, [i] * len(nodes), nodes))
         coeffs = [c for p in zip(coeffs, new) for c in p] if coeffs else new
         g = np.array([det_B(c) / c.delta ** 2 for c in coeffs])
         if np.any(g == 0):
@@ -400,71 +481,100 @@ def _winding_roots(ctx, n, plans):
     return ((s1 + disc) / 2.0, (s1 - disc) / 2.0), coeffs
 
 
+def _roots(plan, seeds, evals):
+    """Both roots' CoeffResults from seeds {i: (job, job)}, jobs (sign,
+    delta, sq) of _fixed_points: every mode's first root in lockstep, then
+    its second where the first converged.  Per i, the pair or the error that
+    stopped it, a RootError if a root left the disc |delta| <= 4 sqrt(n)."""
+    found = {i: [] for i in seeds}
+    for k in (0, 1):
+        run = [i for i in seeds if isinstance(found[i], list)]
+        for i, c in zip(run, _fixed_points(plan, [
+                (i, *seeds[i][k], 1e-14, evals[i]) for i in run])):
+            found[i] = c if isinstance(c, Exception) else found[i] + [c]
+    for i, f in found.items():
+        if isinstance(f, list) and any(abs(c.delta) > 4.0 * math.sqrt(plan.ns[i])
+                                       for c in f):
+            found[i] = RootError("root left D_%d" % plan.ns[i])
+    return found
+
+
 def find_roots(ctx, n, xi_bound_grid=0):
-    """Both roots of det B_n in the disc |lambda - n^2 pi^2| <= 4 sqrt(n).
+    """find_roots_batch at n alone; a nonzero xi_bound_grid raises
+    ValueError."""
+    if xi_bound_grid:
+        raise ValueError("xi_bound_grid must be 0: find_roots has no grid")
+    return find_roots_batch(ctx, [n])[0]
+
+
+def find_roots_batch(ctx, ns):
+    """For each n of ns, both roots of det B_n in the disc |lambda - n^2
+    pi^2| <= 4 sqrt(n), all on one offset plan.
 
     The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
     points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
-    on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
-    +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root iteration
-    fails or leaves the disc, contour sums of log(det B_n / delta^2) on
-    16-256 nested nodes seed both again (method "winding"); RootError if
-    that fails too.  Returns a ReductionResult with xi_j = n^2 pi^2 +
-    delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at the roots,
-    the contraction bound (the worst Neumann ratio of every evaluation made
-    here) and converged, False if the alpha_n iteration failed (alpha_n is
-    then n^2 pi^2) or a Neumann sum at alpha_n or at a root missed
-    neumann_tol.  A nonzero xi_bound_grid raises ValueError.
+    on the strip for n >= n_s (see _fixed_points).  They run in lockstep
+    over the modes: every alpha_n, then every root from alpha_n + sqrt(b_n
+    b_{-n}), then every root from alpha_n - sqrt(b_n b_{-n}) where the first
+    converged, so each mode makes the evaluations it makes alone; method is
+    "fixed-point".  If a mode's root iteration fails or leaves the disc,
+    contour sums of log(det B_n / delta^2) on 16-256 nested nodes seed both
+    again (method "winding").  Returns a ReductionResult per n with xi_j =
+    n^2 pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at
+    the roots, the contraction bound (the worst Neumann ratio of the mode's
+    evaluations), their count, and converged, False if the alpha_n
+    iteration failed (alpha_n is then n^2 pi^2) or a Neumann sum at alpha_n
+    or at a root missed neumann_tol.  Raises the error of the first n of ns
+    whose reduction failed, as a loop over ns would.
     """
-    if xi_bound_grid:
-        raise ValueError("xi_bound_grid must be 0: find_roots has no grid")
-    if n < ctx.n_s:
+    ns = list(ns)
+    if any(n < ctx.n_s for n in ns):
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
-    evals = []
-    plans = _plans(ctx, n)
-    try:
-        c0 = _fixed_point(ctx, n, 0, plans, evals, tol=1e-10)
-        alpha, ok = c0.a_n, c0.converged
-    except RootError:  # the roots start from n^2 pi^2
-        c0, alpha, ok = evals[0], 0j, False
-
-    def roots(seeds):
-        found = [_fixed_point(ctx, n, sign, plans, evals, d, sq)
-                 for sign, d, sq in seeds]
-        if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in found):
-            raise RootError("root left D_%d" % n)
-        return found
-
-    sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
-    method = "fixed-point"
-    try:
-        c1, c2 = roots([(+1, alpha + sq0, sq0), (-1, alpha - sq0, sq0)])
-    except (RootError, ContractionFailureError):
-        method = "winding"
-        estimates, contour = _winding_roots(ctx, n, plans=plans)
-        evals += contour
-        # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
-        # is the one that fixes the root near the estimate d
-        c1, c2 = roots([(+1, d, d - alpha) for d in estimates])
-    if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
-        c1, c2 = c2, c1
-    gap = abs(c1.delta - c2.delta)
-    if gap < 1e-9 * max(1.0, math.sqrt(n)):
-        gap = 0.0
-    center = n * n * PI2
-    return ReductionResult(n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
-                           alpha_n=center + alpha, xi_1=center + c1.delta,
-                           xi_2=center + c2.delta, gap_estimate=gap,
-                           neumann_terms_used=c0.terms_used,
-                           contraction_bound=max(c.max_ratio for c in evals),
-                           det_residuals=(abs(det_B(c1)), abs(det_B(c2))),
-                           method=method,
-                           converged=ok and c1.converged and c2.converged)
+    plan, evals, start = _OffsetPlan(ctx, ns), [[] for _ in ns], {}
+    alphas = _fixed_points(plan, [(i, 0, 0j, None, 1e-10, evals[i])
+                                  for i in range(len(ns))])
+    found = {i: c for i, c in enumerate(alphas)
+             if isinstance(c, Exception) and not isinstance(c, RootError)}
+    for i, c in enumerate(alphas):
+        if i not in found:  # after a RootError the roots start from n^2 pi^2
+            c0, alpha, ok = (evals[i][0], 0j, False) if isinstance(
+                c, RootError) else (c, c.a_n, c.converged)
+            start[i] = c0, alpha, ok, cmath.sqrt(c0.b_n * c0.b_neg_n)
+    found.update(_roots(plan, {i: ((+1, a + sq, sq), (-1, a - sq, sq))
+                               for i, (_, a, _, sq) in start.items()}, evals))
+    out = []
+    for i, n in enumerate(ns):
+        f, method = found[i], "fixed-point"
+        if i in start and isinstance(f, (RootError, ContractionFailureError)):
+            method, alpha = "winding", start[i][1]
+            estimates, contour = _winding_roots(plan, i)  # every earlier n passed
+            evals[i] += contour
+            # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
+            # is the one that fixes the root near the estimate d
+            f = _roots(plan, {i: [(+1, d, d - alpha) for d in estimates]}, evals)[i]
+        (c0, alpha, ok, _), (c1, c2) = start[i], _raise_first([f])[0]
+        if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
+            c1, c2 = c2, c1
+        gap = abs(c1.delta - c2.delta)
+        if gap < 1e-9 * max(1.0, math.sqrt(n)):
+            gap = 0.0
+        center = n * n * PI2
+        out.append(ReductionResult(
+            n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
+            alpha_n=center + alpha, xi_1=center + c1.delta,
+            xi_2=center + c2.delta, gap_estimate=gap,
+            neumann_terms_used=c0.terms_used,
+            contraction_bound=max(c.max_ratio for c in evals[i]),
+            det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method=method,
+            converged=ok and c1.converged and c2.converged,
+            evaluations=len(evals[i])))
+    return out
 
 
 def adapted_coefficients(ctx, n_max=None):
     """Adapted coefficient sequence r: r_{2k} = q_{2k} for 0 < |k| < M_ms and
-    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max (default M_ms + 6)."""
+    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max (default M_ms + 6),
+    every alpha_k in lockstep on one offset plan."""
     M = ctx.M_ms
     if n_max is None:
         n_max = M + 6
@@ -475,10 +585,12 @@ def adapted_coefficients(ctx, n_max=None):
     qs = ctx.q.support
     low = np.abs(qs.idx) < 2 * M
     r[qs.idx[low] + K] = qs.coeffs[low]
-    for k in range(M, n_max + 1):
-        plans = _plans(ctx, k)
-        delta = _fixed_point(ctx, k, 0, plans, [], tol=1e-10).a_n  # alpha_k's
-        c = _coefficients(ctx, k, delta, plans)
+    plan = _OffsetPlan(ctx, range(M, n_max + 1))
+    cs = _fixed_points(plan, [(i, 0, 0j, None, 1e-10, []) for i in range(len(plan.ns))])
+    ok = [i for i, c in enumerate(cs) if not isinstance(c, Exception)]
+    for i, c in zip(ok, _evaluate(plan, ok, [cs[i].a_n for i in ok])):  # at alpha_k
+        cs[i] = c
+    for k, c in zip(plan.ns, _raise_first(cs)):
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
     return FourierSeq(r)

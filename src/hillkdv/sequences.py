@@ -233,7 +233,7 @@ class SparseSeq:
     """Coefficients f_k on a finite support: sorted unique int64 indices idx
     and the values coeffs there (exact zeros allowed); f_k = 0 elsewhere.
     ks() and coeffs line up as for FourierSeq, so weight_profile, norm and
-    apply_A_inv_Q take either container."""
+    multiply take either container."""
     idx: np.ndarray
     coeffs: np.ndarray
 

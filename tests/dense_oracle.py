@@ -9,18 +9,20 @@ one side has small support, FFT otherwise) and a Neumann series whose every
 term is cut to the window |k| <= K, dividing by delta - (k - n)(k + n) pi^2
 on the dense array itself (dense_A_inv_Q) where the package divides on the
 support.  With a window wide enough to hold the iterates' mass, the two must
-agree to rounding.  neumann_K_n sums K_n f for one SparseSeq f on the
-package's support plan (reduction._SupportPlan and _neumann_rows, one row);
-sparse_neumann sums the same series term by term, each support found afresh
-by multiply, where the package reuses one support plan for every delta at n;
-the two must agree bit for bit.  With lam_form, sparse_neumann divides by
-lambda - (k pi)^2 through operator.apply_A_inv_Q instead, which loses the
-digits of n^2 pi^2: an oracle to 1e-12 for n <= 100 only.
+agree to rounding.  sparse_neumann sums K_n f for one SparseSeq f term by
+term, each support found afresh by multiply, where the package sums the
+series from V e_n and V e_{-n} of every mode of a batch on one plan in
+offsets from the mode (reduction._OffsetPlan); its coefficients must agree
+with the package's bit for bit.  With lam_form, sparse_neumann divides by
+lambda - (k pi)^2 through apply_A_inv_Q instead, the lambda form of
+A_lambda^{-1} Q_n that the package no longer uses, which loses the digits of
+n^2 pi^2: an oracle to 1e-12 for n <= 100 only.  in_strip is the strip S_n
+that apply_A_inv_Q checks.
 shifted_galerkin_pair is the dense Galerkin matrix of L - n^2 pi^2 on two
 clusters of indices around +-n, whose two eigenvalues nearest 0 are the
 offsets of the roots at any n, to eigvalsh's eps ||M||.
 shifted_norm is the norm ||f||_{w,s,inf;l} of f e_l that the series' stopping
-rule reads at l = +-n (shift_pair), where the package's support plan
+rule reads at l = +-n (shift_pair), where the package's offset plan
 precomputes its weights.  apply_T_n applies T_n = V A_lambda^{-1} Q_n once,
 and sample_T_norm estimates ||T_n||_{w,s,inf;+-n} from it by sampling.
 divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
@@ -57,9 +59,9 @@ from scipy.signal import fftconvolve
 
 from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
-from hillkdv.operator import Potential, apply_A_inv_Q, dirichlet_cos_coeffs, \
-    multiply
-from hillkdv.reduction import PI2, coefficients, _SupportPlan, _neumann_rows
+from hillkdv.operator import Potential, dirichlet_cos_coeffs, multiply, \
+    StripViolationError, NearSingularError
+from hillkdv.reduction import PI2, coefficients
 
 _SPARSE_CONV_NNZ = 64
 
@@ -108,6 +110,36 @@ def shift_pair(f, ctx, n):
                shifted_norm(f, ctx.w, ctx.s, -n))
 
 
+def in_strip(lam, n):
+    """Strip S_n = { |Re lambda - n^2 pi^2| <= 12 n }."""
+    return abs(lam.real - n * n * math.pi ** 2) <= 12.0 * n + 1e-9
+
+
+def apply_A_inv_Q(lam, n, f):
+    """Inverse of A_lambda = d^2/dx^2 + lambda on the complement of
+    span{e_n, e_{-n}}: g_k = f_k / (lambda - (k pi)^2) for k != +-n.
+    Takes either container and returns a SparseSeq on f's indices but +-n.
+
+    lambda must lie in the strip S_n; a divisor smaller than 1e-12
+    signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
+    in units of pi^2 ... up to the strip width) and raises.
+    """
+    lam = complex(lam)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not in_strip(lam, n):
+        raise StripViolationError(
+            "lambda = %r outside S_%d (|Re lambda - n^2 pi^2| <= 12 n)" % (lam, n))
+    ks = f.ks()
+    div = lam - (ks * math.pi) ** 2
+    keep = np.abs(ks) != n
+    small = keep & (np.abs(div) < 1e-12)
+    if np.any(small):
+        raise NearSingularError(
+            "divisor |lambda - (k pi)^2| < 1e-12 at k=%d" % ks[small][0])
+    return SparseSeq(ks[keep], f.coeffs[keep] / div[keep])
+
+
 def apply_T_n(ctx, n, lam, f):
     """T_n(lambda) f = V A_lambda^{-1} Q_n f, on the sumset of supports."""
     return multiply(ctx.q, apply_A_inv_Q(lam, n, f))
@@ -134,7 +166,7 @@ def sample_T_norm(ctx, n, lam, rng=None):
     for sign in (+1, -1):
         ve = multiply(ctx.q, SparseSeq.accumulate([sign * n], [1.0]))
         probes.append(ve)
-        probes.append(neumann_K_n(ctx, n, lam - n * n * PI2, ve)[0])
+        probes.append(sparse_neumann(ctx, n, lam - n * n * PI2, ve)[0])
     best = 0.0
     for f in probes:
         base = shift_pair(f, ctx, n)
@@ -164,7 +196,7 @@ def dense_A_inv_Q(delta, n, f):
 
 def offset_A_inv_Q(delta, n, f):
     """apply_A_inv_Q at lambda = n^2 pi^2 + delta, dividing by delta -
-    (k - n)(k + n) pi^2 as the support plan does; a SparseSeq on f's indices
+    (k - n)(k + n) pi^2 as the offset plan does; a SparseSeq on f's indices
     but +-n."""
     ks = f.ks()
     keep = np.abs(ks) != n
@@ -174,7 +206,7 @@ def offset_A_inv_Q(delta, n, f):
 
 def dense_neumann(ctx, n, delta, f, K):
     """sum_l T_n^l f with every term cut to |k| <= K, stopped by the same
-    rule as reduction._neumann_rows.  Returns (sum, terms)."""
+    rule as reduction._evaluate.  Returns (sum, terms)."""
     total = f.coeffs.copy()
     term = f
     base = shift_pair(f, ctx, n)
@@ -202,22 +234,11 @@ def dense_coefficients(ctx, n, delta, K=None):
     return h_p[n], h_m[n], h_p[-n], max(t1, t2)
 
 
-def neumann_K_n(ctx, n, delta, f):
-    """K_n f = sum_{l>=0} T_n^l f at lambda = n^2 pi^2 + delta for a
-    SparseSeq f on the package's support plan, stopped by the rule of
-    reduction._neumann_rows.  Returns (sum, terms_used, max_ratio,
-    converged).  Values: multiply's and offset_A_inv_Q's, bit for bit."""
-    plan = _SupportPlan(ctx, n, [f])
-    terms, (used,), (ratio,), (ok,) = _neumann_rows(ctx, delta, plan)
-    return SparseSeq.total([SparseSeq(lv[0], c[0]) for lv, c in zip(
-        plan.levels, terms[:used])]), used, ratio, ok
-
-
 def sparse_neumann(ctx, n, delta, f, lam_form=False):
     """sum_l T_n^l f at lambda = n^2 pi^2 + delta for a SparseSeq f, one
     multiply(q, offset_A_inv_Q(.)) per term, or multiply(q,
     apply_A_inv_Q(lambda, .)) with lam_form, stopped by the rule of
-    reduction._neumann_rows (whose ratio streak only raises, so it is left
+    reduction._evaluate (whose ratio streak only raises, so it is left
     out).  Returns (sum, terms_used, max_ratio, converged)."""
     if lam_form:
         def a_inv(g):
@@ -403,7 +424,7 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
         raise KernelPreconditionError(
             "u is not in the kernel of B_n(xi): |B u| = %g" % np.linalg.norm(bu))
     u = SparseSeq.accumulate([n, -n], [u_plus, u_minus])
-    k = neumann_K_n(ctx, n, c.delta, multiply(ctx.q, u))[0]
+    k = sparse_neumann(ctx, n, c.delta, multiply(ctx.q, u))[0]
     f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
     res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
         f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from hillkdv.cli import main
+from hillkdv.operator import Potential
+from hillkdv.reduction import find_roots, make_context
 
 PI2 = math.pi ** 2
 
@@ -111,6 +113,31 @@ def test_reduce_matches_oracle(tmp_path):
                        "oracle_mismatch"]
     assert all(row[6:9] == ["fixed-point", str(r["terms"]), "True"]
                for row, r in zip(rows[2:], obj["rows"]))
+
+
+def test_reduce_rows_equal_find_roots(tmp_path):
+    # the rows of one batched reduce are find_roots at each n alone, for a
+    # complex potential with non-conjugate pairs
+    q = Potential.from_even_pairs([(-2, 0.02 - 0.01j), (-1, 0.05 + 0.03j),
+                                   (1, 0.01 - 0.04j), (2, 0.03 + 0.02j)])
+    (tmp_path / "q.json").write_text(q.seq.to_json())
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\npotential = file:%s\nk = 48\nn_lo = 1\n"
+                       "n_hi = 12\n" % (tmp_path / "q.json"))
+    out = str(tmp_path / "o")
+    assert main(["reduce", "--config", str(cfgfile), "--out", out]) == 0
+    rows = read_json(os.path.join(out, "reduce.json"))["rows"]
+    ctx = make_context(q)
+    assert [r["n"] for r in rows] == list(range(1, 13)) and ctx.n_s == 1
+    for r in rows:
+        res = find_roots(ctx, r["n"])
+        for key, z in (("a_n", res.a_n), ("b_n", res.b_n),
+                       ("b_neg_n", res.b_neg_n), ("alpha_n", res.alpha_n),
+                       ("xi_1", res.xi_1), ("xi_2", res.xi_2)):
+            assert r[key] == [z.real, z.imag], key
+        assert (r["gap"], r["method"], r["terms"], r["converged"]) == (
+            res.gap_estimate, res.method, res.neumann_terms_used, res.converged)
+    assert any(r["xi_1"][1] != 0.0 for r in rows)
 
 
 def test_reduce_below_threshold_rows(tmp_path):

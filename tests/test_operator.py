@@ -1,5 +1,6 @@
-"""Tests for the multiplication operator, the partial inverse A_lambda^{-1} Q
-and the mode projectors."""
+"""Tests for the multiplication operator, the mode projectors and the
+lambda form of the partial inverse A_lambda^{-1} Q, which dense_oracle
+keeps as an oracle."""
 
 import math
 
@@ -9,11 +10,11 @@ from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
 from hillkdv.operator import (
-    Potential, multiply, in_strip, apply_A_inv_Q,
-    dirichlet_cos_coeffs, StripViolationError, NearSingularError,
+    Potential, multiply, dirichlet_cos_coeffs, StripViolationError,
+    NearSingularError,
 )
 
-from dense_oracle import project
+from dense_oracle import project, in_strip, apply_A_inv_Q
 
 PI2 = math.pi ** 2
 

@@ -1,8 +1,8 @@
 """Tests for the finite-dimensional reduction: contraction constants,
-thresholds, the Neumann inverse, reduced coefficients, root localization and
-eigenfunction reconstruction (the Neumann sum of one sequence and the
-eigenfunction are dense_oracle's, on the package's support plan).  The dense
-Galerkin solver is the oracle for spectral quantities."""
+thresholds, the Neumann inverse, reduced coefficients, root localization,
+the batch over modes and eigenfunction reconstruction (the Neumann sum of
+one sequence and the eigenfunction are dense_oracle's).  The dense Galerkin
+solver is the oracle for spectral quantities."""
 
 import cmath
 import dataclasses
@@ -21,8 +21,8 @@ from hillkdv.operator import Potential, multiply
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime,
-    make_context, ReductionContext, _plans, _coefficients,
-    coefficients, det_B, alpha_fixed_point, find_roots,
+    make_context, ReductionContext, coefficients, det_B, alpha_fixed_point,
+    find_roots, find_roots_batch,
     adapted_coefficients, gap_sandwich, isolated_mode_sandwich,
     ThresholdError, LocalizationError, _C_S_GRID,
 )
@@ -33,7 +33,7 @@ from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
     complex_band_potential, offset_A_inv_Q, shifted_galerkin_pair, \
     sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm, \
-    neumann_K_n, eigenfunction_reconstruct, KernelPreconditionError
+    eigenfunction_reconstruct, KernelPreconditionError
 
 PI2 = math.pi ** 2
 
@@ -298,7 +298,7 @@ def test_neumann_inverts_one_minus_T():
     ctx = make_context(q)
     n = 6
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
-    h, terms, max_ratio, converged = neumann_K_n(ctx, n, 0.3, f)
+    h, terms, max_ratio, converged = sparse_neumann(ctx, n, 0.3, f)
     resid = one_minus_T_residual(ctx, n, 0.3, h, f)
     assert norm(resid, None, 0.0, math.inf) < 1e-10
     assert terms >= 2
@@ -315,7 +315,7 @@ def test_neumann_reports_nonconvergence():
     lam = n * n * PI2 + 0.3
     short = dataclasses.replace(ctx, max_terms=1)
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
-    assert neumann_K_n(short, n, 0.3, f)[3] is False
+    assert sparse_neumann(short, n, 0.3, f)[3] is False
     assert coefficients(short, n, lam).converged is False
     assert coefficients(ctx, n, lam).converged is True
     assert find_roots(ctx, n).converged is True
@@ -435,7 +435,7 @@ def test_sparse_kernel_matches_dense_oracle():
     cases = [(ctx, n, 0.3 + 0.1j) for n in range(ctx.n_s, ctx.n_s + 21)]
     cases.append((ctx5, ctx5.M_ms, 0j))
     for c, n, delta in cases:
-        got = _coefficients(c, n, delta, _plans(c, n))
+        got = plan_coefficients(c, n, delta)
         a_n, b_n, b_neg_n, terms = dense_coefficients(c, n, delta)
         assert got.terms_used == terms
         for x, y in ((got.a_n, a_n), (got.b_n, b_n),
@@ -460,7 +460,7 @@ def test_sparse_kernel_property_random_small_potentials(
     ctx = make_context(q)
     delta = 12.0 * n * re_frac + 1j * n * im_frac
     # against the dense FourierSeq path on a wide window
-    got = _coefficients(ctx, n, delta, _plans(ctx, n))
+    got = plan_coefficients(ctx, n, delta)
     a_n, b_n, b_neg_n, terms = dense_coefficients(ctx, n, delta)
     assert got.converged
     for x, y in ((got.a_n, a_n), (got.b_n, b_n), (got.b_neg_n, b_neg_n)):
@@ -468,7 +468,7 @@ def test_sparse_kernel_property_random_small_potentials(
     # (I - T_n) K_n f = f to the Neumann tolerance, in the shifted norm
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
     resid = one_minus_T_residual(ctx, n, delta,
-                                 neumann_K_n(ctx, n, delta, f)[0], f)
+                                 sparse_neumann(ctx, n, delta, f)[0], f)
     assert shift_pair(resid, ctx, n) <= ctx.neumann_tol * shift_pair(f, ctx, n)
 
 
@@ -495,14 +495,21 @@ def assert_same_bits(got, want):
         assert repr(getattr(got, field)) == repr(value), field
 
 
+def plan_coefficients(ctx, n, delta, plan=None):
+    """The package's CoeffResult at n and the offset delta, on plan (a batch
+    of the one mode n by default), as reduction._evaluate gives it."""
+    plan = plan or red._OffsetPlan(ctx, [n])
+    return red._raise_first(red._evaluate(plan, [plan.ns.index(n)], [delta]))[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(q=small_potentials(), n=st.integers(1, 6),
        re_frac=st.floats(-1.0, 1.0), im_frac=st.floats(-1.0, 1.0))
 def test_plan_kernel_bit_equal_to_term_by_term_loop(q, n, re_frac, im_frac):
-    # the support plan changes where the supports come from, not one value
+    # the offset plan changes where the supports come from, not one value
     ctx = make_context(q)
     delta = 12.0 * n * re_frac + 1j * n * im_frac
-    assert_same_bits(_coefficients(ctx, n, delta, _plans(ctx, n)),
+    assert_same_bits(plan_coefficients(ctx, n, delta),
                      sparse_coefficients(ctx, n, delta))
 
 
@@ -512,14 +519,14 @@ def test_plan_kernel_bit_equal_on_criterion_2_modes():
     q = smooth_real_potential()
     ctx = make_context(q)
     for n in range(ctx.n_s, ctx.n_s + 21):
-        plans = _plans(ctx, n)
+        plan = red._OffsetPlan(ctx, [n])
         for d in (0.3 + 0.1j, -11.0 * n, 9.0 * n - 2.0j, 0.0):
-            assert_same_bits(_coefficients(ctx, n, d, plans),
+            assert_same_bits(plan_coefficients(ctx, n, d, plan),
                              sparse_coefficients(ctx, n, d))
 
 
 def test_plan_reuse_is_call_order_independent():
-    # lambda_2 needs a term more than lambda_1, so the shared plans grow
+    # lambda_2 needs a term more than lambda_1, so the shared plan grows
     # between the two evaluations at lambda_1; each result is still the
     # one a fresh call gives
     q = smooth_real_potential()
@@ -527,8 +534,9 @@ def test_plan_reuse_is_call_order_independent():
     n = 2
     lam1 = n * n * PI2 + 0.3 + 0.1j
     lam2 = n * n * PI2 - 11.9 * n + 0.1j
-    plans = _plans(ctx, n)
-    got = [coefficients(ctx, n, lam, plans) for lam in (lam1, lam2, lam1)]
+    plan = red._OffsetPlan(ctx, [n])
+    got = [plan_coefficients(ctx, n, complex(lam) - n * n * PI2, plan)
+           for lam in (lam1, lam2, lam1)]
     fresh = [coefficients(ctx, n, lam) for lam in (lam1, lam2, lam1)]
     assert got[1].terms_used > got[0].terms_used
     for g, f in zip(got, fresh):
@@ -538,16 +546,17 @@ def test_plan_reuse_is_call_order_independent():
 
 def test_plan_bit_equal_on_disjoint_rows():
     # N_ms and M_ms of a criterion-5 potential and n = M_ms + 1 of the
-    # isolated-mode sandwich: V e_n and V e_{-n} have disjoint supports, so
-    # each row of the plan is zero on the other's half of the union
+    # isolated-mode sandwich: V e_n and V e_{-n} have disjoint supports, and
+    # the isolated coefficients put j = -2m within reach of the first levels
     q5 = Potential.random_real(np.random.default_rng(100), 8, sup=0.05, s=0.0)
     ctx5 = make_context(q5)
     ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
     for ctx, n in ((ctx5, ctx5.N_ms), (ctx5, ctx5.M_ms), (ctx6, res.n)):
-        plans = _plans(ctx, n)
-        assert not np.any((plans.start[0] != 0) & (plans.start[1] != 0))
+        idx = ctx.q.support.idx
+        assert np.intersect1d(idx + n, idx - n).size == 0
+        plan = red._OffsetPlan(ctx, [n])
         for d in (0.0, 0.3 + 0.1j, -11.0 * n):
-            assert_same_bits(_coefficients(ctx, n, d, plans),
+            assert_same_bits(plan_coefficients(ctx, n, d, plan),
                              sparse_coefficients(ctx, n, d))
 
 
@@ -561,7 +570,7 @@ def test_plan_rows_stop_on_their_own():
     n = 3
     starts = [multiply(q, SparseSeq.accumulate([k], [1.0])) for k in (n, -n)]
     assert [sparse_neumann(ctx, n, 0.3, f)[1] for f in starts] == [5, 6]
-    assert_same_bits(_coefficients(ctx, n, 0.3, _plans(ctx, n)),
+    assert_same_bits(plan_coefficients(ctx, n, 0.3),
                      sparse_coefficients(ctx, n, 0.3))
 
 
@@ -570,7 +579,7 @@ def test_plan_bit_equal_when_max_terms_cuts_the_series():
     short = dataclasses.replace(make_context(smooth_real_potential()),
                                 max_terms=1)
     for n in range(short.n_s, short.n_s + 5):
-        got = _coefficients(short, n, 0.3, _plans(short, n))
+        got = plan_coefficients(short, n, 0.3)
         assert got.converged is False and got.terms_used == 2
         assert_same_bits(got, sparse_coefficients(short, n, 0.3))
 
@@ -587,9 +596,9 @@ def test_offset_kernel_matches_lambda_form_loop_at_low_modes(name):
                                                sup=0.05)}[name]
     ctx = make_context(q)
     for n in (ctx.n_s, 10, 30, 100):
-        plans = _plans(ctx, n)
+        plan = red._OffsetPlan(ctx, [n])
         for d in (0.3 + 0.1j, -11.0 * n, 9.0 * n - 2.0j, 0.0):
-            got = _coefficients(ctx, n, d, plans)
+            got = plan_coefficients(ctx, n, d, plan)
             want = sparse_coefficients(ctx, n, d, lam_form=True)
             for field in ("a_n", "b_n", "b_neg_n"):
                 y = want[field]
@@ -738,7 +747,35 @@ def test_winding_root_on_contour_raises(monkeypatch):
 
     monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
     with pytest.raises(LocalizationError, match="root on the contour"):
-        red._winding_roots(ctx, 6, _plans(ctx, 6))
+        red._winding_roots(red._OffsetPlan(ctx, [6]), 0)
+
+
+def force_root_error(monkeypatch, forced):
+    """Patch reduction._fixed_points so that each job for which
+    forced(plan, job) holds ends with a RootError without being run; the
+    other jobs run as before.  Returns the list of forced jobs."""
+    real_fixed_points, hits = red._fixed_points, []
+
+    def patched(plan, jobs):
+        hit = [forced(plan, job) for job in jobs]
+        hits.extend(job for job, h in zip(jobs, hit) if h)
+        rest = iter(real_fixed_points(plan, [j for j, h in zip(jobs, hit) if not h]))
+        return [red.RootError("forced at n=%d" % plan.ns[job[0]]) if h
+                else next(rest) for job, h in zip(jobs, hit)]
+
+    monkeypatch.setattr(red, "_fixed_points", patched)
+    return hits
+
+
+def first_root_job():
+    """forced for force_root_error: the first root job (sign +-1) only."""
+    seen = []
+
+    def forced(plan, job):
+        first = bool(job[1]) and not seen
+        seen.extend([job] * first)
+        return first
+    return forced
 
 
 def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
@@ -750,16 +787,7 @@ def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
     spec = full_spectrum(q, 128)
     n = 6
     direct = find_roots(ctx, n)
-    real_fixed_point = red._fixed_point
-    failed = []
-
-    def fail_first_root(ctx, n, sign, *args, **kwargs):
-        if sign and not failed:
-            failed.append(sign)
-            raise red.RootError("forced")
-        return real_fixed_point(ctx, n, sign, *args, **kwargs)
-
-    monkeypatch.setattr(red, "_fixed_point", fail_first_root)
+    failed = force_root_error(monkeypatch, first_root_job())
     res = find_roots(ctx, n)
     assert failed and res.method == "winding" and res.converged
     tol = 1e-6 * n * n * PI2
@@ -788,7 +816,7 @@ def test_winding_seeds_spectrally_accurate(name):
          "complex": complex_band_potential()}[name]
     ctx = make_context(q)
     for n in (ctx.n_s, ctx.n_s + 10):
-        seeds, contour = red._winding_roots(ctx, n, _plans(ctx, n))
+        seeds, contour = red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
         res = find_roots(ctx, n)
         roots = (res.xi_1 - n * n * PI2, res.xi_2 - n * n * PI2)
         assert len(contour) <= 32
@@ -813,7 +841,7 @@ def test_winding_seeds_on_a_synthetic_determinant(monkeypatch, rho, nodes):
     r = 4.0 * math.sqrt(n)
     zeros = [rho * r * cmath.exp(0.7j), rho * r * cmath.exp(-2.1j)]
     fake_det_B(zeros, monkeypatch)
-    seeds, contour = red._winding_roots(ctx, n, _plans(ctx, n))
+    seeds, contour = red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
     assert len(contour) == nodes
     assert seed_error(seeds, zeros) <= 1e-10 * r
 
@@ -825,7 +853,7 @@ def test_winding_three_zeros_inside_raises(monkeypatch):
     r = 4.0 * math.sqrt(n)
     fake_det_B([0.2 * r, -0.3j * r, 0.5 * r * cmath.exp(2j)], monkeypatch)
     with pytest.raises(LocalizationError, match="winding number 3 != 2"):
-        red._winding_roots(ctx, n, _plans(ctx, n))
+        red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
 
 
 @pytest.mark.parametrize("case", ["smooth", "pairs"])
@@ -841,16 +869,7 @@ def test_find_roots_winding_fallback_near_double_pair(monkeypatch, case):
                                                      s=0.0))
         n = ctx.n_s + 10
     direct = find_roots(ctx, n)
-    real_fixed_point = red._fixed_point
-    failed = []
-
-    def fail_first_root(ctx, n, sign, *args, **kwargs):
-        if sign and not failed:
-            failed.append(sign)
-            raise red.RootError("forced")
-        return real_fixed_point(ctx, n, sign, *args, **kwargs)
-
-    monkeypatch.setattr(red, "_fixed_point", fail_first_root)
+    failed = force_root_error(monkeypatch, first_root_job())
     res = find_roots(ctx, n)
     assert failed and res.method == "winding"
     assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
@@ -862,14 +881,7 @@ def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
     import hillkdv.reduction as red
     q = smooth_real_potential()
     ctx = make_context(q)
-    real_fixed_point = red._fixed_point
-
-    def roots_fail(ctx, n, sign, *args, **kwargs):
-        if sign:
-            raise red.RootError("forced")
-        return real_fixed_point(ctx, n, sign, *args, **kwargs)
-
-    monkeypatch.setattr(red, "_fixed_point", roots_fail)
+    force_root_error(monkeypatch, lambda plan, job: job[1] != 0)
     with pytest.raises(red.RootError):
         find_roots(ctx, 6)
 
@@ -881,13 +893,13 @@ def test_find_roots_rejects_root_outside_disc(monkeypatch):
     import hillkdv.reduction as red
     ctx = make_context(smooth_real_potential())
     n = 10 ** 4
-    real_fixed_point = red._fixed_point
+    real_fixed_points = red._fixed_points
 
-    def lands_outside(ctx, n, sign, *args, **kwargs):
-        c = real_fixed_point(ctx, n, sign, *args, **kwargs)
-        return dataclasses.replace(c, delta=1000.0 + 0j) if sign else c
+    def lands_outside(plan, jobs):
+        return [dataclasses.replace(c, delta=1000.0 + 0j) if job[1] else c
+                for job, c in zip(jobs, real_fixed_points(plan, jobs))]
 
-    monkeypatch.setattr(red, "_fixed_point", lands_outside)
+    monkeypatch.setattr(red, "_fixed_points", lands_outside)
     with pytest.raises(red.RootError, match="left D_10000"):
         find_roots(ctx, n)
 
@@ -901,15 +913,13 @@ def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
     ctx = make_context(q)
     n = 6
     direct = find_roots(ctx, n)
-    real_fixed_point = red._fixed_point
 
-    def alpha_fails(ctx, n, sign, plans, evals, *args, **kwargs):
-        if not sign:
-            evals.append(red._coefficients(ctx, n, 0j, plans))
-            raise red.RootError("forced")
-        return real_fixed_point(ctx, n, sign, plans, evals, *args, **kwargs)
+    def alpha_fails(plan, job):
+        if not job[1]:
+            job[5].append(red._evaluate(plan, [job[0]], [0j])[0])
+        return not job[1]
 
-    monkeypatch.setattr(red, "_fixed_point", alpha_fails)
+    force_root_error(monkeypatch, alpha_fails)
     res = find_roots(ctx, n)
     assert direct.converged and not res.converged
     assert res.alpha_n == n * n * PI2 and res.method == "fixed-point"
@@ -940,6 +950,118 @@ def test_degenerate_gap_reported_zero():
     ctx = make_context(q)
     res = find_roots(ctx, 3)
     assert res.gap_estimate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batch over modes
+# ---------------------------------------------------------------------------
+
+def outcome(fn):
+    """repr of fn()'s value, or the type and message of its error."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=small_potentials())
+def test_find_roots_batch_equals_batch_of_one(q):
+    # modes n_s .. n_s + 5 of one batch, where the slot j = -2m of the
+    # small modes lies within reach of the first levels: every field of
+    # every result, by repr, is that of find_roots at n alone
+    ctx = make_context(q)
+    ns = range(ctx.n_s, ctx.n_s + 6)
+    alone = [outcome(lambda: find_roots(ctx, n)) for n in ns]
+    failed = [a for a in alone if not a.startswith("ReductionResult(")]
+    batch = outcome(lambda: find_roots_batch(ctx, ns))
+    assert batch == (failed[0] if failed else "[%s]" % ", ".join(alone))
+
+
+def test_scatters_bit_equal():
+    # the slice scatter and the add.at scatter of one level give the same
+    # bits on the same input, on a level of one long run (the smooth
+    # potential) and one of many short runs (the isolated-mode potential)
+    ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
+    rng = np.random.default_rng(5)
+    for ctx, ns in ((make_context(smooth_real_potential()), range(3, 9)),
+                    (ctx6, [res.n - 1, res.n])):
+        plan = red._OffsetPlan(ctx, ns)
+        for l in (0, 1, 2):
+            plan.level(l + 1)
+            S = plan.levels[l][0]
+            x = rng.standard_normal((S.size, 2 * len(plan.ns))) * (1 + 1j)
+            x[rng.random(x.shape) < 0.2] = -0.0
+            size = (plan.levels[l + 1][0].size, x.shape[1])
+            got = plan._slices(l, x, np.zeros(size, dtype=complex))
+            want = plan._add_at(l, x, np.zeros(size, dtype=complex))
+            assert got.tobytes() == want.tobytes()
+
+
+def low_mode_tasks(seed):
+    """The potentials, s and mode ranges of the tasks of the benchmark's
+    low_mode workload (perfbench/workloads.py) at seed: a smooth real q over
+    n_s .. n_s + 20, a rough power law and a complex q over n_s .. n_s + 39
+    in two halves."""
+    def rng(stream):
+        return np.random.default_rng([stream, seed])
+
+    def phases(r, size):
+        return np.exp(1j * r.uniform(0.0, 2.0 * np.pi, size=size))
+    ns = np.arange(1, 27)
+    r = rng(1)
+    vals = 0.05 * (1.0 + ns) ** -0.5 * phases(r, 26)
+    smooth = Potential.from_even_pairs(
+        [(int(n), v) for n, v in zip(ns, vals)]
+        + [(-int(n), np.conj(v)) for n, v in zip(ns, vals)], n_max=26)
+    rough = Potential.power_law(0.1, -0.25, 16, s=-0.25, rng=rng(2))
+    r, ns = rng(3), np.arange(1, 17)
+    plus, minus = (0.05 * (1.0 + ns) ** -0.5 * phases(r, 16) for _ in range(2))
+    cplx = Potential.from_even_pairs(
+        [(int(n), v) for n, v in zip(ns, plus)]
+        + [(-int(n), v) for n, v in zip(ns, minus)], n_max=16)
+    tasks = []
+    for q, s, modes, parts in ((smooth, 0.0, 21, 1), (rough, -0.25, 40, 2),
+                               (cplx, 0.0, 40, 2)):
+        ctx = make_context(q, s=s)
+        tasks += [(ctx, range(ctx.n_s + k * modes // parts,
+                              ctx.n_s + (k + 1) * modes // parts))
+                  for k in range(parts)]
+    return tasks
+
+
+def test_evaluation_counts(monkeypatch):
+    # the coefficient evaluations that each result reports, and that the
+    # evaluator makes, are those of the per-mode path: 126, 109, 80, 110
+    # and 60 over the low_mode tasks at seed 303, and 3 for the roots plus
+    # 2 or 4 for the adapted map in the isolated-mode sandwich
+    real_evaluate, made = red._evaluate, []
+
+    def counted(plan, modes, deltas):
+        made.append(len(deltas))
+        return real_evaluate(plan, modes, deltas)
+
+    monkeypatch.setattr(red, "_evaluate", counted)
+    for (ctx, ns), want in zip(low_mode_tasks(303), (126, 109, 80, 110, 60)):
+        made.clear()
+        res = find_roots_batch(ctx, ns)
+        assert sum(r.evaluations for r in res) == sum(made) == want
+        assert {r.method for r in res} == {"fixed-point"}
+    for offsets, want in (((0,), 5), ((1,), 7)):
+        made.clear()
+        _, res, _ = isolated_mode_sandwich(np.random.default_rng(0), offsets)
+        assert res.evaluations == 3 and sum(made) == want
+
+
+def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
+    # root iterations forced to fail at n_s + 2 and n_s + 4, their fallback
+    # too: the batch raises the error of n_s + 2, as a loop over n would
+    ctx = make_context(smooth_real_potential())
+    bad = (ctx.n_s + 2, ctx.n_s + 4)
+    force_root_error(monkeypatch, lambda plan, job: job[1] and plan.ns[job[0]] in bad)
+    with pytest.raises(red.RootError, match="forced at n=%d$" % bad[0]):
+        find_roots_batch(ctx, range(ctx.n_s, ctx.n_s + 6))
+    assert find_roots_batch(ctx, [ctx.n_s + 1])[0].method == "fixed-point"
 
 
 # ---------------------------------------------------------------------------
