@@ -434,17 +434,15 @@ def build_parser():
     p = argparse.ArgumentParser(prog="hillkdv",
                                 description="Hill-operator spectral toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "reduce", "flow", "verify"):
+    kinds = {"--K": dict(dest="k", type=int), "--s": dict(type=float),
+             "--t": dict(type=float), "--seed": dict(type=int)}
+    model = ("--potential", "--K", "--s", "--weight")
+    # each subcommand takes only the flags it reads
+    for name, reads in (("spectrum", model), ("reduce", model),
+                        ("flow", model + ("--t",)), ("verify", ("--suite",))):
         sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        sp.add_argument("--potential")
-        sp.add_argument("--K", dest="k", type=int)
-        sp.add_argument("--s", type=float)
-        sp.add_argument("--weight")
-        sp.add_argument("--t", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--suite")
+        for flag in ("--config",) + reads + ("--out", "--seed"):
+            sp.add_argument(flag, **kinds.get(flag, {}))
     return p
 
 

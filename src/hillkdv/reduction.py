@@ -25,12 +25,13 @@ log(det B_n / delta^2) on 16-256 nested nodes reseed the roots.
 
 The Neumann iterates live on their exact support, and nothing is cut to a
 window, so K_n is only approximated where the series stops; coefficients
-reports whether that met neumann_tol.  Each row is held in offsets j = k - m
+reports whether that met NEUMANN_TOL.  Each row is held in offsets j = k - m
 from its own mode m = +-n: V e_n and V e_{-n} both start on supp(q), and T_n
 maps the offsets S of a term onto S + supp(q), whatever n and lambda.  So
-one plan serves both rows of every mode of a batch, and find_roots_batch
-runs the fixed points of all its modes in lockstep, each step one Neumann
-sum over all their rows (per level a divide and a scatter).
+one plan serves both rows of every mode of a batch.  Each mode's reduction
+is written once, as a coroutine that yields the offsets it wants evaluated,
+and find_roots_batch runs those of all its modes in lockstep, each round
+one Neumann sum over all their rows (per level a divide and a scatter).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -65,6 +66,8 @@ class RootError(ArithmeticError):
 
 
 PI2 = math.pi ** 2
+# a Neumann sum stops below NEUMANN_TOL times its start, or after MAX_TERMS
+NEUMANN_TOL, MAX_TERMS = 1e-12, 60
 
 # the n of the c_s sweep: every n <= 1024, then 2048 and 4096 (where the
 # scaled sums peak: estimate_c_s)
@@ -132,9 +135,8 @@ def _smallest_n(power, target, name):
 
 @dataclass(frozen=True)
 class ReductionContext:
-    """Bundle of potential, space parameters, Neumann settings and
-    thresholds; nothing here changes after make_context, so results do not
-    depend on the order of calls."""
+    """Potential, space parameters and thresholds, fixed at make_context so
+    that results do not depend on the order of calls."""
     q: Potential
     s: float
     w: Weight | None
@@ -144,8 +146,6 @@ class ReductionContext:
     n_s: int
     N_ms: int
     M_ms: int
-    neumann_tol: float = 1e-12
-    max_terms: int = 60
 
 
 def make_context(q, s=None, w=None, m=None):
@@ -262,7 +262,7 @@ class CoeffResult:
     b_neg_n: complex
     terms_used: int
     max_ratio: float
-    converged: bool    # both Neumann sums met neumann_tol
+    converged: bool    # both Neumann sums met NEUMANN_TOL
 
 
 def _evaluate(plan, modes, deltas):
@@ -271,14 +271,14 @@ def _evaluate(plan, modes, deltas):
     <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n> and b_{-n} = <K_n V e_n,
     e_{-n}> at lambda = n^2 pi^2 + delta, added level by level from 0j.
     Each row stops on its own once its latest term's shifted norm is below
-    neumann_tol times its start's (a zero term ends the sum unadded); a
+    NEUMANN_TOL times its start's (a zero term ends the sum unadded); a
     stopped row adds no more terms, and its ratios no longer count.  An
-    evaluation leaves the batch when both rows have stopped or max_terms
+    evaluation leaves the batch when both rows have stopped or MAX_TERMS
     applications of T_n are spent (converged False).  One outside the strip
     S_n, with a divisor below 1e-12 or with three term ratios > 0.9 in a row
     gets a StripViolationError, NearSingularError or ContractionFailureError
     in place of its result; the others go on."""
-    ctx, ns = plan.ctx, [plan.ns[i] for i in modes]
+    ns = [plan.ns[i] for i in modes]
     out = [None if abs(d.real) <= 12.0 * n + 1e-9 else StripViolationError(
         "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
     ev = [e for e, o in enumerate(out) if o is None]
@@ -309,7 +309,7 @@ def _evaluate(plan, modes, deltas):
 
     for p in act:
         add(p, p)
-    for l in range(ctx.max_terms):
+    for l in range(MAX_TERMS):
         div = d_act - (lv[1] if full else lv[1][:, cols])
         if np.abs(div).min(initial=np.inf) < 1e-12:
             for k in np.flatnonzero(np.abs(div).min(axis=0) < 1e-12).tolist():
@@ -317,6 +317,8 @@ def _evaluate(plan, modes, deltas):
                      "divisor |lambda - (k pi)^2| < 1e-12 in T_%d")
             drop()
             div = d_act - (lv[1] if full else lv[1][:, cols])
+        if not act:
+            break
         c, lv = plan.apply(l, c / div), plan.levels[l + 1]
         tn = ((lv[2] if full else lv[2][:, cols]) * np.abs(c)).max(
             axis=0, initial=0.0).tolist()
@@ -333,11 +335,9 @@ def _evaluate(plan, modes, deltas):
             if tn[k] != 0.0:  # a zero term ends the sum unadded
                 used[p] += 1
                 add(k, p)
-            done[p] = tn[k] < ctx.neumann_tol * max(base[p], 1e-300)
+            done[p] = tn[k] < NEUMANN_TOL * max(base[p], 1e-300)
             prev[p] = tn[k]
         drop()
-        if not act:
-            break
     for k, e in enumerate(ev):
         p, q = 2 * k, 2 * k + 1
         if out[e] is None:
@@ -393,46 +393,60 @@ def _sqrt_continuous(value, prev):
     return sq
 
 
-def _fixed_points(plan, jobs):
-    """Run the fixed-point iterations of jobs in lockstep, one _evaluate of
-    every running job per step.  Job (i, sign, delta, sq, tol, evals)
-    iterates delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) at n =
-    plan.ns[i] until a step is below tol n^2 pi^2, and ends with the
-    CoeffResult of its last iterate, the delta that passed the test.  Sign
-    0 is alpha_n's map, +-1 the maps whose fixed points are the roots of
-    det B_n; the square root stays on the branch nearest sq, its last value.
-    Every CoeffResult is appended to evals.  A job ends with a RootError
-    when a step exceeds 0.8 times the one before (the map does not contract
-    there) or after 80 steps, and with its evaluation's error if that
-    failed.  Returns each job's CoeffResult or error."""
-    out = [None] * len(jobs)
-    state = {j: (job[2], job[3], math.inf) for j, job in enumerate(jobs)}
+def _lockstep(plan, reductions):
+    """Run reductions[i], a coroutine at the mode n = plan.ns[i], to its end:
+    it yields the offsets delta it wants evaluated at n and is sent their
+    CoeffResults, or has the first failed one's error thrown in.  One
+    _evaluate per round answers every running coroutine.  Returns their
+    values, or raises the error of the first i whose coroutine ended with an
+    ArithmeticError or ValueError (any other error propagates at once)."""
+    out, asks = [None] * len(reductions), {}
+
+    def resume(i, got):  # send got, or throw in its first error
+        err = next((c for c in got or () if isinstance(c, Exception)), None)
+        try:  # its next request into asks, or its end into out
+            asks[i] = reductions[i].throw(err) if err else reductions[i].send(got)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ArithmeticError, ValueError) as exc:
+            out[i] = exc
+
+    for i in range(len(reductions)):
+        resume(i, None)
+    while asks:
+        run, asks = asks, {}
+        cs = iter(_evaluate(plan, [i for i, ds in run.items() for _ in ds],
+                            [d for ds in run.values() for d in ds]))
+        for i, ds in run.items():
+            resume(i, [next(cs) for _ in ds])
+    return _raise_first(out)
+
+
+def _fixed_point(n, sign, evals, delta=0j, sq=None, tol=1e-14):
+    """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
+    until a step is below tol n^2 pi^2, and return the CoeffResult of the
+    last iterate, the delta that passed the test.  Sign 0 is alpha_n's map,
+    +-1 the maps whose fixed points are the roots of det B_n; the square
+    root stays on the branch nearest sq, its last value.  Every CoeffResult
+    is appended to evals.  RootError when a step exceeds 0.8 times the one
+    before (the map does not contract there) or after 80 steps.  A
+    coroutine of _lockstep, as are _winding_roots and _reduce."""
+    prev_step = math.inf
     for _ in range(80):
-        run = list(state)
-        if not run:
-            break
-        for j, c in zip(run, _evaluate(plan, [jobs[j][0] for j in run],
-                                       [state[j][0] for j in run])):
-            i, sign, _, _, tol, evals = jobs[j]
-            n, (delta, sq, prev_step) = plan.ns[i], state.pop(j)
-            if isinstance(c, Exception):
-                out[j] = c
-                continue
-            evals.append(c)
-            new = c.a_n
-            if sign:
-                sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
-                new += sign * sq
-            step = abs(new - delta)
-            if step < tol * n * n * PI2:
-                out[j] = c
-            elif step > 0.8 * prev_step:
-                out[j] = RootError("fixed point not contracting at n=%d" % n)
-            else:
-                state[j] = new, sq, step
-    for j in state:
-        out[j] = RootError("fixed point did not converge at n=%d" % plan.ns[jobs[j][0]])
-    return out
+        c, = yield [delta]
+        evals.append(c)
+        new = c.a_n
+        if sign:
+            sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
+            new += sign * sq
+        step = abs(new - delta)
+        if step < tol * n * n * PI2:
+            return c
+        if step > 0.8 * prev_step:
+            raise RootError("fixed point not contracting at n=%d" % n)
+        prev_step = step
+        delta = new
+    raise RootError("fixed point did not converge at n=%d" % n)
 
 
 def alpha_fixed_point(ctx, n):
@@ -440,27 +454,25 @@ def alpha_fixed_point(ctx, n):
     until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
-    return n * n * PI2 + _raise_first(_fixed_points(
-        _OffsetPlan(ctx, [n]), [(0, 0, 0j, None, 1e-10, [])]))[0].a_n
+    return n * n * PI2 + _lockstep(_OffsetPlan(ctx, [n]), [
+        _fixed_point(n, 0, [], tol=1e-10)])[0].a_n
 
 
-def _winding_roots(plan, i):
-    """Seeds for the offsets z = delta of both roots of det B_n, n =
-    plan.ns[i], in |z| < r = 4 sqrt(n): with two roots inside, g = det B_n /
-    z^2 has a single-valued log, and the trapezoid rule at z_j = r e^{2 pi i
-    j / P} gives z_1 + z_2 = -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log
-    g).  P doubles from 8, reusing every node, until no phase step of g
-    exceeds pi/4 and both sums agree with P/2's to 1e-12 r^j, or to 256
-    (find_roots' polish judges those seeds); the new nodes of each P are one
-    _evaluate.  LocalizationError on a zero at a node, or a winding of det
-    B_n (2 plus g's, read once the steps resolve) other than 2.  Returns
-    the seeds and the nodes' CoeffResults."""
-    n = plan.ns[i]
+def _winding_roots(n):
+    """Seeds for the offsets z = delta of both roots of det B_n in |z| < r =
+    4 sqrt(n): with two roots inside, g = det B_n / z^2 has a single-valued
+    log, and the trapezoid rule at z_j = r e^{2 pi i j / P} gives z_1 + z_2 =
+    -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log g).  P doubles from 8,
+    reusing every node, until no phase step of g exceeds pi/4 and both sums
+    agree with P/2's to 1e-12 r^j, or to 256 (find_roots' polish judges
+    those seeds); the new nodes of each P are one yield.  LocalizationError
+    on a zero at a node, or a winding of det B_n (2 plus g's, read once the
+    steps resolve) other than 2.  Returns the seeds and the nodes'
+    CoeffResults."""
     r, coeffs, sums = 4.0 * math.sqrt(n), [], None
     for P in (8, 16, 32, 64, 128, 256):
         z = r * np.exp(2j * np.pi * np.arange(P) / P)
-        nodes = list(z[1::2] if coeffs else z)
-        new = _raise_first(_evaluate(plan, [i] * len(nodes), nodes))
+        new = yield list(z[1::2] if coeffs else z)
         coeffs = [c for p in zip(coeffs, new) for c in p] if coeffs else new
         g = np.array([det_B(c) / c.delta ** 2 for c in coeffs])
         if np.any(g == 0):
@@ -481,22 +493,49 @@ def _winding_roots(plan, i):
     return ((s1 + disc) / 2.0, (s1 - disc) / 2.0), coeffs
 
 
-def _roots(plan, seeds, evals):
-    """Both roots' CoeffResults from seeds {i: (job, job)}, jobs (sign,
-    delta, sq) of _fixed_points: every mode's first root in lockstep, then
-    its second where the first converged.  Per i, the pair or the error that
-    stopped it, a RootError if a root left the disc |delta| <= 4 sqrt(n)."""
-    found = {i: [] for i in seeds}
-    for k in (0, 1):
-        run = [i for i in seeds if isinstance(found[i], list)]
-        for i, c in zip(run, _fixed_points(plan, [
-                (i, *seeds[i][k], 1e-14, evals[i]) for i in run])):
-            found[i] = c if isinstance(c, Exception) else found[i] + [c]
-    for i, f in found.items():
-        if isinstance(f, list) and any(abs(c.delta) > 4.0 * math.sqrt(plan.ns[i])
-                                       for c in f):
-            found[i] = RootError("root left D_%d" % plan.ns[i])
-    return found
+def _reduce(n):
+    """find_roots_batch's ReductionResult at n."""
+    evals = []
+    try:
+        c0 = yield from _fixed_point(n, 0, evals, tol=1e-10)
+        alpha, ok = c0.a_n, c0.converged
+    except RootError:  # the roots start from n^2 pi^2
+        c0, alpha, ok = evals[0], 0j, False
+
+    def roots(seeds):
+        found = []
+        for sign, d, sq in seeds:
+            found.append((yield from _fixed_point(n, sign, evals, d, sq)))
+        if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in found):
+            raise RootError("root left D_%d" % n)
+        return found
+
+    sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
+    method = "fixed-point"
+    try:
+        c1, c2 = yield from roots([(+1, alpha + sq0, sq0), (-1, alpha - sq0, sq0)])
+    except (RootError, ContractionFailureError):
+        method = "winding"
+        estimates, contour = yield from _winding_roots(n)
+        evals += contour
+        # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
+        # is the one that fixes the root near the estimate d
+        c1, c2 = yield from roots([(+1, d, d - alpha) for d in estimates])
+    if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
+        c1, c2 = c2, c1
+    gap = abs(c1.delta - c2.delta)
+    if gap < 1e-9 * max(1.0, math.sqrt(n)):
+        gap = 0.0
+    center = n * n * PI2
+    return ReductionResult(
+        n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
+        alpha_n=center + alpha, xi_1=center + c1.delta,
+        xi_2=center + c2.delta, gap_estimate=gap,
+        neumann_terms_used=c0.terms_used,
+        contraction_bound=max(c.max_ratio for c in evals),
+        det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method=method,
+        converged=ok and c1.converged and c2.converged,
+        evaluations=len(evals))
 
 
 def find_roots(ctx, n, xi_bound_grid=0):
@@ -513,62 +552,23 @@ def find_roots_batch(ctx, ns):
 
     The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
     points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
-    on the strip for n >= n_s (see _fixed_points).  They run in lockstep
-    over the modes: every alpha_n, then every root from alpha_n + sqrt(b_n
-    b_{-n}), then every root from alpha_n - sqrt(b_n b_{-n}) where the first
-    converged, so each mode makes the evaluations it makes alone; method is
-    "fixed-point".  If a mode's root iteration fails or leaves the disc,
-    contour sums of log(det B_n / delta^2) on 16-256 nested nodes seed both
-    again (method "winding").  Returns a ReductionResult per n with xi_j =
-    n^2 pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at
-    the roots, the contraction bound (the worst Neumann ratio of the mode's
+    on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
+    +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root iteration
+    fails or leaves the disc, contour sums of log(det B_n / delta^2) on
+    16-256 nested nodes seed both again (method "winding").  Each mode runs
+    this alone (_reduce); _lockstep batches all modes' evaluations, one
+    _evaluate per round.  Returns a ReductionResult per n with xi_j = n^2
+    pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at the
+    roots, the contraction bound (the worst Neumann ratio of the mode's
     evaluations), their count, and converged, False if the alpha_n
     iteration failed (alpha_n is then n^2 pi^2) or a Neumann sum at alpha_n
-    or at a root missed neumann_tol.  Raises the error of the first n of ns
+    or at a root missed NEUMANN_TOL.  Raises the error of the first n of ns
     whose reduction failed, as a loop over ns would.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
-    plan, evals, start = _OffsetPlan(ctx, ns), [[] for _ in ns], {}
-    alphas = _fixed_points(plan, [(i, 0, 0j, None, 1e-10, evals[i])
-                                  for i in range(len(ns))])
-    found = {i: c for i, c in enumerate(alphas)
-             if isinstance(c, Exception) and not isinstance(c, RootError)}
-    for i, c in enumerate(alphas):
-        if i not in found:  # after a RootError the roots start from n^2 pi^2
-            c0, alpha, ok = (evals[i][0], 0j, False) if isinstance(
-                c, RootError) else (c, c.a_n, c.converged)
-            start[i] = c0, alpha, ok, cmath.sqrt(c0.b_n * c0.b_neg_n)
-    found.update(_roots(plan, {i: ((+1, a + sq, sq), (-1, a - sq, sq))
-                               for i, (_, a, _, sq) in start.items()}, evals))
-    out = []
-    for i, n in enumerate(ns):
-        f, method = found[i], "fixed-point"
-        if i in start and isinstance(f, (RootError, ContractionFailureError)):
-            method, alpha = "winding", start[i][1]
-            estimates, contour = _winding_roots(plan, i)  # every earlier n passed
-            evals[i] += contour
-            # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
-            # is the one that fixes the root near the estimate d
-            f = _roots(plan, {i: [(+1, d, d - alpha) for d in estimates]}, evals)[i]
-        (c0, alpha, ok, _), (c1, c2) = start[i], _raise_first([f])[0]
-        if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
-            c1, c2 = c2, c1
-        gap = abs(c1.delta - c2.delta)
-        if gap < 1e-9 * max(1.0, math.sqrt(n)):
-            gap = 0.0
-        center = n * n * PI2
-        out.append(ReductionResult(
-            n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
-            alpha_n=center + alpha, xi_1=center + c1.delta,
-            xi_2=center + c2.delta, gap_estimate=gap,
-            neumann_terms_used=c0.terms_used,
-            contraction_bound=max(c.max_ratio for c in evals[i]),
-            det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method=method,
-            converged=ok and c1.converged and c2.converged,
-            evaluations=len(evals[i])))
-    return out
+    return _lockstep(_OffsetPlan(ctx, ns), [_reduce(n) for n in ns])
 
 
 def adapted_coefficients(ctx, n_max=None):
@@ -585,12 +585,12 @@ def adapted_coefficients(ctx, n_max=None):
     qs = ctx.q.support
     low = np.abs(qs.idx) < 2 * M
     r[qs.idx[low] + K] = qs.coeffs[low]
+
+    def at_alpha(n):  # the CoeffResult at alpha_n
+        c = yield from _fixed_point(n, 0, [], tol=1e-10)
+        return (yield [c.a_n])[0]
     plan = _OffsetPlan(ctx, range(M, n_max + 1))
-    cs = _fixed_points(plan, [(i, 0, 0j, None, 1e-10, []) for i in range(len(plan.ns))])
-    ok = [i for i, c in enumerate(cs) if not isinstance(c, Exception)]
-    for i, c in zip(ok, _evaluate(plan, ok, [cs[i].a_n for i in ok])):  # at alpha_k
-        cs[i] = c
-    for k, c in zip(plan.ns, _raise_first(cs)):
+    for k, c in zip(plan.ns, _lockstep(plan, [at_alpha(n) for n in plan.ns])):
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
     return FourierSeq(r)

@@ -61,6 +61,7 @@ from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, dirichlet_cos_coeffs, multiply, \
     StripViolationError, NearSingularError
+from hillkdv import reduction
 from hillkdv.reduction import PI2, coefficients
 
 _SPARSE_CONV_NNZ = 64
@@ -211,14 +212,14 @@ def dense_neumann(ctx, n, delta, f, K):
     term = f
     base = shift_pair(f, ctx, n)
     terms = 1
-    for _ in range(ctx.max_terms):
+    for _ in range(reduction.MAX_TERMS):
         term = convolve(ctx.q.seq, dense_A_inv_Q(delta, n, term)).truncated(K)
         tn = shift_pair(term, ctx, n)
         if tn == 0.0:
             break
         total += term.coeffs
         terms += 1
-        if tn < ctx.neumann_tol * max(base, 1e-300):
+        if tn < reduction.NEUMANN_TOL * max(base, 1e-300):
             break
     return FourierSeq(total), terms
 
@@ -251,7 +252,7 @@ def sparse_neumann(ctx, n, delta, f, lam_form=False):
     base = prev = shift_pair(f, ctx, n)
     max_ratio = 0.0
     converged = False
-    for _ in range(ctx.max_terms):
+    for _ in range(reduction.MAX_TERMS):
         term = multiply(ctx.q, a_inv(term))
         tn = shift_pair(term, ctx, n)
         if prev > 0:
@@ -260,7 +261,7 @@ def sparse_neumann(ctx, n, delta, f, lam_form=False):
             converged = True
             break
         parts.append(term)
-        if tn < ctx.neumann_tol * max(base, 1e-300):
+        if tn < reduction.NEUMANN_TOL * max(base, 1e-300):
             converged = True
             break
         prev = tn

@@ -323,7 +323,7 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "single-mode:c=nan"],
     ["--potential", "zero", "--weight", "poly:a=nan"],
     ["--potential", "zero", "--weight", "poly:a=-1"],
-    ["--potential", "zero", "--t", "inf"],
+    ["flow", "--potential", "zero", "--t", "inf"],
     ["reduce", "--potential", "power-law:nmax=8,a=1e308,e=1.5", "--s", "-0.25"],
     ["--potential", "random:sup=-1e308,nmax=1"],
     ["--potential", "zero", "--seed", "-1"],
@@ -359,10 +359,11 @@ def test_unusable_out_exit_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("")
-    flags = {"spectrum": [], "flow": ["--t", "0.01"],
+    flags = {"spectrum": ["--potential", "zero"],
+             "flow": ["--potential", "zero", "--t", "0.01"],
              "verify": ["--suite", "airy-demo"]}[command]
     for out in ("", str(taken)):
-        rc = main([command, "--potential", "zero", "--out", out] + flags)
+        rc = main([command, "--out", out] + flags)
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
     assert sorted(os.listdir(tmp_path)) == ["taken"]
@@ -373,6 +374,19 @@ def test_dt_flag_rejected(tmp_path):
     # no subcommand has a time step to set
     assert main(["flow", "--potential", "zero", "--dt", "1e-3",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--potential=zero"), ("verify", "--K=999"), ("verify", "--s=0"),
+    ("verify", "--weight=trivial"), ("verify", "--t=5"),
+    ("spectrum", "--t=7"), ("spectrum", "--suite=decay"),
+    ("reduce", "--t=7"), ("reduce", "--suite=decay"), ("flow", "--suite=decay")])
+def test_unread_flag_rejected(tmp_path, command, flag):
+    # a subcommand takes only the flags it reads: one it would ignore exits
+    # 2 and writes nothing, rather than changing only the config hash
+    out = tmp_path / "o"
+    assert main([command, flag, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -486,6 +500,7 @@ _WEIGHT = _mostly(st.just("trivial"),
 def test_fuzz_cli_exit_codes(command, potential, weight, K, s, t, seed):
     # "--flag=value", so that values such as "-inf" reach the parser
     argv = [command, "--potential=" + potential, "--K=%d" % K, "--s=" + s,
-            "--t=" + t, "--seed=%d" % seed, "--weight=" + weight]
+            "--seed=%d" % seed, "--weight=" + weight]
+    argv += ["--t=" + t] if command == "flow" else []
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) in (0, 1, 2)

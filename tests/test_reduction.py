@@ -247,7 +247,7 @@ def test_make_context_defaults():
     assert ctx.s == 0.0
     assert ctx.m == 1.0
     assert ctx.n_s >= 1
-    assert ctx.neumann_tol == 1e-12 and ctx.max_terms == 60
+    assert red.NEUMANN_TOL == 1e-12 and red.MAX_TERMS == 60
     np.testing.assert_array_equal(ctx.q.support.idx, q.seq.nonzero_ks())
 
 
@@ -306,17 +306,18 @@ def test_neumann_inverts_one_minus_T():
     assert converged
 
 
-def test_neumann_reports_nonconvergence():
+def test_neumann_reports_nonconvergence(monkeypatch):
     # one application of T_n cannot reach the 1e-12 tolerance; the default
-    # context can, and says so at every level
+    # MAX_TERMS can, and says so at every level
     q = smooth_real_potential()
     ctx = make_context(q)
     n = 6
     lam = n * n * PI2 + 0.3
-    short = dataclasses.replace(ctx, max_terms=1)
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
-    assert sparse_neumann(short, n, 0.3, f)[3] is False
-    assert coefficients(short, n, lam).converged is False
+    with monkeypatch.context() as short:
+        short.setattr(red, "MAX_TERMS", 1)
+        assert sparse_neumann(ctx, n, 0.3, f)[3] is False
+        assert coefficients(ctx, n, lam).converged is False
     assert coefficients(ctx, n, lam).converged is True
     assert find_roots(ctx, n).converged is True
 
@@ -469,7 +470,7 @@ def test_sparse_kernel_property_random_small_potentials(
     f = multiply(q, SparseSeq.accumulate([n], [1.0]))
     resid = one_minus_T_residual(ctx, n, delta,
                                  sparse_neumann(ctx, n, delta, f)[0], f)
-    assert shift_pair(resid, ctx, n) <= ctx.neumann_tol * shift_pair(f, ctx, n)
+    assert shift_pair(resid, ctx, n) <= red.NEUMANN_TOL * shift_pair(f, ctx, n)
 
 
 @st.composite
@@ -574,10 +575,10 @@ def test_plan_rows_stop_on_their_own():
                      sparse_coefficients(ctx, n, 0.3))
 
 
-def test_plan_bit_equal_when_max_terms_cuts_the_series():
+def test_plan_bit_equal_when_max_terms_cuts_the_series(monkeypatch):
     # one application of T_n: both rows stop unconverged after 2 terms
-    short = dataclasses.replace(make_context(smooth_real_potential()),
-                                max_terms=1)
+    short = make_context(smooth_real_potential())
+    monkeypatch.setattr(red, "MAX_TERMS", 1)
     for n in range(short.n_s, short.n_s + 5):
         got = plan_coefficients(short, n, 0.3)
         assert got.converged is False and got.terms_used == 2
@@ -747,34 +748,40 @@ def test_winding_root_on_contour_raises(monkeypatch):
 
     monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
     with pytest.raises(LocalizationError, match="root on the contour"):
-        red._winding_roots(red._OffsetPlan(ctx, [6]), 0)
+        winding_roots(ctx, 6)
+
+
+def winding_roots(ctx, n):
+    """reduction._winding_roots at n alone: its seeds and the nodes'
+    CoeffResults, or its error raised."""
+    return red._lockstep(red._OffsetPlan(ctx, [n]), [red._winding_roots(n)])[0]
 
 
 def force_root_error(monkeypatch, forced):
-    """Patch reduction._fixed_points so that each job for which
-    forced(plan, job) holds ends with a RootError without being run; the
-    other jobs run as before.  Returns the list of forced jobs."""
-    real_fixed_points, hits = red._fixed_points, []
+    """Patch reduction._fixed_point so that each fixed point (n, sign,
+    evals, ...) for which forced(n, sign) holds ends with a RootError
+    without being run; the others run as before.  Returns the list of the
+    forced (n, sign)."""
+    real_fixed_point, hits = red._fixed_point, []
 
-    def patched(plan, jobs):
-        hit = [forced(plan, job) for job in jobs]
-        hits.extend(job for job, h in zip(jobs, hit) if h)
-        rest = iter(real_fixed_points(plan, [j for j, h in zip(jobs, hit) if not h]))
-        return [red.RootError("forced at n=%d" % plan.ns[job[0]]) if h
-                else next(rest) for job, h in zip(jobs, hit)]
+    def patched(n, sign, *args, **kwargs):
+        if forced(n, sign):
+            hits.append((n, sign))
+            raise red.RootError("forced at n=%d" % n)
+        return (yield from real_fixed_point(n, sign, *args, **kwargs))
 
-    monkeypatch.setattr(red, "_fixed_points", patched)
+    monkeypatch.setattr(red, "_fixed_point", patched)
     return hits
 
 
-def first_root_job():
-    """forced for force_root_error: the first root job (sign +-1) only."""
-    seen = []
-
-    def forced(plan, job):
-        first = bool(job[1]) and not seen
-        seen.extend([job] * first)
+def first_root_job(at=None):
+    """forced for force_root_error: the first root fixed point (sign +-1)
+    only, of the mode at if given; .seen holds the forced n."""
+    def forced(n, sign):
+        first = bool(sign) and at in (None, n) and not forced.seen
+        forced.seen.extend([n] * first)
         return first
+    forced.seen = []
     return forced
 
 
@@ -816,7 +823,7 @@ def test_winding_seeds_spectrally_accurate(name):
          "complex": complex_band_potential()}[name]
     ctx = make_context(q)
     for n in (ctx.n_s, ctx.n_s + 10):
-        seeds, contour = red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
+        seeds, contour = winding_roots(ctx, n)
         res = find_roots(ctx, n)
         roots = (res.xi_1 - n * n * PI2, res.xi_2 - n * n * PI2)
         assert len(contour) <= 32
@@ -841,7 +848,7 @@ def test_winding_seeds_on_a_synthetic_determinant(monkeypatch, rho, nodes):
     r = 4.0 * math.sqrt(n)
     zeros = [rho * r * cmath.exp(0.7j), rho * r * cmath.exp(-2.1j)]
     fake_det_B(zeros, monkeypatch)
-    seeds, contour = red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
+    seeds, contour = winding_roots(ctx, n)
     assert len(contour) == nodes
     assert seed_error(seeds, zeros) <= 1e-10 * r
 
@@ -853,7 +860,7 @@ def test_winding_three_zeros_inside_raises(monkeypatch):
     r = 4.0 * math.sqrt(n)
     fake_det_B([0.2 * r, -0.3j * r, 0.5 * r * cmath.exp(2j)], monkeypatch)
     with pytest.raises(LocalizationError, match="winding number 3 != 2"):
-        red._winding_roots(red._OffsetPlan(ctx, [n]), 0)
+        winding_roots(ctx, n)
 
 
 @pytest.mark.parametrize("case", ["smooth", "pairs"])
@@ -881,7 +888,7 @@ def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
     import hillkdv.reduction as red
     q = smooth_real_potential()
     ctx = make_context(q)
-    force_root_error(monkeypatch, lambda plan, job: job[1] != 0)
+    force_root_error(monkeypatch, lambda n, sign: sign != 0)
     with pytest.raises(red.RootError):
         find_roots(ctx, 6)
 
@@ -893,13 +900,13 @@ def test_find_roots_rejects_root_outside_disc(monkeypatch):
     import hillkdv.reduction as red
     ctx = make_context(smooth_real_potential())
     n = 10 ** 4
-    real_fixed_points = red._fixed_points
+    real_fixed_point = red._fixed_point
 
-    def lands_outside(plan, jobs):
-        return [dataclasses.replace(c, delta=1000.0 + 0j) if job[1] else c
-                for job, c in zip(jobs, real_fixed_points(plan, jobs))]
+    def lands_outside(n, sign, *args, **kwargs):
+        c = yield from real_fixed_point(n, sign, *args, **kwargs)
+        return dataclasses.replace(c, delta=1000.0 + 0j) if sign else c
 
-    monkeypatch.setattr(red, "_fixed_points", lands_outside)
+    monkeypatch.setattr(red, "_fixed_point", lands_outside)
     with pytest.raises(red.RootError, match="left D_10000"):
         find_roots(ctx, n)
 
@@ -913,13 +920,15 @@ def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
     ctx = make_context(q)
     n = 6
     direct = find_roots(ctx, n)
+    real_fixed_point = red._fixed_point
 
-    def alpha_fails(plan, job):
-        if not job[1]:
-            job[5].append(red._evaluate(plan, [job[0]], [0j])[0])
-        return not job[1]
+    def alpha_fails(n, sign, evals, *args, **kwargs):
+        if not sign:
+            evals.append((yield [0j])[0])
+            raise red.RootError("forced at n=%d" % n)
+        return (yield from real_fixed_point(n, sign, evals, *args, **kwargs))
 
-    force_root_error(monkeypatch, alpha_fails)
+    monkeypatch.setattr(red, "_fixed_point", alpha_fails)
     res = find_roots(ctx, n)
     assert direct.converged and not res.converged
     assert res.alpha_n == n * n * PI2 and res.method == "fixed-point"
@@ -1058,10 +1067,53 @@ def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
     # too: the batch raises the error of n_s + 2, as a loop over n would
     ctx = make_context(smooth_real_potential())
     bad = (ctx.n_s + 2, ctx.n_s + 4)
-    force_root_error(monkeypatch, lambda plan, job: job[1] and plan.ns[job[0]] in bad)
+    force_root_error(monkeypatch, lambda n, sign: sign and n in bad)
     with pytest.raises(red.RootError, match="forced at n=%d$" % bad[0]):
         find_roots_batch(ctx, range(ctx.n_s, ctx.n_s + 6))
     assert find_roots_batch(ctx, [ctx.n_s + 1])[0].method == "fixed-point"
+
+
+def test_find_roots_batch_winding_fallback_equals_alone(monkeypatch):
+    # the first root of n_s + 2 is forced to fail: its contour nodes share
+    # rounds with the other modes' fixed points, and every result, by repr,
+    # is that of find_roots at n alone under the same forcing
+    ctx = make_context(smooth_real_potential())
+    ns, bad = range(ctx.n_s, ctx.n_s + 6), ctx.n_s + 2
+    forced = first_root_job(at=bad)
+    force_root_error(monkeypatch, forced)
+    real_evaluate, rounds = red._evaluate, []
+
+    def recorded(plan, modes, deltas):
+        rounds.append([plan.ns[i] for i in modes])
+        return real_evaluate(plan, modes, deltas)
+
+    monkeypatch.setattr(red, "_evaluate", recorded)
+    batch = find_roots_batch(ctx, ns)
+    assert forced.seen == [bad]
+    assert [r.method == "winding" for r in batch] == [n == bad for n in ns]
+    assert any(r.count(bad) > 1 and len(set(r)) > 1 for r in rounds)
+    alone = []
+    for n in ns:
+        forced.seen.clear()
+        alone.append(find_roots(ctx, n))
+    assert [repr(r) for r in batch] == [repr(r) for r in alone]
+
+
+def test_evaluation_errors_raised():
+    # |delta| = |50 - 49 pi^2| ~ 434 > 12 * 7: the evaluation's own error,
+    # as it is when every evaluation of a batch's round lies outside the
+    # strip (n = 2 and 3 of a large q at n_s = 1, whose iterates leave S_n);
+    # at n = 1 alpha_n's first evaluation fails, with a library error other
+    # than RootError, which find_roots and the batch raise
+    with pytest.raises(red.StripViolationError, match="outside S_7"):
+        coefficients(make_context(Potential.single_mode(0.05)), 7, 50.0)
+    ctx = dataclasses.replace(make_context(Potential.power_law(40.0, 0.0, 4)),
+                              n_s=1)
+    alone = [outcome(lambda: find_roots(ctx, n)) for n in (1, 2, 3)]
+    assert alone[0] == ("ContractionFailureError: "
+                        "Neumann ratio > 0.9 three times at n=1")
+    assert [a.split(":")[0] for a in alone[1:]] == ["StripViolationError"] * 2
+    assert outcome(lambda: find_roots_batch(ctx, [1, 2, 3])) == alone[0]
 
 
 # ---------------------------------------------------------------------------
