@@ -1,13 +1,17 @@
 """Command-line entry point.
 
-Subcommands: spectrum, reduce, flow, verify.  Configuration comes from an
-INI-style flat key=value file (sections are merged in file order) with
-command-line flags taking precedence.  Outputs are UTF-8 JSON with sorted
-keys and RFC-4180 CSV; every file embeds the resolved-config hash and the
-package version, so a fixed config + seed reproduces outputs byte for byte
-at a fixed BLAS thread count.  LAPACK's eigenvalues (spectrum, flow, verify,
-reduce's oracle columns) can change in the last digits with it; the
-reduction's own numbers use no BLAS and do not.
+Subcommands: spectrum, reduce, flow, verify.  KEYS lists the keys each one
+reads, with their conversion, default and least value; they are its flags
+(n_lo and n_hi are read from --config only) and its --config keys.  A
+--config file is UTF-8, INI-style flat key=value (sections are merged in
+file order); flags take precedence.  A flag the subcommand does not read is
+a usage error, and such a --config key is a config error.
+Outputs are UTF-8 JSON with sorted keys and RFC-4180 CSV; every file embeds
+the package version and config_hash, a hash of the typed values of the keys
+read (the output directory excluded), so a fixed config + seed reproduces
+outputs byte for byte at a fixed BLAS thread count.  LAPACK's eigenvalues
+(spectrum, flow, verify, reduce's oracle columns) can change in the last
+digits with it; the reduction's own numbers use no BLAS and do not.
 
 The verify suites run the library code of acceptance criteria 7 (decay), 8
 (isospectral), 10 (airy-demo) and 6 (sandwich) at their own sizes.
@@ -43,70 +47,83 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_kv(body, field_names, spec_name):
+_MODEL = {"potential": (str, "zero"), "weight": (str, "trivial"),
+          "k": (int, 64, 16), "s": (float, 0.0)}
+_RUN = {"seed": (int, 0, 0), "out": (str, "out")}
+# The keys each subcommand reads, name: (conversion, default[, least]).  They
+# are its --config keys and its flags, --name or FLAG[name] (n_lo and n_hi
+# have none); config_hash covers their values, out excepted.
+KEYS = {"spectrum": {**_MODEL, **_RUN},
+        "reduce": {**_MODEL, "n_lo": (int, None, 1), "n_hi": (int, None),
+                   **_RUN},
+        "flow": {**_MODEL, "t": (float, 1.0), **_RUN},
+        "verify": {"suite": (str, "all"), **_RUN}}
+FLAG = {"k": "--K", "n_lo": None, "n_hi": None}
+# the fields of each potential spec
+POTENTIALS = {"zero": {"nmax": (int, 8, 1)},
+              "single-mode": {"c": (float, 0.05), "nmax": (int, 1, 1)},
+              "power-law": {"a": (float, 0.1), "e": (float, -0.25),
+                            "nmax": (int, 32, 1), "phases": (str, "0")},
+              "random": {"sup": (float, 0.1), "nmax": (int, 16, 1),
+                         "decay": (float, 0.0)}}
+
+
+def read_fields(given, fields, what):
+    """The fields (name: (conversion, default[, least])) of a what, each
+    converted from its text in given or else its default.  A name that is
+    not a field, a text its conversion rejects, a float that is not finite
+    and a number below least are config errors."""
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        raise ConfigError("unknown %s field %s"
+                          % (what, ", ".join(map(repr, unknown))))
     out = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ConfigError("malformed %s parameter %r (expected key=value)"
-                              % (spec_name, item))
-        k, v = item.split("=", 1)
-        k = k.strip()
-        if k not in field_names:
-            raise ConfigError("unknown %s field %r" % (spec_name, k))
-        out[k] = v.strip()
+    for name, (conv, default, *least) in fields.items():
+        if name not in given:
+            out[name] = default
+            continue
+        text = given[name]
+        try:
+            out[name] = val = conv(text)
+            if conv is float and not math.isfinite(val):
+                raise ValueError(text)
+        except ValueError:
+            kind = "an integer" if conv is int else "a finite number"
+            raise ConfigError("%s field %r is not %s: %r"
+                              % (what, name, kind, text))
+        if least and val < least[0]:
+            raise ConfigError("%s must be >= %d, got %s" % (name, least[0], text))
     return out
 
 
+def parse_kv(body, fields, what):
+    """read_fields over the key=value items of a comma-separated spec body."""
+    given = {}
+    for item in body.split(",") if body else ():
+        key, eq, text = item.partition("=")
+        if not eq:
+            raise ConfigError("malformed %s parameter %r (expected key=value)"
+                              % (what, item))
+        given[key.strip()] = text.strip()
+    return read_fields(given, fields, what)
+
+
 def parse_weight(spec):
-    if spec in (None, "", "trivial"):
+    if spec in ("", "trivial"):
         return None
     name, _, body = spec.partition(":")
     if name != "poly":
         raise ConfigError("unknown weight spec %r" % spec)
-    kv = parse_kv(body, {"a", "cap"}, "weight")
+    kv = parse_kv(body, {"a": (float, 1.0), "cap": (float, None)}, "weight")
     try:
-        w = Weight.polynomial(get_float(kv, "a", 1.0))
-        if "cap" in kv:
-            w = cap_weight(w, get_float(kv, "cap"))
+        w = Weight.polynomial(kv["a"])
+        return w if kv["cap"] is None else cap_weight(w, kv["cap"])
     except WeightError as exc:  # a < 0, cap <= 0, not submultiplicative
         raise ConfigError(str(exc))
-    return w
-
-
-def _nmax(kv, default):
-    n_max = get_int(kv, "nmax", default)
-    if n_max < 1:
-        raise ConfigError("potential nmax must be >= 1, got %d" % n_max)
-    return n_max
 
 
 def parse_potential(spec, s, weight, rng):
-    if spec in (None, ""):
-        raise ConfigError("missing potential spec")
     name, _, body = spec.partition(":")
-    if name == "zero":
-        kv = parse_kv(body, {"nmax"}, "potential")
-        return Potential.zero(_nmax(kv, 8), s=s, weight=weight)
-    if name == "single-mode":
-        kv = parse_kv(body, {"c", "nmax"}, "potential")
-        return Potential.single_mode(get_float(kv, "c", 0.05),
-                                     n_max=_nmax(kv, 1),
-                                     s=s, weight=weight)
-    if name == "power-law":
-        kv = parse_kv(body, {"a", "e", "nmax", "phases"}, "potential")
-        use_rng = rng if kv.get("phases", "0") in ("1", "true") else None
-        return Potential.power_law(get_float(kv, "a", 0.1),
-                                   get_float(kv, "e", -0.25),
-                                   _nmax(kv, 32),
-                                   s=s, weight=weight, rng=use_rng)
-    if name == "random":
-        kv = parse_kv(body, {"sup", "nmax", "decay"}, "potential")
-        return Potential.random_real(rng, _nmax(kv, 16),
-                                     sup=get_float(kv, "sup", 0.1),
-                                     decay=get_float(kv, "decay", 0.0),
-                                     s=s, weight=weight)
     if name == "file":
         try:
             with open(body, "r", encoding="utf-8") as fh:
@@ -114,76 +131,49 @@ def parse_potential(spec, s, weight, rng):
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot read potential file %r: %s" % (body, exc))
         return Potential(seq, s=s, weight=weight)
-    raise ConfigError("unknown potential spec %r" % spec)
+    if name not in POTENTIALS:
+        raise ConfigError("unknown potential spec %r" % spec)
+    kv = parse_kv(body, POTENTIALS[name], "potential")
+    if name == "zero":
+        return Potential.zero(kv["nmax"], s=s, weight=weight)
+    if name == "single-mode":
+        return Potential.single_mode(kv["c"], n_max=kv["nmax"], s=s,
+                                     weight=weight)
+    if name == "power-law":
+        use_rng = rng if kv["phases"] in ("1", "true") else None
+        return Potential.power_law(kv["a"], kv["e"], kv["nmax"], s=s,
+                                   weight=weight, rng=use_rng)
+    return Potential.random_real(rng, kv["nmax"], sup=kv["sup"],
+                                 decay=kv["decay"], s=s, weight=weight)
 
 
 def load_config(args):
-    cfg = {}
+    """The values of the keys args.command reads, converted once: its flags
+    over its --config file over the defaults.  "meta" adds their
+    config_hash and the package version."""
+    given = {}
     if args.config:
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(args.config)
-        except configparser.Error as exc:
+            if not parser.read(args.config, encoding="utf-8"):
+                raise ConfigError("config file %r not found" % args.config)
+            for section in parser.sections():
+                given.update(parser.items(section))
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError("config parse error: %s" % exc)
-        if not read:
-            raise ConfigError("config file %r not found" % args.config)
-        for section in parser.sections():
-            for k, v in parser.items(section):
-                cfg[k] = v
         for k, v in parser.defaults().items():
-            cfg.setdefault(k, v)
-    for key in ("potential", "weight", "suite", "out", "k", "s", "t", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = str(val)
-    cfg.setdefault("out", "out")
-    cfg.setdefault("seed", "0")
-    cfg.setdefault("s", "0.0")
-    cfg.setdefault("k", "64")
-    for key in ("s", "t"):  # whether or not the subcommand reads them
-        if key in cfg:
-            get_float(cfg, key)
-    if get_int(cfg, "seed") < 0:
-        raise ConfigError("seed must be >= 0, got %s" % cfg["seed"])
-    return cfg
-
-
-def config_hash(cfg):
+            given.setdefault(k, v)
+    keys = KEYS[args.command]
+    given.update((k, v) for k, v in vars(args).items()
+                 if k in keys and v is not None)
+    cfg = read_fields(given, keys, args.command + " config")
     # the output directory is not part of the scientific configuration; a
     # fixed config + seed must produce identical bytes wherever it is written
-    keyed = {k: v for k, v in cfg.items() if k != "out"}
-    blob = json.dumps(keyed, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _get(cfg, key, default, conv, kind):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError("missing config field %r" % key)
-        return default
-    try:
-        return conv(cfg[key])
-    except ValueError:
-        raise ConfigError("config field %r is not %s: %r" % (key, kind, cfg[key]))
-
-
-def _finite_float(text):
-    val = float(text)
-    if not math.isfinite(val):
-        raise ValueError(text)
-    return val
-
-
-def get_float(cfg, key, default=None):
-    return _get(cfg, key, default, _finite_float, "a finite number")
-
-
-def get_int(cfg, key, default=None):
-    return _get(cfg, key, default, int, "an integer")
-
-
-def _meta(cfg):
-    return {"config_hash": config_hash(cfg), "version": __version__}
+    blob = json.dumps({k: v for k, v in cfg.items() if k != "out"},
+                      sort_keys=True).encode("utf-8")
+    cfg["meta"] = {"config_hash": hashlib.sha256(blob).hexdigest()[:16],
+                   "version": __version__}
+    return cfg
 
 
 def _open_out(path, newline):
@@ -198,8 +188,7 @@ def _open_out(path, newline):
 
 
 def write_json(path, obj, cfg):
-    obj = dict(obj)
-    obj["meta"] = _meta(cfg)
+    obj = dict(obj, meta=cfg["meta"])
     with _open_out(path, "\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -211,37 +200,31 @@ def _fnum(x):
 
 
 def write_csv(path, header, rows, cfg):
-    meta = _meta(cfg)
     with _open_out(path, "") as fh:
         wr = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        wr.writerow(["# config_hash=%s version=%s" % (meta["config_hash"],
-                                                      meta["version"])])
+        wr.writerow(["# config_hash={config_hash} version={version}".format(
+            **cfg["meta"])])
         wr.writerow(header)
         for row in rows:
             wr.writerow([float(c) if isinstance(c, (float, np.floating)) else c
                          for c in row])
 
 
-def _setup(cfg):
-    if get_int(cfg, "k", 64) < 16:
-        raise ConfigError("K must be >= 16")
-    s = get_float(cfg, "s", 0.0)
-    rng = np.random.default_rng(get_int(cfg, "seed", 0))
-    weight = parse_weight(cfg.get("weight"))
+def _potential(cfg):
+    rng = np.random.default_rng(cfg["seed"])
+    weight = parse_weight(cfg["weight"])
     try:
         # a spec whose numbers overflow builds non-finite coefficients, which
         # Potential rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            q = parse_potential(cfg.get("potential", "zero"), s, weight, rng)
+            return parse_potential(cfg["potential"], cfg["s"], weight, rng)
     except InvalidSequenceError as exc:  # s, odd modes, oversized coefficients
         raise ConfigError(str(exc))
-    return q, s, weight, rng
 
 
 def cmd_spectrum(cfg):
-    q, s, weight, rng = _setup(cfg)
-    K = get_int(cfg, "k", 64)
-    spec = full_spectrum(q, K)
+    K = cfg["k"]
+    spec = full_spectrum(_potential(cfg), K)
     gam, tau, diff = gaps_and_midpoints(spec)
     obj = {
         "K": K,
@@ -268,31 +251,26 @@ def cmd_spectrum(cfg):
 
 
 def cmd_reduce(cfg):
-    q, s, weight, rng = _setup(cfg)
-    K = get_int(cfg, "k", 64)
-    ctx = make_context(q, s=s, w=weight)
+    q, K = _potential(cfg), cfg["k"]
+    ctx = make_context(q)
     spec = periodic_spectrum(q, K)
-    n_lo = get_int(cfg, "n_lo", ctx.n_s)
-    n_hi = get_int(cfg, "n_hi", min(ctx.n_s + 7, spec.trust))
-    if n_lo < 1:
-        raise ConfigError("n_lo must be >= 1, got %d" % n_lo)
+    n_lo = ctx.n_s if cfg["n_lo"] is None else cfg["n_lo"]
+    n_hi = min(ctx.n_s + 7, spec.trust) if cfg["n_hi"] is None else cfg["n_hi"]
     if n_hi < n_lo:
         raise ConfigError("no modes to reduce: n_lo = %d > n_hi = %d (n_s = %d, "
                           "Galerkin trust count %d at K = %d)"
                           % (n_lo, n_hi, ctx.n_s, spec.trust, K))
     rows = []
-    entries = []
     worst = 0.0
-    failed = False
     found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
     for n in range(n_lo, n_hi + 1):
         if n < ctx.n_s:
-            rows.append([n, "below-threshold", "", "", "", "", "", "", "", ""])
-            entries.append({"n": n, "status": "below-threshold"})
+            rows.append({"n": n, "status": "below-threshold"})
             continue
         res = next(found)
-        entry = {
+        row = {
             "n": n,
+            "status": "ok",
             "a_n": [res.a_n.real, res.a_n.imag],
             "b_n": [res.b_n.real, res.b_n.imag],
             "b_neg_n": [res.b_neg_n.real, res.b_neg_n.imag],
@@ -300,46 +278,43 @@ def cmd_reduce(cfg):
             "xi_1": [res.xi_1.real, res.xi_1.imag],
             "xi_2": [res.xi_2.real, res.xi_2.imag],
             "gap": res.gap_estimate,
+            "contraction_bound": res.contraction_bound,  # reduce.csv only
             "method": res.method,
             "terms": res.neumann_terms_used,
             "converged": res.converged,
         }
-        status = "ok"
-        mismatch = ""
         if n <= spec.trust:
             lam = sorted([spec.lam_minus(n), spec.lam_plus(n)],
                          key=lambda z: (z.real, z.imag))
             xi = sorted([res.xi_1, res.xi_2], key=lambda z: (z.real, z.imag))
             mm = max(abs(xi[0] - lam[0]), abs(xi[1] - lam[1]))
             worst = max(worst, mm / (n * n * math.pi ** 2))
-            mismatch = _fnum(mm)
-            entry["oracle_gap"] = abs(lam[1] - lam[0])
-            entry["max_mismatch"] = mm
+            row["oracle_gap"] = abs(lam[1] - lam[0])
+            row["max_mismatch"] = mm
             if mm > 1e-6 * n * n * math.pi ** 2:
-                status = "mismatch"
-                failed = True
-        entry["status"] = status
-        entries.append(entry)
-        rows.append([n, status, _fnum(res.xi_1.real), _fnum(res.xi_2.real),
-                     _fnum(res.gap_estimate), _fnum(res.contraction_bound),
-                     res.method, res.neumann_terms_used, res.converged,
-                     mismatch])
+                row["status"] = "mismatch"
+        rows.append(row)
     obj = {"n_s": ctx.n_s, "N_ms": ctx.N_ms, "M_ms": ctx.M_ms,
            "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime,
-           "worst_relative_mismatch": worst, "rows": entries}
+           "worst_relative_mismatch": worst,
+           "rows": [{k: v for k, v in r.items() if k != "contraction_bound"}
+                    for r in rows]}
     write_json(os.path.join(cfg["out"], "reduce.json"), obj, cfg)
     write_csv(os.path.join(cfg["out"], "reduce.csv"),
               ["n", "status", "xi_1_re", "xi_2_re", "gap",
                "contraction_bound", "method", "terms", "converged",
-               "oracle_mismatch"], rows, cfg)
-    return 1 if failed else 0
+               "oracle_mismatch"],
+              [[r["n"], r["status"]] + ([
+                  r["xi_1"][0], r["xi_2"][0], r["gap"], r["contraction_bound"],
+                  r["method"], r["terms"], r["converged"],
+                  r.get("max_mismatch", "")] if "gap" in r else [""] * 8)
+               for r in rows], cfg)
+    return 1 if any(r["status"] == "mismatch" for r in rows) else 0
 
 
 def cmd_flow(cfg):
-    q, s, weight, rng = _setup(cfg)
-    K = get_int(cfg, "k", 64)
-    t = get_float(cfg, "t", 1.0)
-    spec = periodic_spectrum(q, K)
+    q, t = _potential(cfg), cfg["t"]
+    spec = periodic_spectrum(q, cfg["k"])
     gam, tau, diff = gaps_and_midpoints(spec)
     I = actions_from_gaps(gam)
     om = frequencies(I)
@@ -410,10 +385,10 @@ def _suite_sandwich(cfg, rng):
 
 
 def cmd_verify(cfg):
-    rng = np.random.default_rng(get_int(cfg, "seed", 0))
+    rng = np.random.default_rng(cfg["seed"])
     suites = {"decay": _suite_decay, "isospectral": _suite_isospectral,
               "airy-demo": _suite_airy, "sandwich": _suite_sandwich}
-    chosen = cfg.get("suite", "all")
+    chosen = cfg["suite"]
     if chosen != "all" and chosen not in suites:
         raise ConfigError("unknown suite %r (choices: %s, all)"
                           % (chosen, ", ".join(sorted(suites))))
@@ -434,15 +409,13 @@ def build_parser():
     p = argparse.ArgumentParser(prog="hillkdv",
                                 description="Hill-operator spectral toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    kinds = {"--K": dict(dest="k", type=int), "--s": dict(type=float),
-             "--t": dict(type=float), "--seed": dict(type=int)}
-    model = ("--potential", "--K", "--s", "--weight")
-    # each subcommand takes only the flags it reads
-    for name, reads in (("spectrum", model), ("reduce", model),
-                        ("flow", model + ("--t",)), ("verify", ("--suite",))):
+    for name, keys in KEYS.items():
         sp = sub.add_parser(name)
-        for flag in ("--config",) + reads + ("--out", "--seed"):
-            sp.add_argument(flag, **kinds.get(flag, {}))
+        sp.add_argument("--config")
+        for key in keys:
+            flag = FLAG.get(key, "--" + key)
+            if flag:
+                sp.add_argument(flag, dest=key)
     return p
 
 

@@ -176,10 +176,7 @@ def isospectral_check(q0, t, K_spec, dt=None, K_pde=None):
     state1 = evolve_kdv(state0, t, dt=dt)
     q1 = pde_state_to_potential(state1, s=q0.s, weight=q0.weight)
     spec0 = full_spectrum(q0, K_spec)
-    # keep the spectral truncation identical at both endpoints
-    q1b = Potential(q1.seq.truncated(max(q1.half_range, q0.half_range)),
-                    s=q0.s, weight=q0.weight)
-    spec1 = full_spectrum(q1b, K_spec)
+    spec1 = full_spectrum(q1, K_spec)
     trust = min(spec0.trust, spec1.trust)
     n = np.arange(1, trust + 1)
     lam_drift = np.maximum(

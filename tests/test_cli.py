@@ -24,6 +24,11 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
@@ -389,6 +394,49 @@ def test_unread_flag_rejected(tmp_path, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, lines, unread", [
+    ("spectrum", "suite = nope\nt = 5\nbogus = 1\n", "'bogus', 'suite', 't'"),
+    ("flow", "n_lo = 1\n", "'n_lo'"), ("verify", "k = 64\ns = 0\n", "'k', 's'")])
+def test_unread_config_key_rejected(tmp_path, capsys, command, lines, unread):
+    # a --config key the subcommand does not read exits 2, named, and writes
+    # nothing, rather than changing only the config hash
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\n%s" % lines)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert unread in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b"[run]\npotential = single-mode:c=\xff\n",
+                                  b"[run]\npotential = file:a%b.json\n"])
+def test_unparsable_config_exit_2(tmp_path, capsys, text):
+    # a file that is not UTF-8, and a '%' that INI interpolation rejects
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_flags_are_the_keys_read():
+    # each subcommand's flags are its keys in cli.KEYS, --K for k, and none
+    # for the --config-only n_lo and n_hi
+    from hillkdv.cli import KEYS, build_parser
+    model = {"potential", "weight", "k", "s", "seed", "out"}
+    expected = {"spectrum": model, "reduce": model, "flow": model | {"t"},
+                "verify": {"suite", "seed", "out"}}
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, keys in KEYS.items():
+        flags = {a.dest: a.option_strings
+                 for a in sub.choices[command]._actions
+                 if a.dest not in ("help", "config")}
+        assert set(flags) == set(keys) - {"n_lo", "n_hi"} == expected[command]
+        assert all(opts == ["--K" if key == "k" else "--" + key]
+                   for key, opts in flags.items())
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh process: this one has imported scipy for the oracles; only
     # riesz_projector on a complex potential loads scipy.linalg
@@ -504,3 +552,44 @@ def test_fuzz_cli_exit_codes(command, potential, weight, K, s, t, seed):
     argv += ["--t=" + t] if command == "flow" else []
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) in (0, 1, 2)
+
+
+# the same values as flags, in canonical spelling, and in a --config file,
+# spelled otherwise
+_SPELLED = {
+    "k": st.sampled_from([16, 24, 32]).flatmap(lambda v: st.tuples(
+        st.just(str(v)), st.sampled_from(["0%d" % v, "+%d" % v, "00%d" % v]))),
+    "s": st.sampled_from([("0.0", "0"), ("0.0", ".0"), ("-0.25", "-.25"),
+                          ("-0.25", "-2.5e-1"), ("-0.1", "-.100")]),
+    "seed": st.sampled_from([0, 1, 2]).flatmap(lambda v: st.tuples(
+        st.just(str(v)), st.sampled_from(["0%d" % v, "+%d" % v]))),
+    "t": st.sampled_from([("0.5", ".5"), ("0.5", "5e-1"), ("1.0", "1")])}
+
+
+@settings(max_examples=12, deadline=None)
+@given(command=st.sampled_from(["spectrum", "reduce", "flow"]),
+       potential=st.sampled_from(["single-mode:c=0.05",
+                                  "random:sup=0.1,nmax=4",
+                                  "power-law:a=0.05,e=-0.25,nmax=8"]),
+       values=st.fixed_dictionaries(_SPELLED))
+def test_flags_and_config_file_agree(command, potential, values):
+    # outputs are byte-identical, config_hash included: the hash covers the
+    # converted values, not their spelling
+    keys = ["k", "s", "seed"] + (["t"] if command == "flow" else [])
+    flags = ["--potential=" + potential] + [
+        "--%s=%s" % ("K" if k == "k" else k, values[k][0]) for k in keys]
+    lines = ["potential = " + potential] + [
+        "%s = %s" % (k, values[k][1]) for k in keys]
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = os.path.join(tmp, "run.ini")
+        with open(cfgfile, "w", encoding="utf-8") as fh:
+            fh.write("[run]\n" + "\n".join(lines) + "\n")
+        for name, args in (("flags", flags), ("file", ["--config", cfgfile])):
+            out = os.path.join(tmp, name)
+            rc = main([command, "--out", out] + args)
+            files = sorted(os.listdir(out)) if os.path.isdir(out) else []
+            outputs.append((rc, files, [read_bytes(os.path.join(out, f))
+                                        for f in files]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]  # the run wrote its outputs
