@@ -47,6 +47,11 @@ class ConfigError(ValueError):
     pass
 
 
+def boolean(text):
+    """0 or false as False, 1 or true as True, any other text a ValueError."""
+    return ["0", "false", "1", "true"].index(text) >= 2
+
+
 _MODEL = {"potential": (str, "zero"), "weight": (str, "trivial"),
           "k": (int, 64, 16), "s": (float, 0.0)}
 _RUN = {"seed": (int, 0, 0), "out": (str, "out")}
@@ -63,7 +68,7 @@ FLAG = {"k": "--K", "n_lo": None, "n_hi": None}
 POTENTIALS = {"zero": {"nmax": (int, 8, 1)},
               "single-mode": {"c": (float, 0.05), "nmax": (int, 1, 1)},
               "power-law": {"a": (float, 0.1), "e": (float, -0.25),
-                            "nmax": (int, 32, 1), "phases": (str, "0")},
+                            "nmax": (int, 32, 1), "phases": (boolean, False)},
               "random": {"sup": (float, 0.1), "nmax": (int, 16, 1),
                          "decay": (float, 0.0)}}
 
@@ -88,7 +93,8 @@ def read_fields(given, fields, what):
             if conv is float and not math.isfinite(val):
                 raise ValueError(text)
         except ValueError:
-            kind = "an integer" if conv is int else "a finite number"
+            kind = {int: "an integer", float: "a finite number",
+                    boolean: "0, 1, false or true"}[conv]
             raise ConfigError("%s field %r is not %s: %r"
                               % (what, name, kind, text))
         if least and val < least[0]:
@@ -118,7 +124,7 @@ def parse_weight(spec):
     try:
         w = Weight.polynomial(kv["a"])
         return w if kv["cap"] is None else cap_weight(w, kv["cap"])
-    except WeightError as exc:  # a < 0, cap <= 0, not submultiplicative
+    except WeightError as exc:  # a < 0, cap <= 0, not finite on |n| <= 512
         raise ConfigError(str(exc))
 
 
@@ -140,9 +146,9 @@ def parse_potential(spec, s, weight, rng):
         return Potential.single_mode(kv["c"], n_max=kv["nmax"], s=s,
                                      weight=weight)
     if name == "power-law":
-        use_rng = rng if kv["phases"] in ("1", "true") else None
         return Potential.power_law(kv["a"], kv["e"], kv["nmax"], s=s,
-                                   weight=weight, rng=use_rng)
+                                   weight=weight,
+                                   rng=rng if kv["phases"] else None)
     return Potential.random_real(rng, kv["nmax"], sup=kv["sup"],
                                  decay=kv["decay"], s=s, weight=weight)
 

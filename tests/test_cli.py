@@ -357,6 +357,32 @@ def test_bad_config_exit_2(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_power_law_phases_spellings(tmp_path, capsys):
+    # phases reads 0 or false (no phases, as when absent) and 1 or true
+    # (seeded phases); any other text is a config error that names the field
+    # and writes nothing
+    spec = "power-law:a=0.1,e=-0.25,nmax=8"
+    rows = {}
+    for phases in ("", ",phases=0", ",phases=false", ",phases=1",
+                   ",phases=true"):
+        out = str(tmp_path / ("o" + phases))
+        assert main(["spectrum", "--potential", spec + phases,
+                     "--out", out]) == 0
+        rows[phases] = read_csv(os.path.join(out, "spectrum.csv"))[1:]
+    assert rows[""] == rows[",phases=0"] == rows[",phases=false"]
+    assert rows[",phases=1"] == rows[",phases=true"]
+    # lambda_1^- without and with phases at seed 0
+    assert float(rows[""][1][1]) == pytest.approx(9.785512586917498, rel=1e-12)
+    assert float(rows[",phases=1"][1][1]) == pytest.approx(9.785442232030721,
+                                                           rel=1e-12)
+    for bad in ("yes", "True", "2"):
+        out = tmp_path / ("bad-" + bad)
+        assert main(["spectrum", "--potential", spec + ",phases=" + bad,
+                     "--out", str(out)]) == 2
+        assert "'phases'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["spectrum", "flow", "verify"])
 def test_unusable_out_exit_2(tmp_path, capsys, monkeypatch, command):
     # an empty --out (no directory to create) and an --out naming an
