@@ -35,7 +35,7 @@ from .sequences import FourierSeq, Weight, WeightError, cap_weight, \
     InvalidSequenceError
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
-    verify_decay
+    trust_count, verify_decay
 from .reduction import make_context, find_roots_batch, \
     isolated_mode_sandwich, ThresholdError
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
@@ -259,13 +259,20 @@ def cmd_spectrum(cfg):
 def cmd_reduce(cfg):
     q, K = _potential(cfg), cfg["k"]
     ctx = make_context(q)
-    spec = periodic_spectrum(q, K)
     n_lo = ctx.n_s if cfg["n_lo"] is None else cfg["n_lo"]
-    n_hi = min(ctx.n_s + 7, spec.trust) if cfg["n_hi"] is None else cfg["n_hi"]
+    trust = trust_count(K)
+    n_hi = min(ctx.n_s + 7, trust) if cfg["n_hi"] is None else cfg["n_hi"]
     if n_hi < n_lo:
         raise ConfigError("no modes to reduce: n_lo = %d > n_hi = %d (n_s = %d, "
                           "Galerkin trust count %d at K = %d)"
-                          % (n_lo, n_hi, ctx.n_s, spec.trust, K))
+                          % (n_lo, n_hi, ctx.n_s, trust, K))
+    # K caps the oracle; it is solved at the least size that still trusts
+    # n_hi and holds every coupling e_n <-> e_{n+-j}, |j| <= H, of n <= n_hi
+    # (trust_count(k) < (k - 2) / 2, so no k below 2 n_hi + 3 trusts n_hi)
+    K_trust = next((k for k in range(max(16, 2 * n_hi + 3), K)
+                    if trust_count(k) >= n_hi), K)
+    K_o = min(K, max(K_trust, n_hi + q.half_range))
+    spec = periodic_spectrum(q, K_o)
     rows = []
     worst = 0.0
     found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
@@ -301,7 +308,7 @@ def cmd_reduce(cfg):
                 row["status"] = "mismatch"
         rows.append(row)
     obj = {"n_s": ctx.n_s, "N_ms": ctx.N_ms, "M_ms": ctx.M_ms,
-           "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime,
+           "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime, "oracle_K": K_o,
            "worst_relative_mismatch": worst,
            "rows": [{k: v for k, v in r.items() if k != "contraction_bound"}
                     for r in rows]}

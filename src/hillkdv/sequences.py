@@ -41,21 +41,23 @@ def bracket(n):
 class Weight:
     """Closed-form weight w_n = min(<n>^exponent, e^{cap |n|}).
 
-    exponent >= 0 gives the polynomial family, exponent == 0 the trivial
-    weight; cap is None for uncapped weights.  Every member is in the weight
-    class by construction: log w_n = min(exponent log<n>, cap |n|) is a
-    minimum of concave, nondecreasing functions of |n| that vanish at 0, so
-    w_n >= 1, w is symmetric and monotone in |n|, and log w is subadditive:
-    w_{n+m} <= w_n w_m.
+    A finite exponent >= 0 gives the polynomial family, exponent == 0 the
+    trivial weight; cap is finite and > 0, or None for uncapped weights
+    (NaN and inf are rejected: an infinite cap is nan at n = 0).  Every
+    member is in the weight class by construction: log w_n =
+    min(exponent log<n>, cap |n|) is a minimum of concave, nondecreasing
+    functions of |n| that vanish at 0, so w_n >= 1, w is symmetric and
+    monotone in |n|, and log w is subadditive: w_{n+m} <= w_n w_m.
     """
     exponent: float = 0.0
     cap: float | None = None
 
     def __post_init__(self):
-        if self.exponent < 0:
-            raise WeightError("polynomial weight exponent must be >= 0")
-        if self.cap is not None and self.cap <= 0:
-            raise WeightError("exponential cap must be > 0")
+        if not 0 <= self.exponent < math.inf:
+            raise WeightError("polynomial weight exponent must be >= 0 "
+                              "and finite")
+        if self.cap is not None and not 0 < self.cap < math.inf:
+            raise WeightError("exponential cap must be > 0 and finite")
 
     def __call__(self, n):
         n = np.asarray(n, dtype=float)

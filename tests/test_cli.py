@@ -10,9 +10,11 @@ import sys
 import tempfile
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from hillkdv.cli import main
+from hillkdv.galerkin import periodic_spectrum, trust_count
 from hillkdv.operator import Potential
 from hillkdv.reduction import find_roots, make_context
 
@@ -143,6 +145,73 @@ def test_reduce_rows_equal_find_roots(tmp_path):
         assert (r["gap"], r["method"], r["terms"], r["converged"]) == (
             res.gap_estimate, res.method, res.neumann_terms_used, res.converged)
     assert any(r["xi_1"][1] != 0.0 for r in rows)
+
+
+def _low_mode_potential(kind, rng):
+    """The low_mode benchmark's families: |q_2n| = 0.05 <n>^{-1/2} with seeded
+    phases, conjugate at -n (smooth) or independent (complex), and the
+    rough power law |q_2n| = 0.1 <n>^{-1/4} at s = -1/4."""
+    if kind == "rough":
+        return Potential.power_law(0.1, -0.25, 16, s=-0.25, rng=rng)
+    n_max = 26 if kind == "smooth" else 16
+    ns = np.arange(1, n_max + 1)
+    mags = 0.05 * (1.0 + ns) ** -0.5
+    plus = mags * np.exp(2j * np.pi * rng.uniform(size=n_max))
+    minus = np.conj(plus) if kind == "smooth" else \
+        mags * np.exp(2j * np.pi * rng.uniform(size=n_max))
+    return Potential.from_even_pairs(list(zip(ns, plus)) + list(zip(-ns, minus)),
+                                     n_max=n_max, real=kind == "smooth")
+
+
+def _pair(spec, n):
+    return sorted([spec.lam_minus(n), spec.lam_plus(n)],
+                  key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("kind, K, modes", [
+    ("smooth", 128, 21), ("rough", 256, 40), ("complex", 256, 40)])
+def test_reduce_oracle_size(tmp_path, kind, K, modes):
+    # the oracle is solved at min(K, max(K', n_hi + H)), K' the least size
+    # >= 16 whose trust count reaches n_hi: every row is still checked, and
+    # the pairs at that size are those at K to 1e-10 n^2 pi^2
+    q = _low_mode_potential(kind, np.random.default_rng(1))
+    n_lo = make_context(q).n_s
+    n_hi = n_lo + modes - 1
+    (tmp_path / "q.json").write_text(q.seq.to_json())
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\npotential = file:%s\ns = %r\nk = %d\n"
+                       "n_lo = %d\nn_hi = %d\n"
+                       % (tmp_path / "q.json", q.s, K, n_lo, n_hi))
+    out = str(tmp_path / "o")
+    assert main(["reduce", "--config", str(cfgfile), "--out", out]) == 0
+    obj = read_json(os.path.join(out, "reduce.json"))
+    K_trust = min(k for k in range(16, K + 1) if trust_count(k) >= n_hi)
+    K_o = obj["oracle_K"]
+    assert K_o == min(K, max(K_trust, n_hi + q.half_range)) < K
+    assert [r["n"] for r in obj["rows"]] == list(range(n_lo, n_hi + 1))
+    assert all("max_mismatch" in r for r in obj["rows"])
+    small, full = periodic_spectrum(q, K_o), periodic_spectrum(q, K)
+    for n in range(n_lo, n_hi + 1):
+        moved = max(abs(a - b) for a, b in zip(_pair(small, n), _pair(full, n)))
+        assert moved <= 1e-10 * n * n * PI2, n
+
+
+def test_reduce_oracle_at_K_when_couplings_pass_it(tmp_path):
+    # a power law over the full band has H = 64, so n_hi + H > K = 48: the
+    # oracle is solved at K, and its columns are those of the spectrum at K
+    out = str(tmp_path / "o")
+    assert main(["reduce", "--potential", "power-law:a=0.1,e=-0.25,nmax=32",
+                 "--K", "48", "--out", out]) == 0
+    obj = read_json(os.path.join(out, "reduce.json"))
+    assert obj["oracle_K"] == 48 and len(obj["rows"]) == 8
+    spec = periodic_spectrum(Potential.power_law(0.1, -0.25, 32), 48)
+    for r in obj["rows"]:
+        lam = _pair(spec, r["n"])
+        xi = sorted([complex(*r["xi_1"]), complex(*r["xi_2"])],
+                    key=lambda z: (z.real, z.imag))
+        assert r["oracle_gap"] == abs(lam[1] - lam[0])
+        assert r["max_mismatch"] == max(abs(xi[0] - lam[0]),
+                                        abs(xi[1] - lam[1]))
 
 
 def test_reduce_below_threshold_rows(tmp_path):

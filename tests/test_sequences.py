@@ -58,6 +58,18 @@ def test_weight_invalid_parameters():
         Weight(1.0, cap=0.0)
 
 
+@pytest.mark.parametrize("exponent, cap", [
+    (math.nan, None), (1.0, math.nan), (math.inf, None), (1.0, math.inf)])
+def test_weight_rejects_non_finite_parameters(exponent, cap):
+    # NaN fails every comparison, so each bound is written to reject it; an
+    # infinite exponent is inf at n != 0 and an infinite cap nan at n = 0
+    with pytest.raises(WeightError, match="and finite"):
+        Weight(exponent, cap=cap)
+    assert Weight(0.0)(3) == 1.0 and Weight(2.0)(3) == 16.0
+    assert Weight(1.0, cap=0.3)(3) == math.exp(0.3 * 3)
+    assert Weight(1.0, cap=1e300)(3) == 4.0
+
+
 def test_capped_weight_past_exp_range_without_warning():
     # e^{cap |n|} is past the float range from cap |n| > 709.78: the min is
     # the polynomial part, with no overflow warning on the way
