@@ -1,6 +1,6 @@
 """Birkhoff-coordinate surrogates: actions from gap lengths, asymptotic
-frequencies, the linearized coordinate map at q = 0, the free flow, and the
-torus membership test.
+frequencies, the linearized coordinate map at q = 0, and the free flow, which
+turns each z_n on its invariant torus and so keeps every |z_n|.
 
 Actions and frequencies are asymptotic approximations (I_n ~ gamma_n^2/(8 n pi),
 omega_n = (2 n pi)^3 - 6 I_n with the o(1) remainder dropped); every report
@@ -78,11 +78,3 @@ def flow(state, t):
     z[N - n] *= np.conj(ph)
     return replace(state, coeffs=z)
 
-
-def torus_membership(z_ref, z_test, tol):
-    """True iff the amplitude profiles agree: ||z_test,k| - |z_ref,k|| <=
-    tol * max(1, |z_ref,k|) for every k.  A NaN amplitude is not a member."""
-    N = max(z_ref.half_range, z_test.half_range)
-    a = np.abs(z_ref.extended(N).coeffs)
-    b = np.abs(z_test.extended(N).coeffs)
-    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, a)))

@@ -143,14 +143,16 @@ def multiply(q, f):
 def dirichlet_cos_coeffs(q, K):
     """Cosine pairings c[k] = q^cos_k = int_0^1 q(x) cos(k pi x) dx, 0 <= k <= 2K:
     (q_k + q_{-k})/2 for even k, (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) for odd
-    k, summed as (i/pi) sum_{m>0} (q_m - q_{-m}) (...) so even q gives exact 0.
+    k, summed as (i/pi) sum_{m: q_m != q_{-m}} (q_m - q_{-m}) (...) in a fixed
+    order without BLAS, so even q gives exact 0.
     """
     c = q.seq.extended(max(2 * K, q.half_range)).coeffs
-    mid = (c.size - 1) // 2
+    mid, H = (c.size - 1) // 2, q.half_range
     k = np.arange(2 * K + 1)
-    m = np.unique(np.abs(q.support.idx))  # m > 0: q has zero mean
+    d = q.seq.coeffs[H + 1:] - q.seq.coeffs[H - 1::-1]  # q_m - q_{-m}, m >= 1
+    m = np.flatnonzero(d) + 1
     out = 0.5 * (c[mid + k] + c[mid - k])
     odd = k[1::2, None]
-    out[1::2] = (1j / math.pi) * (
-        (1.0 / (m + odd) + 1.0 / (m - odd)) @ (c[mid + m] - c[mid - m]))
+    out[1::2] = (1j / math.pi) * np.add.reduce(
+        (1.0 / (m + odd) + 1.0 / (m - odd)) * d[m - 1], axis=1)
     return out

@@ -278,8 +278,10 @@ def test_flow_action_invariance(tmp_path):
     assert rc == 0
     obj = read_json(os.path.join(out, "flow.json"))
     assert obj["asymptotic"] is True
+    # every reported number is finite; the flow keeps |z_n| by construction,
+    # so no per-mode defect is reported
     assert obj["action_invariance"] is True
-    assert max(obj["action_invariance_defect"]) < 1e-12
+    assert "action_invariance_defect" not in obj
     rows = read_csv(os.path.join(out, "flow.csv"))
     assert rows[1] == ["n", "action", "frequency", "amp_t0", "amp_t1"]
     assert float(rows[2][3]) == pytest.approx(float(rows[2][4]), abs=1e-12)
@@ -301,9 +303,9 @@ def test_flow_complex_potential_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_flow_nan_phase_fails_torus_test(tmp_path):
-    # omega_n t overflows at t = 1e308, so every flowed mode is NaN and the
-    # flowed state is not on the torus of the initial one
+def test_flow_nan_phase_reports_not_finite(tmp_path):
+    # omega_n t overflows at t = 1e308, so every flowed mode is NaN: a
+    # reported number is not finite, and flow exits 1
     out = str(tmp_path / "o")
     rc = main(["flow", "--potential", "single-mode:c=0.05", "--K", "16",
                "--t", "1e308", "--out", out])

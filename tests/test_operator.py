@@ -3,6 +3,8 @@ lambda form of the partial inverse A_lambda^{-1} Q, which dense_oracle
 keeps as an oracle."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,19 +274,37 @@ def test_dirichlet_cos_coeffs_general_potential(real):
     # (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) over all modes m of q
     rng = np.random.default_rng(29)
     if real:
-        q = Potential.random_real(rng, n_max=5)
+        qs = [Potential.random_real(rng, n_max=5)]
     else:
         vals = 0.1 * (rng.normal(size=10) + 1j * rng.normal(size=10))
-        q = Potential.from_even_pairs(zip([1, 2, 3, 4, 5, -1, -2, -3, -4, -5],
-                                          vals), n_max=5)
-    ms = q.seq.nonzero_ks()
-    qc = dirichlet_cos_coeffs(q, 8)
-    for k in range(len(qc)):
-        assert abs(qc[k] - cos_pairing(q, k)) < 1e-11
-        if k % 2:
-            closed = 1j / math.pi * sum(q.coeff(m) * (1 / (m + k) + 1 / (m - k))
-                                        for m in ms)
-            assert abs(qc[k] - closed) < 1e-14
+        qs = [Potential.from_even_pairs(
+            zip([1, 2, 3, 4, 5, -1, -2, -3, -4, -5], vals), n_max=5),
+            # q_{-6} and q_{-2} without q_6 and q_2: m = 6 and 2 are found
+            # from the negative side alone
+            Potential.from_even_pairs([(-3, 0.05 - 0.02j), (-1, 0.03j),
+                                       (2, 0.04)], n_max=3)]
+    for q in qs:
+        ms = q.seq.nonzero_ks()
+        qc = dirichlet_cos_coeffs(q, 8)
+        for k in range(len(qc)):
+            assert abs(qc[k] - cos_pairing(q, k)) < 1e-11
+            if k % 2:
+                closed = 1j / math.pi * sum(
+                    q.coeff(m) * (1 / (m + k) + 1 / (m - k)) for m in ms)
+                assert abs(qc[k] - closed) < 1e-14
+
+
+def test_full_spectrum_leaves_numpy_ma_unimported():
+    # a fresh process: np.unique's sort-free path imports numpy.ma (numpy
+    # 2.4), and the Dirichlet pairings of a complex q no longer call it
+    code = ("import sys; from hillkdv.operator import Potential; "
+            "from hillkdv.galerkin import full_spectrum; "
+            "full_spectrum(Potential.from_even_pairs([(-2, 0.02 - 0.01j), "
+            "(-1, 0.05 + 0.03j), (1, 0.01 - 0.04j)]), 32); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_dirichlet_cos_coeffs_real_for_real_potential():
