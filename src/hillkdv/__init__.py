@@ -13,7 +13,7 @@ Conventions used throughout:
 
 from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
     weakstar_converged, cap_weight
-from .operator import Potential, multiply, dirichlet_cos_coeffs
+from .operator import Potential, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     gaps_and_midpoints, riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \

@@ -2,10 +2,12 @@
 
 Subcommands: spectrum, reduce, flow, verify.  KEYS lists the keys each one
 reads, with their conversion, default and least value; they are its flags
-(n_lo and n_hi are read from --config only) and its --config keys.  A
---config file is UTF-8, INI-style flat key=value (sections are merged in
-file order); flags take precedence.  A flag the subcommand does not read is
-a usage error, and such a --config key is a config error.
+(n_lo and n_hi are read from --config only) and its --config keys; only
+reduce reads s and weight, the space of its thresholds (the spectrum and the
+asymptotic flow do not depend on it).  A --config file is UTF-8, INI-style
+flat key=value (sections are merged in file order); flags take precedence.
+A flag the subcommand does not read is a usage error, and such a --config
+key is a config error.
 Outputs are UTF-8 JSON with sorted keys and RFC-4180 CSV; every file embeds
 the package version and config_hash, a hash of the typed values of the keys
 read (the output directory excluded), so a fixed config + seed reproduces
@@ -16,7 +18,8 @@ digits with it; the reduction's own numbers use no BLAS and do not.
 The verify suites run the library code of acceptance criteria 7 (decay), 8
 (isospectral), 10 (airy-demo) and 6 (sandwich) at their own sizes.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage/config error.
+Exit codes: 0 pass, 1 assertion failure or a failed computation (out of
+memory included), 2 usage/config error.
 """
 
 import argparse
@@ -36,8 +39,7 @@ from .sequences import FourierSeq, Weight, WeightError, cap_weight, \
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
     trust_count, verify_decay
-from .reduction import make_context, find_roots_batch, \
-    isolated_mode_sandwich, ThresholdError
+from .reduction import make_context, find_roots_batch, isolated_mode_sandwich
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
     flow as birkhoff_flow
 from .pde import airy_distances, isospectral_check, potential_to_pde_state
@@ -52,15 +54,14 @@ def boolean(text):
     return ["0", "false", "1", "true"].index(text) >= 2
 
 
-_MODEL = {"potential": (str, "zero"), "weight": (str, "trivial"),
-          "k": (int, 64, 16), "s": (float, 0.0)}
+_MODEL = {"potential": (str, "zero"), "k": (int, 64, 16)}
 _RUN = {"seed": (int, 0, 0), "out": (str, "out")}
 # The keys each subcommand reads, name: (conversion, default[, least]).  They
 # are its --config keys and its flags, --name or FLAG[name] (n_lo and n_hi
 # have none); config_hash covers their values, out excepted.
 KEYS = {"spectrum": {**_MODEL, **_RUN},
-        "reduce": {**_MODEL, "n_lo": (int, None, 1), "n_hi": (int, None),
-                   **_RUN},
+        "reduce": {**_MODEL, "weight": (str, "trivial"), "s": (float, 0.0),
+                   "n_lo": (int, None, 1), "n_hi": (int, None), **_RUN},
         "flow": {**_MODEL, "t": (float, 1.0), **_RUN},
         "verify": {"suite": (str, "all"), **_RUN}}
 FLAG = {"k": "--K", "n_lo": None, "n_hi": None}
@@ -218,12 +219,12 @@ def write_csv(path, header, rows, cfg):
 
 def _potential(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    weight = parse_weight(cfg["weight"])
+    s, weight = cfg.get("s", 0.0), parse_weight(cfg.get("weight", "trivial"))
     try:
         # a spec whose numbers overflow builds non-finite coefficients, which
         # Potential rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return parse_potential(cfg["potential"], cfg["s"], weight, rng)
+            return parse_potential(cfg["potential"], s, weight, rng)
     except InvalidSequenceError as exc:  # s, odd modes, oversized coefficients
         raise ConfigError(str(exc))
 
@@ -359,7 +360,7 @@ def cmd_flow(cfg):
 def _suite_decay(cfg, rng):
     s = -0.25
     q = Potential.power_law(0.1, s, 128, s=s)
-    rep = verify_decay(q, None, s, [96, 128])
+    rep = verify_decay(q, [96, 128])
     ok = rep["gamma_stabilization"] < 0.05 and rep["tail_bound"]["holds"]
     return {"suite": "decay", "pass": bool(ok),
             "gamma_stabilization": rep["gamma_stabilization"],
@@ -422,7 +423,7 @@ def build_parser():
                                 description="Hill-operator spectral toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     for name, keys in KEYS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)  # --s is not --seed
         sp.add_argument("--config")
         for key in keys:
             flag = FLAG.get(key, "--" + key)
@@ -445,7 +446,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (ThresholdError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -251,14 +251,14 @@ def riesz_projector(q, n, K):
                "trace": complex(np.trace(R))}
 
 
-def verify_decay(q, w, s, K_list):
+def verify_decay(q, K_list):
     """Weighted sups of gap lengths and midpoint-Dirichlet differences across
     truncations, with a stabilization measure and the high-mode tail bound
-    ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2;
-    w = None and s = None mean the potential's, as in make_context.
+    ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2,
+    in the space of q: its regularity label s and weight w.
     """
     from .reduction import make_context
-    ctx = make_context(q, s, w)
+    ctx = make_context(q)
     w, s = ctx.w, ctx.s
     report = {"K_list": list(K_list), "sup_gamma": [], "sup_taumu": []}
     results = {}

@@ -132,14 +132,6 @@ def _real_potential(mags, phases, s, weight):
     return Potential.from_even_pairs(pairs, n_max=len(vals), s=s, weight=weight)
 
 
-def multiply(q, f):
-    """Multiplication operator V: (q f)_n = sum_m q_{n-m} f_m, a SparseSeq on
-    the sumset of the supports of q and f (either container); no truncation."""
-    qs = q.support
-    return SparseSeq.accumulate(np.add.outer(qs.idx, f.ks()).ravel(),
-                                np.multiply.outer(qs.coeffs, f.coeffs).ravel())
-
-
 def dirichlet_cos_coeffs(q, K):
     """Cosine pairings c[k] = q^cos_k = int_0^1 q(x) cos(k pi x) dx, 0 <= k <= 2K:
     (q_k + q_{-k})/2 for even k, (i/pi) sum_m q_m (1/(m+k) + 1/(m-k)) for odd

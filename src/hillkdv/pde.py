@@ -33,11 +33,6 @@ class PDEState(FourierSeq):
     preserves the mean exactly."""
     t: float = 0.0
 
-    @classmethod
-    def cosine(cls, a, k=1, K=32, t=0.0):
-        """u(x) = a cos(2 pi k x)."""
-        return cls.from_pairs([(k, a / 2.0), (-k, a / 2.0)], K=K, t=t)
-
 
 def potential_to_pde_state(q):
     """Spectral even mode 2k -> PDE mode k, identical coefficient."""
@@ -83,13 +78,6 @@ def airy_distances(u0, ts, s):
     return sups, comps
 
 
-def default_dt(K, umax):
-    """Accuracy-driven default step: the linear part is exact, so the
-    constraint is the advective scale 6|u| * (2 pi K)."""
-    speed = 6.0 * max(float(umax), 1e-12) * 2.0 * math.pi * max(K, 1)
-    return min(1e-3, 0.2 / speed)
-
-
 def _nonlinear(u, ks, mask):
     """N(u) for 6 u u_x = 3 (u^2)_x on the coefficients u, de-aliased by the
     2/3 rule."""
@@ -101,28 +89,24 @@ def _nonlinear(u, ks, mask):
     return np.where(mask, out, 0.0)
 
 
-def evolve_kdv(u0, t_end, dt=None):
+def evolve_kdv(u0, t_end, dt):
     """Integrating-factor RK4 for u_t = -u_xxx + 6 u u_x, from u0.t to
-    u0.t + t_end (t_end finite, and negative for backward evolution).
+    u0.t + t_end (t_end finite, and negative for backward evolution), in
+    equal steps of at most dt.
 
     The linear phase is applied exactly; the mean is preserved exactly (the
     k = 0 symbol and nonlinear derivative both vanish there).  Raises
     InstabilityError if the coefficient sup grows by a factor above 1e6, and
-    ValueError unless t_end is finite and dt > 0 finite (None: default_dt).
+    ValueError unless t_end is finite and dt > 0 finite.
     """
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite, got %r" % (t_end,))
-    if dt is not None and not 0.0 < dt < math.inf:
+    if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0, got %r" % (dt,))
     if t_end == 0.0:
         return u0
     K = u0.half_range
     ks = u0.ks()
-    if dt is None:
-        n_grid = 2 * K + 1
-        umax = float(np.max(np.abs(np.fft.ifft(np.fft.ifftshift(u0.coeffs))
-                                   * n_grid)))
-        dt = default_dt(K, umax)
     n_steps = max(1, int(math.ceil(abs(t_end) / dt - 1e-12)))
     h = t_end / n_steps
     L = _airy_symbol(ks)
@@ -163,15 +147,15 @@ def conserved(u):
     return mean, l2, ham
 
 
-def isospectral_check(q0, t, K_spec, dt=None, K_pde=None):
-    """Evolve q0 under KdV and compare the periodic/Dirichlet spectra at both
-    endpoints.  The periodic spectrum (and the gap lengths) should drift only
-    by integrator error; the Dirichlet eigenvalues genuinely move and are
-    reported as expected-to-move.
+def isospectral_check(q0, t, K_spec, dt, K_pde):
+    """Evolve q0 under KdV (step dt, on at least K_pde modes) and compare the
+    periodic/Dirichlet spectra at both endpoints.  The periodic spectrum (and
+    the gap lengths) should drift only by integrator error; the Dirichlet
+    eigenvalues genuinely move and are reported as expected-to-move.
     """
     from .galerkin import full_spectrum
     state0 = potential_to_pde_state(q0)
-    if K_pde is not None and K_pde > state0.half_range:
+    if K_pde > state0.half_range:
         state0 = state0.extended(K_pde)
     state1 = evolve_kdv(state0, t, dt=dt)
     q1 = pde_state_to_potential(state1, s=q0.s, weight=q0.weight)

@@ -43,10 +43,9 @@ import math
 
 import numpy as np
 
-from .sequences import FourierSeq, SparseSeq, Weight, bracket, hilbert_sum, \
-    norm, weight_factors, _divisor_sums
-from .operator import Potential, multiply, StripViolationError, \
-    NearSingularError
+from .sequences import FourierSeq, Weight, bracket, hilbert_sum, norm, \
+    weight_factors, _divisor_sums
+from .operator import Potential, StripViolationError, NearSingularError
 
 
 class ContractionFailureError(ArithmeticError):
@@ -148,16 +147,15 @@ class ReductionContext:
     M_ms: int
 
 
-def make_context(q, s=None, w=None, m=None):
-    """Context for q: s and w (default: the potential's), the ball radius m
-    (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds, the
-    smallest integers with 2 c_s ||q|| <= n_s^{1/2-|s|}, 16 c_s' m /
+def make_context(q, s=None, m=None):
+    """Context for q: s (default: the potential's), q's weight w, the ball
+    radius m (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds,
+    the smallest integers with 2 c_s ||q|| <= n_s^{1/2-|s|}, 16 c_s' m /
     N_ms^{1/2-|s|} <= 1/2 and 8 c_s' / M_ms^{1/2-|s|} <= 1/(16 m).  There is
     no truncation parameter: iterates live on their exact support."""
     if s is None:
         s = q.s
-    if w is None:
-        w = q.weight
+    w = q.weight
     qn = norm(q.seq, w, s, math.inf)
     if m is None:
         m = max(1.0, qn)
@@ -191,7 +189,7 @@ class _OffsetPlan:
         self.two_m = np.array([(2 * n, -2 * n) for n in self.ns],
                               dtype=np.int64).reshape(-1)
         self.pm = np.concatenate(([0], -self.two_m))  # j = 0, then each -2m
-        self.start = multiply(ctx.q, SparseSeq([0], [1.0])).coeffs
+        self.start = self.q.coeffs + 0.0  # V e_0 on S_0 = supp(q), no -0.0
         self.levels, self.steps = [self._level(self.q.idx)], []
         self.base = (self.levels[0][2] * np.abs(self.start)[:, None]).max(
             axis=0, initial=0.0).tolist()  # each row's start norm
@@ -224,9 +222,10 @@ class _OffsetPlan:
     def apply(self, l, x):
         """The terms on S_{l+1} from x = A^{-1} Q_n c on S_l, slots by rows:
         each slot sums its products in the order of supp(q) from +0.0, as
-        multiply(q, .) does.  A level of few long runs takes _slices, one of
-        many short runs _add_at: the rows times the mean run length at least
-        512, about where the two cost the same (measured on x86-64)."""
+        multiply(q, .) of tests/dense_oracle.py does.  A level of few long
+        runs takes _slices, one of many short runs _add_at: the rows times
+        the mean run length at least 512, about where the two cost the same
+        (measured on x86-64)."""
         out = np.zeros((self.level(l + 1)[0].size, x.shape[1]), dtype=complex)
         slices = x.size >= 512 * (len(self.steps[l][1]) - 1)
         return (self._slices if slices else self._add_at)(l, x, out)
@@ -257,7 +256,6 @@ class CoeffResult:
     n: int
     delta: complex     # lambda - n^2 pi^2
     a_n: complex
-    a_n_alt: complex   # computed from e_{-n}; should equal a_n
     b_n: complex
     b_neg_n: complex
     terms_used: int
@@ -283,7 +281,7 @@ def _evaluate(plan, modes, deltas):
         "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
     ev = [e for e, o in enumerate(out) if o is None]
     tcol = [2 * modes[e] + r for e in ev for r in (0, 1)]  # table columns
-    full, cols = tcol == list(range(plan.two_m.size)), np.array(tcol, dtype=np.intp)
+    cols = np.array(tcol, dtype=np.intp)
     d_act = np.repeat(np.array([deltas[e] for e in ev], dtype=complex), 2)
     lv, act = plan.level(0), list(range(len(tcol)))
     c = np.repeat(plan.start[:, None], len(tcol), axis=1)
@@ -300,28 +298,27 @@ def _evaluate(plan, modes, deltas):
         out[ev[p // 2]] = err(msg % ns[ev[p // 2]])
 
     def drop():  # the columns of evaluations that stopped or failed
-        nonlocal act, c, d_act, cols, full
+        nonlocal act, c, d_act, cols
         keep = [k for k, p in enumerate(act) if out[ev[p // 2]] is None
                 and not (done[p - p % 2] and done[p | 1])]
         if len(keep) < len(act):
             act, c, d_act = [act[k] for k in keep], c[:, keep], d_act[keep]
-            cols, full = cols[keep], False
+            cols = cols[keep]
 
     for p in act:
         add(p, p)
     for l in range(MAX_TERMS):
-        div = d_act - (lv[1] if full else lv[1][:, cols])
+        div = d_act - lv[1][:, cols]
         if np.abs(div).min(initial=np.inf) < 1e-12:
             for k in np.flatnonzero(np.abs(div).min(axis=0) < 1e-12).tolist():
                 fail(act[k], NearSingularError,
                      "divisor |lambda - (k pi)^2| < 1e-12 in T_%d")
             drop()
-            div = d_act - (lv[1] if full else lv[1][:, cols])
+            div = d_act - lv[1][:, cols]
         if not act:
             break
         c, lv = plan.apply(l, c / div), plan.levels[l + 1]
-        tn = ((lv[2] if full else lv[2][:, cols]) * np.abs(c)).max(
-            axis=0, initial=0.0).tolist()
+        tn = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0).tolist()
         for k, p in enumerate(act):
             if done[p]:
                 continue
@@ -342,8 +339,8 @@ def _evaluate(plan, modes, deltas):
         p, q = 2 * k, 2 * k + 1
         if out[e] is None:
             out[e] = CoeffResult(
-                n=ns[e], delta=complex(deltas[e]), a_n=h[p][0], a_n_alt=h[q][0],
-                b_n=h[q][1], b_neg_n=h[p][1], terms_used=max(used[p], used[q]),
+                n=ns[e], delta=complex(deltas[e]), a_n=h[p][0], b_n=h[q][1],
+                b_neg_n=h[p][1], terms_used=max(used[p], used[q]),
                 max_ratio=max(ratio[p], ratio[q]), converged=done[p] and done[q])
     return out
 
@@ -571,13 +568,11 @@ def find_roots_batch(ctx, ns):
     return _lockstep(_OffsetPlan(ctx, ns), [_reduce(n) for n in ns])
 
 
-def adapted_coefficients(ctx, n_max=None):
+def adapted_coefficients(ctx, n_max):
     """Adapted coefficient sequence r: r_{2k} = q_{2k} for 0 < |k| < M_ms and
-    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max (default M_ms + 6),
-    every alpha_k in lockstep on one offset plan."""
+    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max, every alpha_k in
+    lockstep on one offset plan."""
     M = ctx.M_ms
-    if n_max is None:
-        n_max = M + 6
     if n_max < M:
         raise ThresholdError("n_max must be >= M_ms")
     K = 2 * n_max

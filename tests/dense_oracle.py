@@ -9,15 +9,18 @@ one side has small support, FFT otherwise) and a Neumann series whose every
 term is cut to the window |k| <= K, dividing by delta - (k - n)(k + n) pi^2
 on the dense array itself (dense_A_inv_Q) where the package divides on the
 support.  With a window wide enough to hold the iterates' mass, the two must
-agree to rounding.  sparse_neumann sums K_n f for one SparseSeq f term by
-term, each support found afresh by multiply, where the package sums the
-series from V e_n and V e_{-n} of every mode of a batch on one plan in
-offsets from the mode (reduction._OffsetPlan); its coefficients must agree
-with the package's bit for bit.  With lam_form, sparse_neumann divides by
-lambda - (k pi)^2 through apply_A_inv_Q instead, the lambda form of
-A_lambda^{-1} Q_n that the package no longer uses, which loses the digits of
-n^2 pi^2: an oracle to 1e-12 for n <= 100 only.  in_strip is the strip S_n
-that apply_A_inv_Q checks.
+agree to rounding.  multiply is V as a sumset convolution, one product per
+pair of nonzero coefficients, equal indices summed in the order of supp(q)
+from +0.0.  sparse_neumann sums K_n f for one SparseSeq f term by term,
+each support found afresh by multiply, where the package sums the series
+from V e_n and V e_{-n} of every mode of a batch on one plan in offsets
+from the mode (reduction._OffsetPlan); its coefficients must agree with the
+package's bit for bit, and its a_n_alt = <K_n V e_{-n}, e_{-n}>, which the
+package does not compute, must equal a_n.  With lam_form, sparse_neumann
+divides by lambda - (k pi)^2 through apply_A_inv_Q instead, the lambda form
+of A_lambda^{-1} Q_n that the package no longer uses, which loses the
+digits of n^2 pi^2: an oracle to 1e-12 for n <= 100 only.  in_strip is the
+strip S_n that apply_A_inv_Q checks.
 shifted_galerkin_pair is the dense Galerkin matrix of L - n^2 pi^2 on two
 clusters of indices around +-n, whose two eigenvalues nearest 0 are the
 offsets of the roots at any n, to eigvalsh's eps ||M||.
@@ -59,7 +62,7 @@ from scipy.signal import fftconvolve
 
 from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
-from hillkdv.operator import Potential, dirichlet_cos_coeffs, multiply, \
+from hillkdv.operator import Potential, dirichlet_cos_coeffs, \
     StripViolationError, NearSingularError
 from hillkdv import reduction
 from hillkdv.reduction import PI2, coefficients
@@ -95,6 +98,14 @@ def convolve(a, b):
     mid = Ka + Kb
     out = full[mid - K:mid + K + 1]
     return FourierSeq(out.copy())
+
+
+def multiply(q, f):
+    """Multiplication operator V: (q f)_n = sum_m q_{n-m} f_m, a SparseSeq on
+    the sumset of the supports of q and f (either container); no truncation."""
+    qs = q.support
+    return SparseSeq.accumulate(np.add.outer(qs.idx, f.ks()).ravel(),
+                                np.multiply.outer(qs.coeffs, f.coeffs).ravel())
 
 
 def shifted_norm(f, w, s, l):

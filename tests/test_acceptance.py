@@ -183,7 +183,7 @@ def test_criterion_06_gap_sandwich():
 def test_criterion_07_decay_verification():
     s = -0.25
     q = Potential.power_law(0.1, s, n_max=128, s=s)
-    rep = verify_decay(q, None, s, [128, 256])
+    rep = verify_decay(q, [128, 256])
     assert rep["gamma_stabilization"] < 0.01
     assert rep["taumu_stabilization"] < 0.01
     qn = q.norm_ws_inf()

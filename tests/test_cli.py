@@ -99,6 +99,25 @@ def test_flag_overrides_config(tmp_path):
     assert float(rows[2][5]) == pytest.approx(0.1, abs=1e-5)
 
 
+@pytest.mark.parametrize("command, solver", [("spectrum", "full_spectrum"),
+                                             ("flow", "periodic_spectrum")])
+def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, command, solver):
+    # a --K whose matrices cannot be allocated (10^7 asks for 182 TiB): one
+    # error line, no traceback, nothing written
+    import hillkdv.cli
+
+    def no_memory(q, K):
+        raise MemoryError("Unable to allocate 182. TiB for an array with "
+                          "shape (5000001, 5000001) and data type int64")
+    monkeypatch.setattr(hillkdv.cli, solver, no_memory)
+    out = tmp_path / "o"
+    assert main([command, "--K", "10000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -393,12 +412,12 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "random:nmax=0"],
     ["--potential", "random:nmax=abc"],
     ["--potential", "single-mode:c=x"],
-    ["--potential", "zero", "--s", "0.3"],
-    ["--potential", "zero", "--weight", "poly:a=x"],
+    ["reduce", "--potential", "zero", "--s", "0.3"],
+    ["reduce", "--potential", "zero", "--weight", "poly:a=x"],
     ["--potential", "file:ODD"],
     ["--potential", "single-mode:c=nan"],
-    ["--potential", "zero", "--weight", "poly:a=nan"],
-    ["--potential", "zero", "--weight", "poly:a=-1"],
+    ["reduce", "--potential", "zero", "--weight", "poly:a=nan"],
+    ["reduce", "--potential", "zero", "--weight", "poly:a=-1"],
     ["flow", "--potential", "zero", "--t", "inf"],
     ["reduce", "--potential", "power-law:nmax=8,a=1e308,e=1.5", "--s", "-0.25"],
     ["--potential", "random:sup=-1e308,nmax=1"],
@@ -482,10 +501,15 @@ def test_dt_flag_rejected(tmp_path):
     ("verify", "--potential=zero"), ("verify", "--K=999"), ("verify", "--s=0"),
     ("verify", "--weight=trivial"), ("verify", "--t=5"),
     ("spectrum", "--t=7"), ("spectrum", "--suite=decay"),
-    ("reduce", "--t=7"), ("reduce", "--suite=decay"), ("flow", "--suite=decay")])
+    ("reduce", "--t=7"), ("reduce", "--suite=decay"),
+    ("flow", "--suite=decay"), ("spectrum", "--s=0"),
+    ("spectrum", "--weight=poly:a=2"),
+    ("flow", "--s=0"), ("flow", "--weight=poly:a=1"), ("spectrum", "--se=1")])
 def test_unread_flag_rejected(tmp_path, command, flag):
     # a subcommand takes only the flags it reads: one it would ignore exits
-    # 2 and writes nothing, rather than changing only the config hash
+    # 2 and writes nothing, rather than changing only the config hash (the
+    # spectrum and the asymptotic flow do not depend on s or the weight);
+    # no flag is taken for one it abbreviates, so --s is not --seed
     out = tmp_path / "o"
     assert main([command, flag, "--out", str(out)]) == 2
     assert not out.exists()
@@ -493,7 +517,9 @@ def test_unread_flag_rejected(tmp_path, command, flag):
 
 @pytest.mark.parametrize("command, lines, unread", [
     ("spectrum", "suite = nope\nt = 5\nbogus = 1\n", "'bogus', 'suite', 't'"),
-    ("flow", "n_lo = 1\n", "'n_lo'"), ("verify", "k = 64\ns = 0\n", "'k', 's'")])
+    ("flow", "n_lo = 1\n", "'n_lo'"),
+    ("verify", "k = 64\ns = 0\n", "'k', 's'"), ("spectrum", "s = 0\n", "'s'"),
+    ("flow", "weight = trivial\n", "'weight'")])
 def test_unread_config_key_rejected(tmp_path, capsys, command, lines, unread):
     # a --config key the subcommand does not read exits 2, named, and writes
     # nothing, rather than changing only the config hash
@@ -521,9 +547,9 @@ def test_flags_are_the_keys_read():
     # each subcommand's flags are its keys in cli.KEYS, --K for k, and none
     # for the --config-only n_lo and n_hi
     from hillkdv.cli import KEYS, build_parser
-    model = {"potential", "weight", "k", "s", "seed", "out"}
-    expected = {"spectrum": model, "reduce": model, "flow": model | {"t"},
-                "verify": {"suite", "seed", "out"}}
+    model = {"potential", "k", "seed", "out"}
+    expected = {"spectrum": model, "reduce": model | {"weight", "s"},
+                "flow": model | {"t"}, "verify": {"suite", "seed", "out"}}
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     for command, keys in KEYS.items():
         flags = {a.dest: a.option_strings
@@ -644,9 +670,10 @@ _WEIGHT = _mostly(st.just("trivial"),
        seed=st.integers(0, 3))
 def test_fuzz_cli_exit_codes(command, potential, weight, K, s, t, seed):
     # "--flag=value", so that values such as "-inf" reach the parser
-    argv = [command, "--potential=" + potential, "--K=%d" % K, "--s=" + s,
-            "--seed=%d" % seed, "--weight=" + weight]
-    argv += ["--t=" + t] if command == "flow" else []
+    argv = [command, "--potential=" + potential, "--K=%d" % K,
+            "--seed=%d" % seed]
+    argv += {"reduce": ["--s=" + s, "--weight=" + weight],
+             "flow": ["--t=" + t]}.get(command, [])
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) in (0, 1, 2)
 
@@ -672,7 +699,7 @@ _SPELLED = {
 def test_flags_and_config_file_agree(command, potential, values):
     # outputs are byte-identical, config_hash included: the hash covers the
     # converted values, not their spelling
-    keys = ["k", "s", "seed"] + (["t"] if command == "flow" else [])
+    keys = ["k", "seed"] + {"reduce": ["s"], "flow": ["t"]}.get(command, [])
     flags = ["--potential=" + potential] + [
         "--%s=%s" % ("K" if k == "k" else k, values[k][0]) for k in keys]
     lines = ["potential = " + potential] + [

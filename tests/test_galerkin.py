@@ -545,7 +545,7 @@ def test_op_norm_2_to_inf_identity():
 def test_verify_decay_report_structure_and_bound():
     rng = np.random.default_rng(21)
     q = Potential.power_law(0.05, -1.0, n_max=12, rng=rng)
-    rep = verify_decay(q, None, 0.0, [64, 96, 128])
+    rep = verify_decay(q, [64, 96, 128])
     assert rep["K_list"] == [64, 96, 128]
     assert len(rep["sup_gamma"]) == 3
     assert rep["gamma_stabilization"] < 0.05
@@ -556,6 +556,6 @@ def test_verify_decay_weighted():
     rng = np.random.default_rng(23)
     q = Potential.power_law(0.02, -2.0, n_max=8, rng=rng,
                             weight=Weight.polynomial(0.5))
-    rep = verify_decay(q, Weight.polynomial(0.5), 0.0, [64, 128])
+    rep = verify_decay(q, [64, 128])
     assert rep["tail_bound"]["holds"]
     assert rep["sup_gamma"][-1] >= 0.0

@@ -12,11 +12,10 @@ from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
 from hillkdv.operator import (
-    Potential, multiply, dirichlet_cos_coeffs, StripViolationError,
-    NearSingularError,
+    Potential, dirichlet_cos_coeffs, StripViolationError, NearSingularError,
 )
 
-from dense_oracle import project, in_strip, apply_A_inv_Q
+from dense_oracle import project, in_strip, apply_A_inv_Q, multiply
 
 PI2 = math.pi ** 2
 

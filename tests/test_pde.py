@@ -10,9 +10,13 @@ from hillkdv.operator import Potential
 from hillkdv.sequences import FourierSeq
 from hillkdv.pde import (
     PDEState, potential_to_pde_state, pde_state_to_potential,
-    evolve_airy, evolve_kdv, default_dt, conserved, isospectral_check,
-    InstabilityError,
+    evolve_airy, evolve_kdv, conserved, isospectral_check, InstabilityError,
 )
+
+
+def cosine(a, k=1, K=32, t=0.0):
+    """The state u(x) = a cos(2 pi k x) on |k| <= K at time t."""
+    return PDEState.from_pairs([(k, a / 2.0), (-k, a / 2.0)], K=K, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +24,7 @@ from hillkdv.pde import (
 # ---------------------------------------------------------------------------
 
 def test_state_cosine_constructor():
-    u = PDEState.cosine(0.2, k=3, K=8)
+    u = cosine(0.2, k=3, K=8)
     assert u[3] == 0.1 and u[-3] == 0.1
     assert u[1] == 0.0
     assert u.is_conj_symmetric(tol=1e-10)
@@ -63,7 +67,7 @@ def test_pde_state_to_potential_matches_pair_loop():
 # ---------------------------------------------------------------------------
 
 def test_airy_identity_at_zero():
-    u = PDEState.cosine(0.3, K=8)
+    u = cosine(0.3, K=8)
     np.testing.assert_array_equal(evolve_airy(u, 0.0).coeffs, u.coeffs)
 
 
@@ -90,14 +94,14 @@ def test_airy_unitary():
 
 def test_kdv_linear_limit():
     # for tiny amplitude the KdV flow is the Airy flow to high accuracy
-    u0 = PDEState.cosine(1e-6, K=16)
+    u0 = cosine(1e-6, K=16)
     a = evolve_airy(u0, 0.01)
-    b = evolve_kdv(u0, 0.01)
+    b = evolve_kdv(u0, 0.01, dt=1e-3)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-9
 
 
 def test_kdv_fourth_order_self_convergence():
-    u0 = PDEState.cosine(0.1, K=16)
+    u0 = cosine(0.1, K=16)
     t = 4e-3
     ref = evolve_kdv(u0, t, dt=t / 512)
     errs = []
@@ -111,7 +115,7 @@ def test_kdv_fourth_order_self_convergence():
 
 
 def test_kdv_reversibility():
-    u0 = PDEState.cosine(0.1, K=32)
+    u0 = cosine(0.1, K=32)
     dt = 2.5e-4
     u1 = evolve_kdv(u0, 0.01, dt=dt)
     u2 = evolve_kdv(u1, -0.01, dt=dt)
@@ -120,7 +124,7 @@ def test_kdv_reversibility():
 
 def test_kdv_mean_preserved_exactly():
     u0 = PDEState.from_pairs([(0, 0.25), (1, 0.05), (-1, 0.05)], K=16)
-    u1 = evolve_kdv(u0, 0.01)
+    u1 = evolve_kdv(u0, 0.01, dt=1e-3)
     assert u1[0] == u0[0]
 
 
@@ -129,7 +133,7 @@ def test_kdv_rejects_bad_dt(dt):
     # a negative or infinite dt would take one RK4 step over the whole
     # interval, 0 and NaN would fail in the step count
     with pytest.raises(ValueError, match="dt"):
-        evolve_kdv(PDEState.cosine(0.1, K=16), 0.01, dt=dt)
+        evolve_kdv(cosine(0.1, K=16), 0.01, dt=dt)
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
@@ -137,16 +141,11 @@ def test_kdv_rejects_non_finite_t_end(t_end):
     # NaN and +-inf would otherwise reach the step count, as a conversion
     # error and an overflow; a finite negative t_end stays allowed
     with pytest.raises(ValueError, match="t_end"):
-        evolve_kdv(PDEState.cosine(0.1, K=16), t_end, dt=1e-4)
-
-
-def test_default_dt_scaling():
-    assert default_dt(32, 0.1) <= 1e-3
-    assert default_dt(64, 10.0) < default_dt(64, 1.0)
+        evolve_kdv(cosine(0.1, K=16), t_end, dt=1e-4)
 
 
 def test_blowup_detection():
-    u0 = PDEState.cosine(50.0, K=32)
+    u0 = cosine(50.0, K=32)
     with pytest.raises(InstabilityError):
         # absurdly large step forces the nonlinear term to blow up
         evolve_kdv(u0, 1.0, dt=0.05)
@@ -160,7 +159,7 @@ def test_hamiltonian_hand_value():
     # u = a cos(2 pi x): H = int (1/2 u_x^2 + u^3) = pi^2 a^2 (cubic
     # integrates to zero)
     a = 0.3
-    u = PDEState.cosine(a, K=8)
+    u = cosine(a, K=8)
     mean, l2, ham = conserved(u)
     assert mean == 0.0
     assert l2 == pytest.approx(a * a / 2.0)
@@ -180,7 +179,7 @@ def test_hamiltonian_cubic_term():
 
 
 def test_conserved_drift_small():
-    u0 = PDEState.cosine(0.1, K=32)
+    u0 = cosine(0.1, K=32)
     u1 = evolve_kdv(u0, 0.01, dt=2.5e-4)
     c0, c1 = conserved(u0), conserved(u1)
     assert abs(c1[1] - c0[1]) / c0[1] < 1e-9
