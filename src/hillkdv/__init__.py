@@ -15,7 +15,7 @@ from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
     weakstar_converged, cap_weight
 from .operator import Potential, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
-    gaps_and_midpoints, riesz_projector, verify_decay
+    riesz_projector, verify_decay
 from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
     make_context, coefficients, find_roots, alpha_fixed_point, \
     adapted_coefficients, gap_sandwich, find_roots_batch

@@ -37,8 +37,8 @@ from . import __version__
 from .sequences import FourierSeq, Weight, WeightError, cap_weight, \
     InvalidSequenceError
 from .operator import Potential
-from .galerkin import full_spectrum, periodic_spectrum, gaps_and_midpoints, \
-    trust_count, verify_decay
+from .galerkin import full_spectrum, periodic_spectrum, trust_count, \
+    verify_decay
 from .reduction import make_context, find_roots_batch, isolated_mode_sandwich
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
     flow as birkhoff_flow
@@ -123,7 +123,7 @@ def parse_weight(spec):
         raise ConfigError("unknown weight spec %r" % spec)
     kv = parse_kv(body, {"a": (float, 1.0), "cap": (float, None)}, "weight")
     try:
-        w = Weight.polynomial(kv["a"])
+        w = Weight(kv["a"])
         return w if kv["cap"] is None else cap_weight(w, kv["cap"])
     except WeightError as exc:  # a < 0, cap <= 0, not finite on |n| <= 512
         raise ConfigError(str(exc))
@@ -201,11 +201,6 @@ def write_json(path, obj, cfg):
         fh.write("\n")
 
 
-def _fnum(x):
-    """Round-trip decimal text for a scalar (numpy scalars included)."""
-    return repr(float(x))
-
-
 def write_csv(path, header, rows, cfg):
     with _open_out(path, "") as fh:
         wr = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
@@ -232,7 +227,7 @@ def _potential(cfg):
 def cmd_spectrum(cfg):
     K = cfg["k"]
     spec = full_spectrum(_potential(cfg), K)
-    gam, tau, diff = gaps_and_midpoints(spec)
+    gam, tau, diff = spec.gaps(), spec.midpoints(), spec.tau_minus_mu()
     obj = {
         "K": K,
         "trust_count": spec.trust,
@@ -244,12 +239,9 @@ def cmd_spectrum(cfg):
     write_json(os.path.join(cfg["out"], "spectrum.json"), obj, cfg)
     rows = []
     for i in range(1, spec.trust + 1):
-        lm, lp = spec.lam_minus(i), spec.lam_plus(i)
-        mu = spec.mu(i)
-        rows.append([i, _fnum(lm.real), _fnum(lm.imag), _fnum(lp.real),
-                     _fnum(lp.imag), _fnum(gam[i - 1].real),
-                     _fnum(tau[i - 1].real), _fnum(mu.real),
-                     _fnum(diff[i - 1].real)])
+        lm, lp, mu = spec.lam_minus(i), spec.lam_plus(i), spec.mu(i)
+        rows.append([i, lm.real, lm.imag, lp.real, lp.imag, gam[i - 1].real,
+                     tau[i - 1].real, mu.real, diff[i - 1].real])
     write_csv(os.path.join(cfg["out"], "spectrum.csv"),
               ["n", "re_lam_minus", "im_lam_minus", "re_lam_plus",
                "im_lam_plus", "gamma", "tau", "mu", "tau_minus_mu"],
@@ -329,11 +321,12 @@ def cmd_reduce(cfg):
 def cmd_flow(cfg):
     q, t = _potential(cfg), cfg["t"]
     spec = periodic_spectrum(q, cfg["k"])
-    gam, tau, diff = gaps_and_midpoints(spec)
-    I = actions_from_gaps(gam)
-    om = frequencies(I)
-    z0 = linearized_birkhoff(q)
-    z1 = birkhoff_flow(z0, t)
+    # an overflow (omega_n t at a huge t) is reported below as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = actions_from_gaps(spec.gaps())
+        om = frequencies(I)
+        z0 = linearized_birkhoff(q)
+        z1 = birkhoff_flow(z0, t)
     # |z1_n| = |z0_n| by construction: only a non-finite value can fail
     finite = all(np.isfinite(v).all() for v in (z0.coeffs, z1.coeffs, I, om))
     obj = {
@@ -348,12 +341,14 @@ def cmd_flow(cfg):
         "action_invariance": finite,
     }
     write_json(os.path.join(cfg["out"], "flow.json"), obj, cfg)
-    rows = [[n, _fnum(I[n - 1]) if n - 1 < I.size else "",
-             _fnum(om[n - 1]) if n - 1 < om.size else "",
-             _fnum(abs(z0[n])), _fnum(abs(z1[n]))]
+    rows = [[n, I[n - 1] if n - 1 < I.size else "",
+             om[n - 1] if n - 1 < om.size else "", abs(z0[n]), abs(z1[n])]
             for n in range(1, z0.half_range + 1)]
     write_csv(os.path.join(cfg["out"], "flow.csv"),
               ["n", "action", "frequency", "amp_t0", "amp_t1"], rows, cfg)
+    if not finite:
+        print("error: flow at t = %r: a reported value is not finite" % t,
+              file=sys.stderr)
     return 0 if finite else 1
 
 
@@ -384,8 +379,7 @@ def _suite_airy(cfg, rng):
     ok = all(v >= 0.1 for v in sups) and comps[0] < comps[-1]
     write_csv(os.path.join(cfg["out"], "airy_demo.csv"),
               ["t", "sup_norm_distance", "component_1_distance"],
-              [[_fnum(t), _fnum(sv), _fnum(cv)]
-               for t, sv, cv in zip(ts, sups, comps)], cfg)
+              zip(ts, sups, comps), cfg)
     return {"suite": "airy-demo", "pass": bool(ok), "sup_floor": min(sups)}
 
 

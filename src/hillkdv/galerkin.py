@@ -92,6 +92,9 @@ class SpectrumResult:
         n = np.arange(1, self.trust + 1)
         return 0.5 * (self.periodic[2 * n] + self.periodic[2 * n - 1])
 
+    def tau_minus_mu(self):
+        return self.midpoints() - self.dirichlet[:self.trust]
+
 
 def _parity_block(q, K, parity):
     """The block of M on the k in [-K, K] of the given parity, the Toeplitz
@@ -176,13 +179,6 @@ def full_spectrum(q, K):
     return spec
 
 
-def gaps_and_midpoints(spec):
-    """(gamma_n, tau_n, tau_n - mu_n) up to trust_count."""
-    gam, tau = spec.gaps(), spec.midpoints()
-    diff = None if spec.dirichlet is None else tau - spec.dirichlet[:spec.trust]
-    return gam, tau, diff
-
-
 def riesz_projector(q, n, K):
     """Riesz projector (1/2 pi i) oint (lambda - M)^{-1} d lambda of the periodic
     matrix M over |lambda - n^2 pi^2| = n, which must separate {lambda_n^+-}.
@@ -259,17 +255,17 @@ def verify_decay(q, K_list):
     """
     from .reduction import make_context
     ctx = make_context(q)
-    w, s = ctx.w, ctx.s
+    w, s = q.weight, q.s
     report = {"K_list": list(K_list), "sup_gamma": [], "sup_taumu": []}
     results = {}
     for K in K_list:
         spec = full_spectrum(q, K)
-        gam, tau, diff = gaps_and_midpoints(spec)
         n = np.arange(1, spec.trust + 1)
         wfac = weight_factors(2 * n, w, s)
-        results[K] = n, wfac * np.abs(gam)
+        results[K] = n, wfac * np.abs(spec.gaps())
         report["sup_gamma"].append(float(np.max(results[K][1], initial=0.0)))
-        report["sup_taumu"].append(float(np.max(wfac * np.abs(diff), initial=0.0)))
+        taumu = wfac * np.abs(spec.tau_minus_mu())
+        report["sup_taumu"].append(float(np.max(taumu, initial=0.0)))
     for key in ("gamma", "taumu") if len(K_list) >= 2 else ():
         a, b = report["sup_" + key][-2:]
         report[key + "_stabilization"] = abs(a - b) / max(abs(b), 1e-300)

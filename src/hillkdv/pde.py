@@ -40,14 +40,14 @@ def potential_to_pde_state(q):
     return PDEState(q.seq.truncated(2 * K).coeffs[::2])
 
 
-def pde_state_to_potential(u, s=0.0, weight=None):
+def pde_state_to_potential(u):
     """PDE mode k -> spectral even mode 2k, on at least one mode pair; the
     mean u_0 is dropped."""
     K = max(u.half_range, 1)
     c = np.zeros(4 * K + 1, dtype=complex)
     c[::2] = u.extended(K).coeffs
     c[2 * K] = 0.0
-    return Potential(FourierSeq(c), s=s, weight=weight)
+    return Potential(FourierSeq(c))
 
 
 def _airy_symbol(ks):
@@ -158,7 +158,7 @@ def isospectral_check(q0, t, K_spec, dt, K_pde):
     if K_pde > state0.half_range:
         state0 = state0.extended(K_pde)
     state1 = evolve_kdv(state0, t, dt=dt)
-    q1 = pde_state_to_potential(state1, s=q0.s, weight=q0.weight)
+    q1 = pde_state_to_potential(state1)
     spec0 = full_spectrum(q0, K_spec)
     spec1 = full_spectrum(q1, K_spec)
     trust = spec0.trust  # spec1.trust too: both are solved at K_spec

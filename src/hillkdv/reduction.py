@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .sequences import FourierSeq, Weight, bracket, hilbert_sum, norm, \
+from .sequences import FourierSeq, bracket, hilbert_sum, norm, \
     weight_factors, _divisor_sums
 from .operator import Potential, StripViolationError, NearSingularError
 
@@ -138,7 +138,6 @@ class ReductionContext:
     that results do not depend on the order of calls."""
     q: Potential
     s: float
-    w: Weight | None
     m: float
     c_s: float
     c_s_prime: float
@@ -155,8 +154,7 @@ def make_context(q, s=None, m=None):
     no truncation parameter: iterates live on their exact support."""
     if s is None:
         s = q.s
-    w = q.weight
-    qn = norm(q.seq, w, s, math.inf)
+    qn = norm(q.seq, q.weight, s, math.inf)
     if m is None:
         m = max(1.0, qn)
     if qn > m * (1.0 + 1e-12):
@@ -164,7 +162,7 @@ def make_context(q, s=None, m=None):
     c = estimate_c_s(s)
     cp = estimate_c_s_prime(s)
     power = 0.5 - abs(s)
-    return ReductionContext(q=q, s=s, w=w, m=float(m), c_s=c, c_s_prime=cp,
+    return ReductionContext(q=q, s=s, m=float(m), c_s=c, c_s_prime=cp,
                             n_s=_smallest_n(power, 2.0 * c * qn, "n_s"),
                             N_ms=_smallest_n(power, 32.0 * cp * m, "N_ms"),
                             M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"))
@@ -195,7 +193,7 @@ class _OffsetPlan:
             axis=0, initial=0.0).tolist()  # each row's start norm
 
     def _level(self, S):
-        w, s, jm = self.ctx.w, self.ctx.s, S[:, None] + self.two_m
+        w, s, jm = self.ctx.q.weight, self.ctx.s, S[:, None] + self.two_m
         kk = S[:, None] * jm * PI2
         kk[(S[:, None] == 0) | (jm == 0)] = np.inf
         wt = np.maximum(weight_factors(S, w, s)[:, None], weight_factors(

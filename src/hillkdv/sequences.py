@@ -69,10 +69,6 @@ class Weight:
             return float(vals)
         return vals
 
-    @staticmethod
-    def polynomial(a):
-        return Weight(float(a))
-
 
 def cap_weight(w, eps):
     """Exponentially capped weight w^eps_n = min(w_n, e^{eps|n|}).
@@ -170,21 +166,18 @@ class FourierSeq:
             return self.extended(K_new)
         return replace(self, coeffs=self.coeffs[K - K_new:K + K_new + 1].copy())
 
-    def to_json_obj(self):
-        ks = self.nonzero_ks()
-        return {
+    def to_json(self):
+        return json.dumps({
             "half_range": int(self.half_range),
             "coeffs": [[int(k), float(self[k].real), float(self[k].imag)]
-                       for k in ks],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+                       for k in self.nonzero_ks()],
+        }, sort_keys=True)
 
     @staticmethod
-    def from_json_obj(obj):
-        """Inverse of to_json_obj; other keys (older files' flags, "real"
-        among them) are ignored."""
+    def from_json(text):
+        """Inverse of to_json; other keys (older files' flags, "real" among
+        them) are ignored."""
+        obj = json.loads(text)
         try:
             K = int(obj["half_range"])
             pairs = [(int(k), re + 1j * im) for k, re, im in obj["coeffs"]]
@@ -192,10 +185,6 @@ class FourierSeq:
             raise InvalidSequenceError("malformed sequence JSON: %s: %s"
                                        % (type(exc).__name__, exc))
         return FourierSeq.from_pairs(pairs, K=K)
-
-    @staticmethod
-    def from_json(text):
-        return FourierSeq.from_json_obj(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -272,9 +261,7 @@ def norm(f, w, s, p):
         raise ValueError("p must be in [1, inf]")
     if math.isinf(p):
         c = f.coeffs
-        nz = c.real != 0
-        nz |= c.imag != 0
-        nz = np.flatnonzero(nz)
+        nz = np.flatnonzero(c != 0)
         ks = f.idx[nz] if isinstance(f, SparseSeq) else nz - f.half_range
         prof = weight_factors(ks, w, s) * np.abs(c[nz])
         return float(prof.max(initial=0.0))

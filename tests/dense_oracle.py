@@ -118,8 +118,8 @@ def shifted_norm(f, w, s, l):
 
 def shift_pair(f, ctx, n):
     """max of the shifted norms of f at l = n and l = -n."""
-    return max(shifted_norm(f, ctx.w, ctx.s, n),
-               shifted_norm(f, ctx.w, ctx.s, -n))
+    return max(shifted_norm(f, ctx.q.weight, ctx.s, n),
+               shifted_norm(f, ctx.q.weight, ctx.s, -n))
 
 
 def in_strip(lam, n):
@@ -440,9 +440,9 @@ def eigenfunction_reconstruct(ctx, n, xi, u_coeffs):
     f = SparseSeq.total([u, apply_A_inv_Q(xi, n, k)])
     res = SparseSeq.total([multiply(ctx.q, f), SparseSeq(
         f.idx, ((f.idx * math.pi) ** 2 - xi) * f.coeffs)])
-    res_norm = norm(res, ctx.w, ctx.s - 2.0, math.inf)
-    f_norm = norm(f, ctx.w, ctx.s, math.inf)
-    reg_sup = norm(f, ctx.w, ctx.s + 2.0, math.inf)
+    res_norm = norm(res, ctx.q.weight, ctx.s - 2.0, math.inf)
+    f_norm = norm(f, ctx.q.weight, ctx.s, math.inf)
+    reg_sup = norm(f, ctx.q.weight, ctx.s + 2.0, math.inf)
     report = {"residual_s_minus_2": float(res_norm),
               "f_norm": float(f_norm),
               "relative_residual": float(res_norm / max(f_norm, 1e-300)),

@@ -14,8 +14,7 @@ import pytest
 from hillkdv.sequences import FourierSeq, norm as seq_norm, hilbert_sum
 from hillkdv.operator import Potential
 from hillkdv.galerkin import (
-    full_spectrum, periodic_spectrum, gaps_and_midpoints, riesz_projector,
-    verify_decay,
+    full_spectrum, periodic_spectrum, riesz_projector, verify_decay,
 )
 from hillkdv.reduction import (
     make_context, coefficients, find_roots,

@@ -321,16 +321,56 @@ def test_flow_complex_potential_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_flow_nan_phase_reports_not_finite(tmp_path):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_nan_phase_reports_not_finite(tmp_path, capsys):
     # omega_n t overflows at t = 1e308, so every flowed mode is NaN: a
-    # reported number is not finite, and flow exits 1
+    # reported number is not finite, and flow exits 1 with one error line
+    # and no numpy warning
     out = str(tmp_path / "o")
     rc = main(["flow", "--potential", "single-mode:c=0.05", "--K", "16",
                "--t", "1e308", "--out", out])
     assert rc == 1
     assert read_json(os.path.join(out, "flow.json"))["action_invariance"] \
         is False
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command, potential", [
+    ("spectrum", "single-mode:c=0.05"),
+    ("spectrum", "file"),
+    ("flow", "random:sup=0.1,nmax=16"),
+])
+def test_csv_numbers_equal_json(tmp_path, command, potential):
+    # every number in the CSV, read back as float(text), is the value the
+    # JSON holds: both files carry the same doubles in round-trip text
+    if potential == "file":  # complex: q_{-2} != conj(q_2)
+        pf = tmp_path / "qc.json"
+        pf.write_text(json.dumps({"half_range": 4, "coeffs": [
+            [-4, 0.02, -0.01], [-2, 0.05, 0.03], [2, 0.01, -0.04],
+            [4, 0.03, 0.02]]}))
+        potential = "file:%s" % pf
+    out = str(tmp_path / "o")
+    assert main([command, "--potential", potential, "--out", out]) == 0
+    obj = read_json(os.path.join(out, command + ".json"))
+    rows = read_csv(os.path.join(out, command + ".csv"))[2:]
+    if command == "spectrum":
+        per, mu, tau = obj["periodic"], obj["dirichlet"], obj["midpoints"]
+        assert len(rows) == obj["trust_count"] > 0
+        assert any(v[1] != 0.0 for v in per) == ("file" in potential)
+        want = [[n, *per[2 * n - 1], *per[2 * n], obj["gaps"][n - 1][0],
+                 tau[n - 1][0], mu[n - 1][0], tau[n - 1][0] - mu[n - 1][0]]
+                for n in range(1, len(rows) + 1)]
+    else:
+        I, om = obj["actions_from_gaps"], obj["frequencies"]
+        t0, t1 = ({m[0]: abs(complex(m[1], m[2])) for m in obj[key]}
+                  for key in ("modes_t0", "modes_t1"))
+        want = [[n, I[n - 1] if n <= len(I) else "",
+                 om[n - 1] if n <= len(om) else "", t0[n], t1[n]]
+                for n in range(1, len(rows) + 1)]
+        assert len(rows) == max(t0) and any(r[1] for r in rows)
+    got = [[int(r[0])] + [float(c) if c else c for c in r[1:]] for r in rows]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hillkdv.operator import Potential
 from hillkdv.sequences import FourierSeq, Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
-    gaps_and_midpoints, riesz_projector, verify_decay, SeparationError,
+    riesz_projector, verify_decay, SeparationError,
     dirichlet_matrix, _pair_order, _parity_block,
 )
 
@@ -49,9 +49,8 @@ def test_free_dirichlet_spectrum_exact():
 
 def test_free_gaps_vanish():
     spec = full_spectrum(Potential.zero(), 64)
-    gam, tau, diff = gaps_and_midpoints(spec)
-    assert np.max(np.abs(gam)) < 1e-8
-    assert np.max(np.abs(diff)) < 1e-8
+    assert np.max(np.abs(spec.gaps())) < 1e-8
+    assert np.max(np.abs(spec.tau_minus_mu())) < 1e-8
 
 
 def test_trust_count_values():
@@ -84,7 +83,7 @@ def test_single_mode_first_gap_perturbative():
 def test_single_mode_higher_gaps_small():
     # gap n for a single mode at n = 1 scales like c^n; by n = 3 it is tiny
     spec = periodic_spectrum(Potential.single_mode(0.05), 64)
-    gam, _, _ = gaps_and_midpoints(full_spectrum(Potential.single_mode(0.05), 64))
+    gam = full_spectrum(Potential.single_mode(0.05), 64).gaps()
     assert abs(gam[2]) < 1e-6
     assert abs(gam[0]) > 0.09
 
@@ -554,8 +553,7 @@ def test_verify_decay_report_structure_and_bound():
 
 def test_verify_decay_weighted():
     rng = np.random.default_rng(23)
-    q = Potential.power_law(0.02, -2.0, n_max=8, rng=rng,
-                            weight=Weight.polynomial(0.5))
+    q = Potential.power_law(0.02, -2.0, n_max=8, rng=rng, weight=Weight(0.5))
     rep = verify_decay(q, [64, 128])
     assert rep["tail_bound"]["holds"]
     assert rep["sup_gamma"][-1] >= 0.0

@@ -114,8 +114,7 @@ def test_thresholds_stable():
               (3, 131622449926, 33695347180871))]
     cases += [(q, 0.0, (1, 52061, 832961)) for q in crit5]
     # s = None: make_context takes s and the weight from the potential
-    weighted = Potential.power_law(0.1, -0.25, 64, s=-0.25,
-                                   weight=Weight.polynomial(0.5))
+    weighted = Potential.power_law(0.1, -0.25, 64, s=-0.25, weight=Weight(0.5))
     cases += [(weighted, None, (35, 131622449926, 33695347180871))]
     for q, s, want in cases:
         ctx = make_context(q, s)
@@ -1147,7 +1146,7 @@ def test_gap_sandwich_logic_with_synthetic_context():
     # with a hand-built context and sequence
     q = Potential.single_mode(0.1)
     base = make_context(q)
-    ctx = ReductionContext(q=q, s=0.0, w=None, m=1.0, c_s=base.c_s,
+    ctx = ReductionContext(q=q, s=0.0, m=1.0, c_s=base.c_s,
                            c_s_prime=base.c_s_prime, n_s=1, N_ms=2, M_ms=3)
     r = FourierSeq.from_pairs([(6, 0.01), (-6, 0.02)], K=8)
     rep = gap_sandwich(ctx, 3, r, gamma_n=0.02)

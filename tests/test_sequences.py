@@ -44,7 +44,7 @@ def test_weight_trivial_is_one_everywhere():
 
 
 def test_weight_polynomial_values():
-    w = Weight.polynomial(2.0)
+    w = Weight(2.0)
     assert w(0) == 1.0
     assert w(3) == 16.0      # (1+3)^2
     assert w(-3) == 16.0
@@ -108,7 +108,7 @@ def test_cap_weight_rejects_non_finite_weight_without_warning():
 def test_cap_weight_crossover():
     # capped weight agrees with the original at small |n| and switches to
     # e^{eps |n|} beyond the crossover index
-    w = Weight.polynomial(4.0)
+    w = Weight(4.0)
     eps = 0.05
     wc = cap_weight(w, eps)
     crossed = False
@@ -142,8 +142,8 @@ def test_seq_indexing_and_out_of_range():
 @pytest.mark.parametrize("build", [
     lambda: FourierSeq.from_pairs([(-4, 1.0)], K=2),
     lambda: FourierSeq.from_pairs([(3, 1.0)], K=2),
-    lambda: FourierSeq.from_json_obj({"half_range": 2,
-                                      "coeffs": [[-3, 1.0, 0.0]]}),
+    lambda: FourierSeq.from_json(json.dumps({"half_range": 2,
+                                             "coeffs": [[-3, 1.0, 0.0]]})),
     lambda: BirkhoffState.from_pairs([(-3, 1.0)], K=2),
     lambda: Potential.from_even_pairs([(-3, 1.0)], n_max=2),
 ], ids=["seq-negative", "seq-positive", "seq-json", "birkhoff", "potential"])
@@ -195,7 +195,7 @@ def test_seq_json_roundtrip_stores_nonzeros_only():
     assert g.is_conj_symmetric()
     # an older file's "real" key is ignored, whatever it says
     for flag in (True, False):
-        old = FourierSeq.from_json_obj(dict(obj, real=flag))
+        old = FourierSeq.from_json(json.dumps(dict(obj, real=flag)))
         np.testing.assert_array_equal(old.coeffs, f.coeffs)
 
 
@@ -210,7 +210,7 @@ def test_sparse_seq_matches_dense():
     d = f.to_dense()
     assert d.half_range == 1000
     assert SparseSeq.accumulate([7, -3], [1.5, 2j]).to_dense()[-3] == 2j
-    w = Weight.polynomial(0.5)
+    w = Weight(0.5)
     for l in (0, 3, -999):
         assert shifted_norm(f, w, -0.25, l) == shifted_norm(d, w, -0.25, l)
     assert norm(f, w, -0.25, math.inf) == norm(d, w, -0.25, math.inf)
@@ -248,7 +248,7 @@ def test_norm_matches_oracle_random():
     for _ in range(25):
         K = int(rng.integers(1, 30))
         f = random_seq(rng, K)
-        w = [None, Weight.polynomial(1.0), Weight(2.0, cap=0.3)][int(rng.integers(3))]
+        w = [None, Weight(1.0), Weight(2.0, cap=0.3)][int(rng.integers(3))]
         s = float(rng.uniform(-0.49, 0.0))
         for p in (1.0, 2.0, math.inf):
             assert norm(f, w, s, p) == pytest.approx(norm_oracle(f, w, s, p),
@@ -287,7 +287,7 @@ def test_shifted_norm_matches_oracle():
         f = random_seq(rng, K)
         l = int(rng.integers(-15, 16))
         s = float(rng.uniform(-0.49, 0.0))
-        w = Weight.polynomial(0.5)
+        w = Weight(0.5)
         expect = max(w(k + l) * (1.0 + abs(k + l)) ** s * abs(f[k])
                      for k in range(-K, K + 1))
         assert shifted_norm(f, w, s, l) == pytest.approx(expect, rel=1e-12)
@@ -322,7 +322,7 @@ def _seqs(draw):
 
 _weights = st.one_of(
     st.none(),
-    st.floats(0.0, 3.0).map(Weight.polynomial),
+    st.floats(0.0, 3.0).map(Weight),
     st.tuples(st.floats(0.0, 3.0), st.floats(0.01, 2.0)).map(
         lambda a: Weight(a[0], cap=a[1])))
 
@@ -345,13 +345,13 @@ def test_sup_norms_propagate_nan(nan):
     sparse = SparseSeq.accumulate([-7, 3], [1.0, nan])
     for f in (dense, sparse):
         assert math.isnan(norm(f, None, -0.25, math.inf))
-        assert math.isnan(shifted_norm(f, Weight.polynomial(1.0), 0.0, 5))
+        assert math.isnan(shifted_norm(f, Weight(1.0), 0.0, 5))
 
 
 def test_sup_norm_allocates_on_support_only():
     # a sup norm of a wide, sparse FourierSeq allocates no O(K) float arrays
     f = FourierSeq.from_pairs([(-5, 1.0), (0, 2j), (7, -3.0)], K=10 ** 6)
-    w = Weight.polynomial(1.0)
+    w = Weight(1.0)
     tracemalloc.start()
     try:
         vals = (norm(f, w, -0.25, math.inf), shifted_norm(f, w, -0.25, 3))
@@ -373,7 +373,7 @@ def test_sparse_finite_p_norm_matches_dense():
         vals[rng.random(idx.size) < 0.2] = 0.0
         cases.append(SparseSeq.accumulate(idx, vals))
     for f in cases:
-        for w, s, p in ((None, 0.0, 2.0), (Weight.polynomial(1.0), -0.25, 1.0),
+        for w, s, p in ((None, 0.0, 2.0), (Weight(1.0), -0.25, 1.0),
                         (Weight(2.0, cap=0.3), -0.4, 3.0)):
             assert norm(f, w, s, p) == pytest.approx(
                 norm(f.to_dense(), w, s, p), rel=1e-14, abs=0)
