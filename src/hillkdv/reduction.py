@@ -178,9 +178,9 @@ class _OffsetPlan:
     inf at its dropped slots (c / (delta - inf) is 0, with no division by
     0); the larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s)
     (exact for the max of the two norms, as |c| >= 0); the slot of j = 0
-    and each row's slot of j = -2m (-1 where absent).  Per step, the slot
-    in S_{l+1} of each (tap, slot) pair and the edges of the runs of S_l
-    that every tap maps onto consecutive slots."""
+    and each row's slot of j = -2m (-1 where absent).  Per step, the runs
+    of S_l that every tap maps onto consecutive slots of S_{l+1}, and each
+    tap's slot in S_{l+1} for the start of each run."""
 
     def __init__(self, ctx, ns):
         self.ctx, self.q, self.ns = ctx, ctx.q.support, list(ns)
@@ -212,40 +212,30 @@ class _OffsetPlan:
             S1, inv = np.unique(np.add.outer(self.q.idx, S).ravel(),
                                 return_inverse=True)
             inv = inv.reshape(self.q.idx.size, S.size)
-            cut = np.flatnonzero((inv[:, 1:] - inv[:, :-1] != 1).any(axis=0))
-            self.steps.append((inv, [0, *(cut + 1).tolist(), S.size]))
+            # a run starts where some tap's image is not the next slot
+            starts = np.flatnonzero((np.diff(inv, prepend=inv[:, :1]) != 1)
+                                    .any(axis=0))
+            bounds = [*starts.tolist(), S.size]
+            self.steps.append((list(zip(bounds, bounds[1:])),
+                               inv[:, starts].tolist()))
             self.levels.append(self._level(S1))
         return self.levels[l]
 
     def apply(self, l, x):
         """The terms on S_{l+1} from x = A^{-1} Q_n c on S_l, slots by rows:
-        each slot sums its products in the order of supp(q) from +0.0, as
-        multiply(q, .) of tests/dense_oracle.py does.  A level of few long
-        runs takes _slices, one of many short runs _add_at: the rows times
-        the mean run length at least 512, about where the two cost the same
-        (measured on x86-64)."""
+        per tap a, in the order of supp(q), one product q_a x, and per run
+        its block added to the run's image.  So each slot sums its products
+        in the order of supp(q) from +0.0, as multiply(q, .) of
+        tests/dense_oracle.py does.  Scalar first: numpy's complex
+        multiply(x, q_a) can differ from multiply(q_a, x) in the last bit."""
         out = np.zeros((self.level(l + 1)[0].size, x.shape[1]), dtype=complex)
-        slices = x.size >= 512 * (len(self.steps[l][1]) - 1)
-        return (self._slices if slices else self._add_at)(l, x, out)
-
-    def _slices(self, l, x, out):
-        """Per tap a, in order, and per run, one product q_a x on a
-        contiguous block, added to the run's image.  Scalar first: numpy's
-        complex multiply(x, q_a) can differ from multiply(q_a, x) and
-        multiply.outer(q, x) in the last bit."""
-        inv, edges = self.steps[l]
-        runs, tmp = list(zip(edges[:-1], edges[1:])), np.empty_like(x)
-        for qa, ds in zip(self.q.coeffs.tolist(), inv[:, edges[:-1]].tolist()):
+        runs, dests = self.steps[l]
+        p = np.empty_like(x)
+        for qa, ds in zip(self.q.coeffs.tolist(), dests):
+            np.multiply(qa, x, out=p)
             for (i0, i1), d in zip(runs, ds):
-                t, o = tmp[:i1 - i0], out[d:d + i1 - i0]
-                np.add(o, np.multiply(qa, x[i0:i1], out=t), out=o)
-        return out
-
-    def _add_at(self, l, x, out):
-        """multiply.outer(q, x), then one add.at per row."""
-        prod = np.multiply.outer(self.q.coeffs, x).reshape(-1, x.shape[1])
-        for k in range(x.shape[1]):
-            np.add.at(out[:, k], self.steps[l][0].ravel(), prod[:, k])
+                o = out[d:d + i1 - i0]
+                np.add(o, p[i0:i1], out=o)
         return out
 
 

@@ -76,7 +76,7 @@ def cap_weight(w, eps):
     Raises WeightError if eps <= 0, or if w^eps is not finite on |n| <= 512,
     which for a weight monotone in |n| means at n = 512.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise WeightError("eps must be positive")
     new_cap = eps if w.cap is None else min(w.cap, eps)
     capped = replace(w, cap=new_cap)
@@ -257,7 +257,7 @@ def norm(f, w, s, p):
     order |k| ascending, +k before -k, so results are reproducible bit for
     bit.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be in [1, inf]")
     if math.isinf(p):
         c = f.coeffs
@@ -341,7 +341,7 @@ def hilbert_sum(n, sigma):
     ns = np.atleast_1d(n)
     if ns.min() < 1:
         raise ValueError("n must be >= 1")
-    if sigma <= 0.5:
+    if not sigma > 0.5:
         raise ValueError("sum diverges for sigma <= 1/2")
     out = _divisor_sums(ns, sigma, sigma)
     return float(out[0]) if np.ndim(n) == 0 else out

@@ -248,6 +248,18 @@ def test_reduce_below_threshold_rows(tmp_path):
     assert statuses[8] == "ok"
 
 
+@pytest.mark.parametrize("flags", [[], ["--potential", "single-mode:c=0"]])
+def test_reduce_zero_support(tmp_path, flags):
+    # the default potential (zero) and a zero single mode have no taps: every
+    # Neumann level is empty, so each row's sum stops after its first term
+    out = str(tmp_path / "o")
+    assert main(["reduce", *flags, "--out", out]) == 0
+    rows = read_json(os.path.join(out, "reduce.json"))["rows"]
+    assert rows
+    for r in rows:
+        assert (r["status"], r["gap"], r["terms"]) == ("ok", 0.0, 1)
+
+
 def test_reduce_empty_range_exit_2(tmp_path, capsys):
     # n_s = 93 at s = -1/4 lies past the trust count of K = 64, so the
     # default range n_s .. min(n_s + 7, trust) is empty

@@ -991,24 +991,27 @@ def test_find_roots_batch_equals_batch_of_one(q):
     assert batch == (failed[0] if failed else "[%s]" % ", ".join(alone))
 
 
-def test_scatters_bit_equal():
-    # the slice scatter and the add.at scatter of one level give the same
-    # bits on the same input, on a level of one long run (the smooth
-    # potential) and one of many short runs (the isolated-mode potential)
+def test_plan_apply_bit_equal_to_oracle_multiply():
+    # each column of apply is multiply(q, .) of that column on S_l, to the
+    # bit and the sign of zero, on levels of one long run (the smooth
+    # potential), of many short runs (the isolated-mode potential) and with
+    # no slots at all (the zero potential, whose levels hold no runs)
     ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
     rng = np.random.default_rng(5)
     for ctx, ns in ((make_context(smooth_real_potential()), range(3, 9)),
-                    (ctx6, [res.n - 1, res.n])):
+                    (ctx6, [res.n - 1, res.n]),
+                    (make_context(Potential.zero()), [1, 2])):
         plan = red._OffsetPlan(ctx, ns)
         for l in (0, 1, 2):
-            plan.level(l + 1)
-            S = plan.levels[l][0]
+            S = plan.level(l)[0]
             x = rng.standard_normal((S.size, 2 * len(plan.ns))) * (1 + 1j)
             x[rng.random(x.shape) < 0.2] = -0.0
-            size = (plan.levels[l + 1][0].size, x.shape[1])
-            got = plan._slices(l, x, np.zeros(size, dtype=complex))
-            want = plan._add_at(l, x, np.zeros(size, dtype=complex))
-            assert got.tobytes() == want.tobytes()
+            got = plan.apply(l, x)
+            assert (S.size == 0) == (plan.steps[l][0] == [])
+            for k in range(x.shape[1]):
+                want = multiply(ctx.q, SparseSeq(S, x[:, k]))
+                assert np.array_equal(want.idx, plan.levels[l + 1][0])
+                assert got[:, k].tobytes() == want.coeffs.tobytes()
 
 
 def low_mode_tasks(seed):

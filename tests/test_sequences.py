@@ -121,8 +121,12 @@ def test_cap_weight_crossover():
 
 
 def test_cap_weight_requires_positive_eps():
-    with pytest.raises(WeightError):
-        cap_weight(Weight(), 0.0)
+    # NaN too, also on a weight that already has a cap, where min(cap, nan)
+    # would keep the cap
+    for w in (Weight(), Weight(1.0, cap=0.1)):
+        for eps in (0.0, math.nan):
+            with pytest.raises(WeightError):
+                cap_weight(w, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +263,8 @@ def test_norm_rejects_p_below_one():
     f = FourierSeq.from_pairs([(0, 1.0)], K=1)
     with pytest.raises(ValueError):
         norm(f, None, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        norm(f, None, 0.0, math.nan)
 
 
 def test_norm_zero_sequence():
@@ -539,6 +545,8 @@ def test_hilbert_sum_divergent_sigma_rejected():
         hilbert_sum(0, 1.0)
     with pytest.raises(ValueError):
         hilbert_sum([3, 0], 1.0)
+    with pytest.raises(ValueError):
+        hilbert_sum(4, math.nan)
 
 
 def test_hilbert_sum_decay_in_n():
