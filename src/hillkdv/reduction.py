@@ -20,8 +20,7 @@ lambda - (k pi)^2 is delta - (k - n)(k + n) pi^2 with an exact integer
 (k - n)(k + n), and no digit is lost to n^2 pi^2.  The map delta -> (a_n,
 b_{+-n})(delta) contracts on the strip, so the offsets of alpha_n and of the
 roots, the fixed points of delta <- a_n(delta) (+- sqrt(b_n b_{-n})(delta)),
-are found by plain iteration; when it does not contract, contour sums of
-log(det B_n / delta^2) on 16-256 nested nodes reseed the roots.
+are found by plain iteration.
 
 The Neumann iterates live on their exact support, and nothing is cut to a
 window, so K_n is only approximated where the series stops; coefficients
@@ -53,10 +52,6 @@ class ContractionFailureError(ArithmeticError):
 
 
 class ThresholdError(ValueError):
-    pass
-
-
-class LocalizationError(ArithmeticError):
     pass
 
 
@@ -366,7 +361,7 @@ class ReductionResult:
     neumann_terms_used: int
     contraction_bound: float
     det_residuals: tuple
-    method: str
+    method: str        # always "fixed-point"; perfbench/tracer.py reads it
     converged: bool    # the alpha_n iteration and the Neumann sums converged
     evaluations: int   # the coefficient evaluations behind the result
 
@@ -415,7 +410,7 @@ def _fixed_point(n, sign, evals, delta=0j, sq=None, tol=1e-14):
     root stays on the branch nearest sq, its last value.  Every CoeffResult
     is appended to evals.  RootError when a step exceeds 0.8 times the one
     before (the map does not contract there) or after 80 steps.  A
-    coroutine of _lockstep, as are _winding_roots and _reduce."""
+    coroutine of _lockstep, as is _reduce."""
     prev_step = math.inf
     for _ in range(80):
         c, = yield [delta]
@@ -443,41 +438,6 @@ def alpha_fixed_point(ctx, n):
         _fixed_point(n, 0, [], tol=1e-10)])[0].a_n
 
 
-def _winding_roots(n):
-    """Seeds for the offsets z = delta of both roots of det B_n in |z| < r =
-    4 sqrt(n): with two roots inside, g = det B_n / z^2 has a single-valued
-    log, and the trapezoid rule at z_j = r e^{2 pi i j / P} gives z_1 + z_2 =
-    -mean(z log g), z_1^2 + z_2^2 = -2 mean(z^2 log g).  P doubles from 8,
-    reusing every node, until no phase step of g exceeds pi/4 and both sums
-    agree with P/2's to 1e-12 r^j, or to 256 (find_roots' polish judges
-    those seeds); the new nodes of each P are one yield.  LocalizationError
-    on a zero at a node, or a winding of det B_n (2 plus g's, read once the
-    steps resolve) other than 2.  Returns the seeds and the nodes'
-    CoeffResults."""
-    r, coeffs, sums = 4.0 * math.sqrt(n), [], None
-    for P in (8, 16, 32, 64, 128, 256):
-        z = r * np.exp(2j * np.pi * np.arange(P) / P)
-        new = yield list(z[1::2] if coeffs else z)
-        coeffs = [c for p in zip(coeffs, new) for c in p] if coeffs else new
-        g = np.array([det_B(c) / c.delta ** 2 for c in coeffs])
-        if np.any(g == 0):
-            raise LocalizationError("root on the contour of D_%d" % n)
-        step = np.angle(np.roll(g, -1) / g)
-        log_g = np.log(np.abs(g)) + 1j * np.cumsum(np.r_[np.angle(g[0]), step[:-1]])
-        old, sums = sums, (-np.mean(z * log_g), -2.0 * np.mean(z * z * log_g))
-        if np.abs(step).max() <= np.pi / 4:
-            winding = 2 + round(step.sum() / (2 * np.pi))
-            if winding != 2:
-                raise LocalizationError(
-                    "winding number %d != 2 on D_%d boundary" % (winding, n))
-            if old and all(abs(a - b) <= 1e-12 * r ** j
-                           for j, a, b in zip((1, 2), sums, old)):
-                break
-    s1, s2 = sums
-    disc = cmath.sqrt(2.0 * s2 - s1 * s1)
-    return ((s1 + disc) / 2.0, (s1 - disc) / 2.0), coeffs
-
-
 def _reduce(n):
     """find_roots_batch's ReductionResult at n."""
     evals = []
@@ -487,25 +447,11 @@ def _reduce(n):
     except RootError:  # the roots start from n^2 pi^2
         c0, alpha, ok = evals[0], 0j, False
 
-    def roots(seeds):
-        found = []
-        for sign, d, sq in seeds:
-            found.append((yield from _fixed_point(n, sign, evals, d, sq)))
-        if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in found):
-            raise RootError("root left D_%d" % n)
-        return found
-
     sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
-    method = "fixed-point"
-    try:
-        c1, c2 = yield from roots([(+1, alpha + sq0, sq0), (-1, alpha - sq0, sq0)])
-    except (RootError, ContractionFailureError):
-        method = "winding"
-        estimates, contour = yield from _winding_roots(n)
-        evals += contour
-        # the + map on the branch of sqrt(b_n b_{-n}) nearest d - alpha_n
-        # is the one that fixes the root near the estimate d
-        c1, c2 = yield from roots([(+1, d, d - alpha) for d in estimates])
+    c1 = yield from _fixed_point(n, +1, evals, alpha + sq0, sq0)
+    c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
+    if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in (c1, c2)):
+        raise RootError("root left D_%d" % n)
     if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
         c1, c2 = c2, c1
     gap = abs(c1.delta - c2.delta)
@@ -518,7 +464,7 @@ def _reduce(n):
         xi_2=center + c2.delta, gap_estimate=gap,
         neumann_terms_used=c0.terms_used,
         contraction_bound=max(c.max_ratio for c in evals),
-        det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method=method,
+        det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method="fixed-point",
         converged=ok and c1.converged and c2.converged,
         evaluations=len(evals))
 
@@ -538,17 +484,16 @@ def find_roots_batch(ctx, ns):
     The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
     points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
     on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
-    +- sqrt(b_n b_{-n}), and method is "fixed-point".  If a root iteration
-    fails or leaves the disc, contour sums of log(det B_n / delta^2) on
-    16-256 nested nodes seed both again (method "winding").  Each mode runs
-    this alone (_reduce); _lockstep batches all modes' evaluations, one
-    _evaluate per round.  Returns a ReductionResult per n with xi_j = n^2
-    pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals |det B_n| at the
-    roots, the contraction bound (the worst Neumann ratio of the mode's
-    evaluations), their count, and converged, False if the alpha_n
-    iteration failed (alpha_n is then n^2 pi^2) or a Neumann sum at alpha_n
-    or at a root missed NEUMANN_TOL.  Raises the error of the first n of ns
-    whose reduction failed, as a loop over ns would.
+    +- sqrt(b_n b_{-n}).  A root iteration that fails, or whose root leaves
+    the disc (RootError), raises its error.  Each mode runs this alone
+    (_reduce); _lockstep batches all modes' evaluations, one _evaluate per
+    round.  Returns a ReductionResult per n
+    with xi_j = n^2 pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals
+    |det B_n| at the roots, the contraction bound (the worst Neumann ratio
+    of the mode's evaluations), their count, and converged, False if the
+    alpha_n iteration failed (alpha_n is then n^2 pi^2) or a Neumann sum at
+    alpha_n or at a root missed NEUMANN_TOL.  Raises the error of the first
+    n of ns whose reduction failed, as a loop over ns would.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):

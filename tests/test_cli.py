@@ -166,6 +166,26 @@ def test_reduce_rows_equal_find_roots(tmp_path):
     assert any(r["xi_1"][1] != 0.0 for r in rows)
 
 
+def test_reduce_root_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # the - root's iteration fails at every mode: reduce reports its
+    # RootError as one error line, with no traceback, and writes nothing
+    import hillkdv.reduction as red
+    real_fixed_point = red._fixed_point
+
+    def minus_root_fails(n, sign, *args, **kwargs):
+        if sign < 0:
+            raise red.RootError("fixed point not contracting at n=%d" % n)
+        return (yield from real_fixed_point(n, sign, *args, **kwargs))
+    monkeypatch.setattr(red, "_fixed_point", minus_root_fails)
+    out = tmp_path / "o"
+    assert main(["reduce", "--potential", "single-mode:c=0.05",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixed point not contracting at n=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def _low_mode_potential(kind, rng):
     """The low_mode benchmark's families: |q_2n| = 0.05 <n>^{-1/2} with seeded
     phases, conjugate at -n (smooth) or independent (complex), and the

@@ -6,6 +6,7 @@ solver is the oracle for spectral quantities."""
 
 import cmath
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -24,7 +25,7 @@ from hillkdv.reduction import (
     make_context, ReductionContext, coefficients, det_B, alpha_fixed_point,
     find_roots, find_roots_batch,
     adapted_coefficients, gap_sandwich, isolated_mode_sandwich,
-    ThresholdError, LocalizationError, _C_S_GRID,
+    ThresholdError, _C_S_GRID,
 )
 from hillkdv.sequences import _divisor_sums
 import hillkdv.reduction as red
@@ -738,170 +739,37 @@ def test_find_roots_complex_potential():
     assert abs(got[1] - want[1]) < 1e-6 * n * n * PI2
 
 
-def test_winding_root_on_contour_raises(monkeypatch):
-    # an exact zero of det B_n at a contour node is a root on the contour
-    import hillkdv.reduction as red
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    real_det_B = red.det_B
-    calls = []
-
-    def det_B_zero_at_node_5(coeff):
-        calls.append(coeff.delta)
-        return 0j if len(calls) == 5 else real_det_B(coeff)
-
-    monkeypatch.setattr(red, "det_B", det_B_zero_at_node_5)
-    with pytest.raises(LocalizationError, match="root on the contour"):
-        winding_roots(ctx, 6)
-
-
-def winding_roots(ctx, n):
-    """reduction._winding_roots at n alone: its seeds and the nodes'
-    CoeffResults, or its error raised."""
-    return red._lockstep(red._OffsetPlan(ctx, [n]), [red._winding_roots(n)])[0]
-
-
-def force_root_error(monkeypatch, forced):
+def force_root_error(monkeypatch, forced, error=red.RootError):
     """Patch reduction._fixed_point so that each fixed point (n, sign,
-    evals, ...) for which forced(n, sign) holds ends with a RootError
-    without being run; the others run as before.  Returns the list of the
-    forced (n, sign)."""
+    evals, ...) for which forced(n, sign) holds ends with error (a
+    RootError by default) without being run; the others run as before.
+    Returns the list of the forced (n, sign)."""
     real_fixed_point, hits = red._fixed_point, []
 
     def patched(n, sign, *args, **kwargs):
         if forced(n, sign):
             hits.append((n, sign))
-            raise red.RootError("forced at n=%d" % n)
+            raise error("forced at n=%d" % n)
         return (yield from real_fixed_point(n, sign, *args, **kwargs))
 
     monkeypatch.setattr(red, "_fixed_point", patched)
     return hits
 
 
-def first_root_job(at=None):
-    """forced for force_root_error: the first root fixed point (sign +-1)
-    only, of the mode at if given; .seen holds the forced n."""
-    def forced(n, sign):
-        first = bool(sign) and at in (None, n) and not forced.seen
-        forced.seen.extend([n] * first)
-        return first
-    forced.seen = []
-    return forced
-
-
-def test_find_roots_winding_fallback_matches_oracle(monkeypatch):
-    # the first root iteration fails: the argument principle reseeds both
-    # roots, which then match the dense spectrum and the direct iteration
-    import hillkdv.reduction as red
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    spec = full_spectrum(q, 128)
-    n = 6
-    direct = find_roots(ctx, n)
-    failed = force_root_error(monkeypatch, first_root_job())
-    res = find_roots(ctx, n)
-    assert failed and res.method == "winding" and res.converged
-    tol = 1e-6 * n * n * PI2
-    assert abs(res.xi_1 - spec.lam_minus(n)) <= tol
-    assert abs(res.xi_2 - spec.lam_plus(n)) <= tol
-    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
-    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
-    assert res.alpha_n == direct.alpha_n
-
-
-def seed_error(seeds, roots):
-    """The larger distance from the two seeds to the two roots, over the
-    better of the two pairings."""
-    (a, b), (x1, x2) = seeds, roots
-    return min(max(abs(a - x1), abs(b - x2)), max(abs(a - x2), abs(b - x1)))
-
-
-@pytest.mark.parametrize("name", ["smooth", "rough", "complex"])
-def test_winding_seeds_spectrally_accurate(name):
-    # the contour sums seed both roots' offsets to 1e-13 n^2 pi^2 of the
-    # fixed-point roots with at most 32 evaluations, at n_s and n_s + 10
-    # (inside q's band, so each pair is well apart)
-    q = {"smooth": smooth_real_potential(),
-         "rough": Potential.power_law(0.1, -0.25, 16, s=-0.25,
-                                      rng=np.random.default_rng(1)),
-         "complex": complex_band_potential()}[name]
-    ctx = make_context(q)
-    for n in (ctx.n_s, ctx.n_s + 10):
-        seeds, contour = winding_roots(ctx, n)
-        res = find_roots(ctx, n)
-        roots = (res.xi_1 - n * n * PI2, res.xi_2 - n * n * PI2)
-        assert len(contour) <= 32
-        assert seed_error(seeds, roots) <= 1e-13 * n * n * PI2
-
-
-def fake_det_B(zeros, monkeypatch):
-    """det B_n replaced by the product of z - z_k over zeros, times
-    1 + 0.1 z / r, z = lambda - n^2 pi^2 and r = 4 sqrt(n)."""
-    def det(coeff):
-        z = coeff.delta
-        return np.prod([z - zk for zk in zeros]) * (1 + 0.1 * z / (4 * coeff.n ** 0.5))
-    monkeypatch.setattr(red, "det_B", det)
-
-
-@pytest.mark.parametrize("rho, nodes", [(0.1, 32), (0.5, 128), (0.9, 256)])
-def test_winding_seeds_on_a_synthetic_determinant(monkeypatch, rho, nodes):
-    # two zeros at rho r from the centre: the P-node sums err by about
-    # rho^P, so they agree to 1e-12 r^j at P = 32 and 128, and at 0.9 r not
-    # by P = 256, whose seeds are returned; all are exact to 1e-10 r
-    ctx, n = make_context(smooth_real_potential()), 6
-    r = 4.0 * math.sqrt(n)
-    zeros = [rho * r * cmath.exp(0.7j), rho * r * cmath.exp(-2.1j)]
-    fake_det_B(zeros, monkeypatch)
-    seeds, contour = winding_roots(ctx, n)
-    assert len(contour) == nodes
-    assert seed_error(seeds, zeros) <= 1e-10 * r
-
-
-def test_winding_three_zeros_inside_raises(monkeypatch):
-    # g = det B_n / z^2 then winds once: det B_n's winding, read once the
-    # phase steps resolve, is 3
-    ctx, n = make_context(smooth_real_potential()), 6
-    r = 4.0 * math.sqrt(n)
-    fake_det_B([0.2 * r, -0.3j * r, 0.5 * r * cmath.exp(2j)], monkeypatch)
-    with pytest.raises(LocalizationError, match="winding number 3 != 2"):
-        winding_roots(ctx, n)
-
-
-@pytest.mark.parametrize("case", ["smooth", "pairs"])
-def test_find_roots_winding_fallback_near_double_pair(monkeypatch, case):
-    # beyond q's band the pair is nearly double, so its seeds are ill-
-    # conditioned in the sums; the fallback's polish still gives the direct
-    # roots to 1e-13 n^2 pi^2
-    if case == "smooth":
-        ctx = make_context(smooth_real_potential())
-        n = ctx.n_s + 30
-    else:
-        ctx = make_context(Potential.from_even_pairs(COMPLEX_PAIRS, n_max=2,
-                                                     s=0.0))
-        n = ctx.n_s + 10
-    direct = find_roots(ctx, n)
-    failed = force_root_error(monkeypatch, first_root_job())
-    res = find_roots(ctx, n)
-    assert failed and res.method == "winding"
-    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
-    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
-
-
-def test_find_roots_raises_when_winding_seeds_fail(monkeypatch):
-    # no root iteration converges: an error, never unpolished estimates
-    import hillkdv.reduction as red
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    force_root_error(monkeypatch, lambda n, sign: sign != 0)
-    with pytest.raises(red.RootError):
+@pytest.mark.parametrize("error", [red.RootError, red.ContractionFailureError])
+def test_find_roots_raises_when_root_iteration_fails(monkeypatch, error):
+    # the - root's iteration fails, the + root's converges: find_roots
+    # raises that error, never a result with an unpolished root
+    ctx = make_context(smooth_real_potential())
+    failed = force_root_error(monkeypatch, lambda n, sign: sign < 0, error)
+    with pytest.raises(error, match="forced at n=6$"):
         find_roots(ctx, 6)
+    assert failed == [(6, -1)]
 
 
 def test_find_roots_rejects_root_outside_disc(monkeypatch):
     # at n = 10^4 the disc radius is 4 sqrt(n) = 400: a root iteration that
-    # lands 1000 from n^2 pi^2 has left D_n, from the fixed point and from
-    # the winding seeds alike
-    import hillkdv.reduction as red
+    # lands 1000 from n^2 pi^2 has left D_n, and find_roots raises
     ctx = make_context(smooth_real_potential())
     n = 10 ** 4
     real_fixed_point = red._fixed_point
@@ -963,6 +831,56 @@ def test_degenerate_gap_reported_zero():
     ctx = make_context(q)
     res = find_roots(ctx, 3)
     assert res.gap_estimate == 0.0
+
+
+ONE_SIDED = [(1, 0.05 + 0.03j), (2, 0.02 + 0.01j)]
+
+
+@functools.cache
+def jordan_d():
+    """d with b_4 = 0 at alpha_4 for q = 0.05 (e_4 + e_{-4}) + d e_8 (q_{+-4}
+    = 0.05, q_8 = d), by bisection on [-1e-4, 0], where b_4 is real and
+    changes sign once."""
+    def b4(d):
+        q = Potential.from_even_pairs([(2, 0.05), (-2, 0.05), (4, d)])
+        return find_roots(make_context(q), 4).b_n.real
+    lo, hi = -1e-4, 0.0
+    assert b4(lo) < 0.0 < b4(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if b4(mid) < 0.0 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("kind, x", [("one-sided", 0.0)]
+                         + [("near-one-sided", eps) for eps in
+                            (1e-16, 1e-12, 1e-8, 1e-4, 1e-2)]
+                         + [("jordan", x) for x in (-1e-4, 0.0, 1e-4)])
+def test_find_roots_hard_inputs_take_the_fixed_point(kind, x):
+    # with nothing patched, the inputs where the root maps are least
+    # contractive converge at n_s .. n_s + 9 to the dense spectrum: a
+    # one-sided complex q (q_{-2n} = 0, so b_{-n} = 0 and every pair is
+    # double), a near-one-sided one (q_{-2n} = x q_{2n}), and the Jordan
+    # point of jordan_d (a double eigenvalue with one eigenvector, where
+    # sqrt(b_4 b_{-4}) has a branch point) with d scaled by 1 + x
+    if kind == "jordan":
+        q = Potential.from_even_pairs([(2, 0.05), (-2, 0.05),
+                                       (4, jordan_d() * (1.0 + x))])
+    else:
+        q = Potential.from_even_pairs(
+            ONE_SIDED + [(-k, x * v) for k, v in ONE_SIDED if x])
+    ctx = make_context(q)
+    ns = range(ctx.n_s, ctx.n_s + 10)
+    spec = periodic_spectrum(q, 48)
+    assert ns[-1] <= spec.trust
+    for n, res in zip(ns, find_roots_batch(ctx, ns)):
+        assert res.converged and res.method == "fixed-point"
+        lm, lp = spec.lam_minus(n), spec.lam_plus(n)
+        err = min(max(abs(res.xi_1 - lm), abs(res.xi_2 - lp)),
+                  max(abs(res.xi_1 - lp), abs(res.xi_2 - lm)))
+        assert err <= 1e-6 * n * n * PI2, n
+        if kind == "jordan" and x == 0.0 and n == 4:
+            assert abs(res.b_n) <= 1e-12 * abs(res.b_neg_n)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,40 +988,14 @@ def test_evaluation_counts(monkeypatch):
 
 
 def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
-    # root iterations forced to fail at n_s + 2 and n_s + 4, their fallback
-    # too: the batch raises the error of n_s + 2, as a loop over n would
+    # root iterations forced to fail at n_s + 2 and n_s + 4: the batch
+    # raises the error of n_s + 2, as a loop over n would
     ctx = make_context(smooth_real_potential())
     bad = (ctx.n_s + 2, ctx.n_s + 4)
     force_root_error(monkeypatch, lambda n, sign: sign and n in bad)
     with pytest.raises(red.RootError, match="forced at n=%d$" % bad[0]):
         find_roots_batch(ctx, range(ctx.n_s, ctx.n_s + 6))
     assert find_roots_batch(ctx, [ctx.n_s + 1])[0].method == "fixed-point"
-
-
-def test_find_roots_batch_winding_fallback_equals_alone(monkeypatch):
-    # the first root of n_s + 2 is forced to fail: its contour nodes share
-    # rounds with the other modes' fixed points, and every result, by repr,
-    # is that of find_roots at n alone under the same forcing
-    ctx = make_context(smooth_real_potential())
-    ns, bad = range(ctx.n_s, ctx.n_s + 6), ctx.n_s + 2
-    forced = first_root_job(at=bad)
-    force_root_error(monkeypatch, forced)
-    real_evaluate, rounds = red._evaluate, []
-
-    def recorded(plan, modes, deltas):
-        rounds.append([plan.ns[i] for i in modes])
-        return real_evaluate(plan, modes, deltas)
-
-    monkeypatch.setattr(red, "_evaluate", recorded)
-    batch = find_roots_batch(ctx, ns)
-    assert forced.seen == [bad]
-    assert [r.method == "winding" for r in batch] == [n == bad for n in ns]
-    assert any(r.count(bad) > 1 and len(set(r)) > 1 for r in rounds)
-    alone = []
-    for n in ns:
-        forced.seen.clear()
-        alone.append(find_roots(ctx, n))
-    assert [repr(r) for r in batch] == [repr(r) for r in alone]
 
 
 def test_evaluation_errors_raised():
