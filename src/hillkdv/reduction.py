@@ -342,12 +342,6 @@ def coefficients(ctx, n, lam):
                                   [complex(lam) - n * n * PI2]))[0]
 
 
-def det_B(coeff):
-    """det B_n at coeff.delta from coeff, a CoeffResult."""
-    d = coeff.delta - coeff.a_n
-    return d * d - coeff.b_n * coeff.b_neg_n
-
-
 @dataclass
 class ReductionResult:
     n: int
@@ -360,9 +354,8 @@ class ReductionResult:
     gap_estimate: float
     neumann_terms_used: int
     contraction_bound: float
-    det_residuals: tuple
     method: str        # always "fixed-point"; perfbench/tracer.py reads it
-    converged: bool    # the alpha_n iteration and the Neumann sums converged
+    converged: bool    # the sums at alpha_n and both roots met NEUMANN_TOL
     evaluations: int   # the coefficient evaluations behind the result
 
 
@@ -404,13 +397,13 @@ def _lockstep(plan, reductions):
 
 def _fixed_point(n, sign, evals, delta=0j, sq=None, tol=1e-14):
     """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
-    until a step is below tol n^2 pi^2, and return the CoeffResult of the
-    last iterate, the delta that passed the test.  Sign 0 is alpha_n's map,
-    +-1 the maps whose fixed points are the roots of det B_n; the square
-    root stays on the branch nearest sq, its last value.  Every CoeffResult
-    is appended to evals.  RootError when a step exceeds 0.8 times the one
-    before (the map does not contract there) or after 80 steps.  A
-    coroutine of _lockstep, as is _reduce."""
+    until a step is below tol n^2 pi^2, and return the image of the last
+    iterate, the delta it reports, with that iterate's CoeffResult.  Sign 0
+    is alpha_n's map, +-1 the maps whose fixed points are the roots of
+    det B_n; the square root stays on the branch nearest sq, its last value.
+    Every CoeffResult is appended to evals.  RootError when a step exceeds
+    0.8 times the one before (the map does not contract there) or after 80
+    steps.  A coroutine of _lockstep, as is _reduce."""
     prev_step = math.inf
     for _ in range(80):
         c, = yield [delta]
@@ -421,7 +414,7 @@ def _fixed_point(n, sign, evals, delta=0j, sq=None, tol=1e-14):
             new += sign * sq
         step = abs(new - delta)
         if step < tol * n * n * PI2:
-            return c
+            return new, c
         if step > 0.8 * prev_step:
             raise RootError("fixed point not contracting at n=%d" % n)
         prev_step = step
@@ -435,37 +428,28 @@ def alpha_fixed_point(ctx, n):
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
     return n * n * PI2 + _lockstep(_OffsetPlan(ctx, [n]), [
-        _fixed_point(n, 0, [], tol=1e-10)])[0].a_n
+        _fixed_point(n, 0, [], tol=1e-10)])[0][0]
 
 
 def _reduce(n):
     """find_roots_batch's ReductionResult at n."""
     evals = []
-    try:
-        c0 = yield from _fixed_point(n, 0, evals, tol=1e-10)
-        alpha, ok = c0.a_n, c0.converged
-    except RootError:  # the roots start from n^2 pi^2
-        c0, alpha, ok = evals[0], 0j, False
-
+    alpha, c0 = yield from _fixed_point(n, 0, evals, tol=1e-10)
     sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
-    c1 = yield from _fixed_point(n, +1, evals, alpha + sq0, sq0)
-    c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
-    if any(abs(c.delta) > 4.0 * math.sqrt(n) for c in (c1, c2)):
+    d1, c1 = yield from _fixed_point(n, +1, evals, alpha + sq0, sq0)
+    d2, c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
+    if max(abs(d1), abs(d2)) > 4.0 * math.sqrt(n):
         raise RootError("root left D_%d" % n)
-    if c2.delta.real < c1.delta.real:  # report in nondecreasing real-part order
-        c1, c2 = c2, c1
-    gap = abs(c1.delta - c2.delta)
-    if gap < 1e-9 * max(1.0, math.sqrt(n)):
-        gap = 0.0
+    if d2.real < d1.real:  # report in nondecreasing real-part order
+        d1, d2 = d2, d1
     center = n * n * PI2
     return ReductionResult(
         n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
-        alpha_n=center + alpha, xi_1=center + c1.delta,
-        xi_2=center + c2.delta, gap_estimate=gap,
-        neumann_terms_used=c0.terms_used,
+        alpha_n=center + alpha, xi_1=center + d1, xi_2=center + d2,
+        gap_estimate=abs(d1 - d2), neumann_terms_used=c0.terms_used,
         contraction_bound=max(c.max_ratio for c in evals),
-        det_residuals=(abs(det_B(c1)), abs(det_B(c2))), method="fixed-point",
-        converged=ok and c1.converged and c2.converged,
+        method="fixed-point",
+        converged=c0.converged and c1.converged and c2.converged,
         evaluations=len(evals))
 
 
@@ -484,16 +468,15 @@ def find_roots_batch(ctx, ns):
     The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
     points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
     on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
-    +- sqrt(b_n b_{-n}).  A root iteration that fails, or whose root leaves
-    the disc (RootError), raises its error.  Each mode runs this alone
-    (_reduce); _lockstep batches all modes' evaluations, one _evaluate per
-    round.  Returns a ReductionResult per n
-    with xi_j = n^2 pi^2 + delta_j, the gap |delta_1 - delta_2|, residuals
-    |det B_n| at the roots, the contraction bound (the worst Neumann ratio
-    of the mode's evaluations), their count, and converged, False if the
-    alpha_n iteration failed (alpha_n is then n^2 pi^2) or a Neumann sum at
-    alpha_n or at a root missed NEUMANN_TOL.  Raises the error of the first
-    n of ns whose reduction failed, as a loop over ns would.
+    +- sqrt(b_n b_{-n}).  An iteration that fails, alpha_n's or a root's,
+    or a root that leaves the disc (RootError) raises its error.  Each mode
+    runs this alone (_reduce); _lockstep batches all modes' evaluations, one
+    _evaluate per round.  Returns a ReductionResult per n with xi_j = n^2
+    pi^2 + delta_j, each delta_j the image of its last iterate, the gap
+    |delta_1 - delta_2|, the contraction bound (the worst Neumann ratio of
+    the mode's evaluations), their count, and converged, False if a Neumann
+    sum at alpha_n or at a root missed NEUMANN_TOL.  Raises the error of the
+    first n of ns whose reduction failed, as a loop over ns would.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):
@@ -515,8 +498,8 @@ def adapted_coefficients(ctx, n_max):
     r[qs.idx[low] + K] = qs.coeffs[low]
 
     def at_alpha(n):  # the CoeffResult at alpha_n
-        c = yield from _fixed_point(n, 0, [], tol=1e-10)
-        return (yield [c.a_n])[0]
+        alpha, _ = yield from _fixed_point(n, 0, [], tol=1e-10)
+        return (yield [alpha])[0]
     plan = _OffsetPlan(ctx, range(M, n_max + 1))
     for k, c in zip(plan.ns, _lockstep(plan, [at_alpha(n) for n in plan.ns])):
         r[K + 2 * k] = c.b_n

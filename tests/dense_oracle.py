@@ -32,6 +32,8 @@ divisor_sum evaluates the divisor sum behind c_s, c_s' and hilbert_sum at
 one n from its own index array, where the package slices shared power
 tables for a whole array of n, and its tails by quadrature (abel_plana_tail),
 where the package sums a binomial series of Hurwitz zeta tails.
+single_mode_gaps are the gaps of single_mode(c) from its parity blocks in
+mpmath at 40 digits, past the rounding of any float64 eigensolver.
 periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix that the
 package only ever handles as two parity blocks; parity_block_gather and
 dirichlet_matrix_gather build the parity blocks and the Dirichlet matrix by
@@ -56,6 +58,7 @@ test potentials that more than one test file uses.
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.signal import fftconvolve
@@ -348,6 +351,27 @@ def divisor_sum(n, a, b):
                             + (z - n) ** (-a) * (z + n) ** (-b), J + 1,
                             lead + rest)
     return float(body + tails)
+
+
+def single_mode_gaps(c, ns, K=24, dps=40):
+    """The gaps lambda_n^+ - lambda_n^- of Potential.single_mode(c) (q_{+-2}
+    = c, real) for n in ns, each from the parity block of n at half range K
+    in mpmath at dps digits: the chain k = -K..K of n's parity, tridiagonal
+    with diagonal (k pi)^2 and off-diagonal c, solved by mp.eigsy.  Its
+    ascending eigenvalues are lambda_n^- and lambda_n^+ at places n - 1
+    and n."""
+    out = []
+    with mpmath.workdps(dps):
+        for n in ns:
+            ks = range(-K + (K + n) % 2, K + 1, 2)
+            A = mpmath.matrix(len(ks))
+            for i, k in enumerate(ks):
+                A[i, i] = (k * mpmath.pi) ** 2
+                if i:
+                    A[i, i - 1] = A[i - 1, i] = mpmath.mpf(c)
+            ev = sorted(mpmath.eigsy(A, eigvals_only=True))
+            out.append(float(ev[n] - ev[n - 1]))
+    return out
 
 
 def periodic_matrix(q, K):

@@ -166,17 +166,19 @@ def test_reduce_rows_equal_find_roots(tmp_path):
     assert any(r["xi_1"][1] != 0.0 for r in rows)
 
 
-def test_reduce_root_failure_exit_1(tmp_path, capsys, monkeypatch):
-    # the - root's iteration fails at every mode: reduce reports its
-    # RootError as one error line, with no traceback, and writes nothing
+def reduce_with_failing_fixed_point(tmp_path, capsys, monkeypatch, fails):
+    """Run reduce on single-mode:c=0.05 with every fixed point (n, sign)
+    for which fails(sign) holds raising RootError, and check that it
+    reports that error as one error line, with no traceback, and writes
+    nothing."""
     import hillkdv.reduction as red
     real_fixed_point = red._fixed_point
 
-    def minus_root_fails(n, sign, *args, **kwargs):
-        if sign < 0:
+    def patched(n, sign, *args, **kwargs):
+        if fails(sign):
             raise red.RootError("fixed point not contracting at n=%d" % n)
         return (yield from real_fixed_point(n, sign, *args, **kwargs))
-    monkeypatch.setattr(red, "_fixed_point", minus_root_fails)
+    monkeypatch.setattr(red, "_fixed_point", patched)
     out = tmp_path / "o"
     assert main(["reduce", "--potential", "single-mode:c=0.05",
                  "--out", str(out)]) == 1
@@ -184,6 +186,18 @@ def test_reduce_root_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: fixed point not contracting at n=")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_reduce_root_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # the - root's iteration fails at every mode
+    reduce_with_failing_fixed_point(tmp_path, capsys, monkeypatch,
+                                    lambda sign: sign < 0)
+
+
+def test_reduce_alpha_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # alpha_n's iteration fails at every mode
+    reduce_with_failing_fixed_point(tmp_path, capsys, monkeypatch,
+                                    lambda sign: sign == 0)
 
 
 def _low_mode_potential(kind, rng):

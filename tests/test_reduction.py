@@ -22,7 +22,7 @@ from hillkdv.operator import Potential
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
     estimate_c_s, epsilon_s, estimate_c_s_prime,
-    make_context, ReductionContext, coefficients, det_B, alpha_fixed_point,
+    make_context, ReductionContext, coefficients, alpha_fixed_point,
     find_roots, find_roots_batch,
     adapted_coefficients, gap_sandwich, isolated_mode_sandwich,
     ThresholdError, _C_S_GRID,
@@ -34,7 +34,8 @@ from dense_oracle import divisor_sum, dense_coefficients, \
     kernel_vector, periodic_matrix, project, smooth_real_potential, \
     complex_band_potential, offset_A_inv_Q, shifted_galerkin_pair, \
     sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm, \
-    eigenfunction_reconstruct, KernelPreconditionError, multiply
+    eigenfunction_reconstruct, KernelPreconditionError, multiply, \
+    single_mode_gaps
 
 PI2 = math.pi ** 2
 
@@ -415,17 +416,6 @@ def test_b_n_leading_order_is_q_2n():
         assert c.b_neg_n == pytest.approx(q.coeff(-2 * n), abs=5e-4)
 
 
-def test_det_B_consistency():
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    n = 4
-    lam = n * n * PI2 + 0.1
-    c = coefficients(ctx, n, lam)
-    assert c.delta == lam - n * n * PI2
-    d = lam - n * n * PI2 - c.a_n
-    assert det_B(c) == pytest.approx(d * d - c.b_n * c.b_neg_n, rel=1e-12)
-
-
 def test_sparse_kernel_matches_dense_oracle():
     # criterion-2 potential at n_s .. n_s+20, criterion-5 potential at M_ms
     # (where the dense window holds 1.7e6 coefficients)
@@ -682,8 +672,6 @@ def test_find_roots_matches_galerkin():
         assert abs(res.xi_1 - lm) < 1e-6 * n * n * PI2
         assert abs(res.xi_2 - lp) < 1e-6 * n * n * PI2
         assert res.gap_estimate == pytest.approx(abs(lp - lm), abs=1e-7)
-        assert res.det_residuals[0] < 1e-6
-        assert res.det_residuals[1] < 1e-6
 
 
 def test_find_roots_real_for_real_potential():
@@ -775,37 +763,22 @@ def test_find_roots_rejects_root_outside_disc(monkeypatch):
     real_fixed_point = red._fixed_point
 
     def lands_outside(n, sign, *args, **kwargs):
-        c = yield from real_fixed_point(n, sign, *args, **kwargs)
-        return dataclasses.replace(c, delta=1000.0 + 0j) if sign else c
+        delta, c = yield from real_fixed_point(n, sign, *args, **kwargs)
+        return (1000.0 + 0j if sign else delta), c
 
     monkeypatch.setattr(red, "_fixed_point", lands_outside)
     with pytest.raises(red.RootError, match="left D_10000"):
         find_roots(ctx, n)
 
 
-def test_find_roots_alpha_failure_is_not_converged(monkeypatch):
-    # alpha_n's iteration fails after its first evaluation, at n^2 pi^2:
-    # alpha_n is reported as n^2 pi^2, the roots are still found from the
-    # seeds there, and the result says it did not converge
-    import hillkdv.reduction as red
-    q = smooth_real_potential()
-    ctx = make_context(q)
-    n = 6
-    direct = find_roots(ctx, n)
-    real_fixed_point = red._fixed_point
-
-    def alpha_fails(n, sign, evals, *args, **kwargs):
-        if not sign:
-            evals.append((yield [0j])[0])
-            raise red.RootError("forced at n=%d" % n)
-        return (yield from real_fixed_point(n, sign, evals, *args, **kwargs))
-
-    monkeypatch.setattr(red, "_fixed_point", alpha_fails)
-    res = find_roots(ctx, n)
-    assert direct.converged and not res.converged
-    assert res.alpha_n == n * n * PI2 and res.method == "fixed-point"
-    assert abs(res.xi_1 - direct.xi_1) <= 1e-13 * n * n * PI2
-    assert abs(res.xi_2 - direct.xi_2) <= 1e-13 * n * n * PI2
+def test_find_roots_raises_when_alpha_iteration_fails(monkeypatch):
+    # alpha_n's iteration fails: find_roots raises its error, and no root
+    # iteration starts, as none has a seed
+    ctx = make_context(smooth_real_potential())
+    failed = force_root_error(monkeypatch, lambda n, sign: sign == 0)
+    with pytest.raises(red.RootError, match="forced at n=6$"):
+        find_roots(ctx, 6)
+    assert failed == [(6, 0)]
 
 
 @pytest.mark.parametrize("c, n", [(1e-3, 2), (1e-3, 3), (1e-3, 4),
@@ -881,6 +854,35 @@ def test_find_roots_hard_inputs_take_the_fixed_point(kind, x):
         assert err <= 1e-6 * n * n * PI2, n
         if kind == "jordan" and x == 0.0 and n == 4:
             assert abs(res.b_n) <= 1e-12 * abs(res.b_neg_n)
+
+
+def test_jordan_point_gaps_scale_like_sqrt_eps():
+    # with the d of jordan_d scaled by 1 + eps, b_4 b_{-4} is O(eps) at the
+    # fixed point, so the gap at n = 4 is O(sqrt(eps)): tenfold per factor
+    # 100 in eps, down to a gap of 3e-11, and at eps = 1e-10 the dense
+    # Galerkin gap at K = 64
+    def pair(eps):
+        return Potential.from_even_pairs([(2, 0.05), (-2, 0.05),
+                                          (4, jordan_d() * (1.0 + eps))])
+    gaps = [find_roots(make_context(pair(eps)), 4).gap_estimate
+            for eps in (1e-12, 1e-10, 1e-8)]
+    assert gaps[1] / gaps[0] == pytest.approx(10.0, rel=0.01)
+    assert gaps[2] / gaps[1] == pytest.approx(10.0, rel=0.01)
+    spec = periodic_spectrum(pair(1e-10), 64)
+    assert gaps[1] == pytest.approx(abs(spec.lam_plus(4) - spec.lam_minus(4)),
+                                    rel=0.01)
+
+
+def test_single_mode_gaps_match_mpmath():
+    # gamma_n of single_mode(0.05) against its 40-digit parity blocks: to
+    # 1e-10 relative at n = 2, 3, and to 1e-5 at n = 4, 5, whose gaps (5.6e-12
+    # and 4.5e-16) are differences of roots at offsets 8e-6 and 5e-6
+    ctx = make_context(Potential.single_mode(0.05))
+    ns = (2, 3, 4, 5)
+    for res, want, rel in zip(find_roots_batch(ctx, ns),
+                              single_mode_gaps(0.05, ns),
+                              (1e-10, 1e-10, 1e-5, 1e-5)):
+        assert res.gap_estimate == pytest.approx(want, rel=rel, abs=0), res.n
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +1003,10 @@ def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
 def test_evaluation_errors_raised():
     # |delta| = |50 - 49 pi^2| ~ 434 > 12 * 7: the evaluation's own error,
     # as it is when every evaluation of a batch's round lies outside the
-    # strip (n = 2 and 3 of a large q at n_s = 1, whose iterates leave S_n);
-    # at n = 1 alpha_n's first evaluation fails, with a library error other
-    # than RootError, which find_roots and the batch raise
+    # strip (n = 3 of a large q at n_s = 1, whose - root's iterates leave
+    # S_3; at n = 2 alpha_n's iteration stops contracting first, a
+    # RootError); at n = 1 alpha_n's first evaluation fails, with a library
+    # error other than RootError, which find_roots and the batch raise
     with pytest.raises(red.StripViolationError, match="outside S_7"):
         coefficients(make_context(Potential.single_mode(0.05)), 7, 50.0)
     ctx = dataclasses.replace(make_context(Potential.power_law(40.0, 0.0, 4)),
@@ -1011,7 +1014,8 @@ def test_evaluation_errors_raised():
     alone = [outcome(lambda: find_roots(ctx, n)) for n in (1, 2, 3)]
     assert alone[0] == ("ContractionFailureError: "
                         "Neumann ratio > 0.9 three times at n=1")
-    assert [a.split(":")[0] for a in alone[1:]] == ["StripViolationError"] * 2
+    assert [a.split(":")[0] for a in alone[1:]] == ["RootError",
+                                                    "StripViolationError"]
     assert outcome(lambda: find_roots_batch(ctx, [1, 2, 3])) == alone[0]
 
 
