@@ -355,7 +355,7 @@ class ReductionResult:
     neumann_terms_used: int
     contraction_bound: float
     method: str        # always "fixed-point"; perfbench/tracer.py reads it
-    converged: bool    # the sums at alpha_n and both roots met NEUMANN_TOL
+    converged: bool    # sums at each iteration's last iterate met NEUMANN_TOL
     evaluations: int   # the coefficient evaluations behind the result
 
 
@@ -475,8 +475,9 @@ def find_roots_batch(ctx, ns):
     pi^2 + delta_j, each delta_j the image of its last iterate, the gap
     |delta_1 - delta_2|, the contraction bound (the worst Neumann ratio of
     the mode's evaluations), their count, and converged, False if a Neumann
-    sum at alpha_n or at a root missed NEUMANN_TOL.  Raises the error of the
-    first n of ns whose reduction failed, as a loop over ns would.
+    sum at the last iterate of alpha_n's or a root's iteration missed
+    NEUMANN_TOL.  Raises the error of the first n of ns whose reduction
+    failed, as a loop over ns would.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):

@@ -58,7 +58,6 @@ test potentials that more than one test file uses.
 
 import math
 
-import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.signal import fftconvolve
@@ -360,6 +359,7 @@ def single_mode_gaps(c, ns, K=24, dps=40):
     with diagonal (k pi)^2 and off-diagonal c, solved by mp.eigsy.  Its
     ascending eigenvalues are lambda_n^- and lambda_n^+ at places n - 1
     and n."""
+    import mpmath
     out = []
     with mpmath.workdps(dps):
         for n in ns:
