@@ -12,7 +12,7 @@ Conventions used throughout:
 """
 
 from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
-    weakstar_converged, cap_weight
+    cap_weight
 from .operator import Potential, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     riesz_projector, verify_decay

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .sequences import FourierSeq, bracket, hilbert_sum, norm, \
+from .sequences import FourierSeq, WeightError, bracket, hilbert_sum, norm, \
     weight_factors, _divisor_sums
 from .operator import Potential, StripViolationError, NearSingularError
 
@@ -193,6 +193,9 @@ class _OffsetPlan:
         kk[(S[:, None] == 0) | (jm == 0)] = np.inf
         wt = np.maximum(weight_factors(S, w, s)[:, None], weight_factors(
             jm.ravel(), w, s).reshape(jm.shape))
+        if not np.isfinite(wt).all():  # inf * 0 in a stop norm would be NaN
+            raise WeightError("weight is not finite on |k| <= %d"
+                              % np.abs(jm).max())
         at = np.searchsorted(S, self.pm)  # the slots of j = 0 and each -2m
         if S.size:
             at[S.take(at, mode="clip") != self.pm] = -1

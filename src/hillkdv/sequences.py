@@ -346,32 +346,3 @@ def hilbert_sum(n, sigma):
     out = _divisor_sums(ns, sigma, sigma)
     return float(out[0]) if np.ndim(n) == 0 else out
 
-
-def weakstar_converged(seqs, limit, s, component_tol):
-    """Desk-scale test of 'norm bounded + componentwise convergent'.
-
-    Boundedness rule: max ||.||_{s,inf} over the final third of the list must
-    not exceed twice the max over the first third (plus component_tol) --
-    a finite list is always bounded, so the rule detects growth trends
-    instead.  Componentwise convergence is checked on the final third only.
-    Returns (bool, report).
-    """
-    if not seqs:
-        return True, {"norms": [], "sup_norm": 0.0, "max_component_dev": 0.0}
-    norms = [norm(f, None, s, math.inf) for f in seqs]
-    third = max(1, len(norms) // 3)
-    bounded = max(norms[-third:]) <= 2.0 * max(norms[:third]) + component_tol
-    Kmax = max(max(f.half_range for f in seqs), limit.half_range)
-    dev = 0.0
-    for f in seqs[-third:]:
-        g = f.extended(Kmax).coeffs - limit.extended(Kmax).coeffs
-        dev = max(dev, float(np.max(np.abs(g))))
-    converged = dev <= component_tol
-    report = {
-        "norms": norms,
-        "sup_norm": max(norms),
-        "norm_bounded": bool(bounded),
-        "max_component_dev": dev,
-        "componentwise": bool(converged),
-    }
-    return bool(bounded and converged), report

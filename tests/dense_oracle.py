@@ -34,6 +34,8 @@ tables for a whole array of n, and its tails by quadrature (abel_plana_tail),
 where the package sums a binomial series of Hurwitz zeta tails.
 single_mode_gaps are the gaps of single_mode(c) from its parity blocks in
 mpmath at 40 digits, past the rounding of any float64 eigensolver.
+kronig_penney_edges are the closed-form periodic edges of the Dirac comb,
+whose q_{2n} = c do not decay.
 periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix that the
 package only ever handles as two parity blocks; parity_block_gather and
 dirichlet_matrix_gather build the parity blocks and the Dirichlet matrix by
@@ -51,6 +53,8 @@ op_norm_2_to_inf the L^2 -> L^inf norm of a matrix in the e_k basis.
 lex_sort_loop is the lexicographic order as an element-by-element loop over
 tie groups, the reference for galerkin._pair_order on pair-structured
 inputs.
+weakstar_distance is the metric of the weak-star topology on bounded sets
+of the sequence spaces.
 
 smooth_real_potential, complex_band_potential and lacunary_potential are
 test potentials that more than one test file uses.
@@ -60,6 +64,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
 from hillkdv.galerkin import _pair_order, _parity_block
@@ -374,6 +379,22 @@ def single_mode_gaps(c, ns, K=24, dps=40):
     return out
 
 
+def kronig_penney_edges(c, n):
+    """The periodic edges (lambda_n^-, lambda_n^+) of the Dirac comb q = c
+    sum_j delta(x - j) - c, c > 0, whose coefficients q_{2n} = c for n != 0
+    are those of Potential.power_law(c, 0.0, n_max) without the cut at
+    n_max.  With mu = lambda + c the discriminant is Delta(mu) = 2 cos k +
+    c sin k / k, k = sqrt(mu), and the edges near n^2 pi^2 solve Delta =
+    2 (-1)^n.  At k = n pi + x this reads 2 sin(x/2) (c cos(x/2) / k -
+    2 sin(x/2)) = 0: one edge is x = 0, mu = n^2 pi^2; the other has
+    tan(x/2) = c / (2 k), found by brentq on x in (0, 1) (x ~ c/(n pi), so
+    the gap (n pi + x)^2 - n^2 pi^2 tends to 2c)."""
+    npi = n * math.pi
+    x = brentq(lambda x: c * math.cos(x / 2) / (npi + x) - 2 * math.sin(x / 2),
+               0.0, 1.0, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return npi * npi - c, (npi + x) ** 2 - c
+
+
 def periodic_matrix(q, K):
     """M[k, l] = (k pi)^2 delta_kl + q_{k-l} over k, l in {-K..K}."""
     ks = np.arange(-K, K + 1)
@@ -529,6 +550,22 @@ def project(n, f, which):
     else:
         raise ValueError("which must be 'P' or 'Q'")
     return FourierSeq(c)
+
+
+def weakstar_distance(f, g):
+    """d(f, g) = max_k 2^{-|k|} |f_k - g_k| over |k| <= the smaller half
+    range of two FourierSeq.  The weight 2^{-|k|} is fixed and summable.
+    On a bounded set of Fl^{s,inf} = (Fl^{-s,1})*, |f_k| <= B <k>^{-s},
+    weak-star convergence is convergence of every component, and d
+    metrizes it: each component is weighted by a positive constant, and the
+    modes |k| > N add at most 2B sup_{|k| > N} 2^{-|k|} <k>^{-s}, which
+    tends to 0 with N for every s.  A norm distance sup_k <k>^s |f_k - g_k| stays macroscopic on
+    families, such as the Airy flow as t -> 0 or a bump e_k as k -> inf,
+    whose d tends to 0."""
+    K = min(f.half_range, g.half_range)
+    ks = np.arange(-K, K + 1)
+    diff = f.coeffs[f.index(ks)] - g.coeffs[g.index(ks)]
+    return float(np.max(0.5 ** np.abs(ks) * np.abs(diff)))
 
 
 def smooth_real_potential(seed=7, n_max=26, amp=0.05):

@@ -22,12 +22,13 @@ from hillkdv.reduction import (
 )
 from hillkdv.birkhoff import BirkhoffState, flow
 from hillkdv.pde import (
-    PDEState, potential_to_pde_state, airy_distances, evolve_kdv,
-    isospectral_check,
+    PDEState, potential_to_pde_state, airy_distances, evolve_airy,
+    evolve_kdv, isospectral_check,
 )
 
 from dense_oracle import LACUNARY_C, LACUNARY_NS, lacunary_potential, \
-    smooth_real_potential, sample_T_norm, free_projector, op_norm_2_to_inf
+    smooth_real_potential, sample_T_norm, free_projector, op_norm_2_to_inf, \
+    weakstar_distance
 
 PI2 = math.pi ** 2
 
@@ -255,13 +256,21 @@ def test_criterion_10_airy_demo():
     sups, comps = airy_distances(u0, ts, s)
     # sup-norm distance stays macroscopic at every sampled time
     assert min(sups) >= 0.1
+    # while the weak* distance d = max_k 2^{-|k|} |u_k(t) - u_k(0)| goes to
+    # 0 with t, led by max_k 2^{-k} (2 pi k)^3 t |u_k(0)|
+    ds = [weakstar_distance(evolve_airy(u0, t), u0) for t in ts]
+    ks = np.arange(1, u0.half_range + 1)
+    lead = np.max(0.5 ** ks * (2 * math.pi * ks) ** 3
+                  * np.abs(u0.coeffs[u0.index(ks)]))
+    assert ds[0] == pytest.approx(ts[0] * lead, rel=1e-3)
+    assert ds[0] <= 1e-2 * ds[-1]
     # each fixed component moves linearly: |e^{i w t} - 1| ~ w t
     slope = np.polyfit(np.log(ts), np.log(comps), 1)[0]
     assert abs(slope - 1.0) < 0.05
     om1 = (2 * math.pi) ** 3
     assert comps[0] == pytest.approx(om1 * ts[0] * abs(u0[1]), rel=1e-3)
-    print("criterion 10 (airy demo): PASS (sup floor %.3f, slope %.3f)"
-          % (min(sups), slope))
+    print("criterion 10 (airy demo): PASS (sup floor %.3f, slope %.3f, "
+          "weak* %.1e -> %.1e)" % (min(sups), slope, ds[-1], ds[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,22 @@ def test_reduce_alpha_failure_exit_1(tmp_path, capsys, monkeypatch):
                                     lambda sign: sign == 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
+    # cap_weight's probe at |n| = 512 accepts e^{1.38 |n|}, but the plan of
+    # n = 258..260 reaches |k| = 2n + 2 = 522, where the weight is inf: one
+    # error line naming that |k|, no numpy warning and no output directory
+    cfg = tmp_path / "w.ini"
+    cfg.write_text("[run]\npotential = single-mode:c=0.05\n"
+                   "weight = poly:a=200,cap=1.38\nk = 600\n"
+                   "n_lo = 258\nn_hi = 260\n")
+    out = tmp_path / "o"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: weight is not finite on |k| <= 522"]
+    assert not out.exists()
+
+
 def _low_mode_potential(kind, rng):
     """The low_mode benchmark's families: |q_2n| = 0.05 <n>^{-1/2} with seeded
     phases, conjugate at -n (smooth) or independent (complex), and the

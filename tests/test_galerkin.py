@@ -24,7 +24,7 @@ from hillkdv.galerkin import (
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
     periodic_matrix, free_projector, op_norm_2_to_inf, hermitian_spectrum, \
     hermitian_projector, parity_block_gather, dirichlet_matrix_gather, \
-    complex_band_potential
+    complex_band_potential, kronig_penney_edges
 
 PI2 = math.pi ** 2
 
@@ -97,6 +97,35 @@ def test_refinement_K128_vs_K256():
         assert abs(s1.lam_minus(n) - s2.lam_minus(n)) < 1e-8
         assert abs(s1.lam_plus(n) - s2.lam_plus(n)) < 1e-8
         assert abs(s1.mu(n) - s2.mu(n)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Dirac comb: a potential in Fl^inf whose coefficients do not decay
+# ---------------------------------------------------------------------------
+
+def test_dirac_comb_edges_converge_first_order():
+    # q = c sum_j delta(x - j) - c cut at n_max, against the Kronig-Penney
+    # edges: the worst edge error over n = 1, 2, 3, 5, 8 halves with each
+    # doubling of n_max (8.4e-4 at 32 to 9.9e-5 at 256), and the gaps, which
+    # tend to 2c and do not decay, lie within 0.03 / n_max of the exact ones
+    c, ns = 0.5, (1, 2, 3, 5, 8)
+    exact = [kronig_penney_edges(c, n) for n in ns]
+    gaps = [hi - lo for lo, hi in exact]
+    assert gaps == pytest.approx([0.97512, 0.99331, 0.99699, 0.99891,
+                                  0.99957], abs=1e-5)
+    assert all(a < b < 2 * c for a, b in zip(gaps, gaps[1:]))
+    errs = []
+    for n_max in (32, 64, 128, 256):
+        spec = periodic_spectrum(Potential.power_law(c, 0.0, n_max),
+                                 2 * n_max + 64)
+        got = [(spec.lam_minus(n).real, spec.lam_plus(n).real) for n in ns]
+        errs.append(max(abs(g - e) for pg, pe in zip(got, exact)
+                        for g, e in zip(pg, pe)))
+        assert 0.024 <= errs[-1] * n_max <= 0.028
+        assert max(abs(hi - lo - gap) for (lo, hi), gap in zip(got, gaps)) \
+            <= 0.03 / n_max
+    rates = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((0.9 <= rates) & (rates <= 1.1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,17 @@ helper stays in the package only for the tests.
 __init__.py only re-exports, so it is left out.  A name counts as used when
 it appears as a Name node anywhere in the module (an attribute chain such as
 np.linalg.eigh starts with the Name np), and as read when that node loads
-it."""
+it.  Every name that __init__.py re-exports is loaded, as a Name or as an
+Attribute (R.find_roots), by another package module or by the benchmark's
+scripts, so that the public surface holds nothing only the tests call."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hillkdv"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hillkdv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,3 +82,32 @@ def test_unread_private_names_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_names_read(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def loaded_names(source):
+    """The names that the module loads as a Name or as an Attribute; a name
+    imported under another (from m import x as y) counts as loaded when y
+    is."""
+    tree = ast.parse(source)
+    loaded = {n.id if isinstance(n, ast.Name) else n.attr
+              for n in ast.walk(tree)
+              if isinstance(n, (ast.Name, ast.Attribute))
+              and isinstance(n.ctx, ast.Load)}
+    return loaded | {a.name for n in ast.walk(tree)
+                     if isinstance(n, ast.ImportFrom) for a in n.names
+                     if a.asname in loaded}
+
+
+def test_loaded_names_found():
+    src = "import numpy as np\nfrom m import f as g, h as k\n" \
+          "x = np.linalg.eigh\ny = g(z)\nw.v = 1\n"
+    assert loaded_names(src) == {"np", "linalg", "eigh", "g", "f", "z", "w"}
+
+
+def test_every_export_has_a_caller():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    callers = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    loaded = set().union(*(loaded_names(p.read_text()) for p in callers))
+    assert sorted(exported - loaded) == []

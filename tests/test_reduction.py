@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hillkdv.sequences import FourierSeq, SparseSeq, Weight, norm
+from hillkdv.sequences import FourierSeq, SparseSeq, Weight, WeightError, \
+    cap_weight, norm
 from hillkdv.operator import Potential
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
@@ -998,6 +999,16 @@ def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
     with pytest.raises(red.RootError, match="forced at n=%d$" % bad[0]):
         find_roots_batch(ctx, range(ctx.n_s, ctx.n_s + 6))
     assert find_roots_batch(ctx, [ctx.n_s + 1])[0].method == "fixed-point"
+
+
+def test_weight_not_finite_on_plan_raises():
+    # e^{1.38 |k|} is finite at |k| = 512 (cap_weight's probe) and inf from
+    # |k| = 515; the plan of n = 258 already reaches |k| = 2n + 2 = 518
+    w = cap_weight(Weight(200.0), 1.38)
+    ctx = make_context(Potential.single_mode(0.05, weight=w))
+    assert find_roots_batch(ctx, [250])[0].converged
+    with pytest.raises(WeightError, match=r"\|k\| <= 518$"):
+        find_roots_batch(ctx, [250, 258])
 
 
 def test_evaluation_errors_raised():

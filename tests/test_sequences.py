@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hillkdv.sequences import (
     Weight, WeightError, cap_weight,
     FourierSeq, SparseSeq, InvalidSequenceError, bracket,
-    norm, weight_profile, tail, hilbert_sum, weakstar_converged,
+    norm, weight_profile, tail, hilbert_sum,
 )
 
 from hillkdv.birkhoff import BirkhoffState
@@ -556,38 +556,3 @@ def test_hilbert_sum_decay_in_n():
         vals = [hilbert_sum(n, sigma) for n in (8, 16, 32, 64)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-
-# ---------------------------------------------------------------------------
-# weak-star convergence check
-# ---------------------------------------------------------------------------
-
-def test_weakstar_accepts_converging_family():
-    limit = FourierSeq.from_pairs([(1, 1.0), (-1, 1.0)], K=4)
-    seqs = []
-    for j in range(1, 13):
-        c = limit.coeffs.copy()
-        c[limit.index(2)] = 1.0 / j  # dying component
-        seqs.append(FourierSeq(c))
-    ok, rep = weakstar_converged(seqs, limit, 0.0, component_tol=0.2)
-    assert ok
-    assert len(rep["norms"]) == 12
-
-
-def test_weakstar_rejects_norm_blowup():
-    limit = FourierSeq.zeros(2)
-    seqs = [FourierSeq.from_pairs([(1, float(2 ** j))], K=2)
-            for j in range(10)]
-    ok, _ = weakstar_converged(seqs, limit, 0.0, component_tol=1e-6)
-    assert not ok
-
-
-def test_weakstar_rejects_wrong_component_limit():
-    limit = FourierSeq.from_pairs([(1, 5.0)], K=2)
-    seqs = [FourierSeq.from_pairs([(1, 1.0)], K=2) for _ in range(9)]
-    ok, _ = weakstar_converged(seqs, limit, 0.0, component_tol=1e-3)
-    assert not ok
-
-
-def test_weakstar_empty_family():
-    ok, rep = weakstar_converged([], FourierSeq.zeros(1), 0.0, 1e-6)
-    assert ok and rep["norms"] == []
