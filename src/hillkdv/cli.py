@@ -196,9 +196,8 @@ def _open_out(path, newline):
 
 def write_json(path, obj, cfg):
     obj = dict(obj, meta=cfg["meta"])
-    with _open_out(path, "\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with _open_out(path, "\n") as fh:  # one write, not one per chunk
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def write_csv(path, header, rows, cfg):
@@ -265,10 +264,11 @@ def cmd_reduce(cfg):
     K_trust = next((k for k in range(max(16, 2 * n_hi + 3), K)
                     if trust_count(k) >= n_hi), K)
     K_o = min(K, max(K_trust, n_hi + q.half_range))
+    # the reduction first, so that one which raises solves no oracle
+    found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
     spec = periodic_spectrum(q, K_o)
     rows = []
     worst = 0.0
-    found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
     for n in range(n_lo, n_hi + 1):
         if n < ctx.n_s:
             rows.append({"n": n, "status": "below-threshold"})

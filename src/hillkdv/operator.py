@@ -26,10 +26,6 @@ class StripViolationError(ValueError):
     pass
 
 
-class NearSingularError(ArithmeticError):
-    pass
-
-
 @dataclass(frozen=True)
 class Potential:
     """Zero-mean 1-periodic potential, both checked here, with regularity

@@ -44,7 +44,7 @@ import numpy as np
 
 from .sequences import FourierSeq, WeightError, bracket, hilbert_sum, norm, \
     weight_factors, _divisor_sums
-from .operator import Potential, StripViolationError, NearSingularError
+from .operator import Potential, StripViolationError
 
 
 class ContractionFailureError(ArithmeticError):
@@ -172,8 +172,8 @@ class _OffsetPlan:
     S_l; each row's divisor parts j (j + 2m) pi^2 = (k - n)(k + n) pi^2,
     inf at its dropped slots (c / (delta - inf) is 0, with no division by
     0); the larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s)
-    (exact for the max of the two norms, as |c| >= 0); the slot of j = 0
-    and each row's slot of j = -2m (-1 where absent).  Per step, the runs
+    (exact for the max of the two norms, as |c| >= 0); and each row's slots
+    of j = 0 and j = -2m (-1 where absent).  Per step, the runs
     of S_l that every tap maps onto consecutive slots of S_{l+1}, and each
     tap's slot in S_{l+1} for the start of each run."""
 
@@ -181,11 +181,11 @@ class _OffsetPlan:
         self.ctx, self.q, self.ns = ctx, ctx.q.support, list(ns)
         self.two_m = np.array([(2 * n, -2 * n) for n in self.ns],
                               dtype=np.int64).reshape(-1)
-        self.pm = np.concatenate(([0], -self.two_m))  # j = 0, then each -2m
+        self.pm = np.stack((0 * self.two_m, -self.two_m), axis=1)  # 0, -2m
         self.start = self.q.coeffs + 0.0  # V e_0 on S_0 = supp(q), no -0.0
         self.levels, self.steps = [self._level(self.q.idx)], []
         self.base = (self.levels[0][2] * np.abs(self.start)[:, None]).max(
-            axis=0, initial=0.0).tolist()  # each row's start norm
+            axis=0, initial=0.0)  # each row's start norm
 
     def _level(self, S):
         w, s, jm = self.ctx.q.weight, self.ctx.s, S[:, None] + self.two_m
@@ -196,12 +196,10 @@ class _OffsetPlan:
         if not np.isfinite(wt).all():  # inf * 0 in a stop norm would be NaN
             raise WeightError("weight is not finite on |k| <= %d"
                               % np.abs(jm).max())
-        at = np.searchsorted(S, self.pm)  # the slots of j = 0 and each -2m
-        if S.size:
-            at[S.take(at, mode="clip") != self.pm] = -1
-        else:
-            at[:] = -1
-        return S, kk, wt, int(at[0]), at[1:].tolist()
+        # each row's slots of j = 0 and j = -2m; the sentinel past S's end
+        # is odd, so it equals no (even) j
+        at = np.searchsorted(S, self.pm)
+        return S, kk, wt, np.where(np.append(S, 1)[at] == self.pm, at, -1)
 
     def level(self, l):
         """Level l's tables, building the levels and steps up to it."""
@@ -259,75 +257,67 @@ def _evaluate(plan, modes, deltas):
     stopped row adds no more terms, and its ratios no longer count.  An
     evaluation leaves the batch when both rows have stopped or MAX_TERMS
     applications of T_n are spent (converged False).  One outside the strip
-    S_n, with a divisor below 1e-12 or with three term ratios > 0.9 in a row
-    gets a StripViolationError, NearSingularError or ContractionFailureError
-    in place of its result; the others go on."""
+    S_n or with three term ratios > 0.9 in a row gets a StripViolationError
+    or ContractionFailureError in place of its result; the others go on.
+
+    On S_n no divisor comes near 0, so none is guarded: the offsets k - n
+    are even and k != +-n, so (k - n)(k + n) = 4a(a + n) with a != 0, -n is
+    at least 8 at n = 1 and 4n - 4 for n >= 2, and for |Re delta| <= 12 n
+    every |delta - (k - n)(k + n) pi^2| is at least 8 pi^2 - 12 at n = 1 and
+    (4n - 4) pi^2 - 12 n >= 15.4 for n >= 2.
+
+    Row 2i sums from V e_n and row 2i + 1 from V e_{-n} of the i-th
+    evaluation in the strip; each row's stop state (last term norm, worst
+    ratio, streak, terms used, stopped, failed, and its sums at j = 0 and
+    j = -2m) is an array over the rows, updated by masks once per level."""
     ns = [plan.ns[i] for i in modes]
     out = [None if abs(d.real) <= 12.0 * n + 1e-9 else StripViolationError(
         "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
     ev = [e for e, o in enumerate(out) if o is None]
-    tcol = [2 * modes[e] + r for e in ev for r in (0, 1)]  # table columns
-    cols = np.array(tcol, dtype=np.intp)
+    cols = np.array([2 * modes[e] + r for e in ev for r in (0, 1)],
+                    dtype=np.intp)  # each row's table column
+    prev = plan.base[cols]
+    stop = NEUMANN_TOL * np.maximum(prev, 1e-300)
+    ratio, h = np.zeros(cols.size), np.zeros((cols.size, 2), dtype=complex)
+    streak, used = np.zeros(cols.size, int), np.ones(cols.size, int)
+    done, failed = np.zeros(cols.size, bool), np.zeros(cols.size, bool)
+    # act: the rows with a column in c (cols and d_act follow it); add: the
+    # columns whose latest term is added
+    act, add = np.arange(cols.size), np.ones(cols.size, bool)
     d_act = np.repeat(np.array([deltas[e] for e in ev], dtype=complex), 2)
-    lv, act = plan.level(0), list(range(len(tcol)))
-    c = np.repeat(plan.start[:, None], len(tcol), axis=1)
-    base = [plan.base[t] for t in tcol]
-    prev, h = list(base), [[0j, 0j] for _ in tcol]  # sums at j = 0 and -2m
-    used, ratio, streak, done = ([x] * len(tcol) for x in (1, 0.0, 0, False))
-
-    def add(k, p):  # c's column k, row p
-        for t, slot in enumerate((lv[3], lv[4][tcol[p]])):
-            if slot >= 0:
-                h[p][t] += c.item(slot, k)
-
-    def fail(p, err, msg):
-        out[ev[p // 2]] = err(msg % ns[ev[p // 2]])
-
-    def drop():  # the columns of evaluations that stopped or failed
-        nonlocal act, c, d_act, cols
-        keep = [k for k, p in enumerate(act) if out[ev[p // 2]] is None
-                and not (done[p - p % 2] and done[p | 1])]
-        if len(keep) < len(act):
-            act, c, d_act = [act[k] for k in keep], c[:, keep], d_act[keep]
-            cols = cols[keep]
-
-    for p in act:
-        add(p, p)
-    for l in range(MAX_TERMS):
-        div = d_act - lv[1][:, cols]
-        if np.abs(div).min(initial=np.inf) < 1e-12:
-            for k in np.flatnonzero(np.abs(div).min(axis=0) < 1e-12).tolist():
-                fail(act[k], NearSingularError,
-                     "divisor |lambda - (k pi)^2| < 1e-12 in T_%d")
-            drop()
-            div = d_act - lv[1][:, cols]
-        if not act:
+    c, lv = np.repeat(plan.start[:, None], cols.size, axis=1), plan.level(0)
+    for l in range(MAX_TERMS + 1):
+        sl = lv[3][cols]  # the slots of j = 0 and -2m, -1 where absent
+        k, t = np.nonzero((sl >= 0) & add[:, None])
+        h[act[k], t] += c[sl[k, t], k]
+        keep = ~(failed[act] | failed[act ^ 1] | done[act] & done[act ^ 1])
+        if not keep.all():  # the columns of evaluations that ended leave
+            act, cols, c, d_act = act[keep], cols[keep], c[:, keep], \
+                d_act[keep]
+        if l == MAX_TERMS or not act.size:
             break
-        c, lv = plan.apply(l, c / div), plan.levels[l + 1]
-        tn = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0).tolist()
-        for k, p in enumerate(act):
-            if done[p]:
-                continue
-            if prev[p] > 0:
-                r = tn[k] / prev[p]
-                ratio[p] = max(ratio[p], r)
-                streak[p] = streak[p] + 1 if r > 0.9 else 0
-                if streak[p] >= 3:
-                    fail(p, ContractionFailureError,
-                         "Neumann ratio > 0.9 three times at n=%d")
-            if tn[k] != 0.0:  # a zero term ends the sum unadded
-                used[p] += 1
-                add(k, p)
-            done[p] = tn[k] < NEUMANN_TOL * max(base[p], 1e-300)
-            prev[p] = tn[k]
-        drop()
-    for k, e in enumerate(ev):
-        p, q = 2 * k, 2 * k + 1
-        if out[e] is None:
-            out[e] = CoeffResult(
-                n=ns[e], delta=complex(deltas[e]), a_n=h[p][0], b_n=h[q][1],
-                b_neg_n=h[p][1], terms_used=max(used[p], used[q]),
-                max_ratio=max(ratio[p], ratio[q]), converged=done[p] and done[q])
+        c, lv = plan.apply(l, c / (d_act - lv[1][:, cols])), plan.levels[l + 1]
+        tn = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0)
+        add = ~done[act]
+        p, tp = act[add], tn[add]
+        up = prev[p] > 0
+        r, pr = tp[up] / prev[p[up]], p[up]
+        ratio[pr] = np.fmax(ratio[pr], r)  # skips a NaN r, as max() does
+        streak[pr] = np.where(r > 0.9, streak[pr] + 1, 0)
+        failed[pr] |= streak[pr] >= 3
+        used[p] += tp != 0.0  # a zero term ends the sum unadded
+        done[p], prev[p] = tp < stop[p], tp
+        add &= tn != 0.0
+    results = zip(ev, *(x.tolist() for x in (
+        h[0::2, 0], h[1::2, 1], h[0::2, 1], np.maximum(used[::2], used[1::2]),
+        np.maximum(ratio[::2], ratio[1::2]), done[::2] & done[1::2],
+        failed[::2] | failed[1::2])))
+    for e, a_n, b_n, b_neg_n, terms, worst, ok, bad in results:
+        out[e] = ContractionFailureError(
+            "Neumann ratio > 0.9 three times at n=%d" % ns[e]) if bad else \
+            CoeffResult(n=ns[e], delta=complex(deltas[e]), a_n=a_n, b_n=b_n,
+                        b_neg_n=b_neg_n, terms_used=terms, max_ratio=worst,
+                        converged=ok)
     return out
 
 
@@ -364,24 +354,21 @@ class ReductionResult:
 
 def _sqrt_continuous(value, prev):
     sq = cmath.sqrt(value)
-    if prev is not None and abs(-sq - prev) < abs(sq - prev):
-        sq = -sq
-    return sq
+    return -sq if abs(-sq - prev) < abs(sq - prev) else sq
 
 
 def _lockstep(plan, reductions):
     """Run reductions[i], a coroutine at the mode n = plan.ns[i], to its end:
     it yields the offsets delta it wants evaluated at n and is sent their
-    CoeffResults, or has the first failed one's error thrown in.  One
-    _evaluate per round answers every running coroutine.  Returns their
-    values, or raises the error of the first i whose coroutine ended with an
+    CoeffResults, or ends with the first failed one's error.  One _evaluate
+    per round answers every running coroutine.  Returns their values, or
+    raises the error of the first i whose reduction ended with an
     ArithmeticError or ValueError (any other error propagates at once)."""
     out, asks = [None] * len(reductions), {}
 
-    def resume(i, got):  # send got, or throw in its first error
-        err = next((c for c in got or () if isinstance(c, Exception)), None)
-        try:  # its next request into asks, or its end into out
-            asks[i] = reductions[i].throw(err) if err else reductions[i].send(got)
+    def resume(i, got):  # its next request into asks, or its end into out
+        try:
+            asks[i] = reductions[i].send(got)
         except StopIteration as stop:
             out[i] = stop.value
         except (ArithmeticError, ValueError) as exc:
@@ -394,7 +381,10 @@ def _lockstep(plan, reductions):
         cs = iter(_evaluate(plan, [i for i, ds in run.items() for _ in ds],
                             [d for ds in run.values() for d in ds]))
         for i, ds in run.items():
-            resume(i, [next(cs) for _ in ds])
+            got = [next(cs) for _ in ds]
+            out[i] = next((c for c in got if isinstance(c, Exception)), None)
+            if out[i] is None:
+                resume(i, got)
     return _raise_first(out)
 
 

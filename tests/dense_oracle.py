@@ -20,7 +20,8 @@ package does not compute, must equal a_n.  With lam_form, sparse_neumann
 divides by lambda - (k pi)^2 through apply_A_inv_Q instead, the lambda form
 of A_lambda^{-1} Q_n that the package no longer uses, which loses the
 digits of n^2 pi^2: an oracle to 1e-12 for n <= 100 only.  in_strip is the
-strip S_n that apply_A_inv_Q checks.
+strip S_n that apply_A_inv_Q checks, and NearSingularError its error for a
+divisor below 1e-12, which only an f off n's parity can meet.
 shifted_galerkin_pair is the dense Galerkin matrix of L - n^2 pi^2 on two
 clusters of indices around +-n, whose two eigenvalues nearest 0 are the
 offsets of the roots at any n, to eigvalsh's eps ||M||.
@@ -35,7 +36,8 @@ where the package sums a binomial series of Hurwitz zeta tails.
 single_mode_gaps are the gaps of single_mode(c) from its parity blocks in
 mpmath at 40 digits, past the rounding of any float64 eigensolver.
 kronig_penney_edges are the closed-form periodic edges of the Dirac comb,
-whose q_{2n} = c do not decay.
+whose q_{2n} = c do not decay, and shifted_comb_dirichlet the closed-form
+Dirichlet eigenvalues of the comb moved to x = 1/2, q_{2n} = c (-1)^n.
 periodic_matrix is the full (2K+1)x(2K+1) periodic Galerkin matrix that the
 package only ever handles as two parity blocks; parity_block_gather and
 dirichlet_matrix_gather build the parity blocks and the Dirichlet matrix by
@@ -70,11 +72,15 @@ from scipy.signal import fftconvolve
 from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
 from hillkdv.operator import Potential, dirichlet_cos_coeffs, \
-    StripViolationError, NearSingularError
+    StripViolationError
 from hillkdv import reduction
 from hillkdv.reduction import PI2, coefficients
 
 _SPARSE_CONV_NNZ = 64
+
+
+class NearSingularError(ArithmeticError):
+    """A divisor of apply_A_inv_Q below 1e-12."""
 
 
 def _convolve_arrays(a, b):
@@ -139,9 +145,11 @@ def apply_A_inv_Q(lam, n, f):
     span{e_n, e_{-n}}: g_k = f_k / (lambda - (k pi)^2) for k != +-n.
     Takes either container and returns a SparseSeq on f's indices but +-n.
 
-    lambda must lie in the strip S_n; a divisor smaller than 1e-12
-    signals a caller bug (inside S_n all divisors are >= |n^2-k^2| >= 1
-    in units of pi^2 ... up to the strip width) and raises.
+    lambda must lie in the strip S_n.  f may hold indices of either
+    parity: where k - n is odd a divisor can vanish inside S_n (n = 1,
+    lambda = 0, k = 0), so one below 1e-12 raises NearSingularError.  (The
+    package's offsets k - n are all even, and there every divisor is at
+    least 15.4 on S_n: reduction._evaluate.)
     """
     lam = complex(lam)
     if n < 1:
@@ -393,6 +401,22 @@ def kronig_penney_edges(c, n):
     x = brentq(lambda x: c * math.cos(x / 2) / (npi + x) - 2 * math.sin(x / 2),
                0.0, 1.0, xtol=1e-16, rtol=4 * np.finfo(float).eps)
     return npi * npi - c, (npi + x) ** 2 - c
+
+
+def shifted_comb_dirichlet(c, n):
+    """The Dirichlet eigenvalue mu_n on [0, 1] of the Dirac comb moved to
+    x = 1/2, q = c sum_j delta(x - 1/2 - j) - c, whose coefficients are
+    q_{2n} = c (-1)^n for n != 0.  The eigenfunctions odd about 1/2 (even
+    n) vanish at the delta: mu_n = n^2 pi^2 - c.  The even ones (odd n) are
+    sin(kappa x) on [0, 1/2], where the jump y'(1/2+) - y'(1/2-) = c y(1/2)
+    reads 2 kappa cos(kappa/2) + c sin(kappa/2) = 0, with kappa in
+    (n pi, (n + 1) pi), found by brentq: mu_n = kappa^2 - c."""
+    npi = n * math.pi
+    if n % 2 == 0:
+        return npi * npi - c
+    kappa = brentq(lambda k: 2 * k * math.cos(k / 2) + c * math.sin(k / 2),
+                   npi, npi + math.pi, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return kappa * kappa - c
 
 
 def periodic_matrix(q, K):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from hillkdv import cli
 from hillkdv.cli import main
 from hillkdv.galerkin import periodic_spectrum, trust_count
 from hillkdv.operator import Potential
@@ -214,6 +215,28 @@ def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: weight is not finite on |k| <= 522"]
     assert not out.exists()
+
+
+def test_reduce_that_raises_solves_no_oracle(tmp_path, monkeypatch, capsys):
+    # the reduction runs before the Galerkin oracle, so the weight error of
+    # the config above exits 1 before periodic_spectrum is called
+    calls = []
+
+    def counted(q, K):
+        calls.append(K)
+        return periodic_spectrum(q, K)
+
+    monkeypatch.setattr(cli, "periodic_spectrum", counted)
+    cfg = tmp_path / "w.ini"
+    cfg.write_text("[run]\npotential = single-mode:c=0.05\n"
+                   "weight = poly:a=200,cap=1.38\nk = 600\n"
+                   "n_lo = 258\nn_hi = 260\n")
+    assert main(["reduce", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: weight is not finite")
+    assert calls == []
+    assert main(["reduce", "--out", str(tmp_path / "z")]) == 0
+    assert len(calls) == 1
 
 
 def _low_mode_potential(kind, rng):

@@ -24,7 +24,7 @@ from hillkdv.galerkin import (
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
     periodic_matrix, free_projector, op_norm_2_to_inf, hermitian_spectrum, \
     hermitian_projector, parity_block_gather, dirichlet_matrix_gather, \
-    complex_band_potential, kronig_penney_edges
+    complex_band_potential, kronig_penney_edges, shifted_comb_dirichlet
 
 PI2 = math.pi ** 2
 
@@ -125,6 +125,31 @@ def test_dirac_comb_edges_converge_first_order():
         assert max(abs(hi - lo - gap) for (lo, hi), gap in zip(got, gaps)) \
             <= 0.03 / n_max
     rates = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((0.9 <= rates) & (rates <= 1.1))
+
+
+def test_shifted_dirac_comb_dirichlet_converges_first_order():
+    # q_{2n} = c (-1)^n cut at n_max, the comb moved to x = 1/2, against its
+    # closed-form Dirichlet values: for odd n, whose eigenfunctions feel the
+    # delta, the error halves with each doubling of n_max (worst 8.1e-4 at
+    # 32 to 9.9e-5 at 256); for even n, whose eigenfunctions vanish at the
+    # delta, it falls faster (1.2e-5 to 7.7e-7) and stays below every odd one
+    c, ns = 0.5, (1, 2, 3, 5, 8)
+    exact = [shifted_comb_dirichlet(c, n) for n in ns]
+    odd = [i for i, n in enumerate(ns) if n % 2]
+    errs = []
+    for n_max in (32, 64, 128, 256):
+        q = Potential.from_even_pairs(
+            [(k, c * (-1) ** k) for k in range(-n_max, n_max + 1) if k],
+            n_max=n_max)
+        spec = dirichlet_spectrum(q, 2 * n_max + 64)
+        errs.append([abs(spec.mu(n).real - e) for n, e in zip(ns, exact)])
+        worst_odd = max(errs[-1][i] for i in odd)
+        assert 0.024 <= worst_odd * n_max <= 0.028
+        assert max(e for i, e in enumerate(errs[-1]) if i not in odd) \
+            < min(errs[-1][i] for i in odd)
+    errs = np.array(errs)[:, odd]
+    rates = np.log2(errs[:-1] / errs[1:])
     assert np.all((0.9 <= rates) & (rates <= 1.1))
 
 

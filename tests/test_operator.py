@@ -12,10 +12,11 @@ from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
 from hillkdv.operator import (
-    Potential, dirichlet_cos_coeffs, StripViolationError, NearSingularError,
+    Potential, dirichlet_cos_coeffs, StripViolationError,
 )
 
-from dense_oracle import project, in_strip, apply_A_inv_Q, multiply
+from dense_oracle import project, in_strip, apply_A_inv_Q, multiply, \
+    NearSingularError
 
 PI2 = math.pi ** 2
 

@@ -480,6 +480,27 @@ def small_potentials(draw):
     return Potential.from_even_pairs(zip(ks, vals), n_max=n_max, real=False)
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=small_potentials(), n=st.integers(1, 8), offset=st.integers(0, 3),
+       re_frac=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+       im=st.floats(allow_nan=False))
+def test_divisors_bounded_below_on_the_strip(q, n, offset, re_frac, im):
+    # why _evaluate divides unguarded: on levels 0-3 of the plan of a mode
+    # (n, then n_s + offset) every offset is even, and for |Re delta| <= 12 n,
+    # the edges included, every finite divisor |delta - (k - n)(k + n) pi^2|
+    # is at least m_n pi^2 - 12 n, with m_1 = 8 and m_n = 4n - 4 for n >= 2
+    ctx = make_context(q)
+    for mode in (n, ctx.n_s + offset):
+        bound = (8 if mode == 1 else 4 * mode - 4) * PI2 - 12.0 * mode
+        assert bound >= 15.4
+        delta = complex(12.0 * mode * re_frac, im)
+        plan = red._OffsetPlan(ctx, [mode])
+        for l in range(4):
+            S, kk = plan.level(l)[:2]
+            assert np.all(S % 2 == 0)
+            assert np.all(np.abs(delta - kk[np.isfinite(kk)]) >= bound)
+
+
 def assert_same_bits(got, want):
     """Every field of the term-by-term oracle equals the CoeffResult's, to
     the bit: repr round-trips floats exactly and shows the sign of zero.
