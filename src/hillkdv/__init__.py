@@ -11,8 +11,7 @@ Conventions used throughout:
   * bracket(n) = 1 + |n|.
 """
 
-from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum, \
-    cap_weight
+from .sequences import FourierSeq, SparseSeq, Weight, norm, tail, hilbert_sum
 from .operator import Potential, dirichlet_cos_coeffs
 from .galerkin import SpectrumResult, periodic_spectrum, dirichlet_spectrum, \
     riesz_projector, verify_decay

@@ -34,8 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .sequences import FourierSeq, Weight, WeightError, cap_weight, \
-    InvalidSequenceError
+from .sequences import FourierSeq, Weight, WeightError, InvalidSequenceError
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, trust_count, \
     verify_decay
@@ -123,9 +122,8 @@ def parse_weight(spec):
         raise ConfigError("unknown weight spec %r" % spec)
     kv = parse_kv(body, {"a": (float, 1.0), "cap": (float, None)}, "weight")
     try:
-        w = Weight(kv["a"])
-        return w if kv["cap"] is None else cap_weight(w, kv["cap"])
-    except WeightError as exc:  # a < 0, cap <= 0, not finite on |n| <= 512
+        return Weight(kv["a"], kv["cap"])
+    except WeightError as exc:  # a < 0 or cap <= 0
         raise ConfigError(str(exc))
 
 

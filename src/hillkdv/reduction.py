@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .sequences import FourierSeq, WeightError, bracket, hilbert_sum, norm, \
+from .sequences import FourierSeq, bracket, hilbert_sum, norm, \
     weight_factors, _divisor_sums
 from .operator import Potential, StripViolationError
 
@@ -102,7 +102,8 @@ def epsilon_s(n, s):
 def estimate_c_s_prime(s):
     """c_s' = max(c_s, sup_n 2 <2n>^s D(n; 1-|s|, 1-|s|) / epsilon_s(n)) over
     _C_S_PRIME_GRID, the latter fitted to the <T_n f, e_{+-n}> bound; D is
-    hilbert_sum's infinite sum.  Computed once per s."""
+    hilbert_sum's infinite sum.  Computed once per s; for s < 0 the term still
+    rises past n = 4096, so the value is a lower estimate of the sup."""
     return max(estimate_c_s(s), _hilbert_sup(s))  # rejects s outside (-1/2, 0]
 
 
@@ -191,11 +192,9 @@ class _OffsetPlan:
         w, s, jm = self.ctx.q.weight, self.ctx.s, S[:, None] + self.two_m
         kk = S[:, None] * jm * PI2
         kk[(S[:, None] == 0) | (jm == 0)] = np.inf
-        wt = np.maximum(weight_factors(S, w, s)[:, None], weight_factors(
-            jm.ravel(), w, s).reshape(jm.shape))
-        if not np.isfinite(wt).all():  # inf * 0 in a stop norm would be NaN
-            raise WeightError("weight is not finite on |k| <= %d"
-                              % np.abs(jm).max())
+        # jm first: it reaches the larger |k|, which a WeightError names
+        wt = np.maximum(weight_factors(jm.ravel(), w, s).reshape(jm.shape),
+                        weight_factors(S, w, s)[:, None])
         # each row's slots of j = 0 and j = -2m; the sentinel past S's end
         # is odd, so it equals no (even) j
         at = np.searchsorted(S, self.pm)

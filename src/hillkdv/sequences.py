@@ -70,21 +70,6 @@ class Weight:
         return vals
 
 
-def cap_weight(w, eps):
-    """Exponentially capped weight w^eps_n = min(w_n, e^{eps|n|}).
-
-    Raises WeightError if eps <= 0, or if w^eps is not finite on |n| <= 512,
-    which for a weight monotone in |n| means at n = 512.
-    """
-    if not eps > 0:
-        raise WeightError("eps must be positive")
-    new_cap = eps if w.cap is None else min(w.cap, eps)
-    capped = replace(w, cap=new_cap)
-    if not math.isfinite(capped(512)):
-        raise WeightError("weight is not finite on |n| <= 512")
-    return capped
-
-
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -237,8 +222,12 @@ class SparseSeq:
 
 
 def weight_factors(ks, w, s):
-    """Array w(k) <k>^s at the indices ks."""
-    return (np.ones(ks.size) if w is None else w(ks)) * bracket(ks) ** s
+    """Array w(k) <k>^s at ks; raises WeightError where it is not finite."""
+    wf = (np.ones(ks.size) if w is None else w(ks)) * bracket(ks) ** s
+    if not np.isfinite(wf).all():
+        raise WeightError("weight is not finite on |k| <= %d"
+                          % np.abs(ks).max())
+    return wf
 
 
 def weight_profile(f, w, s):

@@ -203,9 +203,9 @@ def test_reduce_alpha_failure_exit_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
-    # cap_weight's probe at |n| = 512 accepts e^{1.38 |n|}, but the plan of
-    # n = 258..260 reaches |k| = 2n + 2 = 522, where the weight is inf: one
-    # error line naming that |k|, no numpy warning and no output directory
+    # e^{1.38 |k|} is finite on q's support, but the plan of n = 258..260
+    # reaches |k| = 2n + 2 = 522, where the weight is inf: one error line
+    # naming that |k|, no numpy warning and no output directory
     cfg = tmp_path / "w.ini"
     cfg.write_text("[run]\npotential = single-mode:c=0.05\n"
                    "weight = poly:a=200,cap=1.38\nk = 600\n"
@@ -215,6 +215,26 @@ def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: weight is not finite on |k| <= 522"]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_weight_infinite_on_support_exit_1(tmp_path, capsys):
+    # 129^150 is inf at |k| = 128, the top of q's support: the norm of q
+    # names it, rather than a threshold that reads inf
+    out = tmp_path / "o"
+    assert main(["reduce", "--potential", "power-law:nmax=64", "--weight",
+                 "poly:a=150", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: weight is not finite on |k| <= 128"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_weight_never_evaluated_exit_0(tmp_path):
+    # poly:a=150,cap=5 is inf from |k| = 142, but the zero potential's
+    # reduction evaluates the weight nowhere
+    assert main(["reduce", "--weight", "poly:a=150,cap=5",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_reduce_that_raises_solves_no_oracle(tmp_path, monkeypatch, capsys):
@@ -549,6 +569,7 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "zero", "--seed", "-1"],
     ["reduce", "--potential", "zero", "--seed", "-1"],
     ["verify", "--suite", "sandwich", "--seed", "-1"],
+    ["reduce", "--potential", "zero", "--weight", "poly:a=1,cap=0"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_exit_2(tmp_path, capsys, flags):
@@ -556,8 +577,9 @@ def test_bad_config_exit_2(tmp_path, capsys, flags):
     # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
     # with odd modes, a NaN c and weight exponent, a negative weight
     # exponent, an infinite time, an infinite coefficient, a finite one
-    # whose l1 norm squared overflows and a negative seed (for the seeded
-    # potentials and for the sandwich suite); flags without a subcommand run
+    # whose l1 norm squared overflows, a negative seed (for the seeded
+    # potentials and for the sandwich suite) and a zero weight cap; flags
+    # without a subcommand run
     # spectrum, and no RuntimeWarning may escape
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hillkdv.sequences import FourierSeq, SparseSeq, Weight, WeightError, \
-    cap_weight, norm
+from hillkdv.sequences import FourierSeq, SparseSeq, Weight, WeightError, norm
 from hillkdv.operator import Potential
 from hillkdv.galerkin import full_spectrum, periodic_spectrum
 from hillkdv.reduction import (
@@ -36,7 +35,7 @@ from dense_oracle import divisor_sum, dense_coefficients, \
     complex_band_potential, offset_A_inv_Q, shifted_galerkin_pair, \
     sparse_coefficients, sparse_neumann, shift_pair, apply_T_n, sample_T_norm, \
     eigenfunction_reconstruct, KernelPreconditionError, multiply, \
-    single_mode_gaps
+    single_mode_gaps, kronig_penney_edges
 
 PI2 = math.pi ** 2
 
@@ -241,6 +240,16 @@ def test_thresholds_beyond_float_range_named():
     q = Potential.single_mode(0.2)
     with pytest.raises(ThresholdError, match="threshold N_ms exceeds the float"):
         make_context(q, -0.25, m=1e100)
+
+
+def test_make_context_weight_not_finite_on_support():
+    # 129^150 is past the float range at |k| = 128, q's own top index: the
+    # norm of q raises there, not a threshold that reads inf
+    q = Potential.power_law(0.1, -0.25, 64, weight=Weight(150.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match=r"\|k\| <= 128$"):
+            make_context(q)
 
 
 def test_make_context_defaults():
@@ -907,6 +916,29 @@ def test_single_mode_gaps_match_mpmath():
         assert res.gap_estimate == pytest.approx(want, rel=rel, abs=0), res.n
 
 
+def test_dirac_comb_reduction_converges_first_order():
+    # q = c sum_j delta(x - j) - c cut at n_max, the reduction at n_s..n_s + 9
+    # (n_s = 31) against the Kronig-Penney edges: every root is real and
+    # converged, and the worst edge error of each mode is 0.0273..0.0282 /
+    # n_max at n_max = 128 and 0.0262..0.0265 / n_max at 256 (at 64 the
+    # modes lie past n_max / 2 and the ratio to 128 is still 1.18..1.29)
+    c, errs = 0.5, []
+    for n_max in (128, 256):
+        ctx = make_context(Potential.power_law(c, 0.0, n_max))
+        assert ctx.n_s == 31
+        ns = range(ctx.n_s, ctx.n_s + 10)
+        err = []
+        for n, res in zip(ns, find_roots_batch(ctx, ns)):
+            assert res.converged and res.xi_1.imag == res.xi_2.imag == 0
+            got = sorted([res.xi_1.real, res.xi_2.real])
+            err.append(max(abs(g - e) for g, e in
+                           zip(got, kronig_penney_edges(c, n))))
+        errs.append(np.array(err))
+        assert np.all((0.025 <= errs[-1] * n_max) & (errs[-1] * n_max <= 0.03))
+    rates = np.log2(errs[0] / errs[1])
+    assert np.all((0.95 <= rates) & (rates <= 1.2))
+
+
 # ---------------------------------------------------------------------------
 # the batch over modes
 # ---------------------------------------------------------------------------
@@ -1023,9 +1055,9 @@ def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
 
 
 def test_weight_not_finite_on_plan_raises():
-    # e^{1.38 |k|} is finite at |k| = 512 (cap_weight's probe) and inf from
-    # |k| = 515; the plan of n = 258 already reaches |k| = 2n + 2 = 518
-    w = cap_weight(Weight(200.0), 1.38)
+    # e^{1.38 |k|} is finite on |k| <= 514 and inf from |k| = 515; the plan
+    # of n = 258 already reaches |k| = 2n + 2 = 518
+    w = Weight(200.0, cap=1.38)
     ctx = make_context(Potential.single_mode(0.05, weight=w))
     assert find_roots_batch(ctx, [250])[0].converged
     with pytest.raises(WeightError, match=r"\|k\| <= 518$"):

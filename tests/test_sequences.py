@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillkdv.sequences import (
-    Weight, WeightError, cap_weight,
+    Weight, WeightError,
     FourierSeq, SparseSeq, InvalidSequenceError, bracket,
-    norm, weight_profile, tail, hilbert_sum,
+    norm, weight_factors, weight_profile, tail, hilbert_sum,
 )
 
 from hillkdv.birkhoff import BirkhoffState
@@ -95,22 +95,34 @@ def test_weight_family_is_in_the_class(a, cap, n, m):
     assert w(n + m) <= w(n) * w(m) * (1.0 + 1e-12)
 
 
-def test_cap_weight_rejects_non_finite_weight_without_warning():
-    # 513^150 and e^{5 * 512} are both past the float range, so w^5 is inf at
-    # |n| = 512: the one rejection a member of the family can meet, raised
-    # by name and with no overflow warning on the way
+def test_weight_factors_raise_where_weight_is_not_finite():
+    # Weight(150, cap=5) is finite on |k| <= 128 (the min is e^{640}) and
+    # inf from |k| = 142, where 143^150 and e^{710} both pass the float
+    # range: where it is evaluated, it raises by name and with no overflow
+    # warning on the way
+    w = Weight(150.0, cap=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(WeightError, match="not finite"):
-            cap_weight(Weight(150.0), 5.0)
+        assert np.isfinite(weight_factors(np.arange(-128, 129), w, 0.0)).all()
+        with pytest.raises(WeightError, match=r"\|k\| <= 600$"):
+            weight_factors(np.arange(-600, 601), w, -0.25)
+
+
+def test_norm_raises_where_weight_is_not_finite():
+    # the finite-p sum evaluates w at every stored k, zeros included, so
+    # 601^200 = inf would give inf * 0 = NaN
+    f = FourierSeq.from_pairs([(2, 0.1), (-2, 0.1)], K=600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match=r"\|k\| <= 600$"):
+            norm(f, Weight(200.0), 0.0, 2)
 
 
 def test_cap_weight_crossover():
     # capped weight agrees with the original at small |n| and switches to
     # e^{eps |n|} beyond the crossover index
-    w = Weight(4.0)
     eps = 0.05
-    wc = cap_weight(w, eps)
+    wc = Weight(4.0, cap=eps)
     crossed = False
     for n in range(0, 2000, 7):
         expect = min((1.0 + n) ** 4, math.exp(eps * n))
@@ -118,15 +130,6 @@ def test_cap_weight_crossover():
         if math.exp(eps * n) < (1.0 + n) ** 4:
             crossed = True
     assert crossed  # the scan actually reached the capped regime
-
-
-def test_cap_weight_requires_positive_eps():
-    # NaN too, also on a weight that already has a cap, where min(cap, nan)
-    # would keep the cap
-    for w in (Weight(), Weight(1.0, cap=0.1)):
-        for eps in (0.0, math.nan):
-            with pytest.raises(WeightError):
-                cap_weight(w, eps)
 
 
 # ---------------------------------------------------------------------------
