@@ -98,7 +98,9 @@ class SpectrumResult:
 
 def _parity_block(q, K, parity):
     """The block of M on the k in [-K, K] of the given parity, the Toeplitz
-    matrix q_{2(i-j)} plus the diagonal (k pi)^2."""
+    matrix q_{2(i-j)} plus the diagonal (k pi)^2.  A complex q stays in this
+    basis: eps = 1e-12 and 1e-10 off a Jordan pair (n = 4, K = 64) gave gaps
+    1.3e-10, 3.2e-10 (reduction 3.2e-11, 3.2e-10); cos/sin 6.8e-9, 4.7e-9."""
     ks = np.arange(-K + (K + parity) % 2, K + 1, 2)
     m, H = ks.size, q.half_range
     d = min(m - 1, H // 2)
@@ -131,8 +133,9 @@ def _real_block(q, K, parity):
 
 
 def _exp_basis(Y, parity):
-    """Columns Y in _real_block's basis to the e_k basis, k ascending:
-    e_+-k gets (y_cos -+ i y_sin)/sqrt 2, e_0 gets y_0."""
+    """Real columns Y in _real_block's basis to the e_k basis, k ascending:
+    e_+-k gets (y_cos -+ i y_sin)/sqrt 2, the e_-k half as the conjugate of
+    the e_k half (exact for real Y only); e_0 gets y_0."""
     z = 1 - parity
     p = (Y.shape[0] - z) // 2
     pos = (Y[z:z + p] - 1j * Y[z + p:]) / math.sqrt(2)
@@ -185,9 +188,9 @@ def riesz_projector(q, n, K):
 
     The pair lies in the parity block B of n's parity: R is the projector of
     B, with exact zeros outside that block.  The other block is solved only
-    if one of its Gershgorin discs, centers (k pi)^2 + q_0 and radius at most
-    sum_{j != 0} |q_2j|, meets the contour disc; it must have no eigenvalue
-    on or inside the contour.
+    if one of its Gershgorin discs, centers (k pi)^2 (q_0 = 0) and radius at
+    most sum_j |q_2j|, meets the contour disc; it must have no eigenvalue on
+    or inside the contour.
 
     For a real potential B is solved as the real symmetric block of the
     cos/sin basis (_real_block): R = Z_1 Z_1^H from eigh, Z_1 the pair's
@@ -217,9 +220,8 @@ def riesz_projector(q, n, K):
     if np.count_nonzero(inside) != 2:
         raise SeparationError("contour around n=%d encloses %d eigenvalues, "
                               "expected 2" % (n, np.count_nonzero(inside)))
-    q0, k = q.coeff(0), np.arange(1 - parity, K + 1, 2)
-    radius = np.sum(np.abs(q.seq.coeffs)) - abs(q0)
-    if np.any(np.abs((k * math.pi) ** 2 + q0 - center) <= radius + n):
+    k, radius = np.arange(1 - parity, K + 1, 2), np.sum(np.abs(q.seq.coeffs))
+    if np.any(np.abs((k * math.pi) ** 2 - center) <= radius + n):
         other = _block_eigvals(q, K, 1 - parity)
         if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
             raise SeparationError("contour around n=%d encloses an eigenvalue "

@@ -131,20 +131,15 @@ def conserved(u):
     """(mean, L2, hamiltonian): mean = u_0, L2 = sum |u_k|^2 (equals
     the squared L^2([0,1]) norm by Parseval), H = int (1/2 u_x^2 + u^3) dx
     with the cubic term on an alias-free padded grid."""
-    K = u.half_range
     ks = u.ks()
     mean = u[0]
     l2 = float(np.sum(np.abs(u.coeffs) ** 2))
     quad = 0.5 * float(np.sum((2.0 * math.pi * ks) ** 2 * np.abs(u.coeffs) ** 2))
-    # cubic term: evaluate on >= 3K+1 points so u^3 has no aliasing
-    n_grid = 4 * K + 5
-    pad = np.zeros(n_grid, dtype=complex)
-    pad[:K + 1] = u.coeffs[K:]
-    pad[n_grid - K:] = u.coeffs[:K]
-    grid = np.fft.ifft(pad) * n_grid
+    # cubic term: u^3 has no aliasing on 4K + 5 >= 3K + 1 points, K u's range
+    pad = np.fft.ifftshift(u.extended(2 * u.half_range + 2).coeffs)
+    grid = np.fft.ifft(pad) * pad.size
     cubic = float(np.mean(grid ** 3).real)
-    ham = quad + cubic
-    return mean, l2, ham
+    return mean, l2, quad + cubic
 
 
 def isospectral_check(q0, t, K_spec, dt, K_pde):

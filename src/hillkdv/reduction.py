@@ -28,7 +28,7 @@ reports whether that met NEUMANN_TOL.  Each row is held in offsets j = k - m
 from its own mode m = +-n: V e_n and V e_{-n} both start on supp(q), and T_n
 maps the offsets S of a term onto S + supp(q), whatever n and lambda.  So
 one plan serves both rows of every mode of a batch.  Each mode's reduction
-is written once, as a coroutine that yields the offsets it wants evaluated,
+is written once, as a coroutine that yields each offset it wants evaluated,
 and find_roots_batch runs those of all its modes in lockstep, each round
 one Neumann sum over all their rows (per level a divide and a scatter).
 
@@ -171,34 +171,28 @@ class _OffsetPlan:
     levels S_l: they add only zero products to sums that start at +0.0.
     Per level, found when first needed, rows the inner (contiguous) axis:
     S_l; each row's divisor parts j (j + 2m) pi^2 = (k - n)(k + n) pi^2,
-    inf at its dropped slots (c / (delta - inf) is 0, with no division by
-    0); the larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s)
-    (exact for the max of the two norms, as |c| >= 0); and each row's slots
-    of j = 0 and j = -2m (-1 where absent).  Per step, the runs
-    of S_l that every tap maps onto consecutive slots of S_{l+1}, and each
-    tap's slot in S_{l+1} for the start of each run."""
+    inf exactly at its dropped slots (c / (delta - inf) is 0, with no
+    division by 0, and _evaluate reads a_n and b_{+-n} there); and the
+    larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s) (exact for
+    the max of the two norms, as |c| >= 0).  Per step, the runs of S_l that
+    every tap maps onto consecutive slots of S_{l+1}, and each tap's slot
+    in S_{l+1} for the start of each run."""
 
     def __init__(self, ctx, ns):
         self.ctx, self.q, self.ns = ctx, ctx.q.support, list(ns)
         self.two_m = np.array([(2 * n, -2 * n) for n in self.ns],
                               dtype=np.int64).reshape(-1)
-        self.pm = np.stack((0 * self.two_m, -self.two_m), axis=1)  # 0, -2m
         self.start = self.q.coeffs + 0.0  # V e_0 on S_0 = supp(q), no -0.0
         self.levels, self.steps = [self._level(self.q.idx)], []
-        self.base = (self.levels[0][2] * np.abs(self.start)[:, None]).max(
-            axis=0, initial=0.0)  # each row's start norm
 
     def _level(self, S):
         w, s, jm = self.ctx.q.weight, self.ctx.s, S[:, None] + self.two_m
         kk = S[:, None] * jm * PI2
         kk[(S[:, None] == 0) | (jm == 0)] = np.inf
         # jm first: it reaches the larger |k|, which a WeightError names
-        wt = np.maximum(weight_factors(jm.ravel(), w, s).reshape(jm.shape),
-                        weight_factors(S, w, s)[:, None])
-        # each row's slots of j = 0 and j = -2m; the sentinel past S's end
-        # is odd, so it equals no (even) j
-        at = np.searchsorted(S, self.pm)
-        return S, kk, wt, np.where(np.append(S, 1)[at] == self.pm, at, -1)
+        return S, kk, np.maximum(
+            weight_factors(jm.ravel(), w, s).reshape(jm.shape),
+            weight_factors(S, w, s)[:, None])
 
     def level(self, l):
         """Level l's tables, building the levels and steps up to it."""
@@ -266,36 +260,38 @@ def _evaluate(plan, modes, deltas):
     (4n - 4) pi^2 - 12 n >= 15.4 for n >= 2.
 
     Row 2i sums from V e_n and row 2i + 1 from V e_{-n} of the i-th
-    evaluation in the strip; each row's stop state (last term norm, worst
-    ratio, streak, terms used, stopped, failed, and its sums at j = 0 and
-    j = -2m) is an array over the rows, updated by masks once per level."""
+    evaluation in the strip, its terms at the slots where its divisor part
+    is inf: j = 0 (S_l = 0) into its first sum, j = -2m into its second.
+    Each row's stop state (last term norm, the start's by the same rule,
+    worst ratio, streak, terms used, stopped, failed, and its two sums) is
+    an array over the rows, updated by masks once per level."""
     ns = [plan.ns[i] for i in modes]
     out = [None if abs(d.real) <= 12.0 * n + 1e-9 else StripViolationError(
         "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
     ev = [e for e, o in enumerate(out) if o is None]
     cols = np.array([2 * modes[e] + r for e in ev for r in (0, 1)],
                     dtype=np.intp)  # each row's table column
-    prev = plan.base[cols]
+    c, lv = np.repeat(plan.start[:, None], cols.size, axis=1), plan.level(0)
+    prev = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0)
     stop = NEUMANN_TOL * np.maximum(prev, 1e-300)
     ratio, h = np.zeros(cols.size), np.zeros((cols.size, 2), dtype=complex)
     streak, used = np.zeros(cols.size, int), np.ones(cols.size, int)
     done, failed = np.zeros(cols.size, bool), np.zeros(cols.size, bool)
-    # act: the rows with a column in c (cols and d_act follow it); add: the
-    # columns whose latest term is added
+    # act: the rows with a column in c (cols, kk and d_act follow it); add:
+    # the columns whose latest term is added
     act, add = np.arange(cols.size), np.ones(cols.size, bool)
     d_act = np.repeat(np.array([deltas[e] for e in ev], dtype=complex), 2)
-    c, lv = np.repeat(plan.start[:, None], cols.size, axis=1), plan.level(0)
     for l in range(MAX_TERMS + 1):
-        sl = lv[3][cols]  # the slots of j = 0 and -2m, -1 where absent
-        k, t = np.nonzero((sl >= 0) & add[:, None])
-        h[act[k], t] += c[sl[k, t], k]
+        kk = lv[1][:, cols]
+        i, k = np.nonzero(np.isinf(kk) & add)  # the slots j = 0 and -2m
+        h[act[k], (lv[0][i] != 0).astype(np.intp)] += c[i, k]
         keep = ~(failed[act] | failed[act ^ 1] | done[act] & done[act ^ 1])
         if not keep.all():  # the columns of evaluations that ended leave
-            act, cols, c, d_act = act[keep], cols[keep], c[:, keep], \
-                d_act[keep]
+            act, cols, kk, c, d_act = act[keep], cols[keep], kk[:, keep], \
+                c[:, keep], d_act[keep]
         if l == MAX_TERMS or not act.size:
             break
-        c, lv = plan.apply(l, c / (d_act - lv[1][:, cols])), plan.levels[l + 1]
+        c, lv = plan.apply(l, c / (d_act - kk)), plan.levels[l + 1]
         tn = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0)
         add = ~done[act]
         p, tp = act[add], tn[add]
@@ -358,9 +354,9 @@ def _sqrt_continuous(value, prev):
 
 def _lockstep(plan, reductions):
     """Run reductions[i], a coroutine at the mode n = plan.ns[i], to its end:
-    it yields the offsets delta it wants evaluated at n and is sent their
-    CoeffResults, or ends with the first failed one's error.  One _evaluate
-    per round answers every running coroutine.  Returns their values, or
+    it yields the offset delta it wants evaluated at n and is sent its
+    CoeffResult, or ends with that evaluation's error.  One _evaluate per
+    round answers every running coroutine.  Returns their values, or
     raises the error of the first i whose reduction ended with an
     ArithmeticError or ValueError (any other error propagates at once)."""
     out, asks = [None] * len(reductions), {}
@@ -377,35 +373,34 @@ def _lockstep(plan, reductions):
         resume(i, None)
     while asks:
         run, asks = asks, {}
-        cs = iter(_evaluate(plan, [i for i, ds in run.items() for _ in ds],
-                            [d for ds in run.values() for d in ds]))
-        for i, ds in run.items():
-            got = [next(cs) for _ in ds]
-            out[i] = next((c for c in got if isinstance(c, Exception)), None)
-            if out[i] is None:
+        for i, got in zip(run, _evaluate(plan, list(run), list(run.values()))):
+            if isinstance(got, Exception):
+                out[i] = got
+            else:
                 resume(i, got)
     return _raise_first(out)
 
 
-def _fixed_point(n, sign, evals, delta=0j, sq=None, tol=1e-14):
+def _fixed_point(n, sign, evals, delta=0j, sq=None):
     """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
-    until a step is below tol n^2 pi^2, and return the image of the last
-    iterate, the delta it reports, with that iterate's CoeffResult.  Sign 0
-    is alpha_n's map, +-1 the maps whose fixed points are the roots of
-    det B_n; the square root stays on the branch nearest sq, its last value.
-    Every CoeffResult is appended to evals.  RootError when a step exceeds
-    0.8 times the one before (the map does not contract there) or after 80
-    steps.  A coroutine of _lockstep, as is _reduce."""
+    until a step is below 1e-10 n^2 pi^2 (sign 0, alpha_n's map) or 1e-14
+    n^2 pi^2 (sign +-1, the maps whose fixed points are the roots of
+    det B_n), and return the image of the last iterate, the delta it
+    reports, with that iterate's CoeffResult.  The square root stays on the
+    branch nearest sq, its last value.  Every CoeffResult is appended to
+    evals.  RootError when a step exceeds 0.8 times the one before (the map
+    does not contract there) or after 80 steps.  A coroutine of _lockstep,
+    as is _reduce."""
     prev_step = math.inf
     for _ in range(80):
-        c, = yield [delta]
+        c = yield delta
         evals.append(c)
         new = c.a_n
         if sign:
             sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
             new += sign * sq
         step = abs(new - delta)
-        if step < tol * n * n * PI2:
+        if step < (1e-14 if sign else 1e-10) * n * n * PI2:
             return new, c
         if step > 0.8 * prev_step:
             raise RootError("fixed point not contracting at n=%d" % n)
@@ -420,13 +415,13 @@ def alpha_fixed_point(ctx, n):
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
     return n * n * PI2 + _lockstep(_OffsetPlan(ctx, [n]), [
-        _fixed_point(n, 0, [], tol=1e-10)])[0][0]
+        _fixed_point(n, 0, [])])[0][0]
 
 
 def _reduce(n):
     """find_roots_batch's ReductionResult at n."""
     evals = []
-    alpha, c0 = yield from _fixed_point(n, 0, evals, tol=1e-10)
+    alpha, c0 = yield from _fixed_point(n, 0, evals)
     sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
     d1, c1 = yield from _fixed_point(n, +1, evals, alpha + sq0, sq0)
     d2, c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
@@ -491,8 +486,8 @@ def adapted_coefficients(ctx, n_max):
     r[qs.idx[low] + K] = qs.coeffs[low]
 
     def at_alpha(n):  # the CoeffResult at alpha_n
-        alpha, _ = yield from _fixed_point(n, 0, [], tol=1e-10)
-        return (yield [alpha])[0]
+        alpha, _ = yield from _fixed_point(n, 0, [])
+        return (yield alpha)
     plan = _OffsetPlan(ctx, range(M, n_max + 1))
     for k, c in zip(plan.ns, _lockstep(plan, [at_alpha(n) for n in plan.ns])):
         r[K + 2 * k] = c.b_n

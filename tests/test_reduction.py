@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hillkdv.sequences import FourierSeq, SparseSeq, Weight, WeightError, norm
 from hillkdv.operator import Potential
@@ -650,6 +650,52 @@ def test_find_roots_property_random_small_potentials(q, offset):
     assert abs(got[1] - want[1]) <= tol
 
 
+# the theorem's domain: n_s is drawn up to this cap, for the Galerkin cost
+DOMAIN_N_S_CAP = 128
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.sampled_from([0.0, -0.45, -0.47, -0.48]) | st.floats(-0.48, 0.0),
+       n_max=st.integers(1, 32), n_t=st.integers(1, DOMAIN_N_S_CAP),
+       real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(s=-0.49, n_max=1, n_t=1, real=True, seed=0).xfail(
+    raises=ThresholdError, reason="N_ms^0.01 >= 32 c_s' m is past the float "
+    "range for every q at s = -0.49, so make_context raises before n_s")
+def test_find_roots_on_the_theorem_domain(s, n_max, n_t, real, seed):
+    # q of n_max modes, real or complex, with regularity label s and the
+    # norm n_t^{1/2-|s|} / (2 c_s), the largest whose threshold n_s is n_t:
+    # at n_s .. n_s + 5 no error, converged, and criterion 2's tolerance
+    rng = np.random.default_rng(seed)
+
+    def modes():
+        return rng.uniform(0.3, 1.0, n_max) * np.exp(
+            2j * np.pi * rng.uniform(size=n_max))
+    plus = modes()
+    minus = plus.conj() if real else modes()
+
+    def potential(scale):
+        return Potential.from_even_pairs(
+            [(k, scale * v) for k, v in enumerate(plus, 1)]
+            + [(-k, scale * v) for k, v in enumerate(minus, 1)],
+            n_max=n_max, s=s)
+    q = potential(1.0)
+    q = potential(n_t ** (0.5 - abs(s)) / (2.0 * estimate_c_s(s))
+                  / q.norm_ws_inf())
+    ctx = make_context(q)
+    assert ctx.n_s <= n_t + 1
+    ns = range(ctx.n_s, ctx.n_s + 6)
+    spec = periodic_spectrum(q, max(2 * ns[-1], 2 * q.half_range) + 16)
+    assert spec.trust >= ns[-1]
+    order = (lambda z: (z.real, z.imag))
+    for n, res in zip(ns, find_roots_batch(ctx, ns)):
+        assert res.converged
+        got = sorted([res.xi_1, res.xi_2], key=order)
+        want = sorted([spec.lam_minus(n), spec.lam_plus(n)], key=order)
+        tol = 1e-6 * n * n * PI2
+        assert abs(got[0] - want[0]) <= tol
+        assert abs(got[1] - want[1]) <= tol
+
+
 def test_fixed_point_stop_at_high_mode():
     # at n = M_ms + 1 = 832962 the stop test |step| < 1e-14 n^2 pi^2 (0.068)
     # is wider than the gap (0.02); one more step of each root's map, read
@@ -969,15 +1015,20 @@ def test_plan_apply_bit_equal_to_oracle_multiply():
     # each column of apply is multiply(q, .) of that column on S_l, to the
     # bit and the sign of zero, on levels of one long run (the smooth
     # potential), of many short runs (the isolated-mode potential) and with
-    # no slots at all (the zero potential, whose levels hold no runs)
+    # no slots at all (the zero potential, whose levels hold no runs); each
+    # row's divisor part is inf exactly at its slots j = 0 and j = -2m,
+    # where _evaluate reads its sums
     ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
     rng = np.random.default_rng(5)
     for ctx, ns in ((make_context(smooth_real_potential()), range(3, 9)),
                     (ctx6, [res.n - 1, res.n]),
                     (make_context(Potential.zero()), [1, 2])):
         plan = red._OffsetPlan(ctx, ns)
+        m = np.array([(n, -n) for n in plan.ns]).ravel()  # each row's mode
         for l in (0, 1, 2):
-            S = plan.level(l)[0]
+            S, kk = plan.level(l)[:2]
+            assert np.array_equal(np.isinf(kk), (S[:, None] == 0)
+                                  | (S[:, None] == -2 * m))
             x = rng.standard_normal((S.size, 2 * len(plan.ns))) * (1 + 1j)
             x[rng.random(x.shape) < 0.2] = -0.0
             got = plan.apply(l, x)
