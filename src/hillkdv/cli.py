@@ -19,7 +19,10 @@ The verify suites run the library code of acceptance criteria 7 (decay), 8
 (isospectral), 10 (airy-demo) and 6 (sandwich) at their own sizes.
 
 Exit codes: 0 pass, 1 assertion failure or a failed computation (out of
-memory included), 2 usage/config error.
+memory included), 2 usage/config error.  Exit 1 prints one "error:" line,
+after the outputs if an assertion failed: reduce names its mismatch modes,
+off its Galerkin oracle by over 1e-6 n^2 pi^2 (a --K that caps oracle_K below
+n_hi + H can make the oracle's own truncation one), verify its failed suites.
 """
 
 import argparse
@@ -243,7 +246,6 @@ def cmd_spectrum(cfg):
               ["n", "re_lam_minus", "im_lam_minus", "re_lam_plus",
                "im_lam_plus", "gamma", "tau", "mu", "tau_minus_mu"],
               rows, cfg)
-    return 0
 
 
 def cmd_reduce(cfg):
@@ -313,7 +315,11 @@ def cmd_reduce(cfg):
                   r["method"], r["terms"], r["converged"],
                   r.get("max_mismatch", "")] if "gap" in r else [""] * 8)
                for r in rows], cfg)
-    return 1 if any(r["status"] == "mismatch" for r in rows) else 0
+    bad = [r["n"] for r in rows if r["status"] == "mismatch"]
+    if bad:
+        raise AssertionError("modes %s differ from the Galerkin oracle at "
+                             "oracle_K = %d by more than 1e-6 n^2 pi^2"
+                             % (bad, K_o))
 
 
 def cmd_flow(cfg):
@@ -345,9 +351,8 @@ def cmd_flow(cfg):
     write_csv(os.path.join(cfg["out"], "flow.csv"),
               ["n", "action", "frequency", "amp_t0", "amp_t1"], rows, cfg)
     if not finite:
-        print("error: flow at t = %r: a reported value is not finite" % t,
-              file=sys.stderr)
-    return 0 if finite else 1
+        raise AssertionError("flow at t = %r: a reported value is not finite"
+                             % t)
 
 
 def _suite_decay(cfg, rng):
@@ -399,15 +404,12 @@ def cmd_verify(cfg):
                           % (chosen, ", ".join(sorted(suites))))
     names = list(suites) if chosen == "all" else [chosen]
     results = [suites[name](cfg, rng) for name in names]
-    n_pass = sum(r["pass"] for r in results)
-    summary = {"suites_run": len(names), "suites_passed": n_pass,
-               "results": results}
+    failed = [r["suite"] for r in results if not r["pass"]]
+    summary = {"suites_run": len(names),
+               "suites_passed": len(names) - len(failed), "results": results}
     write_json(os.path.join(cfg["out"], "verify.json"), summary, cfg)
-    if n_pass < len(names):
-        failed = [r["suite"] for r in results if not r["pass"]]
-        print("FAILED suites: %s" % ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    if failed:
+        raise AssertionError("failed suites: %s" % ", ".join(failed))
 
 
 def build_parser():
@@ -434,13 +436,14 @@ def main(argv=None):
         cfg = load_config(args)
         handler = {"spectrum": cmd_spectrum, "reduce": cmd_reduce,
                    "flow": cmd_flow, "verify": cmd_verify}[args.command]
-        return handler(cfg)
+        handler(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, MemoryError) as exc:
+    except (AssertionError, ValueError, ArithmeticError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ def _pair_order(vals, tie_scale):
 
 def trust_count(K):
     """Largest n whose strip S_n sits well inside the resolved symbol range:
-    n^2 pi^2 + 12 n < ((K-2) pi)^2 / 4 (safety factor 4)."""
+    n^2 pi^2 + 12 n < ((K-2) pi)^2 / 4 (safety factor 4).  It reads K alone,
+    not q's band, so a q wider than K can leave trusted modes unresolved."""
     bound = ((K - 2) * math.pi) ** 2 / 4.0
     n = int(math.isqrt(int(bound / PI2)) + 2)
     while n >= 1 and n * n * PI2 + 12.0 * n >= bound:

@@ -166,11 +166,9 @@ def isospectral_check(q0, t, K_spec, dt, K_pde):
     c0 = conserved(state0)
     c1 = conserved(state1)
     return {
-        "t": float(t),
         "trust": int(trust),
         "lambda_drift": lam_drift.real.tolist(),
         "max_lambda_drift": float(np.max(lam_drift.real, initial=0.0)),
-        "gap_drift": gap_drift.real.tolist(),
         "max_gap_drift": float(np.max(gap_drift.real, initial=0.0)),
         "mu_motion_expected_to_move": mu_motion.real.tolist(),
         "hamiltonian_rel_drift": abs(c1[2] - c0[2]) / max(abs(c0[2]), 1e-300),

@@ -496,29 +496,17 @@ def adapted_coefficients(ctx, n_max):
 
 
 def gap_sandwich(ctx, n, r, gamma_n):
-    """If |r_{2n}/r_{-2n}| is within [1/9, 9], the squared gap is sandwiched:
-    |r_{2n} r_{-2n}| <= |gamma_n|^2 <= 9 |r_{2n} r_{-2n}|."""
+    """If |r_{2n}/r_{-2n}| is within [1/9, 9] (condition_met), the squared gap
+    is sandwiched: lo = |r_{2n} r_{-2n}| <= |gamma_n|^2 <= 9 lo (holds)."""
     if n < ctx.M_ms:
         raise ThresholdError("gap_sandwich requires n >= M_ms")
-    r2n = r[2 * n]
-    rm2n = r[-2 * n]
-    report = {"n": n, "r_2n": r2n, "r_neg_2n": rm2n,
-              "gamma_sq": abs(gamma_n) ** 2}
-    if rm2n == 0:
-        report.update(condition_met=False, reason="r_{-2n} = 0")
-        return report
-    ratio = abs(r2n / rm2n)
-    report["ratio"] = ratio
-    if not (1.0 / 9.0 <= ratio <= 9.0):
-        report.update(condition_met=False, reason="ratio outside [1/9, 9]")
-        return report
-    lo = abs(r2n * rm2n)
-    hi = 9.0 * lo
-    gsq = abs(gamma_n) ** 2
-    report.update(condition_met=True, lo=lo, hi=hi,
-                  holds=bool(lo <= gsq * (1 + 1e-9) + 1e-300
-                             and gsq <= hi * (1 + 1e-9)))
-    return report
+    r2n, rm2n = r[2 * n], r[-2 * n]
+    if rm2n == 0 or not 1.0 / 9.0 <= abs(r2n / rm2n) <= 9.0:
+        return {"n": n, "condition_met": False}
+    lo, gsq = abs(r2n * rm2n), abs(gamma_n) ** 2
+    return {"n": n, "condition_met": True, "lo": lo,
+            "holds": bool(lo <= gsq * (1 + 1e-9) + 1e-300
+                          and gsq <= 9.0 * lo * (1 + 1e-9))}
 
 
 def isolated_mode_sandwich(rng, offsets):

@@ -89,6 +89,18 @@ def test_spectrum_config_file(tmp_path):
     assert float(rows[2][5]) == pytest.approx(0.04, abs=1e-5)
 
 
+def test_config_default_section_only(tmp_path):
+    # a --config whose keys sit in [DEFAULT] alone, with no named section,
+    # is read as if they were in one
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[DEFAULT]\npotential = single-mode:c=0.05\nk = 32\n")
+    out = str(tmp_path / "o")
+    assert main(["spectrum", "--config", str(cfgfile), "--out", out]) == 0
+    obj = read_json(os.path.join(out, "spectrum.json"))
+    assert obj["K"] == 32
+    assert obj["gaps"][0][0] == pytest.approx(0.1, abs=1e-5)
+
+
 def test_flag_overrides_config(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[run]\npotential = single-mode:c=0.02\n")
@@ -140,6 +152,27 @@ def test_reduce_matches_oracle(tmp_path):
                        "oracle_mismatch"]
     assert all(row[6:9] == ["fixed-point", str(r["terms"]), "True"]
                for row, r in zip(rows[2:], obj["rows"]))
+
+
+def test_reduce_mismatch_exit_1(tmp_path, capsys):
+    # --K 16 caps the oracle at oracle_K = 16, far below n_hi + H = 6 + 128,
+    # so the oracle's own truncation moves modes 2 and 3 past 1e-6 n^2 pi^2:
+    # both files are written with those rows marked, then one error line
+    # names the modes and exit is 1
+    out = str(tmp_path / "o")
+    rc = main(["reduce", "--potential", "power-law:a=0.1,e=0,nmax=64",
+               "--K", "16", "--out", out])
+    assert rc == 1
+    obj = read_json(os.path.join(out, "reduce.json"))
+    assert obj["oracle_K"] == 16
+    bad = [r["n"] for r in obj["rows"] if r["status"] == "mismatch"]
+    assert bad == [2, 3]
+    rows = read_csv(os.path.join(out, "reduce.csv"))
+    assert [int(r[0]) for r in rows[2:] if r[1] == "mismatch"] == bad
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: modes [2, 3] differ from the Galerkin "
+                             "oracle at oracle_K = 16")
 
 
 def test_reduce_rows_equal_find_roots(tmp_path):
@@ -517,6 +550,18 @@ def test_verify_all_suites(tmp_path):
         {"n": 832961, "condition_met": True, "holds": True}]
 
 
+def test_verify_failed_suite_exit_1(tmp_path, capsys, monkeypatch):
+    # a suite that fails still gets verify.json written, then one error line
+    # names it and exit is 1
+    monkeypatch.setattr(cli, "_suite_decay",
+                        lambda cfg, rng: {"suite": "decay", "pass": False})
+    out = str(tmp_path / "o")
+    assert main(["verify", "--suite", "decay", "--out", out]) == 1
+    summary = read_json(os.path.join(out, "verify.json"))
+    assert (summary["suites_run"], summary["suites_passed"]) == (1, 0)
+    assert capsys.readouterr().err == "error: failed suites: decay\n"
+
+
 def test_verify_unknown_suite(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["verify", "--suite", "nope", "--out", out])
@@ -570,6 +615,8 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["reduce", "--potential", "zero", "--seed", "-1"],
     ["verify", "--suite", "sandwich", "--seed", "-1"],
     ["reduce", "--potential", "zero", "--weight", "poly:a=1,cap=0"],
+    ["--potential", "power-law:a"],
+    ["reduce", "--potential", "zero", "--weight", "exp:a=1"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_exit_2(tmp_path, capsys, flags):
@@ -578,8 +625,8 @@ def test_bad_config_exit_2(tmp_path, capsys, flags):
     # with odd modes, a NaN c and weight exponent, a negative weight
     # exponent, an infinite time, an infinite coefficient, a finite one
     # whose l1 norm squared overflows, a negative seed (for the seeded
-    # potentials and for the sandwich suite) and a zero weight cap; flags
-    # without a subcommand run
+    # potentials and for the sandwich suite), a zero weight cap, a spec item
+    # without "=" and an unknown weight spec; flags without a subcommand run
     # spectrum, and no RuntimeWarning may escape
     empty = tmp_path / "empty.json"
     empty.write_text("{}")

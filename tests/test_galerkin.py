@@ -68,6 +68,11 @@ def test_minimum_truncation_enforced():
         periodic_spectrum(Potential.zero(), 8)
 
 
+def test_dirichlet_minimum_truncation_enforced():
+    with pytest.raises(ValueError, match="K must be >= 16"):
+        dirichlet_spectrum(Potential.zero(), 8)
+
+
 # ---------------------------------------------------------------------------
 # single cosine mode: perturbative gap oracle
 # ---------------------------------------------------------------------------

@@ -144,6 +144,11 @@ def test_kdv_rejects_non_finite_t_end(t_end):
         evolve_kdv(cosine(0.1, K=16), t_end, dt=1e-4)
 
 
+def test_kdv_zero_time_returns_input():
+    u = cosine(0.1, K=16)
+    assert evolve_kdv(u, 0.0, dt=1e-4) is u
+
+
 def test_blowup_detection():
     u0 = cosine(50.0, K=32)
     with pytest.raises(InstabilityError):

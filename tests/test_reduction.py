@@ -1145,6 +1145,12 @@ def test_alpha_fixed_point_threshold_guard():
         alpha_fixed_point(ctx, ctx.N_ms - 1)
 
 
+def test_adapted_coefficients_threshold_guard():
+    ctx = make_context(Potential.single_mode(0.1))
+    with pytest.raises(ThresholdError):
+        adapted_coefficients(ctx, ctx.M_ms - 1)
+
+
 def test_alpha_fixed_point_residual_and_reality():
     q = Potential.single_mode(0.1)
     ctx = make_context(q)
@@ -1174,6 +1180,19 @@ def test_gap_sandwich_logic_with_synthetic_context():
     # below threshold
     with pytest.raises(ThresholdError):
         gap_sandwich(ctx, 2, r, 0.01)
+
+
+def test_gap_sandwich_without_r_neg_2n():
+    # r_{-2n} = 0: the ratio is undefined, so the condition is not met and
+    # no verdict is given
+    q = Potential.single_mode(0.1)
+    base = make_context(q)
+    ctx = ReductionContext(q=q, s=0.0, m=1.0, c_s=base.c_s,
+                           c_s_prime=base.c_s_prime, n_s=1, N_ms=2, M_ms=3)
+    r = FourierSeq.from_pairs([(6, 0.01)], K=8)
+    rep = gap_sandwich(ctx, 3, r, gamma_n=0.02)
+    assert rep["condition_met"] is False
+    assert "holds" not in rep
 
 
 # ---------------------------------------------------------------------------
