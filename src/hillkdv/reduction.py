@@ -147,7 +147,10 @@ def make_context(q, s=None, m=None):
     radius m (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds,
     the smallest integers with 2 c_s ||q|| <= n_s^{1/2-|s|}, 16 c_s' m /
     N_ms^{1/2-|s|} <= 1/2 and 8 c_s' / M_ms^{1/2-|s|} <= 1/(16 m).  There is
-    no truncation parameter: iterates live on their exact support."""
+    no truncation parameter: iterates live on their exact support.  All three
+    thresholds are computed here, so for s below about -0.4865, where M_ms
+    and then N_ms pass the float range, ThresholdError is raised for every q,
+    although find_roots reads only n_s."""
     if s is None:
         s = q.s
     qn = norm(q.seq, q.weight, s, math.inf)

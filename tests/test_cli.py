@@ -131,27 +131,53 @@ def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, command, solver):
     assert not out.exists()
 
 
+def test_address_space_limit_exit_1(tmp_path):
+    # the same --K run as a module in a process whose address space is
+    # capped at 4 GB, so numpy itself fails to allocate: one error line and
+    # nothing written
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 10 ** 9, 4 * 10 ** 9))
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "hillkdv.cli", "spectrum",
+                           "--K", "10000000", "--out", str(out)],
+                          capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
 
 def test_reduce_matches_oracle(tmp_path):
-    out = str(tmp_path / "o")
-    rc = main(["reduce", "--potential", "single-mode:c=0.05", "--out", out])
-    assert rc == 0
-    obj = read_json(os.path.join(out, "reduce.json"))
-    assert obj["worst_relative_mismatch"] < 1e-6
-    assert all(r["status"] == "ok" for r in obj["rows"])
-    for r in obj["rows"]:
-        assert r["converged"] is True
-        assert r["method"] == "fixed-point"
-        assert r["terms"] >= 1
-    rows = read_csv(os.path.join(out, "reduce.csv"))
-    assert rows[1] == ["n", "status", "xi_1_re", "xi_2_re", "gap",
-                       "contraction_bound", "method", "terms", "converged",
-                       "oracle_mismatch"]
-    assert all(row[6:9] == ["fixed-point", str(r["terms"]), "True"]
-               for row, r in zip(rows[2:], obj["rows"]))
+    # a real q, and a one-sided complex q (q_{-2n} = 0, so every pair is
+    # double): every row is ok and found by the root fixed point
+    one_sided = tmp_path / "q1.json"
+    one_sided.write_text(Potential.from_even_pairs(
+        [(1, 0.05 + 0.03j), (2, 0.02 + 0.01j)]).seq.to_json())
+    for i, potential in enumerate(["single-mode:c=0.05",
+                                   "file:%s" % one_sided]):
+        out = str(tmp_path / ("o%d" % i))
+        rc = main(["reduce", "--potential", potential, "--out", out])
+        assert rc == 0
+        obj = read_json(os.path.join(out, "reduce.json"))
+        assert obj["worst_relative_mismatch"] < 1e-6
+        assert len(obj["rows"]) == 8
+        assert all(r["status"] == "ok" for r in obj["rows"])
+        for r in obj["rows"]:
+            assert r["converged"] is True
+            assert r["method"] == "fixed-point"
+            assert r["terms"] >= 1
+        rows = read_csv(os.path.join(out, "reduce.csv"))
+        assert rows[1] == ["n", "status", "xi_1_re", "xi_2_re", "gap",
+                           "contraction_bound", "method", "terms",
+                           "converged", "oracle_mismatch"]
+        assert all(row[6:9] == ["fixed-point", str(r["terms"]), "True"]
+                   for row, r in zip(rows[2:], obj["rows"]))
 
 
 def test_reduce_mismatch_exit_1(tmp_path, capsys):
@@ -234,7 +260,6 @@ def test_reduce_alpha_failure_exit_1(tmp_path, capsys, monkeypatch):
                                     lambda sign: sign == 0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
     # e^{1.38 |k|} is finite on q's support, but the plan of n = 258..260
     # reaches |k| = 2n + 2 = 522, where the weight is inf: one error line
@@ -250,7 +275,6 @@ def test_reduce_weight_infinite_in_plan_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_reduce_weight_infinite_on_support_exit_1(tmp_path, capsys):
     # 129^150 is inf at |k| = 128, the top of q's support: the norm of q
     # names it, rather than a threshold that reads inf
@@ -262,7 +286,6 @@ def test_reduce_weight_infinite_on_support_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_reduce_weight_never_evaluated_exit_0(tmp_path):
     # poly:a=150,cap=5 is inf from |k| = 142, but the zero potential's
     # reduction evaluates the weight nowhere
@@ -459,7 +482,6 @@ def test_flow_complex_potential_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_nan_phase_reports_not_finite(tmp_path, capsys):
     # omega_n t overflows at t = 1e308, so every flowed mode is NaN: a
     # reported number is not finite, and flow exits 1 with one error line
@@ -618,7 +640,6 @@ def test_non_numeric_config_value(tmp_path, capsys):
     ["--potential", "power-law:a"],
     ["reduce", "--potential", "zero", "--weight", "exp:a=1"],
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_exit_2(tmp_path, capsys, flags):
     # a potential file holding {}, K below 16, a negative and a zero nmax,
     # non-numeric nmax, c and weight exponent, s outside (-1/2, 0], a file
@@ -854,7 +875,6 @@ _WEIGHT = _mostly(st.just("trivial"),
                           _JUNK))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["spectrum", "reduce", "flow"]),
        potential=_POTENTIAL, weight=_WEIGHT,

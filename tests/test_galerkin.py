@@ -573,12 +573,14 @@ def test_riesz_projected_mass_lower_bound():
 
 
 def test_riesz_separation_failure():
-    # a contour through a free eigenvalue: |25 pi^2 - 16 pi^2| = 9 pi^2 < n=4?
-    # use n and a potential shifting an eigenvalue onto the circle instead:
-    # simplest guaranteed failure is a huge potential collapsing separation
-    q = Potential.single_mode(60.0)
-    with pytest.raises(SeparationError):
-        riesz_projector(q, 1, 48)
+    # c = 60 leaves no eigenvalue inside the contour |lambda - pi^2| = 1,
+    # and at the c where |lambda_1^+ - pi^2| = 1 an eigenvalue lies on it
+    with pytest.raises(SeparationError, match="encloses 0 eigenvalues"):
+        riesz_projector(Potential.single_mode(60.0), 1, 48)
+    c = brentq(lambda c: abs(periodic_spectrum(Potential.single_mode(c), 32)
+                             .lam_plus(1) - PI2) - 1, 0.1, 3, xtol=1e-15)
+    with pytest.raises(SeparationError, match="eigenvalue on the contour"):
+        riesz_projector(Potential.single_mode(c), 1, 32)
 
 
 def test_op_norm_2_to_inf_free_projector():

@@ -111,3 +111,10 @@ def test_every_export_has_a_caller():
     callers = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
     loaded = set().union(*(loaded_names(p.read_text()) for p in callers))
     assert sorted(exported - loaded) == []
+
+
+def test_src_line_budget():
+    # ROADMAP item 8: the package source, __init__.py included, counted as
+    # wc -l counts it
+    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
+    assert lines <= 2296

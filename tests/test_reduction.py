@@ -7,6 +7,7 @@ solver is the oracle for spectral quantities."""
 import cmath
 import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -190,6 +191,43 @@ def test_c_s_independent_of_blas_threads():
                            env=dict(os.environ, OPENBLAS_NUM_THREADS=t)).stdout
             for t in ("1", "2")]
     assert outs[0] == outs[1] and outs[0].count("(") == 3
+
+
+def test_reduce_independent_of_blas_threads(tmp_path):
+    # fresh processes at 1 and 2 OpenBLAS threads run reduce on real,
+    # complex (non-conjugate pairs) and one-sided complex potentials and
+    # write the same thresholds and reduction columns; oracle_gap and
+    # max_mismatch come from LAPACK and are left out
+    files = {"qc": [(-2, 0.02 - 0.01j), (-1, 0.05 + 0.03j), (1, 0.01 - 0.04j),
+                    (2, 0.03 + 0.02j)],
+             "q1": [(1, 0.05 + 0.03j), (2, 0.02 + 0.01j)]}
+    for name, pairs in files.items():
+        (tmp_path / (name + ".json")).write_text(
+            Potential.from_even_pairs(pairs).seq.to_json())
+    runs = [["single-mode:c=0.05"],
+            ["power-law:a=0.1,e=-0.25,nmax=16", "--s", "-0.25"],
+            ["random:sup=0.1,nmax=16"]] + [
+        ["file:%s" % (tmp_path / (name + ".json"))] for name in files]
+    code = ("import json, sys; from hillkdv.cli import main; "
+            "sys.exit(max(main(a) for a in json.loads(sys.argv[1])))")
+    keys = ("c_s", "c_s_prime", "n_s", "N_ms", "M_ms")
+    cols = ("status", "a_n", "b_n", "b_neg_n", "alpha_n", "xi_1", "xi_2",
+            "gap", "method", "terms", "converged")
+    outs = []
+    for t in ("1", "2"):
+        dirs = [tmp_path / ("t%s-%d" % (t, i)) for i in range(len(runs))]
+        argv = [["reduce", "--potential", *r, "--out", str(d)]
+                for r, d in zip(runs, dirs)]
+        subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                       check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=t))
+        outs.append([])
+        for d in dirs:
+            with open(d / "reduce.json", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            outs[-1].append(([obj[k] for k in keys],
+                             [[r[c] for c in cols] for r in obj["rows"]]))
+    assert outs[0] == outs[1]
+    assert all(row[0] == "ok" for _, rows in outs[0] for row in rows)
 
 
 def test_epsilon_s_forms():
@@ -715,6 +753,20 @@ def test_fixed_point_stop_at_high_mode():
         sq = cmath.sqrt(c.b_n * c.b_neg_n)
         step = min(abs(center + c.a_n + sign * sq - xi) for sign in (1, -1))
         assert step <= ulp4
+
+
+def test_fixed_point_gives_up_after_80_steps():
+    # a_n = 0.75 delta + 1000 contracts by 0.75 per step, but from delta = 0
+    # its steps 1000 * 0.75^k stay above 1e-10 pi^2 for all 80 steps
+    it, sent = red._fixed_point(1, 0, []), 0
+    delta = next(it)
+    with pytest.raises(red.RootError, match="did not converge at n=1$"):
+        while True:
+            sent += 1
+            delta = it.send(red.CoeffResult(
+                n=1, delta=delta, a_n=0.75 * delta + 1000, b_n=0j, b_neg_n=0j,
+                terms_used=1, max_ratio=0.0, converged=True))
+    assert sent == 80
 
 
 @pytest.mark.parametrize("seed", [200, 201, 202])
