@@ -132,9 +132,9 @@ def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, command, solver):
 
 
 def test_address_space_limit_exit_1(tmp_path):
-    # the same --K run as a module in a process whose address space is
-    # capped at 4 GB, so numpy itself fails to allocate: one error line and
-    # nothing written
+    # the same --K through sys.exit(main()) of python -m hillkdv.cli, in a
+    # child whose address space is capped at 4 GB, so that numpy itself
+    # fails to allocate: exit 1, one error line and nothing written
     import resource
 
     def cap():
