@@ -22,10 +22,6 @@ from .sequences import FourierSeq, SparseSeq, Weight, bracket, norm, InvalidSequ
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
-class StripViolationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Potential:
     """Zero-mean 1-periodic potential, both checked here, with regularity

@@ -44,7 +44,11 @@ import numpy as np
 
 from .sequences import FourierSeq, bracket, hilbert_sum, norm, \
     weight_factors, _divisor_sums
-from .operator import Potential, StripViolationError
+from .operator import Potential
+
+
+class StripViolationError(ValueError):
+    pass
 
 
 class ContractionFailureError(ArithmeticError):
@@ -252,9 +256,11 @@ def _evaluate(plan, modes, deltas):
     NEUMANN_TOL times its start's (a zero term ends the sum unadded); a
     stopped row adds no more terms, and its ratios no longer count.  An
     evaluation leaves the batch when both rows have stopped or MAX_TERMS
-    applications of T_n are spent (converged False).  One outside the strip
-    S_n or with three term ratios > 0.9 in a row gets a StripViolationError
-    or ContractionFailureError in place of its result; the others go on.
+    applications of T_n are spent (converged False).  The first error ends
+    the batch: StripViolationError for the first delta outside its strip
+    S_n, before any sum, else ContractionFailureError at the first level
+    where a row's term ratio has been > 0.9 three times in a row, naming
+    the first such row's mode.
 
     On S_n no divisor comes near 0, so none is guarded: the offsets k - n
     are even and k != +-n, so (k - n)(k + n) = 4a(a + n) with a != 0, -n is
@@ -262,33 +268,33 @@ def _evaluate(plan, modes, deltas):
     every |delta - (k - n)(k + n) pi^2| is at least 8 pi^2 - 12 at n = 1 and
     (4n - 4) pi^2 - 12 n >= 15.4 for n >= 2.
 
-    Row 2i sums from V e_n and row 2i + 1 from V e_{-n} of the i-th
-    evaluation in the strip, its terms at the slots where its divisor part
-    is inf: j = 0 (S_l = 0) into its first sum, j = -2m into its second.
-    Each row's stop state (last term norm, the start's by the same rule,
-    worst ratio, streak, terms used, stopped, failed, and its two sums) is
-    an array over the rows, updated by masks once per level."""
+    Row 2e sums from V e_n and row 2e + 1 from V e_{-n} of the e-th
+    evaluation, its terms at the slots where its divisor part is inf: j = 0
+    (S_l = 0) into its first sum, j = -2m into its second.  Each row's stop
+    state (last term norm, the start's by the same rule, worst ratio,
+    streak, terms used, stopped, and its two sums) is an array over the
+    rows, updated by masks once per level."""
     ns = [plan.ns[i] for i in modes]
-    out = [None if abs(d.real) <= 12.0 * n + 1e-9 else StripViolationError(
-        "delta %r outside S_%d" % (d, n)) for n, d in zip(ns, deltas)]
-    ev = [e for e, o in enumerate(out) if o is None]
-    cols = np.array([2 * modes[e] + r for e in ev for r in (0, 1)],
+    for n, d in zip(ns, deltas):
+        if abs(d.real) > 12.0 * n + 1e-9:
+            raise StripViolationError("delta %r outside S_%d" % (d, n))
+    cols = np.array([2 * i + r for i in modes for r in (0, 1)],
                     dtype=np.intp)  # each row's table column
     c, lv = np.repeat(plan.start[:, None], cols.size, axis=1), plan.level(0)
     prev = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0)
     stop = NEUMANN_TOL * np.maximum(prev, 1e-300)
     ratio, h = np.zeros(cols.size), np.zeros((cols.size, 2), dtype=complex)
     streak, used = np.zeros(cols.size, int), np.ones(cols.size, int)
-    done, failed = np.zeros(cols.size, bool), np.zeros(cols.size, bool)
+    done = np.zeros(cols.size, bool)
     # act: the rows with a column in c (cols, kk and d_act follow it); add:
     # the columns whose latest term is added
     act, add = np.arange(cols.size), np.ones(cols.size, bool)
-    d_act = np.repeat(np.array([deltas[e] for e in ev], dtype=complex), 2)
+    d_act = np.repeat(np.array(deltas, dtype=complex), 2)
     for l in range(MAX_TERMS + 1):
         kk = lv[1][:, cols]
         i, k = np.nonzero(np.isinf(kk) & add)  # the slots j = 0 and -2m
         h[act[k], (lv[0][i] != 0).astype(np.intp)] += c[i, k]
-        keep = ~(failed[act] | failed[act ^ 1] | done[act] & done[act ^ 1])
+        keep = ~(done[act] & done[act ^ 1])
         if not keep.all():  # the columns of evaluations that ended leave
             act, cols, kk, c, d_act = act[keep], cols[keep], kk[:, keep], \
                 c[:, keep], d_act[keep]
@@ -302,35 +308,26 @@ def _evaluate(plan, modes, deltas):
         r, pr = tp[up] / prev[p[up]], p[up]
         ratio[pr] = np.fmax(ratio[pr], r)  # skips a NaN r, as max() does
         streak[pr] = np.where(r > 0.9, streak[pr] + 1, 0)
-        failed[pr] |= streak[pr] >= 3
+        bad = pr[streak[pr] >= 3]
+        if bad.size:
+            raise ContractionFailureError(
+                "Neumann ratio > 0.9 three times at n=%d" % ns[bad[0] // 2])
         used[p] += tp != 0.0  # a zero term ends the sum unadded
         done[p], prev[p] = tp < stop[p], tp
         add &= tn != 0.0
-    results = zip(ev, *(x.tolist() for x in (
+    results = zip(ns, deltas, *(x.tolist() for x in (
         h[0::2, 0], h[1::2, 1], h[0::2, 1], np.maximum(used[::2], used[1::2]),
-        np.maximum(ratio[::2], ratio[1::2]), done[::2] & done[1::2],
-        failed[::2] | failed[1::2])))
-    for e, a_n, b_n, b_neg_n, terms, worst, ok, bad in results:
-        out[e] = ContractionFailureError(
-            "Neumann ratio > 0.9 three times at n=%d" % ns[e]) if bad else \
-            CoeffResult(n=ns[e], delta=complex(deltas[e]), a_n=a_n, b_n=b_n,
+        np.maximum(ratio[::2], ratio[1::2]), done[::2] & done[1::2])))
+    return [CoeffResult(n=n, delta=complex(d), a_n=a_n, b_n=b_n,
                         b_neg_n=b_neg_n, terms_used=terms, max_ratio=worst,
                         converged=ok)
-    return out
-
-
-def _raise_first(results):
-    """results, or the first error among them raised."""
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return results
+            for n, d, a_n, b_n, b_neg_n, terms, worst, ok in results]
 
 
 def coefficients(ctx, n, lam):
     """The CoeffResult at n and lambda (_evaluate), delta = lambda - n^2 pi^2."""
-    return _raise_first(_evaluate(_OffsetPlan(ctx, [n]), [0],
-                                  [complex(lam) - n * n * PI2]))[0]
+    return _evaluate(_OffsetPlan(ctx, [n]), [0],
+                     [complex(lam) - n * n * PI2])[0]
 
 
 @dataclass
@@ -358,10 +355,10 @@ def _sqrt_continuous(value, prev):
 def _lockstep(plan, reductions):
     """Run reductions[i], a coroutine at the mode n = plan.ns[i], to its end:
     it yields the offset delta it wants evaluated at n and is sent its
-    CoeffResult, or ends with that evaluation's error.  One _evaluate per
-    round answers every running coroutine.  Returns their values, or
-    raises the error of the first i whose reduction ended with an
-    ArithmeticError or ValueError (any other error propagates at once)."""
+    CoeffResult.  One _evaluate per round answers every running coroutine.
+    Returns their values.  The first error, an evaluation's or a
+    coroutine's, ends the batch at once: in order of round, then (in
+    _evaluate) level, then i."""
     out, asks = [None] * len(reductions), {}
 
     def resume(i, got):  # its next request into asks, or its end into out
@@ -369,19 +366,14 @@ def _lockstep(plan, reductions):
             asks[i] = reductions[i].send(got)
         except StopIteration as stop:
             out[i] = stop.value
-        except (ArithmeticError, ValueError) as exc:
-            out[i] = exc
 
     for i in range(len(reductions)):
         resume(i, None)
     while asks:
         run, asks = asks, {}
         for i, got in zip(run, _evaluate(plan, list(run), list(run.values()))):
-            if isinstance(got, Exception):
-                out[i] = got
-            else:
-                resume(i, got)
-    return _raise_first(out)
+            resume(i, got)
+    return out
 
 
 def _fixed_point(n, sign, evals, delta=0j, sq=None):
@@ -466,8 +458,9 @@ def find_roots_batch(ctx, ns):
     |delta_1 - delta_2|, the contraction bound (the worst Neumann ratio of
     the mode's evaluations), their count, and converged, False if a Neumann
     sum at the last iterate of alpha_n's or a root's iteration missed
-    NEUMANN_TOL.  Raises the error of the first n of ns whose reduction
-    failed, as a loop over ns would.
+    NEUMANN_TOL.  The first failure found ends the batch, its error raised
+    at once (_lockstep): with several failing modes, it need not be the
+    lowest n's.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):

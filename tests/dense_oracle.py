@@ -71,10 +71,9 @@ from scipy.signal import fftconvolve
 
 from hillkdv.galerkin import _pair_order, _parity_block
 from hillkdv.sequences import FourierSeq, SparseSeq, norm
-from hillkdv.operator import Potential, dirichlet_cos_coeffs, \
-    StripViolationError
+from hillkdv.operator import Potential, dirichlet_cos_coeffs
 from hillkdv import reduction
-from hillkdv.reduction import PI2, coefficients
+from hillkdv.reduction import PI2, StripViolationError, coefficients
 
 _SPARSE_CONV_NNZ = 64
 

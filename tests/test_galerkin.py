@@ -572,15 +572,25 @@ def test_riesz_projected_mass_lower_bound():
     assert np.linalg.norm(R @ e) >= 0.5
 
 
-def test_riesz_separation_failure():
+def test_riesz_separation_failure(monkeypatch):
     # c = 60 leaves no eigenvalue inside the contour |lambda - pi^2| = 1,
-    # and at the c where |lambda_1^+ - pi^2| = 1 an eigenvalue lies on it
+    # at the c where |lambda_1^+ - pi^2| = 1 an eigenvalue lies on it, and
+    # a LinAlgError from the sorted Schur form of a complex q's block is
+    # reported with the mode
     with pytest.raises(SeparationError, match="encloses 0 eigenvalues"):
         riesz_projector(Potential.single_mode(60.0), 1, 48)
     c = brentq(lambda c: abs(periodic_spectrum(Potential.single_mode(c), 32)
                              .lam_plus(1) - PI2) - 1, 0.1, 3, xtol=1e-15)
     with pytest.raises(SeparationError, match="eigenvalue on the contour"):
         riesz_projector(Potential.single_mode(c), 1, 32)
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("reordering failed")
+
+    monkeypatch.setattr(scipy.linalg, "schur", fails)
+    with pytest.raises(SeparationError,
+                       match="Schur reordering around n=2 failed: reordering"):
+        riesz_projector(complex_band_potential(), 2, 32)
 
 
 def test_op_norm_2_to_inf_free_projector():

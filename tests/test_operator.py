@@ -11,9 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 from hillkdv.sequences import FourierSeq, SparseSeq, InvalidSequenceError
-from hillkdv.operator import (
-    Potential, dirichlet_cos_coeffs, StripViolationError,
-)
+from hillkdv.operator import Potential, dirichlet_cos_coeffs
+from hillkdv.reduction import StripViolationError
 
 from dense_oracle import project, in_strip, apply_A_inv_Q, multiply, \
     NearSingularError

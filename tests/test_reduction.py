@@ -564,7 +564,7 @@ def plan_coefficients(ctx, n, delta, plan=None):
     """The package's CoeffResult at n and the offset delta, on plan (a batch
     of the one mode n by default), as reduction._evaluate gives it."""
     plan = plan or red._OffsetPlan(ctx, [n])
-    return red._raise_first(red._evaluate(plan, [plan.ns.index(n)], [delta]))[0]
+    return red._evaluate(plan, [plan.ns.index(n)], [delta])[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1054,13 +1054,18 @@ def outcome(fn):
 def test_find_roots_batch_equals_batch_of_one(q):
     # modes n_s .. n_s + 5 of one batch, where the slot j = -2m of the
     # small modes lies within reach of the first levels: every field of
-    # every result, by repr, is that of find_roots at n alone
+    # every result, by repr, is that of find_roots at n alone; a failing
+    # batch raises the error of one of the modes that fail alone (the
+    # first found, test_find_roots_batch_raises_first_failing_mode)
     ctx = make_context(q)
     ns = range(ctx.n_s, ctx.n_s + 6)
     alone = [outcome(lambda: find_roots(ctx, n)) for n in ns]
     failed = [a for a in alone if not a.startswith("ReductionResult(")]
     batch = outcome(lambda: find_roots_batch(ctx, ns))
-    assert batch == (failed[0] if failed else "[%s]" % ", ".join(alone))
+    if failed:
+        assert batch in failed
+    else:
+        assert batch == "[%s]" % ", ".join(alone)
 
 
 def test_plan_apply_bit_equal_to_oracle_multiply():
@@ -1146,14 +1151,38 @@ def test_evaluation_counts(monkeypatch):
         assert res.evaluations == 3 and sum(made) == want
 
 
+def count_evaluations(monkeypatch):
+    """Patch reduction._evaluate to record each call's batch size; returns
+    the list of them."""
+    real_evaluate, made = red._evaluate, []
+
+    def counted(plan, modes, deltas):
+        made.append(len(deltas))
+        return real_evaluate(plan, modes, deltas)
+
+    monkeypatch.setattr(red, "_evaluate", counted)
+    return made
+
+
 def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
-    # root iterations forced to fail at n_s + 2 and n_s + 4: the batch
-    # raises the error of n_s + 2, as a loop over n would
+    # the first failure found ends the batch, in order of round, then mode:
+    # root iterations forced to fail at n_s + 2 and n_s + 4 start in the
+    # same round, so n_s + 2's error is raised; with n_s + 1's + root and
+    # n_s + 4's alpha_n forced to fail, n_s + 4's is found first, before
+    # any evaluation, where a loop over n would raise n_s + 1's
     ctx = make_context(smooth_real_potential())
-    bad = (ctx.n_s + 2, ctx.n_s + 4)
-    force_root_error(monkeypatch, lambda n, sign: sign and n in bad)
-    with pytest.raises(red.RootError, match="forced at n=%d$" % bad[0]):
-        find_roots_batch(ctx, range(ctx.n_s, ctx.n_s + 6))
+    ns = range(ctx.n_s, ctx.n_s + 6)
+    roots = (ctx.n_s + 2, ctx.n_s + 4)
+    mixed = ((ctx.n_s + 1, 1), (ctx.n_s + 4, 0))
+    for forced, want, evaluated in (
+            (lambda n, sign: sign and n in roots, ctx.n_s + 2, True),
+            (lambda n, sign: (n, sign) in mixed, ctx.n_s + 4, False)):
+        with monkeypatch.context() as m:
+            made = count_evaluations(m)
+            force_root_error(m, forced)
+            with pytest.raises(red.RootError, match="forced at n=%d$" % want):
+                find_roots_batch(ctx, ns)
+            assert bool(made) == evaluated
     assert find_roots_batch(ctx, [ctx.n_s + 1])[0].method == "fixed-point"
 
 
@@ -1167,13 +1196,13 @@ def test_weight_not_finite_on_plan_raises():
         find_roots_batch(ctx, [250, 258])
 
 
-def test_evaluation_errors_raised():
+def test_evaluation_errors_raised(monkeypatch):
     # |delta| = |50 - 49 pi^2| ~ 434 > 12 * 7: the evaluation's own error,
-    # as it is when every evaluation of a batch's round lies outside the
-    # strip (n = 3 of a large q at n_s = 1, whose - root's iterates leave
-    # S_3; at n = 2 alpha_n's iteration stops contracting first, a
+    # as it is for n = 3 of a large q at n_s = 1, whose - root's iterates
+    # leave S_3 (at n = 2 alpha_n's iteration stops contracting first, a
     # RootError); at n = 1 alpha_n's first evaluation fails, with a library
-    # error other than RootError, which find_roots and the batch raise
+    # error other than RootError, which find_roots raises, and which ends
+    # the batch of n = 1, 2, 3 in its first evaluation
     with pytest.raises(red.StripViolationError, match="outside S_7"):
         coefficients(make_context(Potential.single_mode(0.05)), 7, 50.0)
     ctx = dataclasses.replace(make_context(Potential.power_law(40.0, 0.0, 4)),
@@ -1183,7 +1212,9 @@ def test_evaluation_errors_raised():
                         "Neumann ratio > 0.9 three times at n=1")
     assert [a.split(":")[0] for a in alone[1:]] == ["RootError",
                                                     "StripViolationError"]
+    made = count_evaluations(monkeypatch)
     assert outcome(lambda: find_roots_batch(ctx, [1, 2, 3])) == alone[0]
+    assert made == [3]
 
 
 # ---------------------------------------------------------------------------
