@@ -28,6 +28,7 @@ n_hi + H can make the oracle's own truncation one), verify its failed suites.
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -412,6 +413,7 @@ def cmd_verify(cfg):
         raise AssertionError("failed suites: %s" % ", ".join(failed))
 
 
+@functools.cache  # parse_args only reads the parser
 def build_parser():
     p = argparse.ArgumentParser(prog="hillkdv",
                                 description="Hill-operator spectral toolkit")

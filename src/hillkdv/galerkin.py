@@ -17,11 +17,8 @@ split; for a real q it is built and solved in float64.  Both lists are
 ordered by Re, and the periodic one puts a pair lambda_n^-+ whose Re parts
 tie in Im order (_pair_order).  These solvers are the oracle for the
 reduction module; truncation trust is certified conservatively.  The Riesz
-projector onto the pair lambda_n^+- is the spectral projector of the block
-of n's parity: from eigh of the real block when the potential is real, from
-a sorted Schur form of the complex block otherwise.  That non-Hermitian
-(complex-potential) projector is the only scipy user and imports
-scipy.linalg when it is first called.
+projector onto the pair lambda_n^+- of a real potential (the paper's space is
+real) is the orthogonal projector of the real block of n's parity, from eigh.
 """
 
 from dataclasses import dataclass
@@ -185,35 +182,21 @@ def full_spectrum(q, K):
 
 def riesz_projector(q, n, K):
     """Riesz projector (1/2 pi i) oint (lambda - M)^{-1} d lambda of the periodic
-    matrix M over |lambda - n^2 pi^2| = n, which must separate {lambda_n^+-}.
+    matrix M of a real q over |lambda - n^2 pi^2| = n, which must separate
+    {lambda_n^+-}; a complex q raises ValueError.
 
     The pair lies in the parity block B of n's parity: R is the projector of
     B, with exact zeros outside that block.  The other block is solved only
     if one of its Gershgorin discs, centers (k pi)^2 (q_0 = 0) and radius at
     most sum_j |q_2j|, meets the contour disc; it must have no eigenvalue on
-    or inside the contour.
-
-    For a real potential B is solved as the real symmetric block of the
+    or inside the contour.  B is solved as the real symmetric block of the
     cos/sin basis (_real_block): R = Z_1 Z_1^H from eigh, Z_1 the pair's
-    eigenvectors mapped to the e_k basis.  Otherwise, from one sorted complex
-    Schur form of B = Z [[A, C], [0, D]] Z^H with the pair in A,
-    P = Z_1 (Z_1^H + X Z_2^H), A X - X D = C, exact also for a Jordan pair;
-    only this imports scipy.linalg.
+    eigenvectors mapped to the e_k basis.
     """
+    if not q.is_real():
+        raise ValueError("the Riesz projector takes a real potential")
     parity, center = n % 2, n * n * PI2
-    hermitian = q.is_real()
-    if hermitian:
-        lam, Z = np.linalg.eigh(_real_block(q, K, parity))
-    else:
-        import scipy.linalg
-        B = _parity_block(q, K, parity)
-        try:
-            T, Z, _ = scipy.linalg.schur(
-                B, output="complex", sort=lambda lam: abs(lam - center) < n,
-                overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError("Schur reordering around n=%d failed: %s" % (n, exc))
-        lam = np.diag(T)
+    lam, Z = np.linalg.eigh(_real_block(q, K, parity))
     r = np.abs(lam - center)
     if np.min(np.abs(r - n)) < 1e-6 * max(1.0, n):
         raise SeparationError("eigenvalue on the contour |lambda - n^2 pi^2| = n")
@@ -227,20 +210,9 @@ def riesz_projector(q, n, K):
         if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
             raise SeparationError("contour around n=%d encloses an eigenvalue "
                                   "of the other parity block" % n)
-    if hermitian:
-        Z1 = _exp_basis(Z[:, inside], parity)
-        W = Z1.conj().T
-        P = Z1 @ W
-    else:
-        Z1 = Z[:, inside]
-        # the contour check keeps the spectra of A and D >= 2e-6 n apart, far
-        # above ztrsyl's perturbation threshold eps ||B||, so its info is 0
-        X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:2, :2], T[2:, 2:],
-                                                 T[:2, 2:], isgn=-1)
-        # the products with Z stay on the BLAS that ran the Schur step
-        zgemm = scipy.linalg.blas.zgemm
-        W = zgemm(1.0, X / scale, Z[:, 2:], trans_b=2, beta=1.0, c=Z1.conj().T)
-        P = zgemm(1.0, Z1, W)
+    Z1 = _exp_basis(Z[:, inside], parity)
+    W = Z1.conj().T
+    P = Z1 @ W
     R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     first = (K + parity) % 2  # the block's k run from first - K up by 2
     R[first::2, first::2] = P

@@ -775,14 +775,29 @@ def test_flags_are_the_keys_read():
                    for key, opts in flags.items())
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh process: this one has imported scipy for the oracles; only
-    # riesz_projector on a complex potential loads scipy.linalg
-    code = ("import sys, hillkdv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh process, in which every import of scipy fails (this one has
+    # imported scipy for the oracles): each subcommand, on real and complex
+    # potentials, and a real potential's Riesz projector need numpy alone
+    pf = tmp_path / "q.json"
+    pf.write_text('{"coeffs": [[-2, 0.05, 0.02], [2, 0.05, -0.01]], '
+                  '"half_range": 2}')
+    runs = [["verify"], ["spectrum", "--potential", "random:sup=0.1,nmax=16"],
+            ["spectrum", "--potential", "file:%s" % pf],
+            ["reduce", "--potential", "power-law:a=0.1,e=-0.25,nmax=16",
+             "--s", "-0.25"], ["flow"]]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    code = "\n".join([
+        "import json, sys",
+        "sys.modules['scipy'] = None",
+        "from hillkdv import cli, galerkin, operator",
+        "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]",
+        "galerkin.riesz_projector(operator.Potential.single_mode(0.05), 2, 32)",
+        "print(json.dumps([rcs, sorted(m for m, mod in sys.modules.items()",
+        "                              if m.split('.')[0] == 'scipy' and mod)]))"])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[0] * len(runs), []]
 
 
 def test_missing_config_file(tmp_path):

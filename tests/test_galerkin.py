@@ -3,8 +3,6 @@ refinement, an independent shooting oracle for the Dirichlet problem, Riesz
 projectors, and the decay-transfer report."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -235,18 +233,6 @@ def quadrature_projector(q, n, K, pts=256):
     return R * (n / pts)
 
 
-@pytest.mark.parametrize("c", [0.3, 2.0])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_riesz_jordan_pair_matches_quadrature(c, n):
-    # one-sided (Gasymov) potential q_{+2} = c: the spectrum is the free one,
-    # and n^2 pi^2 is a double eigenvalue carrying a Jordan block
-    q = Potential.from_even_pairs([(1, c)], n_max=1)
-    R, rep = riesz_projector(q, n, 48)
-    assert np.max(np.abs(R - quadrature_projector(q, n, 48))) <= 1e-12
-    assert rep["idempotency_defect"] <= 1e-12
-    assert abs(rep["trace"] - 2.0) <= 1e-12
-
-
 def off_block(n, K):
     """Entries of a (2K+1)x(2K+1) matrix outside the block of n's parity."""
     other = (np.arange(-K, K + 1) - n) % 2 == 1
@@ -255,8 +241,7 @@ def off_block(n, K):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """(name, shape, dtype) of each np.linalg eigensolver call; the complex
-    Schur form of riesz_projector makes none."""
+    """(name, shape, dtype) of each np.linalg eigensolver call."""
     calls = []
     for name in ("eigh", "eigvalsh", "eigvals"):
         def record(a, _name=name, _solve=getattr(np.linalg, name)):
@@ -277,17 +262,6 @@ def test_riesz_criterion12_potential_matches_quadrature(eig_calls):
         assert np.all(R[off_block(n, 180)] == 0)
         assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12
     assert eig_calls == [("eigh", (181, 181), np.float64)] * len(LACUNARY_NS)
-
-
-def test_riesz_other_block_discs_meet_contour_none_inside(eig_calls):
-    # q_2 = 10 alone: a one-sided potential keeps the free spectrum, so the
-    # even block's eigenvalues stay at (k pi)^2, although its disc around
-    # 0 (radius 10) reaches |lambda - pi^2| <= 1.  That block is solved once
-    q = Potential.from_even_pairs([(1, 10.0)], n_max=1)
-    R, rep = riesz_projector(q, 1, 48)
-    assert eig_calls == [("eigvals", (49, 49), np.complex128)]
-    assert np.max(np.abs(R - quadrature_projector(q, 1, 48))) <= 1e-12
-    assert abs(rep["trace"] - 2.0) <= 1e-12
 
 
 def test_riesz_other_block_eigenvalue_inside_raises(eig_calls):
@@ -418,12 +392,13 @@ def test_strided_matrices_equal_index_gathers(seed, K):
 
 
 @st.composite
-def small_potentials(draw):
-    # |q_{2m}| <= 0.1, real (q_{-2m} = conj q_{2m}) or complex
+def small_potentials(draw, real=False):
+    # |q_{2m}| <= 0.1, real (q_{-2m} = conj q_{2m}) or, unless real is set,
+    # complex
     n_max = draw(st.integers(1, 4))
     part = st.floats(-0.07, 0.07)
     pos = [complex(draw(part), draw(part)) for _ in range(n_max)]
-    if draw(st.booleans()):
+    if real or draw(st.booleans()):
         neg = [np.conj(v) for v in pos]
     else:
         neg = [complex(draw(part), draw(part)) for _ in range(n_max)]
@@ -433,7 +408,7 @@ def small_potentials(draw):
 
 
 @settings(deadline=None, max_examples=25)
-@given(q=small_potentials(), n=st.integers(1, 4))
+@given(q=small_potentials(real=True), n=st.integers(1, 4))
 def test_riesz_property_random_small_potentials(q, n):
     # n_max <= 4 and |q_{2m}| <= 0.1 keep every eigenvalue within 0.8 of a
     # free one (Bauer-Fike), so the contour always separates the pair
@@ -529,20 +504,6 @@ def test_riesz_nearly_degenerate_real_pair():
     assert np.max(np.abs(R @ M - M @ R)) <= 1e-10 * np.max(np.abs(M))
 
 
-def test_riesz_projector_loads_scipy_for_complex_potentials_only():
-    # a fresh process each: a real potential's block is Hermitian and needs
-    # numpy's eigh only; the Schur form of a complex one needs scipy.linalg
-    code = ("import sys; from hillkdv.operator import Potential; "
-            "from hillkdv.galerkin import riesz_projector; "
-            "riesz_projector(Potential.from_even_pairs([(1, 0.05), (-1, %s)]), 2, 32); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    for q_neg, loaded in (("0.05", False), ("0.02j", True)):
-        out = subprocess.run([sys.executable, "-c", code % q_neg],
-                             capture_output=True, text=True, check=True).stdout
-        assert ("'scipy.linalg'" in out) is loaded
-        assert (out.strip() != "[]") is loaded
-
-
 def test_riesz_free_case_equals_mode_projector():
     n, K = 3, 48
     R, rep = riesz_projector(Potential.zero(), n, K)
@@ -572,24 +533,17 @@ def test_riesz_projected_mass_lower_bound():
     assert np.linalg.norm(R @ e) >= 0.5
 
 
-def test_riesz_separation_failure(monkeypatch):
+def test_riesz_separation_failure():
     # c = 60 leaves no eigenvalue inside the contour |lambda - pi^2| = 1,
     # at the c where |lambda_1^+ - pi^2| = 1 an eigenvalue lies on it, and
-    # a LinAlgError from the sorted Schur form of a complex q's block is
-    # reported with the mode
+    # a complex q is refused before any solve
     with pytest.raises(SeparationError, match="encloses 0 eigenvalues"):
         riesz_projector(Potential.single_mode(60.0), 1, 48)
     c = brentq(lambda c: abs(periodic_spectrum(Potential.single_mode(c), 32)
                              .lam_plus(1) - PI2) - 1, 0.1, 3, xtol=1e-15)
     with pytest.raises(SeparationError, match="eigenvalue on the contour"):
         riesz_projector(Potential.single_mode(c), 1, 32)
-
-    def fails(*args, **kwargs):
-        raise np.linalg.LinAlgError("reordering failed")
-
-    monkeypatch.setattr(scipy.linalg, "schur", fails)
-    with pytest.raises(SeparationError,
-                       match="Schur reordering around n=2 failed: reordering"):
+    with pytest.raises(ValueError, match="takes a real potential"):
         riesz_projector(complex_band_potential(), 2, 32)
 
 
