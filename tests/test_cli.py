@@ -786,15 +786,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
             ["spectrum", "--potential", "file:%s" % pf],
             ["reduce", "--potential", "power-law:a=0.1,e=-0.25,nmax=16",
              "--s", "-0.25"], ["flow"]]
-    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    runs = [argv + ["--out", str(tmp_path / str(i))]
+            for i, argv in enumerate(runs)]
     code = "\n".join([
         "import json, sys",
         "sys.modules['scipy'] = None",
         "from hillkdv import cli, galerkin, operator",
         "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]",
         "galerkin.riesz_projector(operator.Potential.single_mode(0.05), 2, 32)",
-        "print(json.dumps([rcs, sorted(m for m, mod in sys.modules.items()",
-        "                              if m.split('.')[0] == 'scipy' and mod)]))"])
+        "print(json.dumps([rcs, sorted(m for m, v in sys.modules.items()",
+        "                              if m.split('.')[0] == 'scipy' and v)]))"])
     out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [[0] * len(runs), []]
