@@ -42,7 +42,8 @@ from .sequences import FourierSeq, Weight, WeightError, InvalidSequenceError
 from .operator import Potential
 from .galerkin import full_spectrum, periodic_spectrum, trust_count, \
     verify_decay
-from .reduction import make_context, find_roots_batch, isolated_mode_sandwich
+from .reduction import ThresholdError, make_context, find_roots_batch, \
+    isolated_mode_sandwich
 from .birkhoff import linearized_birkhoff, actions_from_gaps, frequencies, \
     flow as birkhoff_flow
 from .pde import airy_distances, isospectral_check, potential_to_pde_state
@@ -301,11 +302,15 @@ def cmd_reduce(cfg):
             if mm > 1e-6 * n * n * math.pi ** 2:
                 row["status"] = "mismatch"
         rows.append(row)
-    obj = {"n_s": ctx.n_s, "N_ms": ctx.N_ms, "M_ms": ctx.M_ms,
-           "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime, "oracle_K": K_o,
-           "worst_relative_mismatch": worst,
+    obj = {"n_s": ctx.n_s, "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime,
+           "oracle_K": K_o, "worst_relative_mismatch": worst,
            "rows": [{k: v for k, v in r.items() if k != "contraction_bound"}
                     for r in rows]}
+    for name in ("N_ms", "M_ms"):  # null past the float range
+        try:
+            obj[name] = getattr(ctx, name)
+        except ThresholdError:
+            obj[name] = None
     write_json(os.path.join(cfg["out"], "reduce.json"), obj, cfg)
     write_csv(os.path.join(cfg["out"], "reduce.csv"),
               ["n", "status", "xi_1_re", "xi_2_re", "gap",

@@ -118,10 +118,11 @@ def _hilbert_sup(s):
                      for n, hn in zip(_C_S_PRIME_GRID, h)))
 
 
-def _smallest_n(power, target, name):
-    """Smallest integer n >= 1 with n^power >= target; name labels errors."""
+def _smallest_n(s, target, name):
+    """Least integer n >= 1 with n^{1/2-|s|} >= target; name labels errors."""
     if target <= 1.0:
         return 1
+    power = 0.5 - abs(s)
     try:
         n = max(1, int(math.ceil(target ** (1.0 / power))) - 2)
     except OverflowError:
@@ -134,27 +135,35 @@ def _smallest_n(power, target, name):
 
 @dataclass(frozen=True)
 class ReductionContext:
-    """Potential, space parameters and thresholds, fixed at make_context so
-    that results do not depend on the order of calls."""
+    """q, s, m, c_s and n_s (make_context).  c_s' and the thresholds N_ms and
+    M_ms are derived where first read, so one past the float range (near
+    s = -1/2) raises ThresholdError there, not in make_context."""
     q: Potential
     s: float
     m: float
     c_s: float
-    c_s_prime: float
     n_s: int
-    N_ms: int
-    M_ms: int
+
+    @functools.cached_property
+    def c_s_prime(self):
+        return estimate_c_s_prime(self.s)
+
+    @functools.cached_property
+    def N_ms(self):  # the least with 16 c_s' m / N_ms^{1/2-|s|} <= 1/2
+        return _smallest_n(self.s, 32.0 * self.c_s_prime * self.m, "N_ms")
+
+    @functools.cached_property
+    def M_ms(self):  # the least with 8 c_s' / M_ms^{1/2-|s|} <= 1/(16 m)
+        return _smallest_n(self.s, 128.0 * self.c_s_prime * self.m, "M_ms")
 
 
 def make_context(q, s=None, m=None):
     """Context for q: s (default: the potential's), q's weight w, the ball
-    radius m (default max(1, ||q||_{w,s,inf})), c_s, c_s' and the thresholds,
-    the smallest integers with 2 c_s ||q|| <= n_s^{1/2-|s|}, 16 c_s' m /
-    N_ms^{1/2-|s|} <= 1/2 and 8 c_s' / M_ms^{1/2-|s|} <= 1/(16 m).  There is
-    no truncation parameter: iterates live on their exact support.  All three
-    thresholds are computed here, so for s below about -0.4865, where M_ms
-    and then N_ms pass the float range, ThresholdError is raised for every q,
-    although find_roots reads only n_s."""
+    radius m (default max(1, ||q||_{w,s,inf})), c_s and the least n_s with
+    2 c_s ||q|| <= n_s^{1/2-|s|}.  n_s grows like (2 c_s ||q||)^{1/(1/2-|s|)},
+    so near s = -1/2 only a q with 2 c_s ||q|| <= 1 reaches n_s = 1: at
+    s = -0.499, single_mode(0.001) has 2 c_s ||q|| ~ 2.33, and its n_s is past
+    the float range (ThresholdError)."""
     if s is None:
         s = q.s
     qn = norm(q.seq, q.weight, s, math.inf)
@@ -163,12 +172,8 @@ def make_context(q, s=None, m=None):
     if qn > m * (1.0 + 1e-12):
         raise ThresholdError("||q||_{w,s,inf} exceeds the bound m")
     c = estimate_c_s(s)
-    cp = estimate_c_s_prime(s)
-    power = 0.5 - abs(s)
-    return ReductionContext(q=q, s=s, m=float(m), c_s=c, c_s_prime=cp,
-                            n_s=_smallest_n(power, 2.0 * c * qn, "n_s"),
-                            N_ms=_smallest_n(power, 32.0 * cp * m, "N_ms"),
-                            M_ms=_smallest_n(power, 128.0 * cp * m, "M_ms"))
+    return ReductionContext(q=q, s=s, m=float(m), c_s=c,
+                            n_s=_smallest_n(s, 2.0 * c * qn, "n_s"))
 
 
 class _OffsetPlan:

@@ -447,6 +447,17 @@ def test_reduce_threshold_beyond_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reduce_near_minus_half_writes_null_thresholds(tmp_path):
+    # at s = -0.49, N_ms^0.01 >= 32 c_s' m and M_ms's bound are past the
+    # float range, but the roots need only n_s = 1: reduce checks them and
+    # writes N_ms and M_ms as null
+    out = tmp_path / "o"
+    assert main(["reduce", "--s", "-0.49", "--out", str(out)]) == 0
+    obj = read_json(out / "reduce.json")
+    assert obj["N_ms"] is None and obj["M_ms"] is None and obj["n_s"] == 1
+    assert obj["rows"] and all(r["status"] == "ok" for r in obj["rows"])
+
+
 # ---------------------------------------------------------------------------
 # flow
 # ---------------------------------------------------------------------------
