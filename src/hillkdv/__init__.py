@@ -20,7 +20,7 @@ from .reduction import ReductionContext, ReductionResult, estimate_c_s, \
     adapted_coefficients, gap_sandwich, find_roots_batch
 from .birkhoff import BirkhoffState, actions_from_gaps, frequencies, \
     linearized_birkhoff, flow
-from .pde import PDEState, evolve_kdv, evolve_airy, conserved, \
-    isospectral_check, potential_to_pde_state, pde_state_to_potential
+from .pde import evolve_kdv, evolve_airy, conserved, isospectral_check, \
+    potential_to_pde_state, pde_state_to_potential
 
 __version__ = "0.1.0"

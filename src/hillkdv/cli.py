@@ -23,6 +23,8 @@ memory included), 2 usage/config error.  Exit 1 prints one "error:" line,
 after the outputs if an assertion failed: reduce names its mismatch modes,
 off its Galerkin oracle by over 1e-6 n^2 pi^2 (a --K that caps oracle_K below
 n_hi + H can make the oracle's own truncation one), verify its failed suites.
+A mode's max_mismatch is the distance between the reduction's pair and the
+oracle's taken as sets, min over the two pairings of the larger root error.
 """
 
 import argparse
@@ -269,58 +271,47 @@ def cmd_reduce(cfg):
     # the reduction first, so that one which raises solves no oracle
     found = iter(find_roots_batch(ctx, range(max(n_lo, ctx.n_s), n_hi + 1)))
     spec = periodic_spectrum(q, K_o)
-    rows = []
-    worst = 0.0
+    rows, csv_rows, worst = [], [], 0.0
     for n in range(n_lo, n_hi + 1):
+        row = {"n": n, "status": "below-threshold"}
+        rows.append(row)
         if n < ctx.n_s:
-            rows.append({"n": n, "status": "below-threshold"})
+            csv_rows.append([n, row["status"]] + [""] * 8)
             continue
         res = next(found)
-        row = {
-            "n": n,
-            "status": "ok",
-            "a_n": [res.a_n.real, res.a_n.imag],
-            "b_n": [res.b_n.real, res.b_n.imag],
-            "b_neg_n": [res.b_neg_n.real, res.b_neg_n.imag],
-            "alpha_n": [res.alpha_n.real, res.alpha_n.imag],
-            "xi_1": [res.xi_1.real, res.xi_1.imag],
-            "xi_2": [res.xi_2.real, res.xi_2.imag],
-            "gap": res.gap_estimate,
-            "contraction_bound": res.contraction_bound,  # reduce.csv only
-            "method": res.method,
-            "terms": res.neumann_terms_used,
-            "converged": res.converged,
-        }
-        if n <= spec.trust:
-            lam = sorted([spec.lam_minus(n), spec.lam_plus(n)],
-                         key=lambda z: (z.real, z.imag))
-            xi = sorted([res.xi_1, res.xi_2], key=lambda z: (z.real, z.imag))
-            mm = max(abs(xi[0] - lam[0]), abs(xi[1] - lam[1]))
+        row.update(status="ok", a_n=[res.a_n.real, res.a_n.imag],
+                   b_n=[res.b_n.real, res.b_n.imag],
+                   b_neg_n=[res.b_neg_n.real, res.b_neg_n.imag],
+                   alpha_n=[res.alpha_n.real, res.alpha_n.imag],
+                   xi_1=[res.xi_1.real, res.xi_1.imag],
+                   xi_2=[res.xi_2.real, res.xi_2.imag], gap=res.gap_estimate,
+                   method=res.method, terms=res.neumann_terms_used,
+                   converged=res.converged)
+        if n <= spec.trust:  # the two pairs compared as sets
+            lm, lp = spec.lam_minus(n), spec.lam_plus(n)
+            mm = min(max(abs(res.xi_1 - lm), abs(res.xi_2 - lp)),
+                     max(abs(res.xi_1 - lp), abs(res.xi_2 - lm)))
             worst = max(worst, mm / (n * n * math.pi ** 2))
-            row["oracle_gap"] = abs(lam[1] - lam[0])
-            row["max_mismatch"] = mm
+            row.update(oracle_gap=abs(lp - lm), max_mismatch=mm)
             if mm > 1e-6 * n * n * math.pi ** 2:
                 row["status"] = "mismatch"
-        rows.append(row)
+        csv_rows.append([n, row["status"], res.xi_1.real, res.xi_2.real,
+                         res.gap_estimate, res.contraction_bound, res.method,
+                         res.neumann_terms_used, res.converged,
+                         row.get("max_mismatch", "")])
     obj = {"n_s": ctx.n_s, "c_s": ctx.c_s, "c_s_prime": ctx.c_s_prime,
-           "oracle_K": K_o, "worst_relative_mismatch": worst,
-           "rows": [{k: v for k, v in r.items() if k != "contraction_bound"}
-                    for r in rows]}
+           "oracle_K": K_o, "worst_relative_mismatch": worst, "rows": rows}
     for name in ("N_ms", "M_ms"):  # null past the float range
         try:
-            obj[name] = getattr(ctx, name)
+            v = getattr(ctx, name)  # past 2^53 only a float's digits are known
+            obj[name] = v if v <= 2 ** 53 else float(v)
         except ThresholdError:
             obj[name] = None
     write_json(os.path.join(cfg["out"], "reduce.json"), obj, cfg)
     write_csv(os.path.join(cfg["out"], "reduce.csv"),
               ["n", "status", "xi_1_re", "xi_2_re", "gap",
                "contraction_bound", "method", "terms", "converged",
-               "oracle_mismatch"],
-              [[r["n"], r["status"]] + ([
-                  r["xi_1"][0], r["xi_2"][0], r["gap"], r["contraction_bound"],
-                  r["method"], r["terms"], r["converged"],
-                  r.get("max_mismatch", "")] if "gap" in r else [""] * 8)
-               for r in rows], cfg)
+               "oracle_mismatch"], csv_rows, cfg)
     bad = [r["n"] for r in rows if r["status"] == "mismatch"]
     if bad:
         raise AssertionError("modes %s differ from the Galerkin oracle at "

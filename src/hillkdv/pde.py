@@ -2,10 +2,13 @@
 (linear) flow, with conserved-quantity monitors and the isospectrality
 oracle.
 
-PDE states live on R/Z with modes e^{2 pi i k x}; the spectral modules use
-R/2Z with modes e^{i pi k x}, so PDE mode k corresponds to spectral even mode
-2k with the same coefficient value.  potential_to_pde_state /
-pde_state_to_potential own that bridge.
+A KdV state is a FourierSeq on R/Z: coeffs[k + K] holds the coefficient of
+the mode e^{2 pi i k x}, |k| <= K; real fields are conjugate symmetric and
+KdV preserves the mean exactly.  The spectral modules use R/2Z with modes
+e^{i pi k x}, so PDE mode k corresponds to spectral even mode 2k with the
+same coefficient value.  potential_to_pde_state / pde_state_to_potential own
+that bridge.  The solvers keep no clock: a caller that needs the time adds up
+the steps it asks for.
 
 Equation: u_t = -u_xxx + 6 u u_x.  The linear symbol on mode k is
 i (2 pi k)^3; it is handled exactly by an integrating factor, and the
@@ -13,7 +16,7 @@ nonlinearity 3 (u^2)_x is evaluated pseudospectrally with 2/3-rule
 de-aliasing, stepped with classical RK4.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -26,18 +29,10 @@ class InstabilityError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class PDEState(FourierSeq):
-    """KdV state at time t: coeffs[k + K] holds the coefficient of the mode
-    e^{2 pi i k x}, |k| <= K; real fields are conjugate symmetric and KdV
-    preserves the mean exactly."""
-    t: float = 0.0
-
-
 def potential_to_pde_state(q):
     """Spectral even mode 2k -> PDE mode k, identical coefficient."""
     K = max(q.half_range // 2, 1)
-    return PDEState(q.seq.truncated(2 * K).coeffs[::2])
+    return FourierSeq(q.seq.truncated(2 * K).coeffs[::2])
 
 
 def pde_state_to_potential(u):
@@ -58,7 +53,7 @@ def _airy_symbol(ks):
 def evolve_airy(u0, t):
     """Exact per-mode phases u_k -> e^{i (2 pi k)^3 t} u_k."""
     u = u0.coeffs * np.exp(_airy_symbol(u0.ks()) * t)
-    return replace(u0, coeffs=u, t=u0.t + t)
+    return replace(u0, coeffs=u)
 
 
 def airy_distances(u0, ts, s):
@@ -90,9 +85,9 @@ def _nonlinear(u, ks, mask):
 
 
 def evolve_kdv(u0, t_end, dt):
-    """Integrating-factor RK4 for u_t = -u_xxx + 6 u u_x, from u0.t to
-    u0.t + t_end (t_end finite, and negative for backward evolution), in
-    equal steps of at most dt.
+    """Integrating-factor RK4 for u_t = -u_xxx + 6 u u_x over the time
+    t_end (finite, and negative for backward evolution), in equal steps of
+    at most dt.
 
     The linear phase is applied exactly; the mean is preserved exactly (the
     k = 0 symbol and nonlinear derivative both vanish there).  Raises
@@ -124,7 +119,7 @@ def evolve_kdv(u0, t_end, dt):
         u = E2 * u + (h / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         if np.max(np.abs(u)) > 1e6 * sup0:
             raise InstabilityError("coefficient growth exceeded blow-up factor")
-    return replace(u0, coeffs=u, t=u0.t + t_end)
+    return replace(u0, coeffs=u)
 
 
 def conserved(u):

@@ -427,7 +427,7 @@ def _reduce(n):
     d2, c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
     if max(abs(d1), abs(d2)) > 4.0 * math.sqrt(n):
         raise RootError("root left D_%d" % n)
-    if d2.real < d1.real:  # report in nondecreasing real-part order
+    if (d2.real, d2.imag) < (d1.real, d1.imag):  # lambda_n^-, then ^+
         d1, d2 = d2, d1
     center = n * n * PI2
     return ReductionResult(
@@ -459,7 +459,8 @@ def find_roots_batch(ctx, ns):
     or a root that leaves the disc (RootError) raises its error.  Each mode
     runs this alone (_reduce); _lockstep batches all modes' evaluations, one
     _evaluate per round.  Returns a ReductionResult per n with xi_j = n^2
-    pi^2 + delta_j, each delta_j the image of its last iterate, the gap
+    pi^2 + delta_j, each delta_j the image of its last iterate, xi_1 before
+    xi_2 by (Re, Im) (the labels lambda_n^-, lambda_n^+), the gap
     |delta_1 - delta_2|, the contraction bound (the worst Neumann ratio of
     the mode's evaluations), their count, and converged, False if a Neumann
     sum at the last iterate of alpha_n's or a root's iteration missed

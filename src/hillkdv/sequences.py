@@ -80,8 +80,8 @@ class FourierSeq:
 
     The coefficient array is treated as immutable; properties such as
     realness (f_{-k} = conj(f_k)) are read from it, and Potential and
-    BirkhoffState check their own invariants.  Subclasses (the KdV state, the
-    Birkhoff coordinates) add fields, and extended / truncated keep them.
+    BirkhoffState check their own invariants.  extended / truncated keep a
+    subclass (the Birkhoff coordinates) and its fields.
     """
     coeffs: np.ndarray
 

@@ -22,8 +22,8 @@ from hillkdv.reduction import (
 )
 from hillkdv.birkhoff import BirkhoffState, flow
 from hillkdv.pde import (
-    PDEState, potential_to_pde_state, airy_distances, evolve_airy,
-    evolve_kdv, isospectral_check,
+    potential_to_pde_state, airy_distances, evolve_airy, evolve_kdv,
+    isospectral_check,
 )
 
 from dense_oracle import LACUNARY_C, LACUNARY_NS, lacunary_potential, \

@@ -154,10 +154,11 @@ def kdv_rate_and_frequency(c, T=0.2, samples=400, dt=1.25e-4):
     (2 pi)^3 = -6 I_1 from the Galerkin gaps at K = 64."""
     q = Potential.single_mode(c, n_max=16)
     u = potential_to_pde_state(q)
-    ts, z = [0.0], [u[1]]
+    t, ts, z = 0.0, [0.0], [u[1]]
     for _ in range(samples):
         u = evolve_kdv(u, T / samples, dt)
-        ts.append(u.t)
+        t += T / samples
+        ts.append(t)
         z.append(u[1])
     ts = np.array(ts)
     # the phase less (2 pi)^3 t stays within 0.01 of 0, so needs no unwrap

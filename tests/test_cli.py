@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -17,6 +18,7 @@ from hillkdv import cli
 from hillkdv.cli import main
 from hillkdv.galerkin import periodic_spectrum, trust_count
 from hillkdv.operator import Potential
+from hillkdv.sequences import FourierSeq
 from hillkdv.reduction import find_roots, make_context
 
 PI2 = math.pi ** 2
@@ -382,6 +384,46 @@ def test_reduce_oracle_at_K_when_couplings_pass_it(tmp_path):
                                         abs(xi[1] - lam[1]))
 
 
+# q = 0.02i cos 2 pi x: the two roots of mode 1 are x -+ 0.01i with equal
+# real parts, so any order by (Re, Im) of a pair reads rounding noise
+IMAGINARY_MATHIEU = '{"half_range": 2, "coeffs": [[-2, 0.0, 0.01], ' \
+    '[2, 0.0, 0.01]]}'
+
+
+def test_reduce_pairs_compared_as_sets(tmp_path):
+    # the reduction and the oracle agree to rounding, whichever root each
+    # calls lambda_1^-
+    (tmp_path / "q.json").write_text(IMAGINARY_MATHIEU)
+    out = tmp_path / "o"
+    assert main(["reduce", "--potential", "file:%s" % (tmp_path / "q.json"),
+                 "--out", str(out)]) == 0
+    rows = read_json(out / "reduce.json")["rows"]
+    assert rows and all(r["status"] == "ok" for r in rows)
+    assert rows[0]["n"] == 1 and rows[0]["max_mismatch"] <= 1e-12
+
+
+def test_reduce_pairing_ignores_an_ulp_of_real_part(tmp_path, monkeypatch):
+    # an oracle whose lambda_1^- lies one ulp right of lambda_1^+ in Re: an
+    # order by (Re, Im) pairs each root with the other's conjugate (off by
+    # the gap, 0.02), the comparison as sets finds them an ulp apart
+    (tmp_path / "q.json").write_text(IMAGINARY_MATHIEU)
+    q = Potential(FourierSeq.from_json(IMAGINARY_MATHIEU))
+    res = find_roots(make_context(q), 1)
+    x, y = res.xi_1.real, abs(res.xi_1.imag)
+    assert res.xi_2.real == x and y > 0.005
+    lm, lp = complex(np.nextafter(x, np.inf), -y), complex(x, y)
+    monkeypatch.setattr(cli, "periodic_spectrum", lambda q, K: (
+        types.SimpleNamespace(trust=1, lam_minus=lambda n: lm,
+                              lam_plus=lambda n: lp)))
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\npotential = file:%s\nn_hi = 1\n"
+                       % (tmp_path / "q.json"))
+    out = tmp_path / "o"
+    assert main(["reduce", "--config", str(cfgfile), "--out", str(out)]) == 0
+    row, = read_json(out / "reduce.json")["rows"]
+    assert row["status"] == "ok" and row["max_mismatch"] < 1e-14
+
+
 def test_reduce_below_threshold_rows(tmp_path):
     # a potential with n_s > 1 run from n_lo = 1 marks low rows
     cfgfile = tmp_path / "run.ini"
@@ -456,6 +498,22 @@ def test_reduce_near_minus_half_writes_null_thresholds(tmp_path):
     obj = read_json(out / "reduce.json")
     assert obj["N_ms"] is None and obj["M_ms"] is None and obj["n_s"] == 1
     assert obj["rows"] and all(r["status"] == "ok" for r in obj["rows"])
+
+
+def test_reduce_thresholds_past_2_53_as_floats(tmp_path):
+    # N_ms and M_ms past 2^53 are written as floats, whose digits are all
+    # that c_s' determines; at or below 2^53 they stay exact integers
+    out = tmp_path / "o"
+    assert main(["reduce", "--s", "-0.45", "--potential",
+                 "single-mode:c=0.01", "--out", str(out)]) == 0
+    obj = read_json(out / "reduce.json")
+    assert obj["N_ms"] == 6.482274524499671e+63
+    assert type(obj["N_ms"]) is float and type(obj["M_ms"]) is float
+    assert '"N_ms": 6.482274524499671e+63' in (out / "reduce.json").read_text()
+    assert main(["reduce", "--out", str(out)]) == 0
+    obj = read_json(out / "reduce.json")
+    assert (obj["N_ms"], obj["M_ms"]) == (52061, 832961)
+    assert type(obj["N_ms"]) is int and type(obj["M_ms"]) is int
 
 
 # ---------------------------------------------------------------------------

@@ -869,6 +869,22 @@ def test_find_roots_complex_potential():
     assert abs(got[1] - want[1]) < 1e-6 * n * n * PI2
 
 
+def test_root_pair_in_lexicographic_order():
+    # q = 0.02i cos 2 pi x: mode 1's roots n^2 pi^2 + a_1 -+ 0.01i tie
+    # exactly in Re, so Im orders them, xi_1 = lambda_1^- as in the spectrum
+    q = Potential.from_even_pairs([(-1, 0.01j), (1, 0.01j)])
+    ctx = make_context(q)
+    res = find_roots(ctx, 1)
+    assert res.xi_1.real == res.xi_2.real
+    assert res.xi_1.imag < 0 < res.xi_2.imag
+    batch = find_roots_batch(ctx, range(1, 9))
+    assert (batch[0].xi_1, batch[0].xi_2) == (res.xi_1, res.xi_2)
+    assert all((r.xi_1.real, r.xi_1.imag) <= (r.xi_2.real, r.xi_2.imag)
+               for r in batch)
+    spec = periodic_spectrum(q, 20)
+    assert spec.lam_minus(1).imag < 0 < spec.lam_plus(1).imag
+
+
 def force_root_error(monkeypatch, forced, error=red.RootError):
     """Patch reduction._fixed_point so that each fixed point (n, sign,
     evals, ...) for which forced(n, sign) holds ends with error (a
