@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .operator import dirichlet_cos_coeffs
+from .reduction import make_context
 from .sequences import norm as seq_norm, tail as seq_tail, weight_factors
 
 
@@ -228,7 +229,6 @@ def verify_decay(q, K_list):
     ||T_N gamma||_{w,s,inf} <= 4 ||T_N q||_{w,s,inf} + 16 c_s N^{-(1/2-|s|)} ||q||^2,
     in the space of q: its regularity label s and weight w.
     """
-    from .reduction import make_context
     ctx = make_context(q)
     w, s = q.weight, q.s
     report = {"K_list": list(K_list), "sup_gamma": [], "sup_taumu": []}

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .galerkin import full_spectrum
 from .operator import Potential
 from .sequences import FourierSeq, bracket
 
@@ -143,7 +144,6 @@ def isospectral_check(q0, t, K_spec, dt, K_pde):
     the gap lengths) should drift only by integrator error; the Dirichlet
     eigenvalues genuinely move and are reported as expected-to-move.
     """
-    from .galerkin import full_spectrum
     state0 = potential_to_pde_state(q0)
     if K_pde > state0.half_range:
         state0 = state0.extended(K_pde)

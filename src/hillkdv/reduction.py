@@ -27,10 +27,9 @@ window, so K_n is only approximated where the series stops; coefficients
 reports whether that met NEUMANN_TOL.  Each row is held in offsets j = k - m
 from its own mode m = +-n: V e_n and V e_{-n} both start on supp(q), and T_n
 maps the offsets S of a term onto S + supp(q), whatever n and lambda.  So
-one plan serves both rows of every mode of a batch.  Each mode's reduction
-is written once, as a coroutine that yields each offset it wants evaluated,
-and find_roots_batch runs those of all its modes in lockstep, each round
-one Neumann sum over all their rows (per level a divide and a scatter).
+one plan serves both rows of every mode of a batch.  _fixed_points runs
+the iterations of all modes of a batch together, each round one Neumann
+sum over all their rows (per level a divide and a scatter).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -357,56 +356,48 @@ def _sqrt_continuous(value, prev):
     return -sq if abs(-sq - prev) < abs(sq - prev) else sq
 
 
-def _lockstep(plan, reductions):
-    """Run reductions[i], a coroutine at the mode n = plan.ns[i], to its end:
-    it yields the offset delta it wants evaluated at n and is sent its
-    CoeffResult.  One _evaluate per round answers every running coroutine.
-    Returns their values.  The first error, an evaluation's or a
-    coroutine's, ends the batch at once: in order of round, then (in
-    _evaluate) level, then i."""
-    out, asks = [None] * len(reductions), {}
-
-    def resume(i, got):  # its next request into asks, or its end into out
-        try:
-            asks[i] = reductions[i].send(got)
-        except StopIteration as stop:
-            out[i] = stop.value
-
-    for i in range(len(reductions)):
-        resume(i, None)
-    while asks:
-        run, asks = asks, {}
-        for i, got in zip(run, _evaluate(plan, list(run), list(run.values()))):
-            resume(i, got)
+def _fixed_points(plan, modes, signs, deltas, sqs):
+    """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) at n =
+    plan.ns[modes[i]] and sign = signs[i] from deltas[i], for every i at
+    once: each round, one _evaluate at the iterates of all iterations still
+    running.  Iteration i stops when a step is below 1e-10 n^2 pi^2 (sign
+    0, alpha_n's map) or 1e-14 n^2 pi^2 (sign +-1, the maps whose fixed
+    points are the roots of det B_n); its square root stays on the branch
+    nearest its last value, from sqs[i].  RootError when a step exceeds 0.8
+    times the one before (the map does not contract there) or after 80
+    steps.  The first error ends the batch: in order of round, then (in
+    _evaluate) level, then i.  Returns per i the image of the last iterate,
+    the delta it reports, with that iterate's CoeffResult and the list of
+    all its CoeffResults."""
+    deltas, sqs, out = list(deltas), list(sqs), [None] * len(modes)
+    evals, prev = [[] for _ in modes], [math.inf] * len(modes)
+    run = list(range(len(modes)))
+    while run:
+        for i, c in zip(run, _evaluate(plan, [modes[i] for i in run],
+                                       [deltas[i] for i in run])):
+            n, sign = plan.ns[modes[i]], signs[i]
+            evals[i].append(c)
+            new = c.a_n
+            if sign:
+                sqs[i] = _sqrt_continuous(c.b_n * c.b_neg_n, sqs[i])
+                new += sign * sqs[i]
+            step = abs(new - deltas[i])
+            if step < (1e-14 if sign else 1e-10) * n * n * PI2:
+                out[i] = new, c, evals[i]
+            elif step > 0.8 * prev[i]:
+                raise RootError("fixed point not contracting at n=%d" % n)
+            elif len(evals[i]) == 80:
+                raise RootError("fixed point did not converge at n=%d" % n)
+            else:
+                prev[i], deltas[i] = step, new
+        run = [i for i in run if out[i] is None]
     return out
 
 
-def _fixed_point(n, sign, evals, delta=0j, sq=None):
-    """Iterate delta <- a_n(delta) + sign sqrt(b_n b_{-n})(delta) from delta
-    until a step is below 1e-10 n^2 pi^2 (sign 0, alpha_n's map) or 1e-14
-    n^2 pi^2 (sign +-1, the maps whose fixed points are the roots of
-    det B_n), and return the image of the last iterate, the delta it
-    reports, with that iterate's CoeffResult.  The square root stays on the
-    branch nearest sq, its last value.  Every CoeffResult is appended to
-    evals.  RootError when a step exceeds 0.8 times the one before (the map
-    does not contract there) or after 80 steps.  A coroutine of _lockstep,
-    as is _reduce."""
-    prev_step = math.inf
-    for _ in range(80):
-        c = yield delta
-        evals.append(c)
-        new = c.a_n
-        if sign:
-            sq = _sqrt_continuous(c.b_n * c.b_neg_n, sq)
-            new += sign * sq
-        step = abs(new - delta)
-        if step < (1e-14 if sign else 1e-10) * n * n * PI2:
-            return new, c
-        if step > 0.8 * prev_step:
-            raise RootError("fixed point not contracting at n=%d" % n)
-        prev_step = step
-        delta = new
-    raise RootError("fixed point did not converge at n=%d" % n)
+def _alphas(plan):
+    """_fixed_points of alpha_n's map from delta = 0 at every mode of plan."""
+    k = len(plan.ns)
+    return _fixed_points(plan, range(k), [0] * k, [0j] * k, [None] * k)
 
 
 def alpha_fixed_point(ctx, n):
@@ -414,30 +405,7 @@ def alpha_fixed_point(ctx, n):
     until |step| < 1e-10 n^2 pi^2.  Requires n >= N_ms."""
     if n < ctx.N_ms:
         raise ThresholdError("alpha_n requires n >= N_ms = %d" % ctx.N_ms)
-    return n * n * PI2 + _lockstep(_OffsetPlan(ctx, [n]), [
-        _fixed_point(n, 0, [])])[0][0]
-
-
-def _reduce(n):
-    """find_roots_batch's ReductionResult at n."""
-    evals = []
-    alpha, c0 = yield from _fixed_point(n, 0, evals)
-    sq0 = cmath.sqrt(c0.b_n * c0.b_neg_n)
-    d1, c1 = yield from _fixed_point(n, +1, evals, alpha + sq0, sq0)
-    d2, c2 = yield from _fixed_point(n, -1, evals, alpha - sq0, sq0)
-    if max(abs(d1), abs(d2)) > 4.0 * math.sqrt(n):
-        raise RootError("root left D_%d" % n)
-    if (d2.real, d2.imag) < (d1.real, d1.imag):  # lambda_n^-, then ^+
-        d1, d2 = d2, d1
-    center = n * n * PI2
-    return ReductionResult(
-        n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
-        alpha_n=center + alpha, xi_1=center + d1, xi_2=center + d2,
-        gap_estimate=abs(d1 - d2), neumann_terms_used=c0.terms_used,
-        contraction_bound=max(c.max_ratio for c in evals),
-        method="fixed-point",
-        converged=c0.converged and c1.converged and c2.converged,
-        evaluations=len(evals))
+    return n * n * PI2 + _alphas(_OffsetPlan(ctx, [n]))[0][0]
 
 
 def find_roots(ctx, n, xi_bound_grid=0):
@@ -454,30 +422,54 @@ def find_roots_batch(ctx, ns):
 
     The offsets delta = lambda - n^2 pi^2 of alpha_n and the roots are fixed
     points of delta <- a_n(delta) (+-sqrt(b_n b_{-n})(delta)), which contract
-    on the strip for n >= n_s (see _fixed_point); the roots start at alpha_n
-    +- sqrt(b_n b_{-n}).  An iteration that fails, alpha_n's or a root's,
-    or a root that leaves the disc (RootError) raises its error.  Each mode
-    runs this alone (_reduce); _lockstep batches all modes' evaluations, one
-    _evaluate per round.  Returns a ReductionResult per n with xi_j = n^2
-    pi^2 + delta_j, each delta_j the image of its last iterate, xi_1 before
-    xi_2 by (Re, Im) (the labels lambda_n^-, lambda_n^+), the gap
-    |delta_1 - delta_2|, the contraction bound (the worst Neumann ratio of
-    the mode's evaluations), their count, and converged, False if a Neumann
-    sum at the last iterate of alpha_n's or a root's iteration missed
-    NEUMANN_TOL.  The first failure found ends the batch, its error raised
-    at once (_lockstep): with several failing modes, it need not be the
-    lowest n's.
+    on the strip for n >= n_s (see _fixed_points).  One _fixed_points call
+    finds every alpha_n, and a second both roots of every mode, started at
+    alpha_n +- sqrt(b_n b_{-n}), so each round is one _evaluate for all
+    modes.  An iteration that fails, alpha_n's or a root's, or a root that
+    leaves the disc (RootError) raises its error.  Returns a
+    ReductionResult per n with xi_j = n^2 pi^2 + delta_j, each delta_j the
+    image of its last iterate, xi_1 before xi_2 by (Re, Im) (the labels
+    lambda_n^-, lambda_n^+), the gap |delta_1 - delta_2|, the contraction
+    bound (the worst Neumann ratio of the mode's evaluations), their count,
+    and converged, False if a Neumann sum at the last iterate of alpha_n's
+    or a root's iteration missed NEUMANN_TOL.  The first failure found
+    ends the batch, its error raised at once: every alpha_n's before any
+    root's, and with several failing modes it need not be the lowest n's.
     """
     ns = list(ns)
     if any(n < ctx.n_s for n in ns):
         raise ThresholdError("find_roots requires n >= n_s = %d" % ctx.n_s)
-    return _lockstep(_OffsetPlan(ctx, ns), [_reduce(n) for n in ns])
+    plan = _OffsetPlan(ctx, ns)
+    alphas = _alphas(plan)
+    sq0 = [cmath.sqrt(c.b_n * c.b_neg_n) for _, c, _ in alphas]
+    roots = _fixed_points(  # the + root, then the - root, of each mode
+        plan, [i for i in range(len(ns)) for _ in (1, -1)], [1, -1] * len(ns),
+        [d for (a, _, _), sq in zip(alphas, sq0) for d in (a + sq, a - sq)],
+        [sq for sq in sq0 for _ in (1, -1)])
+    out = []
+    for n, (alpha, c0, e0), (d1, c1, e1), (d2, c2, e2) in zip(
+            ns, alphas, roots[0::2], roots[1::2]):
+        if max(abs(d1), abs(d2)) > 4.0 * math.sqrt(n):
+            raise RootError("root left D_%d" % n)
+        if (d2.real, d2.imag) < (d1.real, d1.imag):  # lambda_n^-, then ^+
+            d1, d2 = d2, d1
+        evals, center = e0 + e1 + e2, n * n * PI2
+        out.append(ReductionResult(
+            n=n, a_n=c0.a_n, b_n=c0.b_n, b_neg_n=c0.b_neg_n,
+            alpha_n=center + alpha, xi_1=center + d1, xi_2=center + d2,
+            gap_estimate=abs(d1 - d2), neumann_terms_used=c0.terms_used,
+            contraction_bound=max(c.max_ratio for c in evals),
+            method="fixed-point",
+            converged=c0.converged and c1.converged and c2.converged,
+            evaluations=len(evals)))
+    return out
 
 
 def adapted_coefficients(ctx, n_max):
     """Adapted coefficient sequence r: r_{2k} = q_{2k} for 0 < |k| < M_ms and
-    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max, every alpha_k in
-    lockstep on one offset plan."""
+    r_{+-2k} = b_{+-k}(alpha_k) for M_ms <= k <= n_max: every alpha_k by
+    one _fixed_points call on one offset plan, then one _evaluate at them
+    all."""
     M = ctx.M_ms
     if n_max < M:
         raise ThresholdError("n_max must be >= M_ms")
@@ -486,12 +478,9 @@ def adapted_coefficients(ctx, n_max):
     qs = ctx.q.support
     low = np.abs(qs.idx) < 2 * M
     r[qs.idx[low] + K] = qs.coeffs[low]
-
-    def at_alpha(n):  # the CoeffResult at alpha_n
-        alpha, _ = yield from _fixed_point(n, 0, [])
-        return (yield alpha)
     plan = _OffsetPlan(ctx, range(M, n_max + 1))
-    for k, c in zip(plan.ns, _lockstep(plan, [at_alpha(n) for n in plan.ns])):
+    alphas = [a for a, _, _ in _alphas(plan)]
+    for k, c in zip(plan.ns, _evaluate(plan, range(len(alphas)), alphas)):
         r[K + 2 * k] = c.b_n
         r[K - 2 * k] = c.b_neg_n
     return FourierSeq(r)

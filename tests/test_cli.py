@@ -234,13 +234,15 @@ def reduce_with_failing_fixed_point(tmp_path, capsys, monkeypatch, fails):
     reports that error as one error line, with no traceback, and writes
     nothing."""
     import hillkdv.reduction as red
-    real_fixed_point = red._fixed_point
+    real_fixed_points = red._fixed_points
 
-    def patched(n, sign, *args, **kwargs):
-        if fails(sign):
-            raise red.RootError("fixed point not contracting at n=%d" % n)
-        return (yield from real_fixed_point(n, sign, *args, **kwargs))
-    monkeypatch.setattr(red, "_fixed_point", patched)
+    def patched(plan, modes, signs, *args):
+        for i, sign in zip(modes, signs):
+            if fails(sign):
+                raise red.RootError("fixed point not contracting at n=%d"
+                                    % plan.ns[i])
+        return real_fixed_points(plan, modes, signs, *args)
+    monkeypatch.setattr(red, "_fixed_points", patched)
     out = tmp_path / "o"
     assert main(["reduce", "--potential", "single-mode:c=0.05",
                  "--out", str(out)]) == 1

@@ -768,18 +768,22 @@ def test_fixed_point_stop_at_high_mode():
         assert step <= ulp4
 
 
-def test_fixed_point_gives_up_after_80_steps():
+def test_fixed_point_gives_up_after_80_steps(monkeypatch):
     # a_n = 0.75 delta + 1000 contracts by 0.75 per step, but from delta = 0
     # its steps 1000 * 0.75^k stay above 1e-10 pi^2 for all 80 steps
-    it, sent = red._fixed_point(1, 0, []), 0
-    delta = next(it)
+    sent = []
+
+    def evaluate(plan, modes, deltas):
+        sent.extend(deltas)
+        return [red.CoeffResult(
+            n=1, delta=delta, a_n=0.75 * delta + 1000, b_n=0j, b_neg_n=0j,
+            terms_used=1, max_ratio=0.0, converged=True) for delta in deltas]
+
+    monkeypatch.setattr(red, "_evaluate", evaluate)
+    plan = red._OffsetPlan(make_context(Potential.zero()), [1])
     with pytest.raises(red.RootError, match="did not converge at n=1$"):
-        while True:
-            sent += 1
-            delta = it.send(red.CoeffResult(
-                n=1, delta=delta, a_n=0.75 * delta + 1000, b_n=0j, b_neg_n=0j,
-                terms_used=1, max_ratio=0.0, converged=True))
-    assert sent == 80
+        red._fixed_points(plan, [0], [0], [0j], [None])
+    assert len(sent) == 80
 
 
 @pytest.mark.parametrize("seed", [200, 201, 202])
@@ -886,25 +890,26 @@ def test_root_pair_in_lexicographic_order():
 
 
 def force_root_error(monkeypatch, forced, error=red.RootError):
-    """Patch reduction._fixed_point so that each fixed point (n, sign,
-    evals, ...) for which forced(n, sign) holds ends with error (a
-    RootError by default) without being run; the others run as before.
-    Returns the list of the forced (n, sign)."""
-    real_fixed_point, hits = red._fixed_point, []
+    """Patch reduction._fixed_points so that a call with an iteration (n,
+    sign) for which forced(n, sign) holds ends with error (a RootError by
+    default) at the first such n, before any of its iterations runs; the
+    other calls run as before.  Returns the list of the forced (n, sign)."""
+    real_fixed_points, hits = red._fixed_points, []
 
-    def patched(n, sign, *args, **kwargs):
-        if forced(n, sign):
-            hits.append((n, sign))
-            raise error("forced at n=%d" % n)
-        return (yield from real_fixed_point(n, sign, *args, **kwargs))
+    def patched(plan, modes, signs, *args):
+        for i, sign in zip(modes, signs):
+            if forced(plan.ns[i], sign):
+                hits.append((plan.ns[i], sign))
+                raise error("forced at n=%d" % plan.ns[i])
+        return real_fixed_points(plan, modes, signs, *args)
 
-    monkeypatch.setattr(red, "_fixed_point", patched)
+    monkeypatch.setattr(red, "_fixed_points", patched)
     return hits
 
 
 @pytest.mark.parametrize("error", [red.RootError, red.ContractionFailureError])
 def test_find_roots_raises_when_root_iteration_fails(monkeypatch, error):
-    # the - root's iteration fails, the + root's converges: find_roots
+    # the - root's iteration fails, the + root's would converge: find_roots
     # raises that error, never a result with an unpolished root
     ctx = make_context(smooth_real_potential())
     failed = force_root_error(monkeypatch, lambda n, sign: sign < 0, error)
@@ -918,13 +923,14 @@ def test_find_roots_rejects_root_outside_disc(monkeypatch):
     # lands 1000 from n^2 pi^2 has left D_n, and find_roots raises
     ctx = make_context(smooth_real_potential())
     n = 10 ** 4
-    real_fixed_point = red._fixed_point
+    real_fixed_points = red._fixed_points
 
-    def lands_outside(n, sign, *args, **kwargs):
-        delta, c = yield from real_fixed_point(n, sign, *args, **kwargs)
-        return (1000.0 + 0j if sign else delta), c
+    def lands_outside(plan, modes, signs, *args):
+        got = real_fixed_points(plan, modes, signs, *args)
+        return [(1000.0 + 0j if sign else delta, c, evals)
+                for sign, (delta, c, evals) in zip(signs, got)]
 
-    monkeypatch.setattr(red, "_fixed_point", lands_outside)
+    monkeypatch.setattr(red, "_fixed_points", lands_outside)
     with pytest.raises(red.RootError, match="left D_10000"):
         find_roots(ctx, n)
 
@@ -1160,8 +1166,9 @@ def low_mode_tasks(seed):
 def test_evaluation_counts(monkeypatch):
     # the coefficient evaluations that each result reports, and that the
     # evaluator makes, are those of the per-mode path: 126, 109, 80, 110
-    # and 60 over the low_mode tasks at seed 303, and 3 for the roots plus
-    # 2 or 4 for the adapted map in the isolated-mode sandwich
+    # and 60 over the low_mode tasks at seed 303, in 4, 5, 3, 4 and 2
+    # _evaluate calls, and 3 for the roots plus 2 or 4 for the adapted map
+    # in the isolated-mode sandwich
     real_evaluate, made = red._evaluate, []
 
     def counted(plan, modes, deltas):
@@ -1169,10 +1176,13 @@ def test_evaluation_counts(monkeypatch):
         return real_evaluate(plan, modes, deltas)
 
     monkeypatch.setattr(red, "_evaluate", counted)
-    for (ctx, ns), want in zip(low_mode_tasks(303), (126, 109, 80, 110, 60)):
+    for (ctx, ns), want, calls in zip(low_mode_tasks(303),
+                                      (126, 109, 80, 110, 60),
+                                      (4, 5, 3, 4, 2)):
         made.clear()
         res = find_roots_batch(ctx, ns)
         assert sum(r.evaluations for r in res) == sum(made) == want
+        assert len(made) == calls
         assert {r.method for r in res} == {"fixed-point"}
     for offsets, want in (((0,), 5), ((1,), 7)):
         made.clear()
@@ -1193,12 +1203,21 @@ def count_evaluations(monkeypatch):
     return made
 
 
+def test_roots_of_a_mode_share_rounds(monkeypatch):
+    # at n = 3 of single_mode(0.05) alpha_n takes two evaluations, then
+    # both roots one each, in one round
+    made = count_evaluations(monkeypatch)
+    find_roots(make_context(Potential.single_mode(0.05)), 3)
+    assert made == [1, 1, 2]
+
+
 def test_find_roots_batch_raises_first_failing_mode(monkeypatch):
-    # the first failure found ends the batch, in order of round, then mode:
-    # root iterations forced to fail at n_s + 2 and n_s + 4 start in the
-    # same round, so n_s + 2's error is raised; with n_s + 1's + root and
-    # n_s + 4's alpha_n forced to fail, n_s + 4's is found first, before
-    # any evaluation, where a loop over n would raise n_s + 1's
+    # the first failure found ends the batch, every alpha_n's iteration
+    # before any root's, then in order of round, then mode: root iterations
+    # forced to fail at n_s + 2 and n_s + 4 start in the same round, so
+    # n_s + 2's error is raised; with n_s + 1's + root and n_s + 4's
+    # alpha_n forced to fail, n_s + 4's is found first, before any
+    # evaluation, where a loop over n would raise n_s + 1's
     ctx = make_context(smooth_real_potential())
     ns = range(ctx.n_s, ctx.n_s + 6)
     roots = (ctx.n_s + 2, ctx.n_s + 4)
