@@ -8,7 +8,8 @@ are the Toeplitz matrix q_{2(i-j)} of the even coefficients plus their own
 diagonal (k pi)^2, and the solvers work on the blocks, never on M: for a
 complex q in the e_k basis, for a real q (q_{-j} = conj q_j) as the real
 symmetric matrix of the same size in the orthonormal basis of e_0 and
-c_k = (e_k + e_-k)/sqrt 2, s_k = (e_k - e_-k)/(i sqrt 2) over its k > 0.
+c_k = (e_k + e_-k)/sqrt 2, s_k = (e_k - e_-k)/(i sqrt 2) over its k > 0,
+whose entries are sums and differences of the e_k block's entries.
 Dirichlet problem on [0,1]: KxK sine-basis matrix
 D[m,n] = (m pi)^2 delta_{mn} + (q^cos_{m-n} - q^cos_{m+n}) over m, n >= 1,
 obtained by folding the ZZ-indexed expansion with the antisymmetry
@@ -112,23 +113,21 @@ def _parity_block(q, K, parity):
 
 def _real_block(q, K, parity):
     """The parity block of a real q, a_j + i b_j = q_j, in the basis e_0 (k = 0
-    in the even block), c_k, s_k over k > 0 (module doc): cos-cos entries
-    a_{k-l} + a_{k+l}, sin-sin a_{k-l} - a_{k+l}, cos-sin b_{k-l} - b_{k+l},
-    with the k = 0 ones times 1/sqrt 2 each as e_0 = c_0 / sqrt 2."""
-    k, z, H = np.arange(parity, K + 1, 2), 1 - parity, q.half_range
-    h = min(H, 2 * K)
-    f = np.zeros(4 * K + 1, dtype=complex)  # q_j at j + 2K, |j| <= 2K
-    f[2 * K - h:2 * K + h + 1] = q.seq.coeffs[H - h:H + h + 1]
-    dif, tot = k[:, None] - k[None, :] + 2 * K, k[:, None] + k[None, :] + 2 * K
+    in the even block), c_k, s_k over k > 0 (module doc), from the e_k block's
+    T = B_{k,l} = q_{k-l} + (k pi)^2 delta_{kl} and H = B_{k,-l} = q_{k+l},
+    k, l >= 0: cos-cos Re(T + H), sin-sin Re(T - H), cos-sin Im(T - H), the
+    k = 0 ones times 1/sqrt 2 each as e_0 = c_0 / sqrt 2."""
+    k, z = np.arange(parity, K + 1, 2), 1 - parity
+    B = _parity_block(q, K, parity)[-k.size:]  # its rows of k >= 0
+    T, H = B[:, -k.size:], B[:, k.size - 1::-1]
     w = np.where(k == 0, math.sqrt(0.5), 1.0)
     cos, sin = slice(0, k.size), slice(k.size, None)
-    B = np.empty((2 * k.size - z,) * 2)
-    B[cos, cos] = (f.real[dif] + f.real[tot]) * np.outer(w, w)
-    B[sin, sin] = (f.real[dif] - f.real[tot])[z:, z:]
-    B[cos, sin] = (f.imag[dif] - f.imag[tot])[:, z:] * w[:, None]
-    B[sin, cos] = B[cos, sin].T
-    B[np.diag_indices_from(B)] += (np.r_[k, k[z:]] * math.pi) ** 2
-    return B
+    R = np.empty((2 * k.size - z,) * 2)
+    R[cos, cos] = (T.real + H.real) * np.outer(w, w)
+    R[sin, sin] = (T.real - H.real)[z:, z:]
+    R[cos, sin] = (T.imag - H.imag)[:, z:] * w[:, None]
+    R[sin, cos] = R[cos, sin].T
+    return R
 
 
 def _exp_basis(Y, parity):

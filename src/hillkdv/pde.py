@@ -92,8 +92,8 @@ def evolve_kdv(u0, t_end, dt):
 
     The linear phase is applied exactly; the mean is preserved exactly (the
     k = 0 symbol and nonlinear derivative both vanish there).  Raises
-    InstabilityError if the coefficient sup grows by a factor above 1e6, and
-    ValueError unless t_end is finite and dt > 0 finite.
+    InstabilityError if the coefficient sup grows by a factor above 1e6 or
+    is not a number, and ValueError unless t_end is finite and dt > 0 finite.
     """
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite, got %r" % (t_end,))
@@ -118,7 +118,7 @@ def evolve_kdv(u0, t_end, dt):
         k3 = _nonlinear(E * u + (h / 2.0) * k2, ks, mask)
         k4 = _nonlinear(E2 * u + h * E * k3, ks, mask)
         u = E2 * u + (h / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-        if np.max(np.abs(u)) > 1e6 * sup0:
+        if not np.max(np.abs(u)) <= 1e6 * sup0:  # or NaN
             raise InstabilityError("coefficient growth exceeded blow-up factor")
     return replace(u0, coeffs=u)
 

@@ -256,15 +256,13 @@ def _evaluate(plan, modes, deltas):
     of modes and deltas, from one Neumann sum over all their rows: a_n =
     <K_n V e_n, e_n>, b_n = <K_n V e_{-n}, e_n> and b_{-n} = <K_n V e_n,
     e_{-n}> at lambda = n^2 pi^2 + delta, added level by level from 0j.
-    Each row stops on its own once its latest term's shifted norm is below
-    NEUMANN_TOL times its start's (a zero term ends the sum unadded); a
-    stopped row adds no more terms, and its ratios no longer count.  An
-    evaluation leaves the batch when both rows have stopped or MAX_TERMS
-    applications of T_n are spent (converged False).  The first error ends
-    the batch: StripViolationError for the first delta outside its strip
-    S_n, before any sum, else ContractionFailureError at the first level
-    where a row's term ratio has been > 0.9 three times in a row, naming
-    the first such row's mode.
+    A row leaves the batch when its own sum stops: once its latest term's
+    shifted norm is below NEUMANN_TOL times its start's (a zero term ends
+    it uncounted), or MAX_TERMS applications of T_n are spent (converged
+    False).  The first error ends the batch: StripViolationError for the
+    first delta outside its strip S_n, before any sum, else
+    ContractionFailureError at the first level where a row's term ratio has
+    been > 0.9 three times in a row, naming the first such row's mode.
 
     On S_n no divisor comes near 0, so none is guarded: the offsets k - n
     are even and k != +-n, so (k - n)(k + n) = 4a(a + n) with a != 0, -n is
@@ -277,7 +275,7 @@ def _evaluate(plan, modes, deltas):
     (S_l = 0) into its first sum, j = -2m into its second.  Each row's stop
     state (last term norm, the start's by the same rule, worst ratio,
     streak, terms used, stopped, and its two sums) is an array over the
-    rows, updated by masks once per level."""
+    rows, updated once per level at the rows still in the batch."""
     ns = [plan.ns[i] for i in modes]
     for n, d in zip(ns, deltas):
         if abs(d.real) > 12.0 * n + 1e-9:
@@ -290,35 +288,33 @@ def _evaluate(plan, modes, deltas):
     ratio, h = np.zeros(cols.size), np.zeros((cols.size, 2), dtype=complex)
     streak, used = np.zeros(cols.size, int), np.ones(cols.size, int)
     done = np.zeros(cols.size, bool)
-    # act: the rows with a column in c (cols, kk and d_act follow it); add:
-    # the columns whose latest term is added
-    act, add = np.arange(cols.size), np.ones(cols.size, bool)
+    # act: the rows with a column in c (cols, kk and d_act follow it)
+    act = np.arange(cols.size)
     d_act = np.repeat(np.array(deltas, dtype=complex), 2)
     for l in range(MAX_TERMS + 1):
         kk = lv[1][:, cols]
-        i, k = np.nonzero(np.isinf(kk) & add)  # the slots j = 0 and -2m
+        i, k = np.nonzero(np.isinf(kk))  # the slots j = 0 and -2m
         h[act[k], (lv[0][i] != 0).astype(np.intp)] += c[i, k]
-        keep = ~(done[act] & done[act ^ 1])
-        if not keep.all():  # the columns of evaluations that ended leave
+        keep = ~done[act]
+        if not keep.all():  # the columns of rows that stopped leave
             act, cols, kk, c, d_act = act[keep], cols[keep], kk[:, keep], \
                 c[:, keep], d_act[keep]
         if l == MAX_TERMS or not act.size:
             break
         c, lv = plan.apply(l, c / (d_act - kk)), plan.levels[l + 1]
         tn = (lv[2][:, cols] * np.abs(c)).max(axis=0, initial=0.0)
-        add = ~done[act]
-        p, tp = act[add], tn[add]
-        up = prev[p] > 0
-        r, pr = tp[up] / prev[p[up]], p[up]
+        up = prev[act] > 0
+        r, pr = tn[up] / prev[act[up]], act[up]
         ratio[pr] = np.fmax(ratio[pr], r)  # skips a NaN r, as max() does
         streak[pr] = np.where(r > 0.9, streak[pr] + 1, 0)
         bad = pr[streak[pr] >= 3]
         if bad.size:
             raise ContractionFailureError(
                 "Neumann ratio > 0.9 three times at n=%d" % ns[bad[0] // 2])
-        used[p] += tp != 0.0  # a zero term ends the sum unadded
-        done[p], prev[p] = tp < stop[p], tp
-        add &= tn != 0.0
+        # a zero term is exactly 0 at j = 0 and -2m (norm factor >= w_0 = 1),
+        # so adding it changes no bit of h, whose sums start at +0.0
+        used[act] += tn != 0.0
+        done[act], prev[act] = tn < stop[act], tn
     results = zip(ns, deltas, *(x.tolist() for x in (
         h[0::2, 0], h[1::2, 1], h[0::2, 1], np.maximum(used[::2], used[1::2]),
         np.maximum(ratio[::2], ratio[1::2]), done[::2] & done[1::2])))

@@ -81,7 +81,7 @@ class FourierSeq:
     The coefficient array is treated as immutable; properties such as
     realness (f_{-k} = conj(f_k)) are read from it, and Potential and
     BirkhoffState check their own invariants.  extended / truncated keep a
-    subclass (the Birkhoff coordinates) and its fields.
+    subclass (the Birkhoff coordinates).
     """
     coeffs: np.ndarray
 
@@ -118,11 +118,11 @@ class FourierSeq:
         return np.flatnonzero(self.coeffs) - K
 
     @classmethod
-    def zeros(cls, K, **fields):
-        return cls(np.zeros(2 * K + 1, dtype=complex), **fields)
+    def zeros(cls, K):
+        return cls(np.zeros(2 * K + 1, dtype=complex))
 
     @classmethod
-    def from_pairs(cls, pairs, K=None, **fields):
+    def from_pairs(cls, pairs, K=None):
         """Build from (k, value) pairs, a later pair overwriting an earlier
         one at the same k.  K defaults to max |k|; an index outside -K..K
         raises InvalidSequenceError."""
@@ -135,7 +135,7 @@ class FourierSeq:
         c = np.zeros(2 * K + 1, dtype=complex)
         for k, v in pairs:
             c[k + K] = v
-        return cls(c, **fields)
+        return cls(c)
 
     def extended(self, K_new):
         """Same sequence in a larger (or equal) half range."""

@@ -157,6 +157,14 @@ def test_blowup_detection():
         evolve_kdv(u0, 1.0, dt=0.05)
 
 
+@pytest.mark.parametrize("a", [1e150, 1e170])
+def test_blowup_detection_non_finite_state(a):
+    # one step overflows the state to NaN, which no growth bound exceeds
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InstabilityError):
+        evolve_kdv(cosine(a, K=16), 1e-3, dt=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # conserved quantities
 # ---------------------------------------------------------------------------

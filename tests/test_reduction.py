@@ -638,18 +638,27 @@ def test_plan_bit_equal_on_disjoint_rows():
                              sparse_coefficients(ctx, n, d))
 
 
-def test_plan_rows_stop_on_their_own():
+def test_plan_rows_stop_on_their_own(monkeypatch):
     # for this non-self-adjoint q the series from V e_3 stops after 5 terms
-    # and the one from V e_{-3} after 6: the first row adds no sixth term and
-    # no sixth ratio, so every field is that of the two separate series
+    # and the one from V e_{-3} after 6: the first row leaves the batch
+    # before the fifth application of T_n, adds no sixth term and no sixth
+    # ratio, so every field is that of the two separate series
     q = Potential.from_even_pairs([(1, 0.2), (-1, 0.002), (2, 0.1)],
                                   n_max=2, real=False)
     ctx = make_context(q)
     n = 3
     starts = [multiply(q, SparseSeq.accumulate([k], [1.0])) for k in (n, -n)]
     assert [sparse_neumann(ctx, n, 0.3, f)[1] for f in starts] == [5, 6]
+    widths, apply = [], red._OffsetPlan.apply
+
+    def counting_apply(plan, l, x):
+        widths.append(x.shape[1])
+        return apply(plan, l, x)
+
+    monkeypatch.setattr(red._OffsetPlan, "apply", counting_apply)
     assert_same_bits(plan_coefficients(ctx, n, 0.3),
                      sparse_coefficients(ctx, n, 0.3))
+    assert widths == [2, 2, 2, 2, 1]
 
 
 def test_plan_bit_equal_when_max_terms_cuts_the_series(monkeypatch):
