@@ -96,18 +96,19 @@ class SpectrumResult:
         return self.midpoints() - self.dirichlet[:self.trust]
 
 
-def _parity_block(q, K, parity):
+def _parity_block(q, K, parity, top=0):
     """The block of M on the k in [-K, K] of the given parity, the Toeplitz
-    matrix q_{2(i-j)} plus the diagonal (k pi)^2.  A complex q stays in this
-    basis: eps = 1e-12 and 1e-10 off a Jordan pair (n = 4, K = 64) gave gaps
-    1.3e-10, 3.2e-10 (reduction 3.2e-11, 3.2e-10); cos/sin 6.8e-9, 4.7e-9."""
+    matrix q_{2(i-j)} plus the diagonal (k pi)^2, from its row top on.  A
+    complex q stays in this basis: eps = 1e-12 and 1e-10 off a Jordan pair
+    (n = 4, K = 64) gave gaps 1.3e-10, 3.2e-10 (reduction 3.2e-11,
+    3.2e-10); cos/sin 6.8e-9, 4.7e-9."""
     ks = np.arange(-K + (K + parity) % 2, K + 1, 2)
     m, H = ks.size, q.half_range
     d = min(m - 1, H // 2)
     c = np.zeros(2 * m - 1, dtype=complex)  # q_{2j} at j + m - 1, |j| < m
     c[m - 1 - d:m + d] = q.seq.coeffs[H - 2 * d:H + 2 * d + 1:2]
-    B = np.lib.stride_tricks.sliding_window_view(c[::-1], m)[::-1].copy()
-    B[np.diag_indices_from(B)] += (ks * math.pi) ** 2
+    B = np.lib.stride_tricks.sliding_window_view(c[::-1], m)[::-1][top:].copy()
+    B[:, top:][np.diag_indices(m - top)] += (ks[top:] * math.pi) ** 2
     return B
 
 
@@ -118,7 +119,7 @@ def _real_block(q, K, parity):
     k, l >= 0: cos-cos Re(T + H), sin-sin Re(T - H), cos-sin Im(T - H), the
     k = 0 ones times 1/sqrt 2 each as e_0 = c_0 / sqrt 2."""
     k, z = np.arange(parity, K + 1, 2), 1 - parity
-    B = _parity_block(q, K, parity)[-k.size:]  # its rows of k >= 0
+    B = _parity_block(q, K, parity, k.size - z)  # its rows of k >= 0
     T, H = B[:, -k.size:], B[:, k.size - 1::-1]
     w = np.where(k == 0, math.sqrt(0.5), 1.0)
     cos, sin = slice(0, k.size), slice(k.size, None)

@@ -26,10 +26,10 @@ The Neumann iterates live on their exact support, and nothing is cut to a
 window, so K_n is only approximated where the series stops; coefficients
 reports whether that met NEUMANN_TOL.  Each row is held in offsets j = k - m
 from its own mode m = +-n: V e_n and V e_{-n} both start on supp(q), and T_n
-maps the offsets S of a term onto S + supp(q), whatever n and lambda.  So
-one plan serves both rows of every mode of a batch.  _fixed_points runs
-the iterations of all modes of a batch together, each round one Neumann
-sum over all their rows (per level a divide and a scatter).
+maps the offsets S of a term onto S + supp(q) (sums of runs of step 2),
+whatever n and lambda.  So one plan serves both rows of every mode of a batch.
+_fixed_points runs the iterations of all modes of a batch together, each round
+one Neumann sum over all their rows (per level a divide and a scatter).
 
 All shifted norms are ||f||_{w,s,inf;l} = sup_k w_{k+l} <k+l>^s |f_k|.
 """
@@ -181,13 +181,15 @@ class _OffsetPlan:
     slots j = 0 and j = -2m (k = +-n) that Q_n drops stay in the n-free
     levels S_l: they add only zero products to sums that start at +0.0.
     Per level, found when first needed, rows the inner (contiguous) axis:
-    S_l; each row's divisor parts j (j + 2m) pi^2 = (k - n)(k + n) pi^2,
-    inf exactly at its dropped slots (c / (delta - inf) is 0, with no
-    division by 0, and _evaluate reads a_n and b_{+-n} there); and the
-    larger shifted-norm factor max(w(j) <j>^s, w(j+2m) <j+2m>^s) (exact for
-    the max of the two norms, as |c| >= 0).  Per step, the runs of S_l that
-    every tap maps onto consecutive slots of S_{l+1}, and each tap's slot
-    in S_{l+1} for the start of each run."""
+    S_l; each row's divisor parts j (j + 2m) pi^2 = (k - n)(k + n) pi^2, inf
+    exactly at its dropped slots (c / (delta - inf) is 0, with no division by
+    0, and _evaluate reads a_n and b_{+-n} there); the larger shifted-norm
+    factor max(w(j) <j>^s, w(j+2m) <j+2m>^s) (exact for the max of the two
+    norms, as |c| >= 0); and the maximal runs of step 2 of S_l: slot bounds b
+    (run r is S_l[b[r]:b[r + 1]]), first and last slots.  Each tap maps a
+    run onto consecutive (even) slots of S_{l+1}, the union of the runs
+    [a + c, z + d] over the runs [a, z] of S_0 = supp(q) and [c, d] of S_l.
+    Per step, each tap's slot in S_{l+1} for each run's start."""
 
     def __init__(self, ctx, ns):
         self.ctx, self.q, self.ns = ctx, ctx.q.support, list(ns)
@@ -201,23 +203,22 @@ class _OffsetPlan:
         kk = S[:, None] * jm * PI2
         kk[(S[:, None] == 0) | (jm == 0)] = np.inf
         # jm first: it reaches the larger |k|, which a WeightError names
-        return S, kk, np.maximum(
-            weight_factors(jm.ravel(), w, s).reshape(jm.shape),
-            weight_factors(S, w, s)[:, None])
+        wf = np.maximum(weight_factors(jm.ravel(), w, s).reshape(jm.shape),
+                        weight_factors(S, w, s)[:, None])
+        b = np.r_[np.flatnonzero(np.diff(S, prepend=S[:1]) != 2), S.size]
+        return S, kk, wf, b.tolist(), S[b[:-1]].tolist(), S[b[1:] - 1].tolist()
 
     def level(self, l):
         """Level l's tables, building the levels and steps up to it."""
         while len(self.levels) <= l:
-            S = self.levels[-1][0]
-            S1, inv = np.unique(np.add.outer(self.q.idx, S).ravel(),
-                                return_inverse=True)
-            inv = inv.reshape(self.q.idx.size, S.size)
-            # a run starts where some tap's image is not the next slot
-            starts = np.flatnonzero((np.diff(inv, prepend=inv[:, :1]) != 1)
-                                    .any(axis=0))
-            bounds = [*starts.tolist(), S.size]
-            self.steps.append((list(zip(bounds, bounds[1:])),
-                               inv[:, starts].tolist()))
+            S, _, _, b, first, last = self.levels[-1]
+            S1 = np.sort(np.concatenate([S[:0]] + [
+                np.arange(a + c, z + d + 1, 2)
+                for a, z in zip(*self.levels[0][4:])  # S_0 = supp(q)
+                for c, d in zip(first, last)]))
+            S1 = S1[np.diff(S1, prepend=S1[:1] - 2) != 0]  # each slot once
+            dests = np.searchsorted(S1, np.add.outer(self.q.idx, first))
+            self.steps.append((list(zip(b, b[1:])), dests.tolist()))
             self.levels.append(self._level(S1))
         return self.levels[l]
 
@@ -315,13 +316,10 @@ def _evaluate(plan, modes, deltas):
         # so adding it changes no bit of h, whose sums start at +0.0
         used[act] += tn != 0.0
         done[act], prev[act] = tn < stop[act], tn
-    results = zip(ns, deltas, *(x.tolist() for x in (
+    results = zip(ns, deltas, *(x.tolist() for x in (  # in field order
         h[0::2, 0], h[1::2, 1], h[0::2, 1], np.maximum(used[::2], used[1::2]),
         np.maximum(ratio[::2], ratio[1::2]), done[::2] & done[1::2])))
-    return [CoeffResult(n=n, delta=complex(d), a_n=a_n, b_n=b_n,
-                        b_neg_n=b_neg_n, terms_used=terms, max_ratio=worst,
-                        converged=ok)
-            for n, d, a_n, b_n, b_neg_n, terms, worst, ok in results]
+    return [CoeffResult(n, complex(d), *rest) for n, d, *rest in results]
 
 
 def coefficients(ctx, n, lam):

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -40,6 +41,7 @@ from dense_oracle import divisor_sum, dense_coefficients, \
     single_mode_gaps, kronig_penney_edges
 
 PI2 = math.pi ** 2
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -1114,11 +1116,12 @@ def test_find_roots_batch_equals_batch_of_one(q):
 
 def test_plan_apply_bit_equal_to_oracle_multiply():
     # each column of apply is multiply(q, .) of that column on S_l, to the
-    # bit and the sign of zero, on levels of one long run (the smooth
-    # potential), of many short runs (the isolated-mode potential) and with
-    # no slots at all (the zero potential, whose levels hold no runs); each
-    # row's divisor part is inf exactly at its slots j = 0 and j = -2m,
-    # where _evaluate reads its sums
+    # bit and the sign of zero, on levels of one long run of step 2 (the
+    # smooth potential, two at level 0 around j = 0), of 4-11 runs from
+    # singletons to clusters (the isolated-mode potential) and with no slots
+    # at all (the zero potential, whose levels hold no runs); each row's
+    # divisor part is inf exactly at its slots j = 0 and j = -2m, where
+    # _evaluate reads its sums
     ctx6, res, _ = isolated_mode_sandwich(np.random.default_rng(0), (1,))
     rng = np.random.default_rng(5)
     for ctx, ns in ((make_context(smooth_real_potential()), range(3, 9)),
@@ -1138,6 +1141,68 @@ def test_plan_apply_bit_equal_to_oracle_multiply():
                 want = multiply(ctx.q, SparseSeq(S, x[:, k]))
                 assert np.array_equal(want.idx, plan.levels[l + 1][0])
                 assert got[:, k].tobytes() == want.coeffs.tobytes()
+
+
+@st.composite
+def clustered_potentials(draw):
+    """Complex potentials whose support is a random union of up to four runs
+    of step 2, singletons to clusters of five taps, near 0 or far from it,
+    so that the sums of runs touch, overlap or stay apart; no runs at all
+    gives the zero potential."""
+    runs = draw(st.lists(st.tuples(
+        st.one_of(st.integers(-30, 30), st.sampled_from([-900, 700, 1301])),
+        st.integers(1, 5)), max_size=4))
+    ns = sorted({c + i for c, size in runs for i in range(size)} - {0})
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = 0.01 * rng.uniform(0.3, 1.0, len(ns)) \
+        * np.exp(2j * np.pi * rng.uniform(size=len(ns)))
+    return Potential.from_even_pairs(zip(ns, vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=clustered_potentials(), n=st.integers(1, 8))
+@example(q=Potential.zero(), n=1)
+@example(q=Potential.from_even_pairs([(3, 0.01j)]), n=2)  # one tap
+@example(q=Potential.from_even_pairs([(1, 0.01), (2, 0.01), (4, 0.01)]), n=1)
+def test_plan_levels_are_sumsets_of_runs(q, n):
+    # the runs of supp(q) and S_l ({2, 4} and {8} in the last example) sum
+    # to runs that touch and overlap; S_{l+1} is still the full sumset, and
+    # apply is multiply(q, .) to the bit on every column, as in
+    # test_plan_apply_bit_equal_to_oracle_multiply
+    plan = red._OffsetPlan(make_context(q), [n, n + 5])
+    rng = np.random.default_rng(n)
+    for l in range(4):
+        S = plan.level(l)[0]
+        assert np.array_equal(plan.level(l + 1)[0],
+                              np.unique(np.add.outer(q.support.idx, S)))
+        x = rng.standard_normal((S.size, 4)) * (1 + 1j)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        got = plan.apply(l, x)
+        for k in range(4):
+            want = multiply(q, SparseSeq(S, x[:, k]))
+            if q.support.idx.size == 1:
+                # one tap, one slot: numpy rounds multiply's 1 x 1 outer
+                # product in another loop than any larger block, so q_a x
+                # differs from apply's by rounding (a few ulp on
+                # cancellation)
+                err = np.abs(got[:, k] - want.coeffs)
+                bound = 8 * EPS * np.abs(q.support.coeffs * x[:, k])
+                assert np.all(err <= bound)
+            else:
+                assert got[:, k].tobytes() == want.coeffs.tobytes()
+
+
+def test_plan_levels_memory_at_512_taps():
+    # levels 0-8 of one mode of a 512-tap power law take 1.6 MB at their
+    # peak; a taps x |S_l| outer sum with its inverse map took 119 MB
+    ctx = make_context(Potential.power_law(0.1, -0.25, 256, s=-0.25))
+    tracemalloc.start()
+    try:
+        red._OffsetPlan(ctx, [ctx.n_s]).level(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def low_mode_tasks(seed):
