@@ -19,7 +19,8 @@ ordered by Re, and the periodic one puts a pair lambda_n^-+ whose Re parts
 tie in Im order (_pair_order).  These solvers are the oracle for the
 reduction module; truncation trust is certified conservatively.  The Riesz
 projector onto the pair lambda_n^+- of a real potential (the paper's space is
-real) is the orthogonal projector of the real block of n's parity, from eigh.
+real) is the orthogonal projector of the real block of n's parity, from a
+fixed point where Gershgorin's discs certify the pair and from eigh elsewhere.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .operator import dirichlet_cos_coeffs
-from .reduction import make_context
+from .reduction import ContractionFailureError, make_context
 from .sequences import norm as seq_norm, tail as seq_tail, weight_factors
 
 
@@ -181,37 +182,75 @@ def full_spectrum(q, K):
     return spec
 
 
+def _gershgorin(q, n, k):
+    """The number of e_k Gershgorin discs at the k given, centres (k pi)^2
+    (q_0 = 0), radius at most sum_j |q_j|, inside |lambda - n^2 pi^2| = n by
+    more than 1e-6 max(1, n); None if another is not that far outside it."""
+    r, rho = np.abs((k * math.pi) ** 2 - n * n * PI2), np.sum(np.abs(q.seq.coeffs))
+    tol = 1e-6 * max(1.0, n)
+    inside = r + rho < n - tol
+    return np.count_nonzero(inside) if np.all(inside | (r - rho > n + tol)) else None
+
+
+def _pair_basis(B, n, K):
+    """An orthonormal basis of the pair's subspace of n's real block B
+    (_real_block, overwritten) and the steps taken: [I; X] on the rows
+    P = (c_n, s_n) and Q, X the fixed point of X = -(E_QP + E_QQ X -
+    X (E_PP + E_PQ X)) / (D_Q - (n pi)^2), B = D + E, D = diag((k pi)^2)
+    (Stewart, SIAM Rev. 15, 1973).  Where _gershgorin certifies the pair it
+    contracts by about 2 rho / min |D_Q - (n pi)^2| < 1; from X = 0 it stops
+    at a step below the rounding of [I; X], raises at one that does not shrink."""
+    k, z = np.arange(n % 2, K + 1, 2), 1 - n % 2
+    d, p = (np.r_[k, k[z:]] * math.pi) ** 2, [n // 2, k.size + n // 2 - z]
+    B[np.diag_indices_from(B)] -= d
+    V = F = (np.arange(d.size)[:, None] == p).astype(float)
+    gap = np.where(F.any(1), 1.0, d - d[p[0]])[:, None]  # rows P update to 0
+    last, steps = math.inf, 0
+    while True:
+        W = B @ V
+        U = F + (V @ W[p] - W) / gap
+        step, V, steps = np.max(np.abs(U - V)), U, steps + 1
+        if step <= np.finfo(float).eps:
+            return np.linalg.qr(V)[0], steps
+        if not step < last:
+            raise ContractionFailureError("pair n=%d: a step did not shrink" % n)
+        last = step
+
+
 def riesz_projector(q, n, K):
     """Riesz projector (1/2 pi i) oint (lambda - M)^{-1} d lambda of the periodic
     matrix M of a real q over |lambda - n^2 pi^2| = n, which must separate
     {lambda_n^+-}; a complex q raises ValueError.
 
     The pair lies in the parity block B of n's parity: R is the projector of
-    B, with exact zeros outside that block.  The other block is solved only
-    if one of its Gershgorin discs, centers (k pi)^2 (q_0 = 0) and radius at
-    most sum_j |q_2j|, meets the contour disc; it must have no eigenvalue on
-    or inside the contour.  B is solved as the real symmetric block of the
-    cos/sin basis (_real_block): R = Z_1 Z_1^H from eigh, Z_1 the pair's
-    eigenvectors mapped to the e_k basis.
+    B, with exact zeros outside that block, R = Z_1 Z_1^H for Z_1 a basis of
+    the pair's subspace of B in the cos/sin basis (_real_block) mapped to the
+    e_k basis.  Where the Gershgorin discs certify the pair (_gershgorin), Z_1
+    comes from _pair_basis and nothing is solved.  Elsewhere eigh of B gives
+    Z_1 and the checks: two eigenvalues inside the contour, none on it, and
+    none of the other block's, which is solved if one of its discs is not
+    outside the contour.
     """
     if not q.is_real():
         raise ValueError("the Riesz projector takes a real potential")
     parity, center = n % 2, n * n * PI2
-    lam, Z = np.linalg.eigh(_real_block(q, K, parity))
-    r = np.abs(lam - center)
-    if np.min(np.abs(r - n)) < 1e-6 * max(1.0, n):
-        raise SeparationError("eigenvalue on the contour |lambda - n^2 pi^2| = n")
-    inside = r < n
-    if np.count_nonzero(inside) != 2:
-        raise SeparationError("contour around n=%d encloses %d eigenvalues, "
-                              "expected 2" % (n, np.count_nonzero(inside)))
-    k, radius = np.arange(1 - parity, K + 1, 2), np.sum(np.abs(q.seq.coeffs))
-    if np.any(np.abs((k * math.pi) ** 2 - center) <= radius + n):
-        other = _block_eigvals(q, K, 1 - parity)
-        if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
-            raise SeparationError("contour around n=%d encloses an eigenvalue "
-                                  "of the other parity block" % n)
-    Z1 = _exp_basis(Z[:, inside], parity)
+    if _gershgorin(q, n, np.arange(-K, K + 1)) == 2:
+        Z1 = _exp_basis(_pair_basis(_real_block(q, K, parity), n, K)[0], parity)
+    else:
+        lam, Z = np.linalg.eigh(_real_block(q, K, parity))
+        r = np.abs(lam - center)
+        if np.min(np.abs(r - n)) < 1e-6 * max(1.0, n):
+            raise SeparationError("eigenvalue on the contour |lambda - n^2 pi^2| = n")
+        inside = r < n
+        if np.count_nonzero(inside) != 2:
+            raise SeparationError("contour around n=%d encloses %d eigenvalues, "
+                                  "expected 2" % (n, np.count_nonzero(inside)))
+        if _gershgorin(q, n, np.arange(1 - parity, K + 1, 2)) != 0:
+            other = _block_eigvals(q, K, 1 - parity)
+            if np.any(np.abs(other - center) < n + 1e-6 * max(1.0, n)):
+                raise SeparationError("contour around n=%d encloses an eigenvalue "
+                                      "of the other parity block" % n)
+        Z1 = _exp_basis(Z[:, inside], parity)
     W = Z1.conj().T
     P = Z1 @ W
     R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)

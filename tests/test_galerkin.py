@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -16,7 +16,8 @@ from hillkdv.sequences import FourierSeq, Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
     riesz_projector, verify_decay, SeparationError,
-    dirichlet_matrix, _pair_order, _parity_block,
+    dirichlet_matrix, _pair_order, _parity_block, _real_block, _exp_basis,
+    _gershgorin, _pair_basis,
 )
 
 from dense_oracle import LACUNARY_NS, lacunary_potential, lex_sort_loop, \
@@ -253,15 +254,15 @@ def eig_calls(monkeypatch):
 
 def test_riesz_criterion12_potential_matches_quadrature(eig_calls):
     # the lacunary potential of acceptance criterion 12; its pairs are well
-    # separated, so 64 trapezoid nodes already meet the tolerance.  The
-    # other block's Gershgorin discs stay off every contour: one real eigh
-    # per projector, no other solve
+    # separated, so 64 trapezoid nodes already meet the tolerance.  Its
+    # Gershgorin radius sum_j |q_j| = 3.28 is below every n, so the discs
+    # certify each pair: no eigensolver call at all
     q = lacunary_potential()
     for n in LACUNARY_NS:
         R, _ = riesz_projector(q, n, 180)
         assert np.all(R[off_block(n, 180)] == 0)
         assert np.max(np.abs(R - quadrature_projector(q, n, 180, pts=64))) <= 1e-12
-    assert eig_calls == [("eigh", (181, 181), np.float64)] * len(LACUNARY_NS)
+    assert eig_calls == []
 
 
 def test_riesz_other_block_eigenvalue_inside_raises(eig_calls):
@@ -366,6 +367,83 @@ def test_real_projector_matches_hermitian_oracle(case, n):
     assert np.all(R[off_block(n, K)] == 0)
     assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= tol
     assert rep["idempotency_defect"] <= 1e-13
+
+
+def oracle_tolerance(q, n, K):
+    # test_real_projector_matches_hermitian_oracle's rule
+    lam = scipy.linalg.eigvalsh(_parity_block(q, K, n % 2))
+    inside = np.abs(lam - n * n * PI2) < n
+    sep = np.min(np.abs(lam[~inside, None] - lam[inside]))
+    return max(1e-12, 4 * np.finfo(float).eps * (K * math.pi) ** 2 / sep)
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=real_potentials(st.just(1.0)), n=st.integers(1, 12),
+       frac=st.floats(0.0, 0.999))
+def test_certified_projector_matches_hermitian_oracle(eig_calls, case, n, frac):
+    # q scaled to the Gershgorin radius rho = sum_j |q_j| = frac n < n - 1e-6
+    # max(1, n): the discs certify the pair and no eigensolver runs.  With
+    # ||E||_2 <= rho and g the least |(k^2 - n^2)| pi^2 in n's block, the
+    # map's first step is at most a = sqrt 2 rho / g in Frobenius norm and
+    # it contracts by theta = 2 rho (1 + 2 a) / g on the ball of radius 2 a,
+    # so a step is below eps after 1 + log(eps / a) / log(theta) steps, one
+    # more for the rounding of the step itself
+    base, K = case
+    coeffs = base.seq.coeffs
+    q = Potential(FourierSeq(coeffs * (frac * n / np.sum(np.abs(coeffs)))))
+    eig_calls.clear()
+    R, rep = riesz_projector(q, n, K)
+    assert eig_calls == []
+    assert _gershgorin(q, n, np.arange(-K, K + 1)) == 2
+    assert np.all(R[off_block(n, K)] == 0)
+    tol = oracle_tolerance(q, n, K)
+    assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= tol
+    assert rep["idempotency_defect"] <= 1e-13
+    k = np.arange(n % 2, K + 1, 2)
+    g = np.min(np.abs(k[k != n] ** 2 - n * n)) * PI2
+    rho, eps = np.sum(np.abs(q.seq.coeffs)), np.finfo(float).eps
+    a = math.sqrt(2) * rho / g
+    theta = 2 * rho * (1 + 2 * a) / g
+    assert theta <= 0.5
+    _, steps = _pair_basis(_real_block(q, K, n % 2), n, K)
+    bound = 1 if a <= eps else 2 + math.ceil(math.log(eps / a) / math.log(theta))
+    assert steps <= bound
+
+
+def eigh_projector(q, n, K):
+    """riesz_projector(q, n, K) as computed by eigh of the real block alone,
+    the path of every input whose discs do not certify the pair."""
+    lam, Z = np.linalg.eigh(_real_block(q, K, n % 2))
+    Z1 = _exp_basis(Z[:, np.abs(lam - n * n * PI2) < n], n % 2)
+    W = Z1.conj().T
+    R = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    R[(K + n) % 2::2, (K + n) % 2::2] = Z1 @ W
+    defect = np.linalg.norm((W @ Z1 - np.eye(2)) @ W, 2)
+    return R, {"quad_points": 0, "idempotency_defect": float(defect),
+               "trace": complex(np.trace(R))}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certificate_edge_single_mode(eig_calls, n):
+    # single_mode(c) has rho = 2c: just below n the discs certify the pair
+    # and the fixed point matches the oracle; just above n (and within the
+    # 1e-6 n margin below it) one eigh gives the projector, bit for bit
+    K = 48
+    q = Potential.single_mode(0.5 * n * (1 - 1e-5))
+    R, rep = riesz_projector(q, n, K)
+    assert eig_calls == []
+    tol = oracle_tolerance(q, n, K)
+    assert np.max(np.abs(R - hermitian_projector(q, n, K))) <= tol
+    assert rep["idempotency_defect"] <= 1e-13
+    for c in (0.5 * n * (1 + 1e-5), 0.5 * n * (1 - 5e-7)):
+        q = Potential.single_mode(c)
+        eig_calls.clear()
+        R, rep = riesz_projector(q, n, K)
+        assert [(name, dtype) for name, _, dtype in eig_calls] == [
+            ("eigh", np.float64)]
+        want, info = eigh_projector(q, n, K)
+        assert R.tobytes() == want.tobytes() and rep == info
 
 
 def matrix_potentials(seed):
