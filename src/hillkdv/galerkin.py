@@ -186,8 +186,8 @@ def _gershgorin(q, n, k):
     """The number of e_k Gershgorin discs at the k given, centres (k pi)^2
     (q_0 = 0), radius at most sum_j |q_j|, inside |lambda - n^2 pi^2| = n by
     more than 1e-6 max(1, n); None if another is not that far outside it."""
-    r, rho = np.abs((k * math.pi) ** 2 - n * n * PI2), np.sum(np.abs(q.seq.coeffs))
-    tol = 1e-6 * max(1.0, n)
+    r = np.abs((k * math.pi) ** 2 - n * n * PI2)
+    rho, tol = np.sum(np.abs(q.seq.coeffs)), 1e-6 * max(1.0, n)
     inside = r + rho < n - tol
     return np.count_nonzero(inside) if np.all(inside | (r - rho > n + tol)) else None
 
@@ -197,14 +197,14 @@ def _pair_basis(B, n, K):
     (_real_block, overwritten) and the steps taken: [I; X] on the rows
     P = (c_n, s_n) and Q, X the fixed point of X = -(E_QP + E_QQ X -
     X (E_PP + E_PQ X)) / (D_Q - (n pi)^2), B = D + E, D = diag((k pi)^2)
-    (Stewart, SIAM Rev. 15, 1973).  Where _gershgorin certifies the pair it
-    contracts by about 2 rho / min |D_Q - (n pi)^2| < 1; from X = 0 it stops
+    (Stewart, SIAM Rev. 15, 1973), contracting by about 2 ||E|| / min |D_Q -
+    (n pi)^2| < 1 where _gershgorin certifies the pair.  From X = 0 it stops
     at a step below the rounding of [I; X], raises at one that does not shrink."""
     k, z = np.arange(n % 2, K + 1, 2), 1 - n % 2
     d, p = (np.r_[k, k[z:]] * math.pi) ** 2, [n // 2, k.size + n // 2 - z]
     B[np.diag_indices_from(B)] -= d
     V = F = (np.arange(d.size)[:, None] == p).astype(float)
-    gap = np.where(F.any(1), 1.0, d - d[p[0]])[:, None]  # rows P update to 0
+    gap = np.where(F.any(1), 1.0, d - d[p[0]])[:, None]  # rows P: 0 / 1 = 0
     last, steps = math.inf, 0
     while True:
         W = B @ V

@@ -15,8 +15,10 @@ from +0.0.  sparse_neumann sums K_n f for one SparseSeq f term by term,
 each support found afresh by multiply, where the package sums the series
 from V e_n and V e_{-n} of every mode of a batch on one plan in offsets
 from the mode (reduction._OffsetPlan); its coefficients must agree with the
-package's bit for bit, and its a_n_alt = <K_n V e_{-n}, e_{-n}>, which the
-package does not compute, must equal a_n.  With lam_form, sparse_neumann
+package's bit for bit when q has two taps or more (for one tap numpy forms
+multiply's 1 x 1 products in another loop, which rounds differently), and
+its a_n_alt = <K_n V e_{-n}, e_{-n}>, which the package does not compute,
+must equal a_n.  With lam_form, sparse_neumann
 divides by lambda - (k pi)^2 through apply_A_inv_Q instead, the lambda form
 of A_lambda^{-1} Q_n that the package no longer uses, which loses the
 digits of n^2 pi^2: an oracle to 1e-12 for n <= 100 only.  in_strip is the

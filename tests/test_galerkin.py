@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from hillkdv.operator import Potential
+from hillkdv.reduction import ContractionFailureError
 from hillkdv.sequences import FourierSeq, Weight
 from hillkdv.galerkin import (
     trust_count, periodic_spectrum, dirichlet_spectrum, full_spectrum,
@@ -444,6 +445,13 @@ def test_certificate_edge_single_mode(eig_calls, n):
             ("eigh", np.float64)]
         want, info = eigh_projector(q, n, K)
         assert R.tobytes() == want.tobytes() and rep == info
+
+
+def test_pair_basis_raises_where_the_map_does_not_contract():
+    # single_mode(60) at n = 1 is far outside the certificate (rho = 120 > 1):
+    # the fixed-point map's steps stop shrinking before they reach rounding
+    with pytest.raises(ContractionFailureError, match="did not shrink"):
+        _pair_basis(_real_block(Potential.single_mode(60.0), 48, 1), 1, 48)
 
 
 def matrix_potentials(seed):
